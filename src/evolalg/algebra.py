@@ -8,6 +8,8 @@ e_i^2.  Elements are plain coordinate tuples relative to that basis.
 
 from __future__ import annotations
 
+import functools
+
 from .errors import DimensionError
 from .linalg import Matrix
 
@@ -26,6 +28,7 @@ class EvolutionAlgebra:
         # column i = coordinates of e_{i+1}^2; kept around because multiply
         # touches columns constantly
         self._squares = tuple(self.structure.column(i) for i in range(n))
+        self._invariants = {}  # filled by functions decorated with _memoized
 
     @classmethod
     def from_squares(cls, field, squares) -> "EvolutionAlgebra":
@@ -86,6 +89,19 @@ class EvolutionAlgebra:
                 if not f.is_zero(col[k]):
                     out[k] = f.add(out[k], f.mul(c, col[k]))
         return tuple(out)
+
+
+def _memoized(compute):
+    """Decorator for an invariant of an algebra: compute(algebra) runs once
+    per algebra object, later calls return its result.  An algebra never
+    changes after __init__, so the result never goes stale."""
+    @functools.wraps(compute)
+    def memoized(algebra):
+        memo = algebra._invariants
+        if compute not in memo:
+            memo[compute] = compute(algebra)
+        return memo[compute]
+    return memoized
 
 
 def power_associativity_witnesses(algebra: EvolutionAlgebra) -> frozenset:

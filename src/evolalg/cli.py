@@ -35,6 +35,16 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evolalg",
                      description="Exact analysis of evolution algebras "
@@ -74,7 +84,7 @@ def _build_parser() -> _Parser:
             p.add_argument("--ideal-basis", required=True, metavar="FILE",
                            help="file with one spanning vector per line")
         if name == "oracle":
-            p.add_argument("--max-vectors", type=int, default=4096,
+            p.add_argument("--max-vectors", type=_positive_int, default=4096,
                            help="enumeration budget on |F_p|^n (default 4096)")
     return parser
 

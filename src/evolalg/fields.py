@@ -22,19 +22,40 @@ from .errors import FieldError
 _SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
+MODULUS_BOUND = 3317044064679887385961981
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
+    """Miller-Rabin on the prime bases 2..41, which is exact for
+    n < MODULUS_BOUND (Sorenson and Webster 2017); prime fields refuse
+    larger moduli."""
     if n < 2:
         return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    for q in _WITNESSES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 2
     return True
+
+
+def _check_modulus_range(p: int) -> None:
+    """Refuse a modulus that is_prime cannot decide exactly."""
+    if p >= MODULUS_BOUND:
+        raise FieldError("modulus %d is too large: prime fields need p < %d"
+                         % (p, MODULUS_BOUND))
 
 
 @dataclass(frozen=True)
@@ -51,6 +72,7 @@ class FieldDescriptor:
         elif self.kind == "prime":
             if self.p is None or not is_prime(self.p):
                 raise FieldError("prime field needs a prime modulus, got %r" % (self.p,))
+            _check_modulus_range(self.p)
         else:
             raise FieldError("unknown field kind %r" % (self.kind,))
 
@@ -59,8 +81,11 @@ def _split_scalar(text: str):
     m = _SCALAR_RE.match(text.strip())
     if m is None:
         raise FieldError("invalid scalar %r" % (text,))
-    num = int(m.group(1))
-    den = None if m.group(2) is None else int(m.group(2))
+    try:
+        num = int(m.group(1))
+        den = None if m.group(2) is None else int(m.group(2))
+    except ValueError:  # CPython's limit on digits in an int conversion
+        raise FieldError("scalar of %d characters exceeds the digit limit" % len(text)) from None
     if den == 0:
         raise FieldError("zero denominator in %r" % (text,))
     return num, den
@@ -130,6 +155,7 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise FieldError("%r is not prime" % (self.p,))
+        _check_modulus_range(self.p)
 
     @property
     def one(self):

@@ -9,7 +9,7 @@ Weights are dropped here; witness_path recovers them from the algebra.
 
 from __future__ import annotations
 
-from .algebra import EvolutionAlgebra
+from .algebra import EvolutionAlgebra, _memoized
 from .errors import PreconditionError
 
 
@@ -165,8 +165,10 @@ class AssociatedGraph:
         return tuple(comps[k] for k in sorted(comps))
 
 
+@_memoized
 def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
-    """Edge i -> j present exactly when the structure entry (j, i) is nonzero."""
+    """Edge i -> j present exactly when the structure entry (j, i) is
+    nonzero; built once per algebra object."""
     f = algebra.field
     n = algebra.dim
     out = []

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EvolutionAlgebra
-from .errors import DimensionError, InternalConsistencyError, PreconditionError
+from .errors import DimensionError, PreconditionError
 from .graph import associated_graph
 from .linalg import (Matrix, Subspace, inverse, mat_vec, subspace_from_vectors,
                      subspace_sum)
@@ -197,8 +197,6 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
         if not current.contains(e):
             chosen.append(i)
             current = subspace_sum(current, subspace_from_vectors(f, n, [e]))
-    if len(chosen) != n - ideal.dim:
-        raise InternalConsistencyError("quotient basis choice missed the codimension")
     # columns: ideal basis vectors, then the chosen basis elements; the
     # bottom rows of the inverse read off quotient coordinates
     columns = list(ideal.vectors()) + [algebra.basis_element(i) for i in chosen]

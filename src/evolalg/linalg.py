@@ -55,10 +55,6 @@ def identity(field, n: int) -> Matrix:
                               for i in range(n)))
 
 
-def _coerce_rows(field, rows):
-    return [[field.coerce(x) for x in r] for r in rows]
-
-
 def _rref_rows(field, rows, width):
     """Reduce a list of row lists in place; return (rank, pivot columns)."""
     pivot_row = 0

@@ -10,10 +10,9 @@ from __future__ import annotations
 import json
 
 from .algebra import EvolutionAlgebra
-from .decompose import (canonical_decomposition, is_simple,
-                        optimal_decomposition)
-from .graph import associated_graph
-from .ideals import annihilator, is_nondegenerate, radical
+from .decompose import (CHAIN_START, PRINCIPAL_CYCLE, canonical_decomposition,
+                        is_simple, optimal_decomposition)
+from .ideals import annihilator, radical
 from .linalg import Subspace
 
 
@@ -29,7 +28,6 @@ def field_json(field):
 
 
 def build_report(algebra: EvolutionAlgebra) -> dict:
-    graph = associated_graph(algebra)
     canon = canonical_decomposition(algebra)
     decomp = optimal_decomposition(algebra)
     simplicity = is_simple(algebra)
@@ -39,9 +37,9 @@ def build_report(algebra: EvolutionAlgebra) -> dict:
         "dim": algebra.dim,
         "annihilator": _basis_rows(annihilator(algebra)),
         "radical": _basis_rows(radical(algebra)),
-        "nondegenerate": is_nondegenerate(algebra),
-        "chain_start_indices": sorted(graph.chain_start_indices()),
-        "principal_cycles": [sorted(c) for c in graph.principal_cycles()],
+        "nondegenerate": decomp.algebra_nondegenerate,
+        "chain_start_indices": [min(p.seed) for p in canon.parts if p.kind == CHAIN_START],
+        "principal_cycles": [sorted(p.seed) for p in canon.parts if p.kind == PRINCIPAL_CYCLE],
         "canonical_parts": [
             {"kind": part.kind, "seed": sorted(part.seed), "derived": sorted(part.derived)}
             for part in canon.parts

@@ -1,6 +1,8 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from evolalg.cli import main
 from evolalg.documents import emit_document
 from evolalg.errors import InternalConsistencyError
@@ -207,3 +209,59 @@ def test_exit_code_2_when_oracle_disagrees(tmp_path, capsys, monkeypatch):
     code, _, err = run(capsys, "oracle", "--input", doc,
                        "--field", "prime", "--p", "2")
     assert code == 2 and "disagrees" in err
+
+
+def test_large_prime_modulus_is_accepted(tmp_path, capsys):
+    doc = tmp_path / "big.alg"
+    doc.write_text("field prime 1000000000000000003\ndim 1\nmatrix\n1\n")
+    code, out, err = run(capsys, "analyze", "--input", str(doc))
+    assert code == 0 and err == ""
+    assert out.startswith("field                prime 1000000000000000003\n")
+
+    doc = write_doc(tmp_path, double_loop(), "small.alg")
+    code, _, err = run(capsys, "simple", "--input", doc,
+                       "--field", "prime", "--p", "1000000000000000003")
+    assert code == 0 and err == ""
+
+
+def test_modulus_above_the_bound_is_refused(tmp_path, capsys):
+    too_large = "3317044064679887385962123"  # the least prime above the bound
+    doc = tmp_path / "huge.alg"
+    doc.write_text("field prime %s\ndim 1\nmatrix\n1\n" % too_large)
+    code, out, err = run(capsys, "analyze", "--input", str(doc))
+    assert code == 1 and out == ""
+    assert "too large" in err and err.count("\n") == 1
+
+    doc = write_doc(tmp_path, double_loop(), "small.alg")
+    code, out, err = run(capsys, "analyze", "--input", doc,
+                         "--field", "prime", "--p", too_large)
+    assert code == 1 and out == ""
+    assert "too large" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["matrix", "vector", "ideal-basis"])
+def test_over_long_scalar_exits_1(tmp_path, capsys, where):
+    long_entry = "1" * 5000
+    doc = write_doc(tmp_path, swap_pair_plus_loop())
+    if where == "matrix":
+        bad = tmp_path / "long.alg"
+        bad.write_text("field rational\ndim 1\nmatrix\n%s\n" % long_entry)
+        argv = ["analyze", "--input", str(bad)]
+    elif where == "vector":
+        argv = ["ideal", "--input", doc, "--vector", "%s,0,0" % long_entry]
+    else:
+        basis = tmp_path / "basis.txt"
+        basis.write_text("%s 0 0\n" % long_entry)
+        argv = ["quotient", "--input", doc, "--ideal-basis", str(basis)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "limit" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("budget", ["0", "-5"])
+def test_non_positive_max_vectors_is_a_usage_error(tmp_path, capsys, budget):
+    doc = write_doc(tmp_path, pair_cycle_mixing())
+    code, out, err = run(capsys, "oracle", "--input", doc, "--field", "prime",
+                         "--p", "2", "--max-vectors", budget)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "--max-vectors" in err

@@ -7,6 +7,7 @@ from evolalg import (GF, QQ, EvolutionAlgebra,
                      is_nondegenerate, is_simple, optimal_decomposition,
                      optimal_fragmentation, simple_sum_report,
                      subspace_from_vectors)
+from evolalg.linalg import det
 from support import (all_chains_die, double_loop, entangled_squares,
                      graph_core_with_side_loop, inverse_permutation,
                      loop_with_tail, make_rng, pair_cycle_mixing,
@@ -146,6 +147,53 @@ def test_decomposition_validity_random(field):
         assert seen == set(range(1, a.dim + 1))
         assert tuple(block.indices for block in report.blocks) == g.weak_components()
         assert report.optimal_certified == is_nondegenerate(a)
+        # det(M_B) is the product of the block dets, which is_simple relies on
+        product = field.one
+        for block in report.blocks:
+            product = field.mul(product, block.det)
+        assert det(field, a.structure) == product
+        assert is_simple(a, cross_check=True).simple == (
+            len(report.blocks) == 1 and report.blocks[0].simple)
+
+
+def test_graph_and_decomposition_are_computed_once_per_algebra():
+    a = two_loops_two_sinks()
+    assert associated_graph(a) is associated_graph(a)
+    assert canonical_decomposition(a) is canonical_decomposition(a)
+    assert optimal_decomposition(a) is optimal_decomposition(a)
+    # equal algebras still get their own analysis
+    assert optimal_decomposition(two_loops_two_sinks()) == optimal_decomposition(a)
+
+
+def test_report_does_only_block_dets(monkeypatch):
+    import sys
+
+    import evolalg.ideals
+    import evolalg.linalg
+    from evolalg.report import build_report
+
+    calls = {"det": 0, "is_ideal": 0, "multiply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # rebind every name the package holds for the function, not just one
+    for name, fn in (("det", evolalg.linalg.det), ("is_ideal", evolalg.ideals.is_ideal)):
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("evolalg") and getattr(module, name, None) is fn:
+                monkeypatch.setattr(module, name, counted(name, fn))
+    monkeypatch.setattr(EvolutionAlgebra, "multiply",
+                        counted("multiply", EvolutionAlgebra.multiply))
+
+    rng = make_rng(4321)
+    for _ in range(20):
+        a = random_algebra(rng, GF(7), rng.randrange(2, 9))
+        calls.update(det=0, is_ideal=0, multiply=0)
+        blocks = build_report(a)["blocks"]
+        assert calls == {"det": len(blocks), "is_ideal": 0, "multiply": 0}
 
 
 def test_partition_is_permutation_equivariant_when_nondegenerate():

@@ -1,8 +1,18 @@
 from fractions import Fraction
 
 import pytest
+import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolalg import GF, QQ, FieldDescriptor, FieldError, field_from_descriptor
+from evolalg.fields import MODULUS_BOUND, is_prime
+
+FIXED = settings(derandomize=True, deadline=None)
+
+
+def trial_division_is_prime(n):
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
 
 
 def test_rational_parse_and_format_round_trip():
@@ -92,3 +102,49 @@ def test_field_descriptor_round_trip():
         FieldDescriptor("rational", 5)
     with pytest.raises(FieldError):
         FieldDescriptor("complex")
+
+
+@FIXED
+@given(st.integers(min_value=-10, max_value=10 ** 6))
+def test_is_prime_matches_trial_division_below_a_million(n):
+    assert is_prime(n) == trial_division_is_prime(n)
+
+
+@FIXED
+@given(st.one_of(
+    st.integers(min_value=10 ** 6, max_value=MODULUS_BOUND - 1),
+    # random integers are rarely prime, so also take the primes near them
+    # and products of two primes
+    st.integers(min_value=10 ** 6, max_value=MODULUS_BOUND // 2).map(sympy.prevprime),
+    st.tuples(st.integers(min_value=2, max_value=10 ** 12),
+              st.integers(min_value=2, max_value=10 ** 12))
+      .map(lambda pq: sympy.nextprime(pq[0]) * sympy.nextprime(pq[1]))))
+def test_is_prime_matches_sympy_below_the_modulus_bound(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@pytest.mark.parametrize("n", [3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes_to_small_bases(n):
+    # strong pseudoprimes to the bases 2..7, 2..23 and 2..37 respectively
+    assert not is_prime(n)
+
+
+def test_modulus_range():
+    assert GF(1000000000000000003).p == 1000000000000000003
+    too_large = sympy.nextprime(MODULUS_BOUND)
+    with pytest.raises(FieldError, match="too large"):
+        GF(too_large)
+    with pytest.raises(FieldError, match="too large"):
+        FieldDescriptor("prime", too_large)
+    # the bound itself is a strong pseudoprime to every base is_prime uses
+    with pytest.raises(FieldError):
+        GF(MODULUS_BOUND)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_over_long_scalar_is_a_field_error(field):
+    with pytest.raises(FieldError, match="limit"):
+        field.parse("1" * 5000)
+    with pytest.raises(FieldError, match="limit"):
+        field.parse("1/" + "3" * 5000)
