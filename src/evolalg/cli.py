@@ -89,10 +89,11 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str) -> str:
+def _read_text(path: str):
+    """stdin as text, a file as bytes; the parsers decode bytes as UTF-8."""
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "rb") as handle:
         return handle.read()
 
 

@@ -74,12 +74,7 @@ class IrreducibilityResult:
 
 def derived_index_set(graph: AssociatedGraph, seed) -> frozenset:
     """The forward closure of seed: the set itself plus every descendent."""
-    out = set()
-    for i in seed:
-        graph._check_index(i)
-        out.add(i)
-        out |= graph.descendents(i)
-    return frozenset(out)
+    return graph.forward_closure(seed)
 
 
 @_memoized
@@ -167,8 +162,9 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
         ideal = subspace_from_vectors(f, n, [algebra.basis_element(i) for i in sorted(block)])
         block_det = det(f, _restricted_structure(algebra, block))
         nondeg = all(graph.out_edges(i) for i in block)  # no square vanishes
-        simple = (not f.is_zero(block_det)
-                  and all(graph.descendents(i) == block for i in block))
+        # each i in the block reaches all of it iff it is one cyclic component
+        simple = (not f.is_zero(block_det) and graph.is_cyclic_index(min(block))
+                  and graph.cycle_of(min(block)) == block)
         blocks.append(BlockReport(block, ideal, nondeg, simple, block_det))
     nondeg = all(block.nondegenerate for block in blocks)
     return DecompositionReport(tuple(blocks), nondeg, nondeg)
@@ -179,7 +175,8 @@ def is_simple(algebra: EvolutionAlgebra, cross_check: bool = False) -> Simplicit
     every index reaches every index.  Reason codes name the failing clause;
     cross_check recomputes the verdict through rank fullness and must agree.
     det(M_B) == 0 is read off the block dets of optimal_decomposition, whose
-    product it is (test_decomposition_validity_random).
+    product it is (test_decomposition_validity_random).  D(i) == Lambda
+    holds just for i in the seed of a sole, principal-cycle canonical part.
     """
     n = algebra.dim
     f = algebra.field
@@ -188,9 +185,10 @@ def is_simple(algebra: EvolutionAlgebra, cross_check: bool = False) -> Simplicit
     reasons = []
     if any(f.is_zero(block.det) for block in optimal_decomposition(algebra).blocks):
         reasons.append("det(M_B) == 0")
-    graph = associated_graph(algebra)
-    everything = frozenset(range(1, n + 1))
-    short = next((i for i in range(1, n + 1) if graph.descendents(i) != everything), None)
+    parts = canonical_decomposition(algebra).parts
+    reach_all = (parts[0].seed if len(parts) == 1 and parts[0].kind == PRINCIPAL_CYCLE
+                 else frozenset())
+    short = next((i for i in range(1, n + 1) if i not in reach_all), None)
     if short is not None:
         reasons.append("D(%d) != Lambda" % short)
     verdict = not reasons

@@ -24,7 +24,11 @@ from .linalg import Matrix
 
 def _significant_lines(text):
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start],
+                             text.count(b"\n", 0, exc.start) + 1) from None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:

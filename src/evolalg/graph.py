@@ -14,8 +14,9 @@ from .errors import PreconditionError
 
 
 class AssociatedGraph:
-    """Immutable digraph on {1..n}; reachability closures are computed once
-    on first use and cached."""
+    """Immutable digraph on {1..n}.  The strongly connected components and
+    the per-vertex reachability closures are each computed once on first
+    use and cached; every cycle fact is read off the components."""
 
     def __init__(self, out_edges):
         out = []
@@ -30,6 +31,7 @@ class AssociatedGraph:
         self._out = tuple(out)
         self._desc = None
         self._asc = None
+        self._scc = None
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AssociatedGraph":
@@ -108,36 +110,88 @@ class AssociatedGraph:
         self._check_index(i)
         return self._ascendent_closure()[i - 1]
 
+    def forward_closure(self, seeds) -> frozenset:
+        """The seeds together with every vertex reachable from them, found
+        by one search."""
+        seen = set()
+        for i in seeds:
+            self._check_index(i)
+            seen.add(i)
+        frontier = list(seen)
+        while frontier:
+            for v in self._out[frontier.pop() - 1]:
+                if v not in seen:
+                    seen.add(v)
+                    frontier.append(v)
+        return frozenset(seen)
+
+    def _condensation(self):
+        """(components sorted by least element, the component of each
+        vertex, the components no edge enters from outside), from one
+        iterative Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2))."""
+        if self._scc is not None:
+            return self._scc
+        index, low, stack, component_of = {}, {}, [], {}
+        for root in range(1, self.n + 1):
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            work = [(root, iter(self._out[root - 1]))]
+            while work:
+                v, it = work[-1]
+                for w in it:
+                    if w not in index:
+                        index[w] = low[w] = len(index)
+                        stack.append(w)
+                        work.append((w, iter(self._out[w - 1])))
+                        break
+                    if w not in component_of:  # w is still on the stack
+                        low[v] = min(low[v], index[w])
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        low[parent] = min(low[parent], low[v])
+                    if low[v] == index[v]:
+                        comp = set()
+                        while v not in comp:
+                            comp.add(stack.pop())
+                        component_of.update(dict.fromkeys(comp, frozenset(comp)))
+        components = sorted(set(component_of.values()), key=min)
+        entered = {component_of[w] for v, comp in component_of.items()
+                   for w in self._out[v - 1] if component_of[w] is not comp}
+        self._scc = (tuple(components), component_of, frozenset(components) - entered)
+        return self._scc
+
     def is_cyclic_index(self, i: int) -> bool:
-        """True when i lies on a closed path, i.e. i in descendents(i)."""
-        return i in self.descendents(i)
+        """True when i lies on a closed path: its strongly connected
+        component has more than one vertex, or i has a self-loop."""
+        self._check_index(i)
+        return len(self._condensation()[1][i]) > 1 or i in self._out[i - 1]
 
     def cycle_of(self, i: int) -> frozenset:
-        """Vertices mutually reachable with a cyclic index i."""
+        """The strongly connected component of a cyclic index i: the
+        vertices mutually reachable with it."""
         if not self.is_cyclic_index(i):
             raise PreconditionError("index %d is not cyclic" % i)
-        desc = self._descendent_closure()
-        return frozenset(j for j in desc[i - 1] if i in desc[j - 1])
+        return self._condensation()[1][i]
 
     def is_principal_cyclic(self, i: int) -> bool:
-        """True when every ascendent of the cyclic index i already sits in
-        its cycle."""
-        return self.ascendents(i) <= self.cycle_of(i)
+        """True when no edge enters the cycle of the cyclic index i from
+        outside, i.e. every ascendent of i already sits in its cycle."""
+        return self.cycle_of(i) in self._condensation()[2]
 
     def principal_cycles(self):
-        """Distinct cycles of principal cyclic indices, pairwise disjoint,
-        sorted by least element."""
-        cycles = {}
-        for i in range(1, self.n + 1):
-            if self.is_cyclic_index(i) and self.is_principal_cyclic(i):
-                c = self.cycle_of(i)
-                cycles[min(c)] = c
-        return tuple(cycles[k] for k in sorted(cycles))
+        """The cyclic components that no edge enters from outside, pairwise
+        disjoint, sorted by least element."""
+        components, _, sources = self._condensation()
+        return tuple(c for c in components
+                     if c in sources and self.is_cyclic_index(min(c)))
 
     def chain_start_indices(self) -> frozenset:
-        """Vertices with no ascendents (sources)."""
-        asc = self._ascendent_closure()
-        return frozenset(i for i in range(1, self.n + 1) if not asc[i - 1])
+        """Vertices with no incoming edge, i.e. no ascendents (sources)."""
+        return frozenset(range(1, self.n + 1)).difference(*self._out)
 
     def sinks(self) -> frozenset:
         return frozenset(i for i in range(1, self.n + 1) if not self._out[i - 1])
@@ -179,70 +233,18 @@ def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
 
 
 def chain_start_indices(source) -> frozenset:
-    """Chain-start indices of a graph or of an algebra.
-
-    On a graph this asks for empty ascendent sets; on an algebra it reads
-    off the all-zero rows of the structure matrix.  Both routes agree.
-    """
+    """Chain-start indices of a graph or of an algebra: the vertices with no
+    incoming edge, which on an algebra are the all-zero rows of M_B."""
     if isinstance(source, EvolutionAlgebra):
-        f = source.field
-        return frozenset(i for i in range(1, source.dim + 1)
-                         if all(f.is_zero(x) for x in source.structure.row(i - 1)))
+        source = associated_graph(source)
     return source.chain_start_indices()
 
 
 def strongly_connected_components(graph: AssociatedGraph):
-    """Tarjan's algorithm, iterative; components sorted by least element.
-
-    Kept as an independent route for cross-checking cycle_of, which uses
-    pairwise reachability instead.
-    """
-    n = graph.n
-    index = {}
-    low = {}
-    on_stack = set()
-    stack = []
-    components = []
-    counter = [0]
-
-    for root in range(1, n + 1):
-        if root in index:
-            continue
-        work = [(root, iter(sorted(graph.out_edges(root))))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(sorted(graph.out_edges(w)))))
-                    advanced = True
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                comp = set()
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.add(w)
-                    if w == v:
-                        break
-                components.append(frozenset(comp))
-    return tuple(sorted(components, key=min))
+    """Partition of the vertices into strongly connected components, sorted
+    by least element; the Tarjan pass that every cycle fact of the graph
+    is read from, computed once per graph."""
+    return graph._condensation()[0]
 
 
 def witness_path(algebra: EvolutionAlgebra, i: int, j: int):

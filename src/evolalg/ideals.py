@@ -12,8 +12,8 @@ from dataclasses import dataclass
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, inverse, mat_vec, subspace_from_vectors,
-                     subspace_sum)
+from .linalg import (Matrix, Subspace, _rref_rows, inverse, mat_vec,
+                     subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
@@ -92,8 +92,7 @@ def radical(algebra: EvolutionAlgebra) -> Subspace:
 
 def ideal_generated_by_square(algebra: EvolutionAlgebra, k: int) -> Subspace:
     """<e_k^2> = span of the squares e_j^2 over j in D(k) plus k itself."""
-    graph = associated_graph(algebra)
-    indices = sorted(graph.descendents(k) | {k})
+    indices = sorted(associated_graph(algebra).forward_closure({k}))
     return subspace_from_vectors(algebra.field, algebra.dim,
                                  [algebra.square_of_basis(j) for j in indices])
 
@@ -140,11 +139,7 @@ def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:
 def ideal_generated_by(algebra: EvolutionAlgebra, x) -> Subspace:
     """<x> = span{x} + span of e_j^2 over j in the forward closure of
     lambda_x (each seed included)."""
-    lam = lambda_x(algebra, x)
-    graph = associated_graph(algebra)
-    indices = set()
-    for i in lam:
-        indices |= {i} | graph.descendents(i)
+    indices = associated_graph(algebra).forward_closure(lambda_x(algebra, x))
     gens = [algebra.element(x)] + [algebra.square_of_basis(j) for j in sorted(indices)]
     return subspace_from_vectors(algebra.field, algebra.dim, gens)
 
@@ -190,13 +185,12 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     _require_ideal(algebra, ideal)
     f = algebra.field
     n = algebra.dim
-    chosen = []
-    current = ideal
-    for i in range(1, n + 1):
-        e = algebra.basis_element(i)
-        if not current.contains(e):
-            chosen.append(i)
-            current = subspace_sum(current, subspace_from_vectors(f, n, [e]))
+    # greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
+    # when i is not the last nonzero position of a vector of I; those
+    # positions are the pivots of I's basis with its columns reversed
+    _, pivots = _rref_rows(f, [list(reversed(v)) for v in ideal.vectors()], n)
+    last_positions = {n - col for col in pivots}
+    chosen = [i for i in range(1, n + 1) if i not in last_positions]
     # columns: ideal basis vectors, then the chosen basis elements; the
     # bottom rows of the inverse read off quotient coordinates
     columns = list(ideal.vectors()) + [algebra.basis_element(i) for i in chosen]

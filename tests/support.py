@@ -8,7 +8,14 @@ squares spelled out next to it.
 from fractions import Fraction
 import random
 
+from hypothesis import settings
+from hypothesis import strategies as st
+
 from evolalg import QQ, AssociatedGraph, EvolutionAlgebra, Matrix
+
+# hypothesis settings for every property test: a fixed example sequence
+# and no per-example time limit
+FIXED = settings(derandomize=True, deadline=None)
 
 
 def from_squares(field, squares):
@@ -211,3 +218,34 @@ def inverse_permutation(perm):
 
 def make_rng(seed):
     return random.Random(seed)
+
+
+# hypothesis strategies
+
+@st.composite
+def digraphs(draw, max_n=9):
+    """A digraph on 1..n, n <= max_n, from a list of edges (loops allowed)."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    vertex = st.integers(min_value=1, max_value=n)
+    return AssociatedGraph.from_edges(
+        n, draw(st.lists(st.tuples(vertex, vertex), max_size=n * n)))
+
+
+def nonzero_scalars(field):
+    if field.kind == "rational":
+        return st.sampled_from(RATIONAL_POOL)
+    return st.integers(min_value=1, max_value=field.p - 1)
+
+
+def scalars(field):
+    return st.one_of(st.just(field.zero), nonzero_scalars(field))
+
+
+@st.composite
+def algebras(draw, field, max_dim=6):
+    """An algebra over field of dimension <= max_dim; zero squares, and so
+    degenerate algebras, are among the examples."""
+    n = draw(st.integers(min_value=1, max_value=max_dim))
+    square = st.lists(scalars(field), min_size=n, max_size=n)
+    return EvolutionAlgebra.from_squares(
+        field, draw(st.lists(square, min_size=n, max_size=n)))

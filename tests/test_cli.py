@@ -265,3 +265,18 @@ def test_non_positive_max_vectors_is_a_usage_error(tmp_path, capsys, budget):
                          "--p", "2", "--max-vectors", budget)
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "--max-vectors" in err
+
+
+@pytest.mark.parametrize("where", ["input", "ideal-basis"])
+def test_non_utf8_file_exits_1(tmp_path, capsys, where):
+    doc = write_doc(tmp_path, swap_pair_plus_loop())
+    bad = tmp_path / "binary"
+    if where == "input":
+        bad.write_bytes(b"\xff\xfe\x00field")
+        argv = ["analyze", "--input", str(bad)]
+    else:
+        bad.write_bytes(b"1 0 0\n\xff\n")
+        argv = ["quotient", "--input", doc, "--ideal-basis", str(bad)]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from evolalg import (GF, QQ, EvolutionAlgebra,
+from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
                      PreconditionError, associated_graph,
                      canonical_decomposition, derived_index_set,
                      is_fragmentable, is_ideal, is_irreducible,
@@ -8,10 +10,10 @@ from evolalg import (GF, QQ, EvolutionAlgebra,
                      optimal_fragmentation, simple_sum_report,
                      subspace_from_vectors)
 from evolalg.linalg import det
-from support import (all_chains_die, double_loop, entangled_squares,
-                     graph_core_with_side_loop, inverse_permutation,
-                     loop_with_tail, make_rng, pair_cycle_mixing,
-                     random_algebra, random_permutation, relabel,
+from support import (FIXED, algebras, all_chains_die, double_loop,
+                     entangled_squares, graph_core_with_side_loop,
+                     inverse_permutation, loop_with_tail, make_rng,
+                     pair_cycle_mixing, random_algebra, random_permutation, relabel,
                      shared_loop_target, squares_span_deficient,
                      swap_pair_plus_loop, two_loops_two_sinks)
 
@@ -172,7 +174,8 @@ def test_report_does_only_block_dets(monkeypatch):
     import evolalg.linalg
     from evolalg.report import build_report
 
-    calls = {"det": 0, "is_ideal": 0, "multiply": 0}
+    calls = {"det": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
+             "ascendents": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -187,13 +190,44 @@ def test_report_does_only_block_dets(monkeypatch):
                 monkeypatch.setattr(module, name, counted(name, fn))
     monkeypatch.setattr(EvolutionAlgebra, "multiply",
                         counted("multiply", EvolutionAlgebra.multiply))
+    # the per-vertex closures answer queries; the analysis reads the
+    # strongly connected components instead
+    for name in ("descendents", "ascendents"):
+        monkeypatch.setattr(AssociatedGraph, name,
+                            counted(name, getattr(AssociatedGraph, name)))
 
     rng = make_rng(4321)
     for _ in range(20):
         a = random_algebra(rng, GF(7), rng.randrange(2, 9))
-        calls.update(det=0, is_ideal=0, multiply=0)
+        for name in calls:
+            calls[name] = 0
         blocks = build_report(a)["blocks"]
-        assert calls == {"det": len(blocks), "is_ideal": 0, "multiply": 0}
+        assert calls == {"det": len(blocks), "is_ideal": 0, "multiply": 0,
+                         "descendents": 0, "ascendents": 0}
+
+
+SMALL_FIELDS = st.sampled_from([GF(2), GF(3), QQ])
+
+
+@FIXED
+@given(SMALL_FIELDS.flatmap(algebras))
+def test_reach_reason_names_the_first_index_that_misses_an_index(a):
+    g = associated_graph(a)
+    everything = frozenset(range(1, a.dim + 1))
+    short = [k for k in range(1, a.dim + 1) if g.descendents(k) != everything]
+    expected = ["D(%d) != Lambda" % short[0]] if short else []
+    reasons = is_simple(a, cross_check=True).reasons
+    assert [r for r in reasons if r.startswith("D(")] == expected
+
+
+@FIXED
+@given(SMALL_FIELDS.flatmap(algebras))
+def test_block_is_simple_when_nonsingular_and_each_index_reaches_the_block(a):
+    g = associated_graph(a)
+    for block in optimal_decomposition(a).blocks:
+        assert block.simple == (not a.field.is_zero(block.det)
+                                and all(g.descendents(i) == block.indices
+                                        for i in block.indices))
 
 
 def test_partition_is_permutation_equivariant_when_nondegenerate():

@@ -106,6 +106,17 @@ def test_parser_survives_random_garbage():
             pass
 
 
+def test_non_utf8_bytes_are_a_parse_error():
+    with pytest.raises(ParseError, match="line 1: invalid UTF-8 byte 0xff"):
+        parse_document(b"\xff")
+    with pytest.raises(ParseError, match="line 2: invalid UTF-8 byte 0xe9"):
+        parse_document(b"field rational\ndim 1 # caf\xe9\nmatrix\n1\n")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_basis_file(QQ, b"1 0\n\xff 1\n", 2)
+    # valid UTF-8 bytes parse like the text they encode
+    assert parse_document(GOLDEN_DOC.encode("utf-8")) == parse_document(GOLDEN_DOC)
+
+
 def test_parse_vector_and_basis_file():
     assert parse_vector(QQ, "1,0,-2/3", 3) == (QQ.one, QQ.zero, QQ.parse("-2/3"))
     with pytest.raises(ParseError):

@@ -2,13 +2,12 @@ from fractions import Fraction
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import GF, QQ, FieldDescriptor, FieldError, field_from_descriptor
 from evolalg.fields import MODULUS_BOUND, is_prime
-
-FIXED = settings(derandomize=True, deadline=None)
+from support import FIXED
 
 
 def trial_division_is_prime(n):

@@ -1,9 +1,11 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evolalg import (QQ, AssociatedGraph, PreconditionError, associated_graph,
                      chain_start_indices, strongly_connected_components,
                      witness_path)
-from support import (fan_to_swap_pair, graph_core_loop_tail,
+from support import (FIXED, digraphs, fan_to_swap_pair, graph_core_loop_tail,
                      graph_core_triple, graph_core_with_side_loop,
                      graph_cycle_with_entry, graph_fan_swap,
                      lone_loop_plus_sink, loop_with_tail, make_rng,
@@ -121,22 +123,10 @@ def test_cycles_golden_and_scc_cross_check():
     loop = AssociatedGraph.from_edges(1, [(1, 1)])
     assert loop.cycle_of(1) == {1}
 
-    rng = make_rng(5150)
-    for _ in range(40):
-        n = rng.randrange(1, 8)
-        g = AssociatedGraph.from_edges(
-            n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                if rng.random() < 0.3])
-        sccs = {min(c): c for c in strongly_connected_components(g)}
-        covered = set()
-        for c in sccs.values():
-            assert not (c & covered)
-            covered |= c
-        assert covered == set(range(1, n + 1))
-        for i in range(1, n + 1):
-            if g.is_cyclic_index(i):
-                scc = next(c for c in sccs.values() if i in c)
-                assert g.cycle_of(i) == scc
+    # the components partition the vertices; a non-cyclic vertex is alone
+    assert strongly_connected_components(f) == ({1}, {2, 3, 5}, {4})
+    assert strongly_connected_components(graph_core_loop_tail()) == (
+        {1}, {2, 3, 6}, {4}, {5})
 
 
 def test_principal_cycles_golden():
@@ -170,33 +160,39 @@ def test_principal_cycles_golden():
                     assert g.descendents(j) == g.descendents(i)
 
 
-def test_principal_cycles_and_chain_starts_match_source_scc_route():
-    # independent characterization: collapse the graph to its strongly
-    # connected components; the components with no incoming edges from
-    # outside are exactly the principal cycles (when they contain a cycle)
-    # and the chain-start singletons (when they do not)
-    rng = make_rng(246810)
-    for _ in range(60):
-        n = rng.randrange(1, 9)
-        g = AssociatedGraph.from_edges(
-            n, [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)
-                if rng.random() < 0.25])
-        components = strongly_connected_components(g)
-        component_of = {v: comp for comp in components for v in comp}
-        sources = [comp for comp in components
-                   if not any(component_of[u] is not comp and (g.out_edges(u) & comp)
-                              for u in range(1, n + 1))]
-        expected_cycles = set()
-        expected_chain_starts = set()
-        for comp in sources:
-            v = min(comp)
-            has_cycle = len(comp) > 1 or v in g.out_edges(v)
-            if has_cycle:
-                expected_cycles.add(comp)
-            else:
-                expected_chain_starts.add(v)
-        assert set(g.principal_cycles()) == expected_cycles
-        assert g.chain_start_indices() == expected_chain_starts
+@FIXED
+@given(digraphs())
+def test_cycle_facts_match_pairwise_reachability(g):
+    # the components are the library's route; the per-vertex searches of
+    # descendents and ascendents are the definitions they must meet
+    vertices = range(1, g.n + 1)
+    D = {i: g.descendents(i) for i in vertices}
+    A = {i: g.ascendents(i) for i in vertices}
+    mutual = {i: frozenset(j for j in D[i] if i in D[j]) for i in vertices}
+    component_of = {v: c for c in strongly_connected_components(g) for v in c}
+    assert set(component_of) == set(vertices)
+    for i in vertices:
+        assert component_of[i] == mutual[i] | {i}
+        assert g.is_cyclic_index(i) == (i in D[i])
+        if g.is_cyclic_index(i):
+            assert g.cycle_of(i) == mutual[i]
+            assert g.is_principal_cyclic(i) == (A[i] <= g.cycle_of(i))
+        else:
+            with pytest.raises(PreconditionError):
+                g.cycle_of(i)
+    principal = {min(mutual[i]): mutual[i] for i in vertices
+                 if i in D[i] and A[i] <= mutual[i]}
+    assert g.principal_cycles() == tuple(principal[k] for k in sorted(principal))
+    assert g.chain_start_indices() == {i for i in vertices if not A[i]}
+
+
+@FIXED
+@given(digraphs().flatmap(lambda g: st.tuples(
+    st.just(g), st.sets(st.integers(min_value=1, max_value=g.n)))))
+def test_forward_closure_is_the_seeds_and_their_descendents(graph_and_seeds):
+    g, seeds = graph_and_seeds
+    expected = frozenset(seeds).union(*(g.descendents(i) for i in seeds))
+    assert g.forward_closure(seeds) == expected
 
 
 def test_chain_start_indices_two_routes_agree():

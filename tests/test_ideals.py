@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
                      PreconditionError, absorption_preimage, annihilator,
@@ -7,9 +9,10 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
                      is_nondegenerate, lambda_x, mu_n, quotient, radical,
                      subspace_equal, subspace_from_vectors, subspace_sum,
                      zero_subspace)
-from support import (all_chains_die, entangled_squares, double_loop,
-                     loop_feeder, make_rng, pair_cycle_mixing, random_algebra,
-                     random_element, swap_pair_plus_loop, two_loops_two_sinks,
+from support import (FIXED, algebras, all_chains_die, entangled_squares,
+                     double_loop, loop_feeder, make_rng, pair_cycle_mixing,
+                     random_algebra, random_element, scalars,
+                     swap_pair_plus_loop, two_loops_two_sinks,
                      two_sinks_and_pair)
 
 
@@ -260,3 +263,32 @@ def test_quotient_projection_properties_random(field):
         lhs = pres.project(a.multiply(x, y))
         rhs = pres.quotient.multiply(pres.project(x), pres.project(y))
         assert lhs == rhs
+
+
+def greedy_chosen(algebra, ideal):
+    """The surviving indices by their definition: i is kept when e_i is not
+    in I + span{e_1..e_(i-1)}."""
+    f, n = algebra.field, algebra.dim
+    chosen = []
+    current = ideal
+    for i in range(1, n + 1):
+        e = algebra.basis_element(i)
+        if not current.contains(e):
+            chosen.append(i)
+            current = subspace_sum(current, subspace_from_vectors(f, n, [e]))
+    return tuple(chosen)
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(7)])
+       .flatmap(algebras)
+       .flatmap(lambda a: st.tuples(
+           st.just(a), st.lists(scalars(a.field), min_size=a.dim, max_size=a.dim))))
+def test_quotient_keeps_the_greedy_basis_choice(algebra_and_vector):
+    # ideals generated by a vector are rarely spanned by basis vectors, so
+    # the surviving indices depend on the order of the greedy choice
+    a, x = algebra_and_vector
+    ideal = ideal_generated_by(a, x)
+    pres = quotient(a, ideal)
+    assert pres.chosen == greedy_chosen(a, ideal)
+    assert pres.quotient.dim == a.dim - ideal.dim
