@@ -89,10 +89,10 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _read_text(path: str):
-    """stdin as text, a file as bytes; the parsers decode bytes as UTF-8."""
+def _read_text(path: str) -> bytes:
+    """stdin or a file as bytes; the parsers decode them as UTF-8."""
     if path == "-":
-        return sys.stdin.read()
+        return sys.stdin.buffer.read()
     with open(path, "rb") as handle:
         return handle.read()
 

@@ -11,7 +11,7 @@ from .algebra import EvolutionAlgebra, _memoized
 from .errors import InternalConsistencyError, PreconditionError
 from .graph import AssociatedGraph, associated_graph
 from .ideals import is_nondegenerate
-from .linalg import Matrix, Subspace, det, rref, subspace_from_vectors
+from .linalg import Matrix, Subspace, coordinate_subspace, det, rref
 
 PRINCIPAL_CYCLE = "principal_cycle"
 CHAIN_START = "chain_start"
@@ -156,12 +156,13 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     if n == 0:
         return DecompositionReport((), True, True)
     graph = associated_graph(algebra)
+    sinks = graph.sinks()  # the indices whose square vanishes
     frag = optimal_fragmentation([p.derived for p in canonical_decomposition(algebra).parts])
     blocks = []
     for block in frag.blocks:
-        ideal = subspace_from_vectors(f, n, [algebra.basis_element(i) for i in sorted(block)])
+        ideal = coordinate_subspace(f, n, block)
         block_det = det(f, _restricted_structure(algebra, block))
-        nondeg = all(graph.out_edges(i) for i in block)  # no square vanishes
+        nondeg = block.isdisjoint(sinks)
         # each i in the block reaches all of it iff it is one cyclic component
         simple = (not f.is_zero(block_det) and graph.is_cyclic_index(min(block))
                   and graph.cycle_of(min(block)) == block)

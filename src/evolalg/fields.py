@@ -104,9 +104,11 @@ class Rationals:
         return FieldDescriptor("rational")
 
     def coerce(self, value) -> Fraction:
+        if isinstance(value, Fraction):
+            return value  # immutable and already reduced
         if isinstance(value, bool):
             return Fraction(int(value))
-        if isinstance(value, (int, Fraction)):
+        if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
             return self.parse(value)

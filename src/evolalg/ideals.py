@@ -12,25 +12,19 @@ from dataclasses import dataclass
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _rref_rows, inverse, mat_vec,
-                     subspace_from_vectors)
+from .linalg import (Matrix, Subspace, _rref_rows, coordinate_subspace, inverse,
+                     mat_vec, subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
     """Span of the basis elements whose square is zero (the graph sinks);
     always an ideal."""
-    f = algebra.field
-    gens = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)
-            if all(f.is_zero(x) for x in algebra.square_of_basis(i))]
-    return subspace_from_vectors(f, algebra.dim, gens)
+    return coordinate_subspace(algebra.field, algebra.dim, associated_graph(algebra).sinks())
 
 
 def is_nondegenerate(algebra: EvolutionAlgebra) -> bool:
-    """True exactly when no basis square vanishes (every structure column
-    is nonzero)."""
-    f = algebra.field
-    return all(any(not f.is_zero(x) for x in algebra.square_of_basis(i))
-               for i in range(1, algebra.dim + 1))
+    """True exactly when no basis square vanishes (the graph has no sink)."""
+    return not associated_graph(algebra).sinks()
 
 
 def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
@@ -58,9 +52,9 @@ def absorption_preimage(algebra: EvolutionAlgebra, ideal: Subspace) -> Subspace:
     """The set {x : xA inside I}.  Since x*e_i = x_i * e_i^2 the condition
     is coordinate-wise, so this is the span of the e_i with e_i^2 in I."""
     _require_ideal(algebra, ideal)
-    gens = [algebra.basis_element(i) for i in range(1, algebra.dim + 1)
-            if ideal.contains(algebra.square_of_basis(i))]
-    return subspace_from_vectors(algebra.field, algebra.dim, gens)
+    return coordinate_subspace(algebra.field, algebra.dim,
+                               [i for i in range(1, algebra.dim + 1)
+                                if ideal.contains(algebra.square_of_basis(i))])
 
 
 def has_absorption_property(algebra: EvolutionAlgebra, ideal: Subspace) -> bool:
@@ -86,8 +80,7 @@ def radical(algebra: EvolutionAlgebra) -> Subspace:
             if i not in dead and graph.out_edges(i) <= dead:
                 dead.add(i)
                 changed = True
-    gens = [algebra.basis_element(i) for i in sorted(dead)]
-    return subspace_from_vectors(algebra.field, algebra.dim, gens)
+    return coordinate_subspace(algebra.field, algebra.dim, dead)
 
 
 def ideal_generated_by_square(algebra: EvolutionAlgebra, k: int) -> Subspace:
@@ -102,14 +95,9 @@ def lambda_x(algebra: EvolutionAlgebra, x) -> frozenset:
     if len(x) != algebra.dim:
         raise DimensionError("element with %d coordinates in dimension %d"
                              % (len(x), algebra.dim))
-    f = algebra.field
-    out = []
-    for i in range(1, algebra.dim + 1):
-        if f.is_zero(x[i - 1]):
-            continue
-        if any(not f.is_zero(c) for c in algebra.square_of_basis(i)):
-            out.append(i)
-    return frozenset(out)
+    sinks = associated_graph(algebra).sinks()
+    return frozenset(i for i in range(1, algebra.dim + 1)
+                     if not algebra.field.is_zero(x[i - 1]) and i not in sinks)
 
 
 def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:

@@ -4,6 +4,12 @@ Matrices are immutable row-major grids of field scalars.  A Subspace is
 stored through its unique reduced row-echelon basis with zero rows
 dropped, so two subspaces describe the same set of vectors exactly when
 they compare equal.
+
+One forward-elimination kernel, _echelon, is the only code that
+eliminates below a pivot: det reads the diagonal it leaves, _rref_rows
+back-substitutes on it, and Subspace.contains asks whether a vector
+raises its rank.  Subspaces spanned by natural-basis vectors skip it
+altogether: coordinate_subspace writes their canonical basis down.
 """
 
 from __future__ import annotations
@@ -49,37 +55,46 @@ class Matrix:
                             for c in range(self.cols)))
 
 
-def identity(field, n: int) -> Matrix:
-    one, zero = field.one, field.zero
-    return Matrix(n, n, tuple(tuple(one if i == j else zero for j in range(n))
-                              for i in range(n)))
+def _echelon(field, rows, width):
+    """Forward elimination in place: row swaps, and multiples of each pivot
+    row subtracted from the rows below it, touching only the columns from
+    the pivot on.  Returns (pivot columns, sign of the row permutation)."""
+    pivots = []
+    sign = 1
+    for col in range(width):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        hit = next((r for r in range(top, len(rows)) if not field.is_zero(rows[r][col])), None)
+        if hit is None:
+            continue
+        if hit != top:
+            rows[top], rows[hit] = rows[hit], rows[top]
+            sign = -sign
+        pivot_row = rows[top]
+        inv = field.inv(pivot_row[col])
+        for row in rows[top + 1:]:
+            if not field.is_zero(row[col]):
+                factor = field.mul(row[col], inv)
+                row[col:] = [field.sub(x, field.mul(factor, y))
+                             for x, y in zip(row[col:], pivot_row[col:])]
+        pivots.append(col)
+    return pivots, sign
 
 
 def _rref_rows(field, rows, width):
     """Reduce a list of row lists in place; return (rank, pivot columns)."""
-    pivot_row = 0
-    pivots = []
-    for col in range(width):
-        hit = None
-        for r in range(pivot_row, len(rows)):
-            if not field.is_zero(rows[r][col]):
-                hit = r
-                break
-        if hit is None:
-            continue
-        rows[pivot_row], rows[hit] = rows[hit], rows[pivot_row]
-        inv = field.inv(rows[pivot_row][col])
-        rows[pivot_row] = [field.mul(inv, x) for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and not field.is_zero(rows[r][col]):
-                factor = rows[r][col]
-                rows[r] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[r], rows[pivot_row])]
-        pivots.append(col)
-        pivot_row += 1
-        if pivot_row == len(rows):
-            break
-    return pivot_row, pivots
+    pivots, _ = _echelon(field, rows, width)
+    for top, col in reversed(list(enumerate(pivots))):
+        pivot_row = rows[top]
+        inv = field.inv(pivot_row[col])
+        pivot_row[col:] = [field.mul(inv, x) for x in pivot_row[col:]]
+        for row in rows[:top]:
+            if not field.is_zero(row[col]):
+                factor = row[col]
+                row[col:] = [field.sub(x, field.mul(factor, y))
+                             for x, y in zip(row[col:], pivot_row[col:])]
+    return len(pivots), pivots
 
 
 def rref(field, m: Matrix):
@@ -93,30 +108,17 @@ def rref(field, m: Matrix):
 
 
 def det(field, m: Matrix):
-    """Exact determinant by Gaussian elimination; m must be square."""
+    """Exact determinant of a square m: the product of the diagonal that
+    _echelon leaves, signed by its row swaps, or zero below full rank."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
-    n = m.rows
     rows = [list(r) for r in m.entries]
-    result = field.one
-    for col in range(n):
-        hit = None
-        for r in range(col, n):
-            if not field.is_zero(rows[r][col]):
-                hit = r
-                break
-        if hit is None:
-            return field.zero
-        if hit != col:
-            rows[col], rows[hit] = rows[hit], rows[col]
-            result = field.neg(result)
-        pivot = rows[col][col]
-        result = field.mul(result, pivot)
-        for r in range(col + 1, n):
-            if not field.is_zero(rows[r][col]):
-                factor = field.div(rows[r][col], pivot)
-                rows[r] = [field.sub(x, field.mul(factor, y))
-                           for x, y in zip(rows[r], rows[col])]
+    pivots, sign = _echelon(field, rows, m.cols)
+    if len(pivots) < m.rows:
+        return field.zero
+    result = field.one if sign > 0 else field.neg(field.one)
+    for i, row in enumerate(rows):
+        result = field.mul(result, row[i])
     return result
 
 
@@ -164,14 +166,9 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector of length %d in an ambient space of dim %d"
                                  % (len(v), self.ambient_dim))
-        f = self.field
-        v = [f.coerce(x) for x in v]
-        for row in self.basis.entries:
-            pivot_col = next(j for j, x in enumerate(row) if not f.is_zero(x))
-            c = v[pivot_col]
-            if not f.is_zero(c):
-                v = [f.sub(x, f.mul(c, y)) for x, y in zip(v, row)]
-        return all(f.is_zero(x) for x in v)
+        rows = [list(r) for r in self.basis.entries] + [[self.field.coerce(x) for x in v]]
+        pivots, _ = _echelon(self.field, rows, self.ambient_dim)
+        return len(pivots) == self.dim  # v does not raise the rank
 
     def vectors(self):
         """Canonical basis rows."""
@@ -190,12 +187,20 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
     return Subspace(field, ambient_dim, basis)
 
 
+def coordinate_subspace(field, ambient_dim: int, indices) -> Subspace:
+    """Span of the e_i over indices in 1..ambient_dim.  Distinct unit
+    vectors in ascending order already are the canonical basis."""
+    rows = tuple(tuple(field.one if k == i else field.zero for k in range(1, ambient_dim + 1))
+                 for i in sorted(set(indices)))
+    return Subspace(field, ambient_dim, Matrix(len(rows), ambient_dim, rows))
+
+
 def zero_subspace(field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, Matrix(0, ambient_dim, ()))
+    return coordinate_subspace(field, ambient_dim, ())
 
 
 def full_subspace(field, ambient_dim: int) -> Subspace:
-    return Subspace(field, ambient_dim, identity(field, ambient_dim))
+    return coordinate_subspace(field, ambient_dim, range(1, ambient_dim + 1))
 
 
 def _same_ambient(s1: Subspace, s2: Subspace):
@@ -211,7 +216,8 @@ def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     """Zassenhaus: reduce [B1|B1; B2|0]; rows with zero left half carry the
-    intersection in their right half."""
+    intersection in their right half, and those halves already are in
+    reduced echelon form."""
     _same_ambient(s1, s2)
     f = s1.field
     n = s1.ambient_dim
@@ -219,10 +225,10 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     stacked = [list(r) + list(r) for r in s1.basis.entries]
     stacked += [list(r) + zeros for r in s2.basis.entries]
     _rref_rows(f, stacked, 2 * n)
-    carriers = [row[n:] for row in stacked
-                if all(f.is_zero(x) for x in row[:n])
-                and not all(f.is_zero(x) for x in row[n:])]
-    return subspace_from_vectors(f, n, carriers)
+    carriers = tuple(tuple(row[n:]) for row in stacked
+                     if all(f.is_zero(x) for x in row[:n])
+                     and not all(f.is_zero(x) for x in row[n:]))
+    return Subspace(f, n, Matrix(len(carriers), n, carriers))
 
 
 def subspace_contains(s: Subspace, v) -> bool:

@@ -1,3 +1,4 @@
+import io
 import json
 from pathlib import Path
 
@@ -158,9 +159,13 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 1 and "budget" in err
 
 
+def feed_stdin(monkeypatch, data: bytes):
+    # a text stream over bytes, like the real sys.stdin
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+
+
 def test_reads_stdin_by_default(capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(emit_document(double_loop())))
+    feed_stdin(monkeypatch, emit_document(double_loop()).encode("utf-8"))
     code = main(["simple", "--json"])
     out = capsys.readouterr().out
     assert code == 0
@@ -280,3 +285,13 @@ def test_non_utf8_file_exits_1(tmp_path, capsys, where):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error: ") and "UTF-8" in err and err.count("\n") == 1
+
+
+def test_non_utf8_stdin_exits_1_like_the_same_file(tmp_path, capsys, monkeypatch):
+    data = b"field rational\ndim 1\nmatrix\n1 # caf\xe9\n"
+    feed_stdin(monkeypatch, data)
+    from_stdin = run(capsys, "simple")
+    path = tmp_path / "latin1.alg"
+    path.write_bytes(data)
+    from_file = run(capsys, "simple", "--input", str(path))
+    assert from_stdin == from_file == (1, "", "error: line 4: invalid UTF-8 byte 0xe9\n")

@@ -1,11 +1,17 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from sympy import GF as SympyGF
+from sympy import QQ as SympyQQ
+from sympy.polys.matrices import DomainMatrix
 
 from evolalg import (GF, QQ, DimensionError, Matrix, det, full_subspace,
                      rref, subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
-from support import make_rng
+from evolalg.linalg import coordinate_subspace
+from support import FIXED, make_rng, scalars
 
 
 def mat(rows, cols=None):
@@ -130,3 +136,108 @@ def test_canonical_bases_make_equality_structural():
     assert s1 == s2  # same set, different generators
     assert subspace_equal(s1, s2)
     assert zero_subspace(QQ, 3) == subspace_from_vectors(QQ, 3, [(0, 0, 0)])
+
+
+# sympy's DomainMatrix is the test-only oracle for the elimination kernel
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(10007)]
+field_param = pytest.mark.parametrize("field", ORACLE_FIELDS,
+                                      ids=lambda f: "QQ" if f.kind == "rational" else "GF%d" % f.p)
+
+
+def sympy_matrix(field, rows, cols):
+    if field.kind == "rational":
+        domain = SympyQQ
+        rows = [[SympyQQ(x.numerator, x.denominator) for x in r] for r in rows]
+    else:
+        domain = SympyGF(field.p, symmetric=False)
+        rows = [[domain(x) for x in r] for r in rows]
+    return DomainMatrix(rows, (len(rows), cols), domain)
+
+
+def from_sympy(field, x):
+    if field.kind == "rational":
+        return Fraction(int(x.numerator), int(x.denominator))
+    return int(x)
+
+
+def vectors(field, width):
+    return st.lists(scalars(field), min_size=width, max_size=width)
+
+
+def combination(draw, field, rows, width):
+    out = [field.zero] * width
+    for row in rows:
+        k = draw(scalars(field))
+        out = [field.add(x, field.mul(k, y)) for x, y in zip(out, row)]
+    return out
+
+
+def vector_lists(draw, field, width, max_rows=5):
+    """Random rows and combinations of them, shuffled, so that rank
+    deficiency, zero rows and no rows at all are common."""
+    base = draw(st.lists(vectors(field, width), max_size=max_rows))
+    extra = draw(st.integers(min_value=0, max_value=max_rows - len(base)))
+    return draw(st.permutations(base + [combination(draw, field, base, width)
+                                        for _ in range(extra)]))
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_det_matches_sympy(field, data):
+    n = data.draw(st.integers(min_value=0, max_value=5))
+    rows = vector_lists(data.draw, field, n, max_rows=n)
+    rows += [[field.zero] * n] * (n - len(rows))
+    m = Matrix(n, n, tuple(tuple(r) for r in rows))
+    assert det(field, m) == from_sympy(field, sympy_matrix(field, rows, n).det())
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_rref_matches_sympy(field, data):
+    cols = data.draw(st.integers(min_value=1, max_value=5))
+    rows = vector_lists(data.draw, field, cols)
+    rank, reduced = rref(field, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
+    expected, pivots = sympy_matrix(field, rows, cols).rref()
+    assert rank == len(pivots)
+    assert reduced.entries == tuple(tuple(from_sympy(field, x) for x in r)
+                                    for r in expected.to_list())
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_contains_matches_sympy_rank(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    rows = vector_lists(data.draw, field, n)
+    if data.draw(st.booleans()):
+        v = combination(data.draw, field, rows, n)
+    else:
+        v = data.draw(vectors(field, n))
+    expected = (sympy_matrix(field, rows + [v], n).rank()
+                == sympy_matrix(field, rows, n).rank())
+    assert subspace_from_vectors(field, n, rows).contains(v) == expected
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_intersection_basis_is_canonical_and_grassmann_holds(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    s1 = subspace_from_vectors(field, n, vector_lists(data.draw, field, n))
+    s2 = subspace_from_vectors(field, n, vector_lists(data.draw, field, n))
+    meet = subspace_intersection(s1, s2)
+    assert meet == subspace_from_vectors(field, n, meet.vectors())
+    assert meet.dim + subspace_sum(s1, s2).dim == s1.dim + s2.dim
+    assert all(s1.contains(v) and s2.contains(v) for v in meet.vectors())
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_coordinate_subspace_is_the_span_of_its_unit_vectors(field, data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    indices = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=n)) if n else []
+    units = [[field.one if k == i else field.zero for k in range(1, n + 1)] for i in indices]
+    assert coordinate_subspace(field, n, indices) == subspace_from_vectors(field, n, units)
