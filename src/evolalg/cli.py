@@ -8,6 +8,7 @@ consistency failure (a bug surfaced by a cross-check, never user input).
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from .decompose import is_simple
@@ -45,6 +46,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache  # parse_args leaves the parser as it was, so one serves every call
 def _build_parser() -> _Parser:
     parser = _Parser(prog="evolalg",
                      description="Exact analysis of evolution algebras "

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _rref_rows, coordinate_subspace, inverse,
+from .linalg import (Matrix, Subspace, _echelon, coordinate_subspace, inverse,
                      mat_vec, subspace_from_vectors)
 
 
@@ -176,7 +176,7 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     # greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
     # when i is not the last nonzero position of a vector of I; those
     # positions are the pivots of I's basis with its columns reversed
-    _, pivots = _rref_rows(f, [list(reversed(v)) for v in ideal.vectors()], n)
+    pivots, _ = _echelon(f, [list(reversed(v)) for v in ideal.vectors()], n)
     last_positions = {n - col for col in pivots}
     chosen = [i for i in range(1, n + 1) if i not in last_positions]
     # columns: ideal basis vectors, then the chosen basis elements; the

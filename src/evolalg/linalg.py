@@ -6,15 +6,24 @@ dropped, so two subspaces describe the same set of vectors exactly when
 they compare equal.
 
 One forward-elimination kernel, _echelon, is the only code that
-eliminates below a pivot: det reads the diagonal it leaves, _rref_rows
-back-substitutes on it, and Subspace.contains asks whether a vector
-raises its rank.  Subspaces spanned by natural-basis vectors skip it
-altogether: coordinate_subspace writes their canonical basis down.
+eliminates below a pivot: det reads the determinant it returns,
+_rref_rows back-substitutes on the rows it leaves, and Subspace.contains
+asks whether a vector raises its rank.  Its inner loops run on Python
+ints and call no field method per entry: over F_p on residues, with one
+% p per updated entry and one inversion per pivot; over QQ on the rows
+scaled by the lcm of their denominators, with Bareiss fraction-free
+elimination (Bareiss 1968, Math. Comp. 22), whose every division is
+exact.  Entries go back to canonical scalars (Fraction over QQ, ints in
+[0, p) over F_p) only where a reduced basis is handed out.  Subspaces
+spanned by natural-basis vectors skip the kernel altogether:
+coordinate_subspace writes their canonical basis down.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm, prod
 
 from .errors import DimensionError
 
@@ -56,45 +65,111 @@ class Matrix:
 
 
 def _echelon(field, rows, width):
-    """Forward elimination in place: row swaps, and multiples of each pivot
-    row subtracted from the rows below it, touching only the columns from
-    the pivot on.  Returns (pivot columns, sign of the row permutation)."""
+    """Forward elimination in place on integer rows, touching only the
+    columns from each pivot on.  Returns (pivot columns, signed
+    determinant of the pivot block as a field scalar).
+
+    Over F_p the rows stay ints in [0, p): each pivot is inverted once and
+    each updated entry costs one % p.  Over QQ each row is first scaled by
+    the lcm of its denominators, and the rows are left as ints: Bareiss
+    fraction-free elimination, where every entry is a minor of the scaled
+    matrix and each update divides exactly by the pivot of the step that
+    last updated the row.  A row whose entry in the pivot column is zero
+    is left alone: if it later becomes a pivot row, it is multiplied by
+    the last pivot and divided by its own divisor first, which is what
+    the skipped updates would have done to it."""
+    rational = field.kind == "rational"
+    if rational:
+        scales = []
+        for i, row in enumerate(rows):
+            scale = lcm(*[x.denominator for x in row])
+            rows[i] = ([x.numerator for x in row] if scale == 1
+                       else [x.numerator * (scale // x.denominator) for x in row])
+            scales.append(scale)
+        divisors = [1] * len(rows)
+    else:
+        p = field.p
     pivots = []
-    sign = 1
+    # value: the determinant of the pivot block so far, of the scaled rows
+    # over QQ, where it is the last Bareiss pivot
+    sign = value = 1
     for col in range(width):
         top = len(pivots)
         if top == len(rows):
             break
-        hit = next((r for r in range(top, len(rows)) if not field.is_zero(rows[r][col])), None)
+        hit = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if hit is None:
             continue
         if hit != top:
             rows[top], rows[hit] = rows[hit], rows[top]
+            if rational:
+                divisors[top], divisors[hit] = divisors[hit], divisors[top]
+                scales[top], scales[hit] = scales[hit], scales[top]
             sign = -sign
         pivot_row = rows[top]
-        inv = field.inv(pivot_row[col])
-        for row in rows[top + 1:]:
-            if not field.is_zero(row[col]):
-                factor = field.mul(row[col], inv)
-                row[col:] = [field.sub(x, field.mul(factor, y))
-                             for x, y in zip(row[col:], pivot_row[col:])]
+        if rational:
+            if divisors[top] != value:
+                pivot_row[col:] = [x * value // divisors[top] for x in pivot_row[col:]]
+            value = pivot_row[col]
+            tail = pivot_row[col:]
+            for r in range(top + 1, len(rows)):
+                row = rows[r]
+                a = row[col]
+                if a:
+                    d = divisors[r]
+                    row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
+                    divisors[r] = value
+        else:
+            value = value * pivot_row[col] % p
+            inv = pow(pivot_row[col], -1, p)
+            tail = pivot_row[col:]
+            for row in rows[top + 1:]:
+                if row[col]:
+                    factor = row[col] * inv % p
+                    row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], tail)]
         pivots.append(col)
-    return pivots, sign
+    if rational:
+        return pivots, Fraction(sign * value, prod(scales[:len(pivots)]))
+    return pivots, sign * value % p
 
 
 def _rref_rows(field, rows, width):
-    """Reduce a list of row lists in place; return (rank, pivot columns)."""
+    """Reduce a list of row lists in place to canonical field scalars;
+    return (rank, pivot columns)."""
     pivots, _ = _echelon(field, rows, width)
-    for top, col in reversed(list(enumerate(pivots))):
-        pivot_row = rows[top]
-        inv = field.inv(pivot_row[col])
-        pivot_row[col:] = [field.mul(inv, x) for x in pivot_row[col:]]
-        for row in rows[:top]:
-            if not field.is_zero(row[col]):
-                factor = row[col]
-                row[col:] = [field.sub(x, field.mul(factor, y))
-                             for x, y in zip(row[col:], pivot_row[col:])]
-    return len(pivots), pivots
+    rank = len(pivots)
+    if field.kind != "rational":
+        p = field.p
+        for top in reversed(range(rank)):
+            col = pivots[top]
+            pivot_row = rows[top]
+            inv = pow(pivot_row[col], -1, p)
+            pivot_row[col:] = [inv * x % p for x in pivot_row[col:]]
+            tail = pivot_row[col:]
+            for row in rows[:top]:
+                if row[col]:
+                    factor = row[col]
+                    row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], tail)]
+        return rank, pivots
+    # integer back-substitution: with d the last pivot, the determinant of
+    # the scaled pivot block, each row becomes d times its reduced row,
+    # which is integral by Cramer's rule, so every division is exact
+    d = rows[rank - 1][pivots[-1]] if rank else 1
+    for top in reversed(range(rank)):
+        col = pivots[top]
+        row = rows[top]
+        below = [(row[pivots[j]], rows[j]) for j in range(top + 1, rank) if row[pivots[j]]]
+        pk = row[col]
+        if pk == d and not below:
+            continue
+        acc = [d * x for x in row[col:]]
+        for a, other in below:
+            acc = [x - a * y for x, y in zip(acc, other[col:])]
+        row[col:] = [x // pk for x in acc]
+    zero, one = field.zero, field.one
+    for i, row in enumerate(rows):
+        rows[i] = [zero if not x else one if x == d else Fraction(x, d) for x in row]
+    return rank, pivots
 
 
 def rref(field, m: Matrix):
@@ -108,18 +183,14 @@ def rref(field, m: Matrix):
 
 
 def det(field, m: Matrix):
-    """Exact determinant of a square m: the product of the diagonal that
-    _echelon leaves, signed by its row swaps, or zero below full rank."""
+    """Exact determinant of a square m, or zero below full rank: the value
+    _echelon returns, which over F_p is the signed product of its pivots
+    mod p and over QQ its last Bareiss pivot, signed and divided by the
+    row scales that cleared the denominators."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
-    rows = [list(r) for r in m.entries]
-    pivots, sign = _echelon(field, rows, m.cols)
-    if len(pivots) < m.rows:
-        return field.zero
-    result = field.one if sign > 0 else field.neg(field.one)
-    for i, row in enumerate(rows):
-        result = field.mul(result, row[i])
-    return result
+    pivots, value = _echelon(field, [list(r) for r in m.entries], m.cols)
+    return value if len(pivots) == m.rows else field.zero
 
 
 def inverse(field, m: Matrix) -> Matrix:

@@ -29,6 +29,12 @@ class EnumerationBudget:
 
 DEFAULT_BUDGET = EnumerationBudget()
 
+# Cap on the number of subspaces enumerate_ideals visits, whatever the
+# budget: at tens of microseconds per subspace it keeps every admitted
+# instance to a few seconds (GF(2)^7 and GF(3)^6 pass, GF(2)^8 and GF(3)^7
+# do not).
+MAX_SUBSPACES = 100_000
+
 
 def _require_enumerable(algebra: EvolutionAlgebra, budget: EnumerationBudget) -> int:
     field = algebra.field
@@ -44,6 +50,16 @@ def _require_enumerable(algebra: EvolutionAlgebra, budget: EnumerationBudget) ->
 def all_vectors(field: PrimeField, n: int):
     """Every coordinate tuple of F_p^n."""
     return itertools.product(range(field.p), repeat=n)
+
+
+def subspace_count(p: int, n: int) -> int:
+    """Number of subspaces of F_p^n: the Gaussian binomials [n, d]_p summed
+    over d, each got from the one before it."""
+    total, term = 0, 1
+    for d in range(n + 1):
+        total += term
+        term = term * (p ** (n - d) - 1) // (p ** (d + 1) - 1)
+    return total
 
 
 def enumerate_subspaces(field: PrimeField, n: int):
@@ -67,7 +83,11 @@ def enumerate_subspaces(field: PrimeField, n: int):
 
 def enumerate_ideals(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET):
     """All subspaces passing is_ideal, the zero and full ones included."""
-    _require_enumerable(algebra, budget)
+    p = _require_enumerable(algebra, budget)
+    count = subspace_count(p, algebra.dim)
+    if count > MAX_SUBSPACES:
+        raise BudgetExceededError("F_%d^%d has %d subspaces, more than the cap of %d"
+                                  % (p, algebra.dim, count, MAX_SUBSPACES))
     return [s for s in enumerate_subspaces(algebra.field, algebra.dim)
             if is_ideal(algebra, s)]
 

@@ -1,16 +1,22 @@
 import io
 import json
+import os
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
-from evolalg.cli import main
+from evolalg import GF, EvolutionAlgebra
+from evolalg.cli import _build_parser, main
 from evolalg.documents import emit_document
 from evolalg.errors import InternalConsistencyError
 from support import (double_loop, entangled_squares, pair_cycle_mixing,
                      swap_pair_plus_loop, two_loops_two_sinks)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_doc(tmp_path, algebra, name="input.alg"):
@@ -295,3 +301,36 @@ def test_non_utf8_stdin_exits_1_like_the_same_file(tmp_path, capsys, monkeypatch
     path.write_bytes(data)
     from_file = run(capsys, "simple", "--input", str(path))
     assert from_stdin == from_file == (1, "", "error: line 4: invalid UTF-8 byte 0xe9\n")
+
+
+@pytest.mark.parametrize("p,n", [(2, 12), (3, 7)])
+def test_oracle_refuses_more_subspaces_than_the_cap_quickly(tmp_path, capsys, p, n):
+    # both are within the default budget of 4096 vectors, but GF(2)^12 has
+    # about 4.9e11 subspaces and GF(3)^7 about 2.1e6
+    algebra = EvolutionAlgebra.from_squares(GF(p), [[1] * n] * n)
+    doc = write_doc(tmp_path, algebra)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "oracle", "--input", doc)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "subspaces" in err
+
+
+def run_fresh(*argv):
+    proc = subprocess.run([sys.executable, "-m", "evolalg", *argv],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": str(SRC)})
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_serves_successive_calls_like_fresh_processes(tmp_path, capsys):
+    doc = write_doc(tmp_path, two_loops_two_sinks())
+    calls = [("analyze", "--input", doc, "--json"),
+             ("analyze", "--input", doc, "--no-such-flag"),
+             ("ideal", "--input", doc, "--vector", "1,0,1,0,0"),
+             ("radical", "--input", doc, "--max-vectors", "4"),
+             ("radical", "--input", doc)]
+    in_process = [run(capsys, *argv) for argv in calls]
+    assert _build_parser() is _build_parser()
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 1, 0]
+    assert in_process == [run_fresh(*argv) for argv in calls]

@@ -10,7 +10,7 @@ from sympy.polys.matrices import DomainMatrix
 from evolalg import (GF, QQ, DimensionError, Matrix, det, full_subspace,
                      rref, subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
-from evolalg.linalg import coordinate_subspace
+from evolalg.linalg import coordinate_subspace, inverse
 from support import FIXED, make_rng, scalars
 
 
@@ -241,3 +241,99 @@ def test_coordinate_subspace_is_the_span_of_its_unit_vectors(field, data):
     indices = data.draw(st.lists(st.integers(min_value=1, max_value=n), max_size=n)) if n else []
     units = [[field.one if k == i else field.zero for k in range(1, n + 1)] for i in indices]
     assert coordinate_subspace(field, n, indices) == subspace_from_vectors(field, n, units)
+
+
+# wide rationals for the fraction-free QQ path: numerators up to 10^30,
+# denominators 1 or up to 10^6, so rows mix integral and fractional
+# entries and the Bareiss minors grow long
+WIDE_RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(min_value=-10 ** 30, max_value=10 ** 30),
+              st.one_of(st.just(1), st.integers(min_value=1, max_value=10 ** 6))))
+
+
+def wide_combination(draw, rows, width):
+    return [sum((draw(WIDE_RATIONALS) * row[c] for row in rows), QQ.zero)
+            for c in range(width)]
+
+
+def wide_rows(draw, width, count):
+    """count rows over the wide rationals, each random (with a few columns
+    forced to zero), a combination of the rows before it, or zero: rank
+    deficiency, skipped pivot columns and rows whose entry in a pivot
+    column is zero are all common."""
+    dead = draw(st.sets(st.sampled_from(range(width)), max_size=width // 2)) if width else ()
+    rows = []
+    for _ in range(count):
+        kind = draw(st.sampled_from(("random", "random", "combination", "zero")))
+        if kind == "combination" and rows:
+            rows.append(wide_combination(draw, rows, width))
+        elif kind == "zero":
+            rows.append([QQ.zero] * width)
+        else:
+            rows.append([QQ.zero if c in dead else draw(WIDE_RATIONALS) for c in range(width)])
+    return draw(st.permutations(rows))
+
+
+@FIXED
+@given(data=st.data())
+def test_wide_rational_det_matches_sympy(data):
+    n = data.draw(st.integers(min_value=0, max_value=6))
+    rows = wide_rows(data.draw, n, n)
+    m = Matrix(n, n, tuple(tuple(r) for r in rows))
+    assert det(QQ, m) == from_sympy(QQ, sympy_matrix(QQ, rows, n).det())
+
+
+@FIXED
+@given(data=st.data())
+def test_wide_rational_rref_matches_sympy(data):
+    cols = data.draw(st.integers(min_value=1, max_value=6))
+    rows = wide_rows(data.draw, cols, data.draw(st.integers(min_value=0, max_value=7)))
+    rank, reduced = rref(QQ, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
+    expected, pivots = sympy_matrix(QQ, rows, cols).rref()
+    assert rank == len(pivots)
+    assert reduced.entries == tuple(tuple(from_sympy(QQ, x) for x in r)
+                                    for r in expected.to_list())
+
+
+@FIXED
+@given(data=st.data())
+def test_wide_rational_contains_matches_sympy_rank(data):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    rows = wide_rows(data.draw, n, data.draw(st.integers(min_value=0, max_value=7)))
+    if data.draw(st.booleans()):
+        v = wide_combination(data.draw, rows, n)
+    else:
+        v = data.draw(st.lists(WIDE_RATIONALS, min_size=n, max_size=n))
+    expected = (sympy_matrix(QQ, rows + [v], n).rank()
+                == sympy_matrix(QQ, rows, n).rank())
+    assert subspace_from_vectors(QQ, n, rows).contains(v) == expected
+
+
+def canonical(field, x):
+    if field.kind == "rational":
+        return type(x) is Fraction
+    return type(x) is int and 0 <= x < field.p
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)],
+                         ids=lambda f: "QQ" if f.kind == "rational" else "GF%d" % f.p)
+@FIXED
+@given(data=st.data())
+def test_results_are_canonical_field_scalars(field, data):
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    if field.kind == "rational":
+        rows, more = wide_rows(data.draw, n, n), wide_rows(data.draw, n, n)
+    else:
+        rows, more = vector_lists(data.draw, field, n), vector_lists(data.draw, field, n)
+    square = (rows + [[field.zero] * n] * n)[:n]
+    m = Matrix(n, n, tuple(tuple(r) for r in square))
+    value = det(field, m)
+    entries = [value] + [x for r in rref(field, m)[1].entries for x in r]
+    if not field.is_zero(value):
+        entries += [x for r in inverse(field, m).entries for x in r]
+    s1 = subspace_from_vectors(field, n, rows)
+    s2 = subspace_from_vectors(field, n, more)
+    for s in (s1, subspace_sum(s1, s2), subspace_intersection(s1, s2)):
+        entries += [x for r in s.vectors() for x in r]
+    assert all(canonical(field, x) for x in entries)

@@ -6,6 +6,7 @@ from evolalg import (GF, QQ, BudgetExceededError, EnumerationBudget,
                      has_absorption_property, is_nondegenerate, is_simple,
                      radical, radical_oracle, simple_oracle, subspace_equal,
                      subspace_from_vectors)
+from evolalg.oracle import MAX_SUBSPACES, subspace_count
 from support import (all_chains_die, double_loop, make_rng,
                      nilpotent_line_nondegenerate, pair_cycle_mixing,
                      random_algebra)
@@ -56,6 +57,19 @@ def test_budget_and_field_guards():
     # a roomier budget admits the same instance
     small = EvolutionAlgebra.from_squares(GF(2), [(1, 0), (0, 1)])
     assert enumerate_ideals(small, EnumerationBudget(max_vectors=4))
+
+
+@pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 4), (7, 3), (10007, 2)])
+def test_subspace_count_sums_gaussian_binomials(p, n):
+    assert subspace_count(p, n) == sum(gaussian_binomial(n, k, p) for k in range(n + 1))
+
+
+def test_subspace_cap_refuses_instances_the_vector_budget_admits():
+    # GF(2)^8: 256 vectors, 417199 subspaces; GF(2)^7 (29212) still passes
+    assert subspace_count(2, 7) <= MAX_SUBSPACES < subspace_count(2, 8)
+    eight = EvolutionAlgebra.from_squares(GF(2), [(1,) * 8] * 8)
+    with pytest.raises(BudgetExceededError, match="subspaces"):
+        enumerate_ideals(eight, EnumerationBudget(max_vectors=10 ** 6))
 
 
 def test_radical_oracle_golden():
