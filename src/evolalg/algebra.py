@@ -21,13 +21,14 @@ class EvolutionAlgebra:
             raise DimensionError("structure matrix must be square, got %dx%d"
                                  % (structure.rows, structure.cols))
         n = structure.rows
-        entries = tuple(tuple(field.coerce(x) for x in row) for row in structure.entries)
+        # every entry is coerced to a canonical Fraction or int in [0, p)
+        entries = tuple(tuple(map(field.coerce, row)) for row in structure.entries)
         self.field = field
         self.dim = n
         self.structure = Matrix(n, n, entries)
         # column i = coordinates of e_{i+1}^2; kept around because multiply
         # touches columns constantly
-        self._squares = tuple(self.structure.column(i) for i in range(n))
+        self._squares = tuple(zip(*entries))
         self._invariants = {}  # filled by functions decorated with _memoized
 
     @classmethod

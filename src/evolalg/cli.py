@@ -16,7 +16,7 @@ from .documents import (export_dot, parse_basis_file, parse_document,
                         parse_vector)
 from .errors import (BudgetExceededError, DimensionError, FieldError,
                      InternalConsistencyError, ParseError, PreconditionError)
-from .fields import GF, QQ
+from .fields import GF, QQ, parse_integer
 from .graph import associated_graph
 from .ideals import ideal_generated_by, quotient, radical
 from .linalg import subspace_from_vectors, subspace_equal
@@ -36,11 +36,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str) -> int:
     try:
-        value = int(text)
+        return parse_integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+
+
+def _positive_int(text: str) -> int:
+    value = _integer(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
     return value
@@ -59,7 +63,7 @@ def _build_parser() -> _Parser:
                        help="algebra document ('-' for stdin)")
         p.add_argument("--field", choices=("rational", "prime"),
                        help="override the document's field")
-        p.add_argument("--p", type=int, metavar="P",
+        p.add_argument("--p", type=_integer, metavar="P",
                        help="modulus for --field prime")
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")

@@ -7,17 +7,20 @@ Grammar (full description in FORMAT.md):
     matrix
     <n rows of n whitespace-separated scalars>
 
-'#' starts a comment, blank lines are skipped.  The matrix entry at row k,
-column i is the coefficient of e_k in e_i^2, i.e. column i spells out
-e_i^2.  Emission is canonical, so parse and emit are mutually inverse
-byte for byte.
+'#' starts a comment, blank lines are skipped.  Numbers are spelt with
+ASCII digits only.  The matrix entry at row k, column i is the
+coefficient of e_k in e_i^2, i.e. column i spells out e_i^2.  Emission
+is canonical, so parse and emit are mutually inverse byte for byte.
+
+field.parse runs once per distinct token text of a document, whose n^2
+entries repeat few tokens; an invalid one is reported where it first occurs.
 """
 
 from __future__ import annotations
 
 from .algebra import EvolutionAlgebra
 from .errors import FieldError, ParseError
-from .fields import GF, QQ
+from .fields import GF, QQ, parse_integer
 from .graph import AssociatedGraph
 from .linalg import Matrix
 
@@ -43,7 +46,7 @@ def _parse_field_line(line, lineno):
         return QQ
     if len(tokens) == 3 and tokens[1] == "prime":
         try:
-            p = int(tokens[2])
+            p = parse_integer(tokens[2])
         except ValueError:
             raise ParseError("modulus %r is not an integer" % tokens[2], lineno) from None
         try:
@@ -83,7 +86,7 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     if len(tokens) != 2 or tokens[0] != "dim":
         raise ParseError("expected 'dim <n>', got %r" % line, lineno)
     try:
-        dim = int(tokens[1])
+        dim = parse_integer(tokens[1])
     except ValueError:
         raise ParseError("dimension %r is not an integer" % tokens[1], lineno) from None
     if dim < 1:
@@ -93,19 +96,21 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     if line != "matrix":
         raise ParseError("expected 'matrix', got %r" % line, lineno)
 
+    scalars = {}  # token text -> field.parse(token), a pure function of the text
     rows = []
     for _ in range(dim):
         lineno, line = take("a matrix row")
         tokens = line.split()
         if len(tokens) != dim:
             raise ParseError("expected %d entries, found %d" % (dim, len(tokens)), lineno)
-        row = []
-        for pos, token in enumerate(tokens, start=1):
-            try:
-                row.append(field.parse(token))
-            except FieldError as exc:
-                raise ParseError("entry %d: %s" % (pos, exc), lineno) from None
-        rows.append(tuple(row))
+        for token in dict.fromkeys(tokens):  # distinct tokens, in order
+            if token not in scalars:
+                try:
+                    scalars[token] = field.parse(token)
+                except FieldError as exc:
+                    raise ParseError("entry %d: %s" % (tokens.index(token) + 1, exc),
+                                     lineno) from None
+        rows.append(tuple(map(scalars.__getitem__, tokens)))
 
     if cursor != len(lines):
         raise ParseError("unexpected trailing content %r" % lines[cursor][1], lines[cursor][0])

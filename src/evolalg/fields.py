@@ -19,7 +19,8 @@ from fractions import Fraction
 
 from .errors import FieldError
 
-_SCALAR_RE = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_SCALAR_RE = re.compile(r"^([+-]?[0-9]+)(?:/([0-9]+))?$")
+_INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 
 
 MODULUS_BOUND = 3317044064679887385961981
@@ -49,6 +50,14 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def parse_integer(text: str) -> int:
+    """int(text) for text of the form [+-]?[0-9]+, else ValueError; int()
+    alone also takes other Unicode digits, '_' and surrounding space."""
+    if _INTEGER_RE.fullmatch(text) is None:
+        raise ValueError("invalid integer %r" % (text,))
+    return int(text)
 
 
 def _check_modulus_range(p: int) -> None:

@@ -13,10 +13,23 @@ from .algebra import EvolutionAlgebra, _memoized
 from .errors import PreconditionError
 
 
+def _closure(edges, seeds) -> frozenset:
+    """The seeds together with every vertex reachable from them along
+    edges (edges[v - 1] holds the targets of v), found by one search."""
+    seen = set(seeds)
+    frontier = list(seen)
+    while frontier:
+        for v in edges[frontier.pop() - 1]:
+            if v not in seen:
+                seen.add(v)
+                frontier.append(v)
+    return frozenset(seen)
+
+
 class AssociatedGraph:
-    """Immutable digraph on {1..n}.  The strongly connected components and
-    the per-vertex reachability closures are each computed once on first
-    use and cached; every cycle fact is read off the components."""
+    """Immutable digraph on {1..n}.  The strongly connected components are
+    computed once on first use and cached; every cycle fact is read off
+    them.  Reachability questions are answered by one search each."""
 
     def __init__(self, out_edges):
         out = []
@@ -29,8 +42,6 @@ class AssociatedGraph:
             out.append(ts)
         self.n = n
         self._out = tuple(out)
-        self._desc = None
-        self._asc = None
         self._scc = None
 
     @classmethod
@@ -64,33 +75,10 @@ class AssociatedGraph:
         return tuple(tuple(1 if j + 1 in self._out[i] else 0 for j in range(self.n))
                      for i in range(self.n))
 
-    def _reach_from(self, i: int) -> frozenset:
-        seen = set()
-        frontier = list(self._out[i - 1])
-        while frontier:
-            v = frontier.pop()
-            if v in seen:
-                continue
-            seen.add(v)
-            frontier.extend(self._out[v - 1] - seen)
-        return frozenset(seen)
-
-    def _descendent_closure(self):
-        if self._desc is None:
-            self._desc = tuple(self._reach_from(i) for i in range(1, self.n + 1))
-        return self._desc
-
-    def _ascendent_closure(self):
-        if self._asc is None:
-            desc = self._descendent_closure()
-            self._asc = tuple(frozenset(j for j in range(1, self.n + 1) if i in desc[j - 1])
-                              for i in range(1, self.n + 1))
-        return self._asc
-
     def descendents(self, i: int) -> frozenset:
         """All vertices reachable from i by a path of length >= 1."""
         self._check_index(i)
-        return self._descendent_closure()[i - 1]
+        return _closure(self._out, self._out[i - 1])
 
     def descendents_m(self, i: int, m: int) -> frozenset:
         """Vertices reachable from i by a path of length exactly m (m >= 1)."""
@@ -106,24 +94,21 @@ class AssociatedGraph:
         return frozenset(current)
 
     def ascendents(self, i: int) -> frozenset:
-        """All j with i in descendents(j)."""
+        """All j with i in descendents(j): one search on the reversed edges."""
         self._check_index(i)
-        return self._ascendent_closure()[i - 1]
+        into = [[] for _ in range(self.n)]
+        for v, targets in enumerate(self._out, start=1):
+            for w in targets:
+                into[w - 1].append(v)
+        return _closure(into, into[i - 1])
 
     def forward_closure(self, seeds) -> frozenset:
         """The seeds together with every vertex reachable from them, found
         by one search."""
-        seen = set()
+        seeds = list(seeds)
         for i in seeds:
             self._check_index(i)
-            seen.add(i)
-        frontier = list(seen)
-        while frontier:
-            for v in self._out[frontier.pop() - 1]:
-                if v not in seen:
-                    seen.add(v)
-                    frontier.append(v)
-        return frozenset(seen)
+        return _closure(self._out, seeds)
 
     def _condensation(self):
         """(components sorted by least element, the component of each
@@ -223,13 +208,9 @@ class AssociatedGraph:
 def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
     """Edge i -> j present exactly when the structure entry (j, i) is
     nonzero; built once per algebra object."""
-    f = algebra.field
-    n = algebra.dim
-    out = []
-    for i in range(1, n + 1):
-        col = algebra.square_of_basis(i)
-        out.append([k + 1 for k in range(n) if not f.is_zero(col[k])])
-    return AssociatedGraph(out)
+    # the entries are canonical (EvolutionAlgebra.__init__): nonzero iff truthy
+    return AssociatedGraph([[k + 1 for k, x in enumerate(col) if x]
+                            for col in algebra._squares])
 
 
 def chain_start_indices(source) -> frozenset:

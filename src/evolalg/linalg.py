@@ -55,9 +55,6 @@ class Matrix:
     def row(self, i: int) -> tuple:
         return self.entries[i]
 
-    def column(self, j: int) -> tuple:
-        return tuple(r[j] for r in self.entries)
-
     def transpose(self) -> "Matrix":
         return Matrix(self.cols, self.rows,
                       tuple(tuple(self.entries[r][c] for r in range(self.rows))

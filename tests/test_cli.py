@@ -334,3 +334,50 @@ def test_one_parser_serves_successive_calls_like_fresh_processes(tmp_path, capsy
     assert _build_parser() is _build_parser()
     assert [code for code, _, _ in in_process] == [0, 1, 0, 1, 0]
     assert in_process == [run_fresh(*argv) for argv in calls]
+
+
+# Python's int() and the regex class \d take any Unicode decimal digit, and
+# int() also takes '_' separators; each of these inputs once exited 0
+@pytest.mark.parametrize("case", [
+    "arabic-indic matrix entry", "fullwidth vector coordinate",
+    "separator in headers", "separator in --p", "fullwidth --p",
+    "separator in --max-vectors", "basis file digit"])
+def test_non_ascii_digits_and_separators_exit_1(tmp_path, capsys, case):
+    doc = write_doc(tmp_path, swap_pair_plus_loop())
+    if case == "arabic-indic matrix entry":
+        bad = tmp_path / "bad.alg"
+        bad.write_text("field rational\ndim 1\nmatrix\n٣\n", encoding="utf-8")
+        argv, prefix = ["simple", "--input", str(bad)], "error: line 4: entry 1: invalid scalar"
+    elif case == "fullwidth vector coordinate":
+        argv, prefix = ["ideal", "--input", doc, "--vector", "１,0,0"], "error: invalid scalar"
+    elif case == "separator in headers":
+        bad = tmp_path / "bad.alg"
+        bad.write_text("field prime 1_1\ndim 1_0\nmatrix\n"
+                       + "1 0 0 0 0 0 0 0 0 0\n" * 10)
+        argv, prefix = ["simple", "--input", str(bad)], "error: line 1: modulus '1_1'"
+    elif case == "separator in --p":
+        argv = ["simple", "--input", doc, "--field", "prime", "--p", "1_1"]
+        prefix = "usage error: argument --p: invalid int value"
+    elif case == "fullwidth --p":
+        argv = ["simple", "--input", doc, "--field", "prime", "--p", "５"]
+        prefix = "usage error: argument --p: invalid int value"
+    elif case == "separator in --max-vectors":
+        argv = ["oracle", "--input", doc, "--field", "prime", "--p", "2",
+                "--max-vectors", "4_096"]
+        prefix = "usage error: argument --max-vectors: invalid int value"
+    else:
+        basis = tmp_path / "basis.txt"
+        basis.write_text("1 0 ١\n", encoding="utf-8")
+        argv = ["quotient", "--input", doc, "--ideal-basis", str(basis)]
+        prefix = "error: line 1: invalid scalar"
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(prefix) and err.count("\n") == 1
+
+
+def test_signed_and_zero_padded_ascii_integers_still_parse(tmp_path, capsys):
+    doc = tmp_path / "padded.alg"
+    doc.write_text("field prime +07\ndim 02\nmatrix\n+1 01\n-0 1\n")
+    code, out, err = run(capsys, "simple", "--input", str(doc), "--field", "prime", "--p", "+05")
+    assert code == 0 and err == ""
+    assert out.startswith("field           prime 5\ndim             2\n")

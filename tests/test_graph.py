@@ -1,10 +1,12 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evolalg import (QQ, AssociatedGraph, PreconditionError, associated_graph,
-                     chain_start_indices, strongly_connected_components,
-                     witness_path)
+from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, Matrix,
+                     PreconditionError, associated_graph, chain_start_indices,
+                     strongly_connected_components, witness_path)
 from support import (FIXED, digraphs, fan_to_swap_pair, graph_core_loop_tail,
                      graph_core_triple, graph_core_with_side_loop,
                      graph_cycle_with_entry, graph_fan_swap,
@@ -262,3 +264,38 @@ def test_witness_path_golden():
         result = witness_path(a, i, j)
         if result is not None:
             assert not QQ.is_zero(result[1])
+
+
+def raw_scalars(field):
+    """Values the public constructor accepts but has to canonicalise:
+    bools, and over F_p ints outside [0, p) and Fractions whose
+    denominator p does not divide."""
+    if field.kind == "rational":
+        return st.one_of(st.booleans(), st.integers(-3, 3),
+                         st.fractions(max_denominator=4))
+    p = field.p
+    return st.one_of(
+        st.booleans(), st.integers(-3 * p, 3 * p),
+        st.builds(Fraction, st.integers(-3 * p, 3 * p),
+                  st.integers(1, 3 * p).filter(lambda d: d % p)))
+
+
+@FIXED
+@given(data=st.data(), field=st.sampled_from([QQ, GF(2), GF(3), GF(7)]))
+def test_graph_of_non_canonical_input_follows_is_zero(data, field):
+    n = data.draw(st.integers(min_value=1, max_value=6))
+    raw = data.draw(st.lists(st.lists(raw_scalars(field), min_size=n, max_size=n),
+                             min_size=n, max_size=n))
+    a = EvolutionAlgebra(field, Matrix(n, n, tuple(map(tuple, raw))))
+    entries = a.structure.entries
+    # the definition: i -> j exactly when entry (j, i) is not zero in the field
+    expected = [[j for j in range(1, n + 1) if not field.is_zero(entries[j - 1][i - 1])]
+                for i in range(1, n + 1)]
+    assert associated_graph(a) == AssociatedGraph(expected)
+    # the same edges read off the raw input, without the field object
+    if field.kind == "prime":
+        nonzero = [[Fraction(x).numerator % field.p != 0 for x in row] for row in raw]
+    else:
+        nonzero = [[x != 0 for x in row] for row in raw]
+    assert associated_graph(a).adjacency_matrix() == tuple(
+        tuple(int(nonzero[j][i]) for j in range(n)) for i in range(n))
