@@ -22,14 +22,25 @@ class EvolutionAlgebra:
                                  % (structure.rows, structure.cols))
         n = structure.rows
         # every entry is coerced to a canonical Fraction or int in [0, p)
-        entries = tuple(tuple(map(field.coerce, row)) for row in structure.entries)
+        self._adopt(field, Matrix(n, n, tuple(tuple(map(field.coerce, row))
+                                              for row in structure.entries)))
+
+    @classmethod
+    def _from_canonical(cls, field, structure: Matrix) -> "EvolutionAlgebra":
+        """The algebra of a square structure matrix whose entries already
+        are canonical scalars of field, as parse_document makes them; no
+        entry is coerced again."""
+        return cls.__new__(cls)._adopt(field, structure)
+
+    def _adopt(self, field, structure: Matrix) -> "EvolutionAlgebra":
         self.field = field
-        self.dim = n
-        self.structure = Matrix(n, n, entries)
+        self.dim = structure.rows
+        self.structure = structure
         # column i = coordinates of e_{i+1}^2; kept around because multiply
         # touches columns constantly
-        self._squares = tuple(zip(*entries))
+        self._squares = tuple(zip(*structure.entries))
         self._invariants = {}  # filled by functions decorated with _memoized
+        return self
 
     @classmethod
     def from_squares(cls, field, squares) -> "EvolutionAlgebra":

@@ -14,6 +14,8 @@ is canonical, so parse and emit are mutually inverse byte for byte.
 
 field.parse runs once per distinct token text of a document, whose n^2
 entries repeat few tokens; an invalid one is reported where it first occurs.
+The parsed scalars are canonical, so the algebra is built on them without
+a second coercion.
 """
 
 from __future__ import annotations
@@ -114,7 +116,7 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
 
     if cursor != len(lines):
         raise ParseError("unexpected trailing content %r" % lines[cursor][1], lines[cursor][0])
-    return EvolutionAlgebra(field, Matrix(dim, dim, tuple(rows)))
+    return EvolutionAlgebra._from_canonical(field, Matrix(dim, dim, tuple(rows)))
 
 
 def emit_document(algebra: EvolutionAlgebra) -> str:

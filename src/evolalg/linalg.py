@@ -9,14 +9,16 @@ One forward-elimination kernel, _echelon, is the only code that
 eliminates below a pivot: det reads the determinant it returns,
 _rref_rows back-substitutes on the rows it leaves, and Subspace.contains
 asks whether a vector raises its rank.  Its inner loops run on Python
-ints and call no field method per entry: over F_p on residues, with one
-% p per updated entry and one inversion per pivot; over QQ on the rows
-scaled by the lcm of their denominators, with Bareiss fraction-free
-elimination (Bareiss 1968, Math. Comp. 22), whose every division is
-exact.  Entries go back to canonical scalars (Fraction over QQ, ints in
-[0, p) over F_p) only where a reduced basis is handed out.  Subspaces
-spanned by natural-basis vectors skip the kernel altogether:
-coordinate_subspace writes their canonical basis down.
+ints and call no field method per entry.  Over F_p each row is one int
+of fixed-width slots, wide enough for (rows + 1) p^2, so one row update
+is one multiply-add with no carry between slots, and one inversion per
+pivot; a row is reduced mod p slot by slot only when it becomes a pivot
+row.  Over QQ the rows are scaled by the lcm of their denominators and
+reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
+Comp. 22), whose every division is exact.  Entries go back to canonical
+scalars (Fraction over QQ, ints in [0, p) over F_p) only where a reduced
+basis is handed out.  Subspaces spanned by natural-basis vectors skip the
+kernel altogether: coordinate_subspace writes their canonical basis down.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from struct import iter_unpack
 
 from .errors import DimensionError
 
@@ -66,29 +69,87 @@ def _echelon(field, rows, width):
     columns from each pivot on.  Returns (pivot columns, signed
     determinant of the pivot block as a field scalar).
 
-    Over F_p the rows stay ints in [0, p): each pivot is inverted once and
-    each updated entry costs one % p.  Over QQ each row is first scaled by
-    the lcm of its denominators, and the rows are left as ints: Bareiss
-    fraction-free elimination, where every entry is a minor of the scaled
-    matrix and each update divides exactly by the pivot of the step that
-    last updated the row.  A row whose entry in the pivot column is zero
-    is left alone: if it later becomes a pivot row, it is multiplied by
-    the last pivot and divided by its own divisor first, which is what
-    the skipped updates would have done to it."""
-    rational = field.kind == "rational"
-    if rational:
-        scales = []
-        for i, row in enumerate(rows):
-            scale = lcm(*[x.denominator for x in row])
-            rows[i] = ([x.numerator for x in row] if scale == 1
-                       else [x.numerator * (scale // x.denominator) for x in row])
-            scales.append(scale)
-        divisors = [1] * len(rows)
-    else:
+    Over F_p each row is reduced to residues in [0, p) and packed into one
+    int of fixed-width slots, column 0 in the most significant one.  A slot
+    starts below p and gains less than p^2 at each pivot, and there are
+    fewer pivots than rows + 1, so a slot of the bit length of
+    (rows + 1) p^2, rounded up to whole bytes, never carries into the next.
+    One row update is one multiply-add, masked to the columns right of the
+    pivot, so a row's entry in the next column is one shift.  A row is
+    reduced slot by slot only when it becomes a pivot row and was updated
+    since it was packed; a nonzero multiple of p left in a column with no
+    pivot is cleared.  The residues go back into the row lists at the end.
+
+    Over QQ each row is first scaled by the lcm of its denominators, and
+    the rows are left as ints: Bareiss fraction-free elimination, where
+    every entry is a minor of the scaled matrix and each update divides
+    exactly by the pivot of the step that last updated the row.  A row
+    whose entry in the pivot column is zero is left alone: if it later
+    becomes a pivot row, it is multiplied by the last pivot and divided by
+    its own divisor first, which is what the skipped updates would have
+    done to it."""
+    if field.kind != "rational":
         p = field.p
+        nbytes = -(-((len(rows) + 1) * p * p).bit_length() // 8)
+        bits, zero, slot = 8 * nbytes, bytes(nbytes), "%ds" % nbytes
+        packed = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "big") if x else zero
+                                           for x in row]), "big") for row in rows]
+        # rows[r]: the input row of packed[r], None once packed[r] is
+        # updated, and its residues once it is a pivot row
+        pivots = []
+        sign = value = 1
+        for col in range(width):
+            top = len(pivots)
+            if top == len(rows):
+                break
+            shift = bits * (width - 1 - col)
+            keep = (1 << shift) - 1  # the columns right of col
+            hit = None
+            for r in range(top, len(rows)):
+                row = packed[r]
+                if row > keep:
+                    if (row >> shift) % p:
+                        hit = r
+                        break
+                    packed[r] = row & keep
+            if hit is None:
+                continue
+            if hit != top:
+                rows[top], rows[hit] = rows[hit], rows[top]
+                packed[top], packed[hit] = packed[hit], packed[top]
+                sign = -sign
+            if rows[top] is None:
+                raw = packed[top].to_bytes((width - col) * nbytes, "big")
+                tail = [int.from_bytes(x, "big") % p if x != zero else 0
+                        for x, in iter_unpack(slot, raw)]
+                packed[top] = int.from_bytes(b"".join([x.to_bytes(nbytes, "big") if x else zero
+                                                       for x in tail]), "big")
+                rows[top] = [0] * col + tail
+            else:
+                rows[top] = [x % p for x in rows[top]]
+            pivot_row = packed[top]
+            lead = pivot_row >> shift
+            value = value * lead % p
+            minus_inv = p - pow(lead, -1, p)
+            for r in range(top + 1, len(rows)):
+                row = packed[r]
+                if row > keep:
+                    packed[r] = (row + (row >> shift) * minus_inv % p * pivot_row) & keep
+                    rows[r] = None
+            pivots.append(col)
+        for r in range(len(pivots), len(rows)):
+            rows[r] = [0] * width
+        return pivots, sign * value % p
+    scales = []
+    for i, row in enumerate(rows):
+        scale = lcm(*[x.denominator for x in row])
+        rows[i] = ([x.numerator for x in row] if scale == 1
+                   else [x.numerator * (scale // x.denominator) for x in row])
+        scales.append(scale)
+    divisors = [1] * len(rows)
     pivots = []
-    # value: the determinant of the pivot block so far, of the scaled rows
-    # over QQ, where it is the last Bareiss pivot
+    # value: the last Bareiss pivot, the determinant of the pivot block so
+    # far of the scaled rows
     sign = value = 1
     for col in range(width):
         top = len(pivots)
@@ -99,35 +160,23 @@ def _echelon(field, rows, width):
             continue
         if hit != top:
             rows[top], rows[hit] = rows[hit], rows[top]
-            if rational:
-                divisors[top], divisors[hit] = divisors[hit], divisors[top]
-                scales[top], scales[hit] = scales[hit], scales[top]
+            divisors[top], divisors[hit] = divisors[hit], divisors[top]
+            scales[top], scales[hit] = scales[hit], scales[top]
             sign = -sign
         pivot_row = rows[top]
-        if rational:
-            if divisors[top] != value:
-                pivot_row[col:] = [x * value // divisors[top] for x in pivot_row[col:]]
-            value = pivot_row[col]
-            tail = pivot_row[col:]
-            for r in range(top + 1, len(rows)):
-                row = rows[r]
-                a = row[col]
-                if a:
-                    d = divisors[r]
-                    row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
-                    divisors[r] = value
-        else:
-            value = value * pivot_row[col] % p
-            inv = pow(pivot_row[col], -1, p)
-            tail = pivot_row[col:]
-            for row in rows[top + 1:]:
-                if row[col]:
-                    factor = row[col] * inv % p
-                    row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], tail)]
+        if divisors[top] != value:
+            pivot_row[col:] = [x * value // divisors[top] for x in pivot_row[col:]]
+        value = pivot_row[col]
+        tail = pivot_row[col:]
+        for r in range(top + 1, len(rows)):
+            row = rows[r]
+            a = row[col]
+            if a:
+                d = divisors[r]
+                row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
+                divisors[r] = value
         pivots.append(col)
-    if rational:
-        return pivots, Fraction(sign * value, prod(scales[:len(pivots)]))
-    return pivots, sign * value % p
+    return pivots, Fraction(sign * value, prod(scales[:len(pivots)]))
 
 
 def _rref_rows(field, rows, width):
@@ -196,23 +245,22 @@ def inverse(field, m: Matrix) -> Matrix:
     n = m.rows
     aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
            for i, r in enumerate(m.entries)]
-    rank, _ = _rref_rows(field, aug, 2 * n)
-    if rank < n:
+    # [m | I] always has rank n; m is invertible iff its pivots are m's columns
+    _, pivots = _rref_rows(field, aug, 2 * n)
+    if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return Matrix(n, n, tuple(tuple(r[n:]) for r in aug))
 
 
 def mat_vec(field, m: Matrix, v) -> tuple:
+    """m times the column vector v: each coordinate is one sum of the
+    products whose factors are both nonzero, reduced once mod p over F_p."""
     if len(v) != m.cols:
         raise DimensionError("vector of length %d against %d columns" % (len(v), m.cols))
-    out = []
-    for row in m.entries:
-        acc = field.zero
-        for x, y in zip(row, v):
-            if not (field.is_zero(x) or field.is_zero(y)):
-                acc = field.add(acc, field.mul(x, y))
-        out.append(acc)
-    return tuple(out)
+    sums = [sum([x * y for x, y in zip(row, v) if x and y], field.zero) for row in m.entries]
+    if field.kind == "rational":
+        return tuple(sums)
+    return tuple(s % field.p for s in sums)
 
 
 @dataclass(frozen=True)

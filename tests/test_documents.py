@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evolalg import (GF, QQ, AssociatedGraph, FieldError, ParseError,
-                     associated_graph)
+from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError, Matrix,
+                     ParseError, associated_graph)
 from evolalg.documents import (emit_document, export_dot, parse_basis_file,
                                parse_document, parse_vector)
 from support import (ALL_REFERENCE_BUILDERS, FIXED, fan_to_swap_pair,
@@ -221,3 +221,24 @@ def test_field_parse_runs_once_per_distinct_matrix_token(monkeypatch, field):
     a = parse_document(document_text(field, rows))
     assert sorted(calls) == sorted({t for row in rows for t in row})
     assert a.structure.entries[1][2] == field.one  # "+1" and "1" agree
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_parse_document_coerces_no_entry(monkeypatch, field):
+    calls = []
+    coerce = type(field).coerce
+
+    def counting_coerce(self, value):
+        calls.append(value)
+        return coerce(self, value)
+
+    monkeypatch.setattr(type(field), "coerce", counting_coerce)
+    rows = [["0", "1", "0", "-1"], ["0", "0", "+1", "8"],
+            ["1/2", "0", "0", "0"], ["0", "1", "1/2", "0"]]
+    a = parse_document(document_text(field, rows))
+    assert calls == []
+    # the public constructor still coerces, and builds the same algebra
+    raw = Matrix.from_rows([[field.parse(t) for t in row] for row in rows])
+    assert EvolutionAlgebra(field, raw) == a
+    assert len(calls) == 16
+    assert a.square_of_basis(1) == (field.zero, field.zero, field.parse("1/2"), field.zero)

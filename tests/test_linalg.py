@@ -10,7 +10,8 @@ from sympy.polys.matrices import DomainMatrix
 from evolalg import (GF, QQ, DimensionError, Matrix, det, full_subspace,
                      rref, subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
-from evolalg.linalg import coordinate_subspace, inverse
+from evolalg.fields import MODULUS_BOUND, is_prime
+from evolalg.linalg import coordinate_subspace, inverse, mat_vec
 from support import FIXED, make_rng, scalars
 
 
@@ -44,6 +45,13 @@ def test_det_golden_values():
     # a zero column forces singularity
     assert det(QQ, mat([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
     assert det(QQ, mat([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
+
+
+def test_inverse_of_a_singular_matrix_is_refused():
+    for field in (QQ, GF(3)):
+        with pytest.raises(ValueError, match="singular"):
+            inverse(field, Matrix.from_rows([[field.one, field.one], [field.one, field.one]]))
+    assert inverse(QQ, mat([[0, 1], [1, 1]])) == mat([[-1, 1], [1, 0]])
 
 
 def test_det_requires_square():
@@ -138,10 +146,52 @@ def test_canonical_bases_make_equality_structural():
     assert zero_subspace(QQ, 3) == subspace_from_vectors(QQ, 3, [(0, 0, 0)])
 
 
-# sympy's DomainMatrix is the test-only oracle for the elimination kernel
-ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(10007)]
-field_param = pytest.mark.parametrize("field", ORACLE_FIELDS,
-                                      ids=lambda f: "QQ" if f.kind == "rational" else "GF%d" % f.p)
+def test_column_without_a_pivot_mod_p_is_cleared():
+    # the update by row 1 turns row 2 into (p, p, 1): column 2 then has no
+    # pivot mod p, but the row still holds p there
+    for p in (2, 3):
+        f = GF(p)
+        assert det(f, Matrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == p - 1
+        dependent = Matrix.from_rows([[1, 1, 0], [1, 1, 1], [2, 2, 1]])
+        assert det(f, dependent) == 0
+        assert rref(f, dependent) == (2, Matrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        span = subspace_from_vectors(f, 3, [(1, 1, 0), (1, 1, 1)])
+        assert span.contains((0, 0, 1)) and not span.contains((0, 1, 0))
+
+
+@pytest.mark.parametrize("p", [251, 65521, 2 ** 61 - 1])
+def test_packed_slots_hold_the_largest_growth(p):
+    # A = L U with L unit lower triangular of ones and U unit upper
+    # triangular with p - 1 above the diagonal: every update below a pivot
+    # multiplies the pivot row's p - 1 entries by the factor p - 1, so the
+    # last row gains (p - 1)^2 per slot at each of its n - 1 updates, past
+    # the width of p^2 for p = 251 and 65521
+    n = 8
+    lower = [[1 if c <= r else 0 for c in range(n)] for r in range(n)]
+    upper = [[1 if c == r else p - 1 if c > r else 0 for c in range(n)] for r in range(n)]
+    a = Matrix.from_rows([[sum(lower[r][k] * upper[k][c] for k in range(n)) % p
+                           for c in range(n)] for r in range(n)])
+    f = GF(p)
+    assert det(f, a) == 1
+    assert rref(f, a) == (n, Matrix.from_rows([[int(r == c) for c in range(n)] for r in range(n)]))
+    inv = inverse(f, a).entries
+    assert [[sum(inv[r][k] * a.entries[k][c] for k in range(n)) % p for c in range(n)]
+            for r in range(n)] == [[int(r == c) for c in range(n)] for r in range(n)]
+
+
+# sympy's DomainMatrix is the test-only oracle for the elimination kernel;
+# GF(2^61 - 1) and the largest modulus a prime field admits need packed
+# F_p slots wider than 64 bits
+LARGEST_PRIME = next(q for q in range(MODULUS_BOUND - 1, 1, -1) if is_prime(q))
+ORACLE_FIELDS = [QQ, GF(2), GF(3), GF(10007), GF(2 ** 61 - 1), GF(LARGEST_PRIME)]
+PRIME_FIELDS = ORACLE_FIELDS[1:]
+
+
+def field_ids(f):
+    return "QQ" if f.kind == "rational" else "GF%d" % f.p
+
+
+field_param = pytest.mark.parametrize("field", ORACLE_FIELDS, ids=field_ids)
 
 
 def sympy_matrix(field, rows, cols):
@@ -190,6 +240,27 @@ def test_det_matches_sympy(field, data):
     rows += [[field.zero] * n] * (n - len(rows))
     m = Matrix(n, n, tuple(tuple(r) for r in rows))
     assert det(field, m) == from_sympy(field, sympy_matrix(field, rows, n).det())
+
+
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)
+@FIXED
+@given(data=st.data())
+def test_raw_ints_give_the_results_of_their_residues(field, data):
+    # each entry is its residue plus a multiple of p, so negative entries,
+    # entries >= p and nonzero multiples of p are all common
+    n = data.draw(st.integers(min_value=1, max_value=5))
+    rows = vector_lists(data.draw, field, n, max_rows=n)
+    rows += [[field.zero] * n] * (n - len(rows))
+    reduced = Matrix(n, n, tuple(tuple(r) for r in rows))
+    raw = Matrix(n, n, tuple(tuple(x + field.p * data.draw(st.integers(min_value=-3, max_value=3))
+                                   for x in r) for r in rows))
+    assert det(field, raw) == det(field, reduced)
+    assert rref(field, raw) == rref(field, reduced)
+    if field.is_zero(det(field, reduced)):
+        with pytest.raises(ValueError):
+            inverse(field, raw)
+    else:
+        assert inverse(field, raw) == inverse(field, reduced)
 
 
 @field_param
@@ -316,8 +387,7 @@ def canonical(field, x):
     return type(x) is int and 0 <= x < field.p
 
 
-@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)],
-                         ids=lambda f: "QQ" if f.kind == "rational" else "GF%d" % f.p)
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=field_ids)
 @FIXED
 @given(data=st.data())
 def test_results_are_canonical_field_scalars(field, data):
@@ -330,6 +400,7 @@ def test_results_are_canonical_field_scalars(field, data):
     m = Matrix(n, n, tuple(tuple(r) for r in square))
     value = det(field, m)
     entries = [value] + [x for r in rref(field, m)[1].entries for x in r]
+    entries += mat_vec(field, m, square[0])
     if not field.is_zero(value):
         entries += [x for r in inverse(field, m).entries for x in r]
     s1 = subspace_from_vectors(field, n, rows)
@@ -337,3 +408,22 @@ def test_results_are_canonical_field_scalars(field, data):
     for s in (s1, subspace_sum(s1, s2), subspace_intersection(s1, s2)):
         entries += [x for r in s.vectors() for x in r]
     assert all(canonical(field, x) for x in entries)
+
+
+@field_param
+@FIXED
+@given(data=st.data())
+def test_mat_vec_matches_the_field_arithmetic_loop(field, data):
+    rows = data.draw(st.integers(min_value=0, max_value=5))
+    cols = data.draw(st.integers(min_value=0, max_value=5))
+    m = Matrix(rows, cols, tuple(tuple(data.draw(vectors(field, cols))) for _ in range(rows)))
+    v = data.draw(vectors(field, cols))
+    expected = []
+    for row in m.entries:
+        acc = field.zero
+        for x, y in zip(row, v):
+            acc = field.add(acc, field.mul(x, y))
+        expected.append(acc)
+    assert mat_vec(field, m, v) == tuple(expected)
+    with pytest.raises(DimensionError):
+        mat_vec(field, m, v + [field.zero])
