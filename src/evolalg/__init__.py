@@ -28,9 +28,8 @@ from .ideals import (QuotientPresentation, absorption_preimage, annihilator,
                      ideal_generated_by, ideal_generated_by_square, is_ideal,
                      is_nondegenerate, lambda_x, mu_n, quotient, radical)
 from .linalg import (Matrix, Subspace, det, full_subspace, rref,
-                     subspace_contains, subspace_equal,
-                     subspace_from_vectors, subspace_intersection,
-                     subspace_sum, zero_subspace)
+                     subspace_equal, subspace_from_vectors,
+                     subspace_intersection, subspace_sum, zero_subspace)
 from .oracle import (ClassicalChecks, EnumerationBudget, absorption_oracle,
                      classical_checks, enumerate_ideals, enumerate_subspaces,
                      radical_oracle, simple_oracle)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _echelon, coordinate_subspace, inverse,
+from .linalg import (Matrix, Subspace, _residue, _rref_rows, coordinate_subspace,
                      mat_vec, subspace_from_vectors)
 
 
@@ -28,19 +28,14 @@ def is_nondegenerate(algebra: EvolutionAlgebra) -> bool:
 
 
 def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
-    """The defining test: e_i * v stays inside for every basis index i and
-    every basis vector v (enough by bilinearity)."""
+    """The defining test, e_i * v in I for every basis index i and basis
+    vector v, read through e_i * v = v_i e_i^2: e_i^2 in I for every i
+    where a basis vector of I is nonzero."""
     if subspace.ambient_dim != algebra.dim:
         raise DimensionError("subspace ambient dim %d does not match algebra dim %d"
                              % (subspace.ambient_dim, algebra.dim))
-    f = algebra.field
-    for v in subspace.vectors():
-        for i in range(1, algebra.dim + 1):
-            if f.is_zero(v[i - 1]):
-                continue  # e_i * v is identically zero then
-            if not subspace.contains(algebra.multiply(algebra.basis_element(i), v)):
-                return False
-    return True
+    support = {i for v in subspace.vectors() for i, x in enumerate(v, 1) if x}
+    return all(subspace.contains(algebra.square_of_basis(i)) for i in support)
 
 
 def _require_ideal(algebra, subspace):
@@ -174,19 +169,22 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     f = algebra.field
     n = algebra.dim
     # greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
-    # when i is not the last nonzero position of a vector of I; those
-    # positions are the pivots of I's basis with its columns reversed
-    pivots, _ = _echelon(f, [list(reversed(v)) for v in ideal.vectors()], n)
-    last_positions = {n - col for col in pivots}
-    chosen = [i for i in range(1, n + 1) if i not in last_positions]
-    # columns: ideal basis vectors, then the chosen basis elements; the
-    # bottom rows of the inverse read off quotient coordinates
-    columns = list(ideal.vectors()) + [algebra.basis_element(i) for i in chosen]
-    change = Matrix.from_rows(columns, cols=n).transpose()
-    change_inv = inverse(f, change)
-    projection = Matrix(len(chosen), n, change_inv.entries[ideal.dim:])
-    quotient_columns = [mat_vec(f, projection, algebra.square_of_basis(i)) for i in chosen]
+    # when i is not the last nonzero position l of a vector of I: the pivots
+    # of I's basis with its columns reversed, whose reduced row w for l is 1
+    # at l and 0 at every other l
+    rows = [list(reversed(v)) for v in ideal.vectors()]
+    _, pivots = _rref_rows(f, rows, n)
+    reduced = {n - col: row for col, row in zip(pivots, rows)}
+    chosen = [i for i in range(1, n + 1) if i not in reduced]
+    keep = [n - c for c in chosen]  # the chosen positions, reversed
     q = len(chosen)
-    structure = Matrix(q, q, tuple(tuple(quotient_columns[c][r] for c in range(q))
-                                   for r in range(q)))
-    return QuotientPresentation(tuple(chosen), EvolutionAlgebra(f, structure), projection)
+    # P has kernel I and takes each e_c to a unit vector, so P e_l is -w and
+    # P v is the residue of v modulo the rows w, both on the chosen positions
+    columns = [[f.neg(reduced[j][k]) for k in keep] if j in reduced
+               else [f.one if c == j else f.zero for c in chosen]
+               for j in range(1, n + 1)]
+    projection = Matrix(q, n, tuple(zip(*columns)))
+    residues = [_residue(f, rows, algebra.square_of_basis(i)[::-1]) for i in chosen]
+    structure = Matrix(q, q, tuple(zip(*[[r[k] for k in keep] for r in residues])))
+    return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, structure),
+                                projection)

@@ -6,9 +6,9 @@ dropped, so two subspaces describe the same set of vectors exactly when
 they compare equal.
 
 One forward-elimination kernel, _echelon, is the only code that
-eliminates below a pivot: det reads the determinant it returns,
-_rref_rows back-substitutes on the rows it leaves, and Subspace.contains
-asks whether a vector raises its rank.  Its inner loops run on Python
+eliminates below a pivot: det reads the determinant it returns, and
+_rref_rows back-substitutes on the rows it leaves (Subspace.contains
+needs no elimination; see below).  Its inner loops run on Python
 ints and call no field method per entry.  Over F_p each row is one int
 of fixed-width slots, wide enough for (rows + 1) p^2, so one row update
 is one multiply-add with no carry between slots, and one inversion per
@@ -17,8 +17,11 @@ row.  Over QQ the rows are scaled by the lcm of their denominators and
 reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
 Comp. 22), whose every division is exact.  Entries go back to canonical
 scalars (Fraction over QQ, ints in [0, p) over F_p) only where a reduced
-basis is handed out.  Subspaces spanned by natural-basis vectors skip the
-kernel altogether: coordinate_subspace writes their canonical basis down.
+basis is handed out.  A canonical basis needs no elimination at all:
+Subspace.contains subtracts from v its coordinate at each pivot times
+that pivot's row (_residue) and asks whether anything is left.
+Subspaces spanned by natural-basis vectors skip the kernel altogether:
+coordinate_subspace writes their canonical basis down.
 """
 
 from __future__ import annotations
@@ -57,11 +60,6 @@ class Matrix:
 
     def row(self, i: int) -> tuple:
         return self.entries[i]
-
-    def transpose(self) -> "Matrix":
-        return Matrix(self.cols, self.rows,
-                      tuple(tuple(self.entries[r][c] for r in range(self.rows))
-                            for c in range(self.cols)))
 
 
 def _echelon(field, rows, width):
@@ -239,17 +237,20 @@ def det(field, m: Matrix):
     return value if len(pivots) == m.rows else field.zero
 
 
-def inverse(field, m: Matrix) -> Matrix:
-    if m.rows != m.cols:
-        raise DimensionError("inverse of a non-square matrix")
-    n = m.rows
-    aug = [list(r) + [field.one if i == j else field.zero for j in range(n)]
-           for i, r in enumerate(m.entries)]
-    # [m | I] always has rank n; m is invertible iff its pivots are m's columns
-    _, pivots = _rref_rows(field, aug, 2 * n)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return Matrix(n, n, tuple(tuple(r[n:]) for r in aug))
+def _residue(field, basis, v) -> list:
+    """v minus v[p] b over the rows b of a canonical basis, p the pivot of
+    b, which is zero exactly when v lies in their span: each row is 1 at
+    its own pivot and 0 at every other, so v[p] is its coefficient.  Zero
+    entries are skipped, and over F_p each coordinate is reduced once."""
+    out = list(v)
+    for row in basis:
+        c = v[row.index(1)]
+        if c:
+            out = [x - c * y if y else x for x, y in zip(out, row)]
+    if field.kind != "rational":
+        p = field.p
+        return [x % p for x in out]
+    return out
 
 
 def mat_vec(field, m: Matrix, v) -> tuple:
@@ -282,9 +283,8 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector of length %d in an ambient space of dim %d"
                                  % (len(v), self.ambient_dim))
-        rows = [list(r) for r in self.basis.entries] + [[self.field.coerce(x) for x in v]]
-        pivots, _ = _echelon(self.field, rows, self.ambient_dim)
-        return len(pivots) == self.dim  # v does not raise the rank
+        return not any(_residue(self.field, self.basis.entries,
+                                [self.field.coerce(x) for x in v]))
 
     def vectors(self):
         """Canonical basis rows."""
@@ -345,10 +345,6 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
                      if all(f.is_zero(x) for x in row[:n])
                      and not all(f.is_zero(x) for x in row[n:]))
     return Subspace(f, n, Matrix(len(carriers), n, carriers))
-
-
-def subspace_contains(s: Subspace, v) -> bool:
-    return s.contains(v)
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:

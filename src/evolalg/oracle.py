@@ -4,7 +4,9 @@ Everything here enumerates: all subspaces of F_p^n (by reduced-echelon
 basis, so each subspace appears exactly once), or all p^n coordinate
 vectors.  These routes are deliberately independent of the closed forms
 in the ideals and decompose modules; the fast paths must agree with them
-on every enumerable instance.
+on every enumerable instance.  The exception is enumerate_ideals, which
+keeps the subspaces passing ideals.is_ideal: e_i^2 in I for each i of
+the support of I, held to the product loop by the tests.
 """
 
 from __future__ import annotations

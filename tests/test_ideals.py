@@ -9,6 +9,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
                      is_nondegenerate, lambda_x, mu_n, quotient, radical,
                      subspace_equal, subspace_from_vectors, subspace_sum,
                      zero_subspace)
+from evolalg import linalg
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
                      double_loop, loop_feeder, make_rng, pair_cycle_mixing,
                      random_algebra, random_element, scalars,
@@ -288,7 +289,72 @@ def test_quotient_keeps_the_greedy_basis_choice(algebra_and_vector):
     # ideals generated by a vector are rarely spanned by basis vectors, so
     # the surviving indices depend on the order of the greedy choice
     a, x = algebra_and_vector
+    f = a.field
     ideal = ideal_generated_by(a, x)
     pres = quotient(a, ideal)
     assert pres.chosen == greedy_chosen(a, ideal)
-    assert pres.quotient.dim == a.dim - ideal.dim
+    q = a.dim - ideal.dim
+    assert pres.quotient.dim == q
+    assert (pres.projection.rows, pres.projection.cols) == (q, a.dim)
+    # P kills I and takes each chosen e_c to a unit vector; I and the
+    # chosen e_c span A, so this fixes P, and P fixes the quotient's squares
+    for v in ideal.vectors():
+        assert pres.project(v) == (f.zero,) * q
+    for k, c in enumerate(pres.chosen, 1):
+        assert pres.project(a.basis_element(c)) == tuple(
+            f.one if j == k else f.zero for j in range(1, q + 1))
+        assert pres.quotient.square_of_basis(k) == pres.project(a.square_of_basis(c))
+
+
+def is_ideal_by_products(algebra, subspace):
+    """The defining loop: e_i * v lies in the subspace for every basis
+    index i and every basis vector v."""
+    return all(subspace.contains(algebra.multiply(algebra.basis_element(i), v))
+               for v in subspace.vectors() for i in range(1, algebra.dim + 1))
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(2), GF(3), GF(7)])
+       .flatmap(algebras)
+       .flatmap(lambda a: st.tuples(
+           st.just(a), st.booleans(),
+           st.lists(st.lists(scalars(a.field), min_size=a.dim, max_size=a.dim),
+                    max_size=a.dim))))
+def test_is_ideal_reads_the_squares_on_the_support(case):
+    # a random span is mostly not an ideal; a sum of generated ideals is one
+    a, generated, vectors = case
+    if generated:
+        span = zero_subspace(a.field, a.dim)
+        for v in vectors:
+            span = subspace_sum(span, ideal_generated_by(a, v))
+        assert is_ideal(a, span)
+    else:
+        span = subspace_from_vectors(a.field, a.dim, vectors)
+    assert is_ideal(a, span) == is_ideal_by_products(a, span)
+
+
+def test_membership_and_quotients_do_not_eliminate(monkeypatch):
+    # the canonical basis answers membership and quotient coordinates:
+    # contains eliminates nothing, quotient reduces I's reversed basis
+    # once, and is_ideal multiplies nothing
+    a = entangled_squares()
+    ideal = subspace_from_vectors(QQ, 3, [(1, 1, 0), (0, 1, 1)])
+    b = swap_pair_plus_loop(GF(3))
+    sub = subspace_from_vectors(GF(3), 3, [(1, 1, 0), (0, 0, 1)])
+    calls = {"_echelon": 0, "multiply": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "_echelon", counted("_echelon", linalg._echelon))
+    monkeypatch.setattr(EvolutionAlgebra, "multiply",
+                        counted("multiply", EvolutionAlgebra.multiply))
+    assert ideal.contains((1, 2, 1)) and not ideal.contains((1, 0, 0))
+    assert sub.contains((2, 2, 1)) and not sub.contains((0, 1, 0))
+    assert is_ideal(a, ideal) and not is_ideal(b, sub)
+    assert calls == {"_echelon": 0, "multiply": 0}
+    assert quotient(a, ideal).chosen == (1,)
+    assert calls == {"_echelon": 1, "multiply": 0}
