@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import re
 import sys
 
 from .decompose import is_simple
@@ -93,6 +94,32 @@ def _build_parser() -> _Parser:
             p.add_argument("--max-vectors", type=_positive_int, default=4096,
                            help="enumeration budget on |F_p|^n (default 4096)")
     return parser
+
+
+_NEGATIVE_VALUE = re.compile(r"-[0-9]")
+
+
+def _join_vector_values(argv):
+    """argv with each `--vector V` whose V starts with '-' and a digit
+    joined into `--vector=V`.  argparse reads a token that starts with '-'
+    as an option unless it is a plain negative number, so `--vector -1,0`
+    would lose its value; the joined form is read as the value.  Only the
+    ideal subcommand has --vector; argparse also takes the abbreviations
+    --v ... --vecto, which no other option of ideal starts with."""
+    if next((t for t in argv if not t.startswith("-")), None) != "ideal":
+        return argv
+    joined, k = [], 0
+    while k < len(argv):
+        token = argv[k]
+        if token == "--":  # everything after it is positional
+            return joined + argv[k:]
+        if (token.startswith("--v") and "--vector".startswith(token)
+                and k + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[k + 1])):
+            k += 1
+            token += "=" + argv[k]
+        joined.append(token)
+        k += 1
+    return joined
 
 
 def _read_text(path: str) -> bytes:
@@ -240,8 +267,9 @@ def _cmd_oracle(args):
 
 def main(argv=None) -> int:
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_vector_values(argv))
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

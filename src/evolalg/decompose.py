@@ -6,6 +6,7 @@ process, and the resulting optimal direct-sum decomposition.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, _memoized
 from .errors import InternalConsistencyError, PreconditionError
@@ -132,8 +133,18 @@ def optimal_fragmentation(parts) -> Fragmentation:
 
 
 def _restricted_structure(algebra, indices):
+    """M_B restricted to the rows and columns in indices, a non-empty subset
+    of 1..n: each row is sliced by one itemgetter, which returns a bare
+    entry for a single index, and all n indices give M_B itself."""
+    if len(indices) == algebra.dim:
+        return algebra.structure
     idx = sorted(indices)
-    rows = tuple(tuple(algebra.structure.entries[r - 1][c - 1] for c in idx) for r in idx)
+    entries = algebra.structure.entries
+    pick = itemgetter(*(c - 1 for c in idx))
+    if len(idx) == 1:
+        rows = ((pick(entries[idx[0] - 1]),),)
+    else:
+        rows = tuple(pick(entries[r - 1]) for r in idx)
     return Matrix(len(idx), len(idx), rows)
 
 

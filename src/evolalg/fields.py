@@ -87,6 +87,14 @@ class FieldDescriptor:
 
 
 def _split_scalar(text: str):
+    """(numerator, denominator or None) of a scalar text.  A text of ASCII
+    digits alone, the common matrix entry, is read by int() directly; any
+    other text, and one beyond CPython's digit limit, takes the regex."""
+    if text.isascii() and text.isdigit():
+        try:
+            return int(text), None
+        except ValueError:  # over the digit limit: the regex route says so
+            pass
     m = _SCALAR_RE.match(text.strip())
     if m is None:
         raise FieldError("invalid scalar %r" % (text,))

@@ -9,6 +9,8 @@ Weights are dropped here; witness_path recovers them from the algebra.
 
 from __future__ import annotations
 
+from itertools import compress
+
 from .algebra import EvolutionAlgebra, _memoized
 from .errors import PreconditionError
 
@@ -40,9 +42,20 @@ class AssociatedGraph:
                 if not 1 <= t <= n:
                     raise IndexError("edge target %d outside 1..%d" % (t, n))
             out.append(ts)
-        self.n = n
-        self._out = tuple(out)
+        self._adopt(tuple(out))
+
+    @classmethod
+    def _from_frozensets(cls, out: tuple) -> "AssociatedGraph":
+        """The graph whose out-sets are the given frozensets, each already
+        inside 1..len(out), as associated_graph makes them; no target is
+        checked again."""
+        return cls.__new__(cls)._adopt(out)
+
+    def _adopt(self, out: tuple) -> "AssociatedGraph":
+        self.n = len(out)
+        self._out = out
         self._scc = None
+        return self
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AssociatedGraph":
@@ -112,40 +125,55 @@ class AssociatedGraph:
 
     def _condensation(self):
         """(components sorted by least element, the component of each
-        vertex, the components no edge enters from outside), from one
-        iterative Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2))."""
+        vertex as a list indexed by vertex, the components no edge enters
+        from outside), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
+        Comput. 1(2)) on lists indexed by vertex.  index[v] is 0 until v is
+        visited and component_of[v] is None until its component is
+        complete, so w is still on the stack iff it is visited and has no
+        component yet; a finished component is cut off the stack at the
+        position where its root was pushed."""
         if self._scc is not None:
             return self._scc
-        index, low, stack, component_of = {}, {}, [], {}
-        for root in range(1, self.n + 1):
-            if root in index:
+        n, out = self.n, self._out
+        index, low, at = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        component_of = [None] * (n + 1)
+        stack, components = [], []
+        count = 0
+        for root in range(1, n + 1):
+            if index[root]:
                 continue
-            index[root] = low[root] = len(index)
+            count += 1
+            index[root] = low[root] = count
+            at[root] = len(stack)
             stack.append(root)
-            work = [(root, iter(self._out[root - 1]))]
+            work = [(root, iter(out[root - 1]))]
             while work:
                 v, it = work[-1]
                 for w in it:
-                    if w not in index:
-                        index[w] = low[w] = len(index)
+                    if not index[w]:
+                        count += 1
+                        index[w] = low[w] = count
+                        at[w] = len(stack)
                         stack.append(w)
-                        work.append((w, iter(self._out[w - 1])))
+                        work.append((w, iter(out[w - 1])))
                         break
-                    if w not in component_of:  # w is still on the stack
-                        low[v] = min(low[v], index[w])
+                    if component_of[w] is None and index[w] < low[v]:
+                        low[v] = index[w]
                 else:
                     work.pop()
                     if work:
                         parent = work[-1][0]
-                        low[parent] = min(low[parent], low[v])
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
                     if low[v] == index[v]:
-                        comp = set()
-                        while v not in comp:
-                            comp.add(stack.pop())
-                        component_of.update(dict.fromkeys(comp, frozenset(comp)))
-        components = sorted(set(component_of.values()), key=min)
-        entered = {component_of[w] for v, comp in component_of.items()
-                   for w in self._out[v - 1] if component_of[w] is not comp}
+                        comp = frozenset(stack[at[v]:])
+                        del stack[at[v]:]
+                        for w in comp:
+                            component_of[w] = comp
+                        components.append(comp)
+        components.sort(key=min)
+        entered = {component_of[w] for comp in components
+                   for w in frozenset().union(*(out[v - 1] for v in comp)) - comp}
         self._scc = (tuple(components), component_of, frozenset(components) - entered)
         return self._scc
 
@@ -207,10 +235,13 @@ class AssociatedGraph:
 @_memoized
 def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
     """Edge i -> j present exactly when the structure entry (j, i) is
-    nonzero; built once per algebra object."""
-    # the entries are canonical (EvolutionAlgebra.__init__): nonzero iff truthy
-    return AssociatedGraph([[k + 1 for k, x in enumerate(col) if x]
-                            for col in algebra._squares])
+    nonzero; built once per algebra object.  The entries are canonical
+    (EvolutionAlgebra.__init__), so nonzero iff truthy, and compress picks
+    the targets of each column out of 1..n; they lie in range by
+    construction, so the graph is built without the public check."""
+    vertices = range(1, algebra.dim + 1)
+    return AssociatedGraph._from_frozensets(
+        tuple(frozenset(compress(vertices, col)) for col in algebra._squares))
 
 
 def chain_start_indices(source) -> frozenset:

@@ -304,11 +304,21 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
 
 
 def coordinate_subspace(field, ambient_dim: int, indices) -> Subspace:
-    """Span of the e_i over indices in 1..ambient_dim.  Distinct unit
-    vectors in ascending order already are the canonical basis."""
-    rows = tuple(tuple(field.one if k == i else field.zero for k in range(1, ambient_dim + 1))
-                 for i in sorted(set(indices)))
-    return Subspace(field, ambient_dim, Matrix(len(rows), ambient_dim, rows))
+    """Span of the e_i over indices in 1..ambient_dim; an index outside
+    that range is refused.  Distinct unit vectors in ascending order
+    already are the canonical basis; each is copied from one row of zeros
+    with a one set at its index."""
+    indices = sorted(set(indices))
+    if indices and not 1 <= indices[0] <= indices[-1] <= ambient_dim:
+        raise IndexError("indices outside 1..%d" % ambient_dim)
+    one, zero = field.one, field.zero
+    template = [zero] * ambient_dim
+    rows = []
+    for i in indices:
+        template[i - 1] = one
+        rows.append(tuple(template))
+        template[i - 1] = zero
+    return Subspace(field, ambient_dim, Matrix(len(rows), ambient_dim, tuple(rows)))
 
 
 def zero_subspace(field, ambient_dim: int) -> Subspace:

@@ -111,6 +111,27 @@ def test_ideal_subcommand(tmp_path, capsys):
     assert code == 1 and "error" in err
 
 
+@pytest.mark.parametrize("vector", ["-1,0,0", "-1/2,0,0"])
+@pytest.mark.parametrize("as_json", [False, True])
+def test_vector_with_a_negative_first_coordinate_is_its_value(tmp_path, capsys,
+                                                              vector, as_json):
+    # argparse takes a separate "-1,0,0" for an option unless it is joined
+    doc = write_doc(tmp_path, entangled_squares())
+    flags = ("--json",) if as_json else ()
+    joined = run(capsys, "ideal", "--input", doc, "--vector=" + vector, *flags)
+    assert joined[0] == 0 and joined[2] == ""
+    for spelling in ("--vector", "--vec"):
+        assert run(capsys, "ideal", "--input", doc, spelling, vector, *flags) == joined
+
+
+def test_missing_vector_value_is_still_a_usage_error(tmp_path, capsys):
+    doc = write_doc(tmp_path, entangled_squares())
+    for argv in (("--vector",), ("--vector", "--json"), ("--vector", "-h")):
+        code, out, err = run(capsys, "ideal", "--input", doc, *argv)
+        assert (code, out) == (1, "")
+        assert err == "usage error: argument --vector: expected one argument\n"
+
+
 def test_graph_subcommand_writes_dot(tmp_path, capsys):
     doc = write_doc(tmp_path, swap_pair_plus_loop())
     code, out, _ = run(capsys, "graph", "--input", doc)

@@ -9,7 +9,8 @@ from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
                      is_nondegenerate, is_simple, optimal_decomposition,
                      optimal_fragmentation, simple_sum_report,
                      subspace_from_vectors)
-from evolalg.linalg import det
+from evolalg.decompose import _restricted_structure
+from evolalg.linalg import Matrix, coordinate_subspace, det
 from support import (FIXED, algebras, all_chains_die, double_loop,
                      entangled_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng,
@@ -125,6 +126,43 @@ def test_optimal_decomposition_golden():
     report = optimal_decomposition(c)
     assert len(report.blocks) == 1 and report.blocks[0].indices == {1, 2}
     assert report.optimal_certified
+
+
+# dim 6: e1^2 = 2e3, e3^2 = e1 - e5, e5^2 = 3e1 + 4e3 (a block on the
+# interleaved indices 1, 3, 5), e2^2 = e4, e4^2 = 5e2 + e4, e6^2 = -4e6
+# (a singleton block)
+def interleaved_and_singleton_blocks(field):
+    return EvolutionAlgebra.from_squares(field, [
+        (0, 0, 2, 0, 0, 0), (0, 0, 0, 1, 0, 0), (1, 0, 0, 0, -1, 0),
+        (0, 5, 0, 1, 0, 0), (3, 0, 4, 0, 0, 0), (0, 0, 0, 0, 0, -4)])
+
+
+# dim 4: a 4-cycle 1 -> 2 -> 3 -> 4 -> 1 plus chords; one block of every index
+def one_block_of_every_index(field):
+    return EvolutionAlgebra.from_squares(field, [
+        (0, 1, 0, 7), (2, 0, 1, 0), (0, 0, 3, 1), (1, -1, 0, 0)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)])
+def test_block_slices_and_ideals_golden(field):
+    a = interleaved_and_singleton_blocks(field)
+    report = optimal_decomposition(a)
+    assert [sorted(b.indices) for b in report.blocks] == [[1, 3, 5], [2, 4], [6]]
+    b = one_block_of_every_index(field)
+    assert [sorted(blk.indices) for blk in optimal_decomposition(b).blocks] == [[1, 2, 3, 4]]
+    for algebra in (a, b):
+        n = algebra.dim
+        entries = algebra.structure.entries
+        for block in optimal_decomposition(algebra).blocks:
+            idx = sorted(block.indices)
+            rows = tuple(tuple(entries[r - 1][c - 1] for c in idx) for r in idx)
+            assert _restricted_structure(algebra, block.indices) == Matrix(len(idx), len(idx), rows)
+            assert block.det == det(field, Matrix(len(idx), len(idx), rows))
+            assert block.ideal == coordinate_subspace(field, n, idx)
+            units = [[1 if k == i else 0 for k in range(1, n + 1)] for i in idx]
+            assert block.ideal == subspace_from_vectors(field, n, units)
+    assert [blk.det for blk in report.blocks] == [field.coerce(x) for x in (-6, -5, -4)]
+    assert optimal_decomposition(b).blocks[0].det == det(field, b.structure)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(5)])

@@ -1,12 +1,14 @@
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 import sympy
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evolalg import GF, QQ, FieldDescriptor, FieldError, field_from_descriptor
-from evolalg.fields import MODULUS_BOUND, is_prime
+from evolalg import fields
+from evolalg.fields import _SCALAR_RE, MODULUS_BOUND, is_prime
 from support import FIXED
 
 
@@ -147,3 +149,54 @@ def test_over_long_scalar_is_a_field_error(field):
         field.parse("1" * 5000)
     with pytest.raises(FieldError, match="limit"):
         field.parse("1/" + "3" * 5000)
+
+
+def regex_split_scalar(text):
+    """The regex route of fields._split_scalar on its own: the reference
+    its ASCII-digit fast path must agree with."""
+    m = _SCALAR_RE.match(text.strip())
+    if m is None:
+        raise FieldError("invalid scalar %r" % (text,))
+    try:
+        num = int(m.group(1))
+        den = None if m.group(2) is None else int(m.group(2))
+    except ValueError:
+        raise FieldError("scalar of %d characters exceeds the digit limit" % len(text)) from None
+    if den == 0:
+        raise FieldError("zero denominator in %r" % (text,))
+    return num, den
+
+
+def parse_outcome(field, text):
+    try:
+        value = field.parse(text)
+    except FieldError as exc:
+        return "FieldError", str(exc)
+    return type(value), value
+
+
+SCALAR_ALPHABET = "0123456789+-/ \t_٣１²a"
+
+
+def digit_strings_at_the_limit():
+    """ASCII digit strings of 4299..4301 characters (CPython converts at
+    most 4300 digits), now and then followed by a denominator or a blank."""
+    return st.builds(lambda size, head, tail: (head + "9" * size)[:size] + tail,
+                     st.sampled_from([4299, 4300, 4301]),
+                     st.text(alphabet="0123456789", max_size=6),
+                     st.sampled_from(["", "", "/7", "/0", " ", "a"]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7), GF(10007)])
+@FIXED
+@example(text="1" * 4300)
+@example(text="1" * 4301)
+@example(text="0" * 4301)
+@given(text=st.one_of(st.text(alphabet=SCALAR_ALPHABET, max_size=12),
+                      st.text(alphabet="0123456789", min_size=1, max_size=30),
+                      digit_strings_at_the_limit()))
+def test_scalar_fast_path_agrees_with_the_regex_route(field, text):
+    fast = parse_outcome(field, text)
+    with mock.patch.object(fields, "_split_scalar", regex_split_scalar):
+        reference = parse_outcome(field, text)
+    assert fast == reference

@@ -162,9 +162,7 @@ def test_principal_cycles_golden():
                     assert g.descendents(j) == g.descendents(i)
 
 
-@FIXED
-@given(digraphs())
-def test_cycle_facts_match_pairwise_reachability(g):
+def check_cycle_facts(g):
     # the components are the library's route; the per-vertex searches of
     # descendents and ascendents are the definitions they must meet
     vertices = range(1, g.n + 1)
@@ -186,6 +184,32 @@ def test_cycle_facts_match_pairwise_reachability(g):
                  if i in D[i] and A[i] <= mutual[i]}
     assert g.principal_cycles() == tuple(principal[k] for k in sorted(principal))
     assert g.chain_start_indices() == {i for i in vertices if not A[i]}
+
+
+@FIXED
+@given(digraphs())
+def test_cycle_facts_match_pairwise_reachability(g):
+    check_cycle_facts(g)
+
+
+@FIXED
+@given(digraphs(max_n=40))
+def test_cycle_facts_match_pairwise_reachability_on_larger_graphs(g):
+    # longer paths, so the depth-first search backtracks through deep stacks
+    check_cycle_facts(g)
+
+
+def test_components_of_a_long_path_and_a_long_cycle():
+    n = 20000
+    path = AssociatedGraph.from_edges(n, [(i, i + 1) for i in range(1, n)])
+    assert strongly_connected_components(path) == tuple(
+        frozenset({i}) for i in range(1, n + 1))
+    assert path.principal_cycles() == ()
+    assert not path.is_cyclic_index(n)
+    cycle = AssociatedGraph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
+    assert strongly_connected_components(cycle) == (frozenset(range(1, n + 1)),)
+    assert cycle.principal_cycles() == (frozenset(range(1, n + 1)),)
+    assert cycle.is_cyclic_index(n)
 
 
 @FIXED

@@ -300,6 +300,12 @@ def test_coordinate_subspace_is_the_span_of_its_unit_vectors(field, data):
     assert coordinate_subspace(field, n, indices) == subspace_from_vectors(field, n, units)
 
 
+@pytest.mark.parametrize("indices", [[0], [4], [1, 4], [0, 2, 3]])
+def test_coordinate_subspace_refuses_an_index_outside_the_basis(indices):
+    with pytest.raises(IndexError, match="outside 1..3"):
+        coordinate_subspace(QQ, 3, indices)
+
+
 # wide rationals for the fraction-free QQ path: numerators up to 10^30,
 # denominators 1 or up to 10^6, so rows mix integral and fractional
 # entries and the Bareiss minors grow long
