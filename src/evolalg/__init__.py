@@ -7,22 +7,21 @@ graph-theoretic invariants of such an algebra (descendents, cycles,
 principal cycles, chain-start indices), its algebraic invariants
 (annihilator, absorption radical, generated ideals, quotients), decides
 simplicity and irreducibility, and produces the optimal direct-sum
-decomposition by fragmenting the canonical covering of the index set.
+decomposition, whose blocks are the weak components of the graph.
 """
 
 from .algebra import (EvolutionAlgebra, algebra_from_graph,
                       power_associativity_witnesses)
 from .decompose import (CanonicalDecomposition, DecompositionReport,
                         Fragmentation, canonical_decomposition,
-                        derived_index_set, is_fragmentable, is_irreducible,
-                        is_simple, optimal_decomposition,
-                        optimal_fragmentation, simple_sum_report)
+                        is_fragmentable, is_irreducible, is_simple,
+                        optimal_decomposition, optimal_fragmentation,
+                        simple_sum_report)
 from .errors import (BudgetExceededError, DimensionError, EvolAlgError,
                      FieldError, InternalConsistencyError, ParseError,
                      PreconditionError)
 from .fields import GF, QQ, FieldDescriptor, PrimeField, Rationals, field_from_descriptor
-from .graph import (AssociatedGraph, associated_graph, chain_start_indices,
-                    strongly_connected_components, witness_path)
+from .graph import AssociatedGraph, associated_graph, witness_path
 from .ideals import (QuotientPresentation, absorption_preimage, annihilator,
                      has_absorption_property, ideal_closure,
                      ideal_generated_by, ideal_generated_by_square, is_ideal,

@@ -1,6 +1,11 @@
 """Simplicity and irreducibility decisions, the canonical covering of the
 index set by principal cycles and chain-start indices, the fragmentation
 process, and the resulting optimal direct-sum decomposition.
+
+On the algebra's own cover, fragmenting the canonical parts gives the weak
+components of the associated graph (every derived set is forward-closed
+and weakly connected), so the blocks are read off the graph; the
+fragmentation stays public as the paper's process on arbitrary covers.
 """
 
 from __future__ import annotations
@@ -9,10 +14,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, _memoized
-from .errors import InternalConsistencyError, PreconditionError
+from .errors import PreconditionError
 from .graph import AssociatedGraph, associated_graph
 from .ideals import is_nondegenerate
-from .linalg import Matrix, Subspace, coordinate_subspace, det, rref
+from .linalg import Matrix, Subspace, coordinate_subspace, det
 
 PRINCIPAL_CYCLE = "principal_cycle"
 CHAIN_START = "chain_start"
@@ -73,11 +78,6 @@ class IrreducibilityResult:
         return self.connected
 
 
-def derived_index_set(graph: AssociatedGraph, seed) -> frozenset:
-    """The forward closure of seed: the set itself plus every descendent."""
-    return graph.forward_closure(seed)
-
-
 @_memoized
 def canonical_decomposition(algebra: EvolutionAlgebra) -> CanonicalDecomposition:
     """One derived set per principal cycle and per chain-start index,
@@ -86,10 +86,10 @@ def canonical_decomposition(algebra: EvolutionAlgebra) -> CanonicalDecomposition
     graph = associated_graph(algebra)
     parts = []
     for cycle in graph.principal_cycles():
-        parts.append(CanonicalPart(PRINCIPAL_CYCLE, cycle, derived_index_set(graph, cycle)))
+        parts.append(CanonicalPart(PRINCIPAL_CYCLE, cycle, graph.forward_closure(cycle)))
     for i in sorted(graph.chain_start_indices()):
         parts.append(CanonicalPart(CHAIN_START, frozenset({i}),
-                                   derived_index_set(graph, {i})))
+                                   graph.forward_closure({i})))
     parts.sort(key=lambda part: min(part.seed))
     return CanonicalDecomposition(tuple(parts))
 
@@ -150,17 +150,19 @@ def _restricted_structure(algebra, indices):
 
 @_memoized
 def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
-    """Canonical decomposition followed by fragmentation; one basis-spanned
-    ideal per block, computed once per algebra object.
+    """One basis-spanned ideal per weak component of the associated graph,
+    computed once per algebra object.  The weak components are the blocks
+    that fragmenting the canonical parts gives: every edge lies in each
+    derived set holding its source, and each derived set is weakly
+    connected (test_weak_components_are_the_fragmented_canonical_parts).
 
     The direct sum is always valid; optimality (irreducibility of every
     block, uniqueness) is certified only for non-degenerate algebras.
     Facts true by construction are checked by test_decomposition_validity_random
-    and acceptance criterion 3: the blocks are the weak components (every
-    edge lies in each derived set holding its source) and span ideals
-    (derived sets are closed under descendents), distinct blocks are
-    orthogonal (distinct basis elements multiply to zero), and det(M_B) is
-    the product of the block dets (M_B is block diagonal up to relabelling).
+    and acceptance criterion 3: the blocks span ideals (derived sets are
+    closed under descendents), distinct blocks are orthogonal (distinct
+    basis elements multiply to zero), and det(M_B) is the product of the
+    block dets (M_B is block diagonal up to relabelling).
     """
     f = algebra.field
     n = algebra.dim
@@ -168,9 +170,8 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
         return DecompositionReport((), True, True)
     graph = associated_graph(algebra)
     sinks = graph.sinks()  # the indices whose square vanishes
-    frag = optimal_fragmentation([p.derived for p in canonical_decomposition(algebra).parts])
     blocks = []
-    for block in frag.blocks:
+    for block in graph.weak_components():
         ideal = coordinate_subspace(f, n, block)
         block_det = det(f, _restricted_structure(algebra, block))
         nondeg = block.isdisjoint(sinks)
@@ -182,10 +183,10 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     return DecompositionReport(tuple(blocks), nondeg, nondeg)
 
 
-def is_simple(algebra: EvolutionAlgebra, cross_check: bool = False) -> SimplicityResult:
+def is_simple(algebra: EvolutionAlgebra) -> SimplicityResult:
     """Simplicity for finite dimension: nonsingular structure matrix and
     every index reaches every index.  Reason codes name the failing clause;
-    cross_check recomputes the verdict through rank fullness and must agree.
+    the tests hold the verdict to rank fullness plus D(i) == Lambda.
     det(M_B) == 0 is read off the block dets of optimal_decomposition, whose
     product it is (test_decomposition_validity_random).  D(i) == Lambda
     holds just for i in the seed of a sole, principal-cycle canonical part.
@@ -203,12 +204,7 @@ def is_simple(algebra: EvolutionAlgebra, cross_check: bool = False) -> Simplicit
     short = next((i for i in range(1, n + 1) if i not in reach_all), None)
     if short is not None:
         reasons.append("D(%d) != Lambda" % short)
-    verdict = not reasons
-    if cross_check:
-        rank, _ = rref(f, algebra.structure)
-        if (rank == n and short is None) != verdict:
-            raise InternalConsistencyError("simplicity routes disagree")
-    return SimplicityResult(verdict, tuple(reasons))
+    return SimplicityResult(not reasons, tuple(reasons))
 
 
 def is_irreducible(algebra: EvolutionAlgebra) -> IrreducibilityResult:

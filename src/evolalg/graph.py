@@ -126,12 +126,21 @@ class AssociatedGraph:
     def _condensation(self):
         """(components sorted by least element, the component of each
         vertex as a list indexed by vertex, the components no edge enters
-        from outside), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
-        Comput. 1(2)) on lists indexed by vertex.  index[v] is 0 until v is
+        from outside, the weak components sorted by least element, the
+        vertices from which no path reaches a cycle), from one iterative
+        Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2)) on lists indexed by
+        vertex and one walk over its components.  index[v] is 0 until v is
         visited and component_of[v] is None until its component is
         complete, so w is still on the stack iff it is visited and has no
         component yet; a finished component is cut off the stack at the
-        position where its root was pushed."""
+        position where its root was pushed.
+
+        Tarjan completes a component only after every component it
+        reaches, so the walk, in completion order, meets each component
+        after the components its edges enter.  The component joins their
+        weak groups (the group with fewer components is relabelled into
+        the other), and it reaches a cycle iff it holds an edge of its own
+        (it is cyclic) or one of them reaches a cycle."""
         if self._scc is not None:
             return self._scc
         n, out = self.n, self._out
@@ -171,10 +180,28 @@ class AssociatedGraph:
                         for w in comp:
                             component_of[w] = comp
                         components.append(comp)
+        entered, weak, reaching = set(), {}, set()
+        for comp in components:
+            targets = frozenset().union(*(out[v - 1] for v in comp))
+            hit = {component_of[w] for w in targets - comp}
+            entered |= hit
+            if not comp.isdisjoint(targets) or not reaching.isdisjoint(hit):
+                reaching.add(comp)
+            group = weak[comp] = [comp]
+            for target in hit:
+                other = weak[target]
+                if other is not group:
+                    if len(other) > len(group):
+                        group, other = other, group
+                    group += other
+                    for c in other:
+                        weak[c] = group
+        groups = {id(group): group for group in weak.values()}.values()
+        no_cycle = frozenset().union(*(c for c in components if c not in reaching))
         components.sort(key=min)
-        entered = {component_of[w] for comp in components
-                   for w in frozenset().union(*(out[v - 1] for v in comp)) - comp}
-        self._scc = (tuple(components), component_of, frozenset(components) - entered)
+        self._scc = (tuple(components), component_of, frozenset(components) - entered,
+                     tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
+                     no_cycle)
         return self._scc
 
     def is_cyclic_index(self, i: int) -> bool:
@@ -198,7 +225,7 @@ class AssociatedGraph:
     def principal_cycles(self):
         """The cyclic components that no edge enters from outside, pairwise
         disjoint, sorted by least element."""
-        components, _, sources = self._condensation()
+        components, _, sources, _, _ = self._condensation()
         return tuple(c for c in components
                      if c in sources and self.is_cyclic_index(min(c)))
 
@@ -209,27 +236,22 @@ class AssociatedGraph:
     def sinks(self) -> frozenset:
         return frozenset(i for i in range(1, self.n + 1) if not self._out[i - 1])
 
+    def strongly_connected_components(self):
+        """Partition of the vertices into strongly connected components,
+        sorted by least element; every cycle fact is read off them."""
+        return self._condensation()[0]
+
     def weak_components(self):
         """Partition of {1..n} into components of the underlying undirected
-        graph, sorted by least element."""
-        parent = list(range(self.n + 1))
+        graph, sorted by least element: on an algebra's graph, the blocks
+        of the optimal decomposition."""
+        return self._condensation()[3]
 
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for i in range(1, self.n + 1):
-            for j in self._out[i - 1]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-        groups = {}
-        for i in range(1, self.n + 1):
-            groups.setdefault(find(i), set()).add(i)
-        comps = {min(g): frozenset(g) for g in groups.values()}
-        return tuple(comps[k] for k in sorted(comps))
+    def reaches_no_cycle(self) -> frozenset:
+        """The vertices from which no path reaches a cyclic vertex; a
+        cyclic vertex reaches itself.  On an algebra's graph, the indices
+        whose basis elements span the radical."""
+        return self._condensation()[4]
 
 
 @_memoized
@@ -242,21 +264,6 @@ def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
     vertices = range(1, algebra.dim + 1)
     return AssociatedGraph._from_frozensets(
         tuple(frozenset(compress(vertices, col)) for col in algebra._squares))
-
-
-def chain_start_indices(source) -> frozenset:
-    """Chain-start indices of a graph or of an algebra: the vertices with no
-    incoming edge, which on an algebra are the all-zero rows of M_B."""
-    if isinstance(source, EvolutionAlgebra):
-        source = associated_graph(source)
-    return source.chain_start_indices()
-
-
-def strongly_connected_components(graph: AssociatedGraph):
-    """Partition of the vertices into strongly connected components, sorted
-    by least element; the Tarjan pass that every cycle fact of the graph
-    is read from, computed once per graph."""
-    return graph._condensation()[0]
 
 
 def witness_path(algebra: EvolutionAlgebra, i: int, j: int):

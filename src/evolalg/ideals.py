@@ -59,23 +59,14 @@ def has_absorption_property(algebra: EvolutionAlgebra, ideal: Subspace) -> bool:
 
 
 def radical(algebra: EvolutionAlgebra) -> Subspace:
-    """Smallest ideal with the absorption property.
-
-    Computed as the least fixpoint S0 = {}, S_{k+1} = {i : D1(i) inside S_k}:
-    e_i lands in the radical exactly when no directed path from i reaches a
-    cycle.  The brute-force enumeration oracle validates this route over
-    tiny prime fields.
+    """Smallest ideal with the absorption property: the span of the e_i
+    for the indices i from which no directed path reaches a cycle, read
+    off the graph's condensation (AssociatedGraph.reaches_no_cycle).  The
+    brute-force enumeration oracle validates this route over tiny prime
+    fields.
     """
-    graph = associated_graph(algebra)
-    dead = set()
-    changed = True
-    while changed:
-        changed = False
-        for i in range(1, algebra.dim + 1):
-            if i not in dead and graph.out_edges(i) <= dead:
-                dead.add(i)
-                changed = True
-    return coordinate_subspace(algebra.field, algebra.dim, dead)
+    return coordinate_subspace(algebra.field, algebra.dim,
+                               associated_graph(algebra).reaches_no_cycle())
 
 
 def ideal_generated_by_square(algebra: EvolutionAlgebra, k: int) -> Subspace:

@@ -11,7 +11,8 @@ import random
 from hypothesis import settings
 from hypothesis import strategies as st
 
-from evolalg import QQ, AssociatedGraph, EvolutionAlgebra, Matrix
+from evolalg import (QQ, AssociatedGraph, EvolutionAlgebra, Matrix,
+                     associated_graph, is_simple, rref)
 
 # hypothesis settings for every property test: a fixed example sequence
 # and no per-example time limit
@@ -126,6 +127,35 @@ ALL_REFERENCE_BUILDERS = (
     two_loops_two_sinks, pair_cycle_mixing, nilpotent_line_nondegenerate,
     squares_span_deficient, opposed_pair_and_loop,
 )
+
+
+def simplicity_checked(algebra):
+    """is_simple(algebra), asserted equal to the verdict of the definition
+    read another way: M_B has full rank and D(i) == Lambda for every i,
+    with D(i) from one search per index."""
+    verdict = is_simple(algebra)
+    n = algebra.dim
+    rank, _ = rref(algebra.field, algebra.structure)
+    graph = associated_graph(algebra)
+    everything = frozenset(range(1, n + 1))
+    assert verdict.simple == (n > 0 and rank == n and all(
+        graph.descendents(i) == everything for i in everything))
+    return verdict
+
+
+def fixpoint_reaches_no_cycle(graph):
+    """The vertices from which no path reaches a cycle, as the least
+    fixpoint S0 = {}, S_{k+1} = {i : D1(i) inside S_k}, rescanning every
+    vertex per round: the reference for AssociatedGraph.reaches_no_cycle."""
+    dead = set()
+    changed = True
+    while changed:
+        changed = False
+        for i in range(1, graph.n + 1):
+            if i not in dead and graph.out_edges(i) <= dead:
+                dead.add(i)
+                changed = True
+    return frozenset(dead)
 
 
 # reference graphs (1-based edge lists)

@@ -4,33 +4,33 @@ from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
                      PreconditionError, associated_graph,
-                     canonical_decomposition, derived_index_set,
-                     is_fragmentable, is_ideal, is_irreducible,
-                     is_nondegenerate, is_simple, optimal_decomposition,
-                     optimal_fragmentation, simple_sum_report,
-                     subspace_from_vectors)
+                     canonical_decomposition, is_fragmentable, is_ideal,
+                     is_irreducible, is_nondegenerate, is_simple,
+                     optimal_decomposition, optimal_fragmentation,
+                     simple_sum_report, subspace_from_vectors)
 from evolalg.decompose import _restricted_structure
 from evolalg.linalg import Matrix, coordinate_subspace, det
 from support import (FIXED, algebras, all_chains_die, double_loop,
                      entangled_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
-                     shared_loop_target, squares_span_deficient,
-                     swap_pair_plus_loop, two_loops_two_sinks)
+                     shared_loop_target, simplicity_checked,
+                     squares_span_deficient, swap_pair_plus_loop,
+                     two_loops_two_sinks)
 
 
 def test_derived_index_set_golden():
     g = associated_graph(two_loops_two_sinks())
-    assert derived_index_set(g, {4}) == {4}  # a sink derives only itself
-    assert derived_index_set(g, {3}) == {3, 5}
-    assert derived_index_set(g, {2}) == {1, 2}
+    assert g.forward_closure({4}) == {4}  # a sink derives only itself
+    assert g.forward_closure({3}) == {3, 5}
+    assert g.forward_closure({2}) == {1, 2}
     # for a principal cycle C the derived set is D(i) for any i in C
     for cycle in g.principal_cycles():
-        derived = derived_index_set(g, cycle)
+        derived = g.forward_closure(cycle)
         for i in cycle:
             assert derived == g.descendents(i)
     with pytest.raises(IndexError):
-        derived_index_set(g, {9})
+        g.forward_closure({9})
 
 
 def test_canonical_decomposition_golden():
@@ -192,7 +192,7 @@ def test_decomposition_validity_random(field):
         for block in report.blocks:
             product = field.mul(product, block.det)
         assert det(field, a.structure) == product
-        assert is_simple(a, cross_check=True).simple == (
+        assert simplicity_checked(a).simple == (
             len(report.blocks) == 1 and report.blocks[0].simple)
 
 
@@ -208,12 +208,13 @@ def test_graph_and_decomposition_are_computed_once_per_algebra():
 def test_report_does_only_block_dets(monkeypatch):
     import sys
 
+    import evolalg.decompose
     import evolalg.ideals
     import evolalg.linalg
     from evolalg.report import build_report
 
     calls = {"det": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
-             "ascendents": 0, "_rref_rows": 0}
+             "ascendents": 0, "_rref_rows": 0, "_intersection_components": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -236,6 +237,11 @@ def test_report_does_only_block_dets(monkeypatch):
     for name in ("descendents", "ascendents"):
         monkeypatch.setattr(AssociatedGraph, name,
                             counted(name, getattr(AssociatedGraph, name)))
+    # the blocks are the weak components, read off the same pass; the
+    # canonical parts are not fragmented
+    monkeypatch.setattr(evolalg.decompose, "_intersection_components",
+                        counted("_intersection_components",
+                                evolalg.decompose._intersection_components))
 
     rng = make_rng(4321)
     for _ in range(20):
@@ -244,7 +250,8 @@ def test_report_does_only_block_dets(monkeypatch):
             calls[name] = 0
         blocks = build_report(a)["blocks"]
         assert calls == {"det": len(blocks), "is_ideal": 0, "multiply": 0,
-                         "descendents": 0, "ascendents": 0, "_rref_rows": 0}
+                         "descendents": 0, "ascendents": 0, "_rref_rows": 0,
+                         "_intersection_components": 0}
 
 
 SMALL_FIELDS = st.sampled_from([GF(2), GF(3), QQ])
@@ -257,7 +264,7 @@ def test_reach_reason_names_the_first_index_that_misses_an_index(a):
     everything = frozenset(range(1, a.dim + 1))
     short = [k for k in range(1, a.dim + 1) if g.descendents(k) != everything]
     expected = ["D(%d) != Lambda" % short[0]] if short else []
-    reasons = is_simple(a, cross_check=True).reasons
+    reasons = simplicity_checked(a).reasons
     assert [r for r in reasons if r.startswith("D(")] == expected
 
 
@@ -294,7 +301,7 @@ def test_is_simple_golden():
     assert not verdict
     assert verdict.reasons == ("D(1) != Lambda",)
 
-    assert is_simple(pair_cycle_mixing(), cross_check=True)
+    assert simplicity_checked(pair_cycle_mixing())
 
     # a sink forces non-simplicity
     sunk = EvolutionAlgebra.from_squares(QQ, [(0, 1), (0, 0)])
@@ -302,7 +309,7 @@ def test_is_simple_golden():
 
     # everything reaches everything, but the squares span only a plane
     deficient = squares_span_deficient()
-    verdict = is_simple(deficient, cross_check=True)
+    verdict = simplicity_checked(deficient)
     assert not verdict
     assert verdict.reasons == ("det(M_B) == 0",)
 
@@ -339,7 +346,7 @@ def test_simplicity_implies_nondegenerate_and_full_rank():
     rng = make_rng(11223)
     for _ in range(60):
         a = random_algebra(rng, QQ, rng.randrange(1, 6), zero_col_prob=0.15)
-        if is_simple(a, cross_check=True):
+        if simplicity_checked(a):
             assert is_nondegenerate(a)
             from evolalg import rref
             rank, _ = rref(QQ, a.structure)

@@ -5,9 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, Matrix,
-                     PreconditionError, associated_graph, chain_start_indices,
-                     strongly_connected_components, witness_path)
-from support import (FIXED, digraphs, fan_to_swap_pair, graph_core_loop_tail,
+                     PreconditionError, algebra_from_graph, associated_graph,
+                     canonical_decomposition, optimal_fragmentation,
+                     witness_path)
+from support import (FIXED, digraphs, fan_to_swap_pair,
+                     fixpoint_reaches_no_cycle, graph_core_loop_tail,
                      graph_core_triple, graph_core_with_side_loop,
                      graph_cycle_with_entry, graph_fan_swap,
                      lone_loop_plus_sink, loop_with_tail, make_rng,
@@ -126,8 +128,8 @@ def test_cycles_golden_and_scc_cross_check():
     assert loop.cycle_of(1) == {1}
 
     # the components partition the vertices; a non-cyclic vertex is alone
-    assert strongly_connected_components(f) == ({1}, {2, 3, 5}, {4})
-    assert strongly_connected_components(graph_core_loop_tail()) == (
+    assert f.strongly_connected_components() == ({1}, {2, 3, 5}, {4})
+    assert graph_core_loop_tail().strongly_connected_components() == (
         {1}, {2, 3, 6}, {4}, {5})
 
 
@@ -169,7 +171,7 @@ def check_cycle_facts(g):
     D = {i: g.descendents(i) for i in vertices}
     A = {i: g.ascendents(i) for i in vertices}
     mutual = {i: frozenset(j for j in D[i] if i in D[j]) for i in vertices}
-    component_of = {v: c for c in strongly_connected_components(g) for v in c}
+    component_of = {v: c for c in g.strongly_connected_components() for v in c}
     assert set(component_of) == set(vertices)
     for i in vertices:
         assert component_of[i] == mutual[i] | {i}
@@ -202,14 +204,19 @@ def test_cycle_facts_match_pairwise_reachability_on_larger_graphs(g):
 def test_components_of_a_long_path_and_a_long_cycle():
     n = 20000
     path = AssociatedGraph.from_edges(n, [(i, i + 1) for i in range(1, n)])
-    assert strongly_connected_components(path) == tuple(
+    everything = frozenset(range(1, n + 1))
+    assert path.strongly_connected_components() == tuple(
         frozenset({i}) for i in range(1, n + 1))
     assert path.principal_cycles() == ()
     assert not path.is_cyclic_index(n)
+    assert path.weak_components() == (everything,)
+    assert path.reaches_no_cycle() == everything
     cycle = AssociatedGraph.from_edges(n, [(i, i % n + 1) for i in range(1, n + 1)])
-    assert strongly_connected_components(cycle) == (frozenset(range(1, n + 1)),)
-    assert cycle.principal_cycles() == (frozenset(range(1, n + 1)),)
+    assert cycle.strongly_connected_components() == (everything,)
+    assert cycle.principal_cycles() == (everything,)
     assert cycle.is_cyclic_index(n)
+    assert cycle.weak_components() == (everything,)
+    assert cycle.reaches_no_cycle() == frozenset()
 
 
 @FIXED
@@ -224,7 +231,6 @@ def test_forward_closure_is_the_seeds_and_their_descendents(graph_and_seeds):
 def test_chain_start_indices_two_routes_agree():
     f = graph_core_with_side_loop()
     assert f.chain_start_indices() == {1}
-    assert chain_start_indices(f) == {1}
 
     gg = graph_core_loop_tail()
     assert gg.chain_start_indices() == {1}
@@ -233,8 +239,7 @@ def test_chain_start_indices_two_routes_agree():
     assert all_loops.chain_start_indices() == frozenset()
 
     a = two_loops_two_sinks()
-    assert chain_start_indices(a) == {2, 4}
-    assert chain_start_indices(associated_graph(a)) == {2, 4}
+    assert associated_graph(a).chain_start_indices() == {2, 4}
 
     rng = make_rng(654)
     for _ in range(40):
@@ -243,7 +248,7 @@ def test_chain_start_indices_two_routes_agree():
         zero_rows = frozenset(
             i for i in range(1, a.dim + 1)
             if all(QQ.is_zero(x) for x in a.structure.row(i - 1)))
-        assert chain_start_indices(a) == zero_rows == g.chain_start_indices()
+        assert g.chain_start_indices() == zero_rows
 
 
 def test_sinks_golden():
@@ -264,6 +269,46 @@ def test_weak_components_golden():
     assert g.weak_components() == ({1, 2}, {3})
     assert AssociatedGraph.from_edges(3, []).weak_components() == ({1}, {2}, {3})
     assert graph_fan_swap().weak_components() == ({1, 2, 3, 4},)
+
+
+def union_find_weak_components(g):
+    """Components of the underlying undirected graph by a union-find over
+    every edge, sorted by least element: the reference for
+    AssociatedGraph.weak_components."""
+    parent = list(range(g.n + 1))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for i in range(1, g.n + 1):
+        for j in g.out_edges(i):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[rj] = ri
+    groups = {}
+    for i in range(1, g.n + 1):
+        groups.setdefault(find(i), set()).add(i)
+    comps = {min(c): frozenset(c) for c in groups.values()}
+    return tuple(comps[k] for k in sorted(comps))
+
+
+@FIXED
+@given(digraphs(max_n=40))
+def test_weak_components_are_the_fragmented_canonical_parts(g):
+    # the paper's process on the algebra's own cover, and a search over
+    # every edge, must both give the components read off the condensation
+    parts = canonical_decomposition(algebra_from_graph(QQ, g.adjacency_matrix())).parts
+    fragmented = optimal_fragmentation([part.derived for part in parts]).blocks
+    assert g.weak_components() == fragmented == union_find_weak_components(g)
+
+
+@FIXED
+@given(digraphs(max_n=40))
+def test_reaches_no_cycle_is_the_fixpoint(g):
+    assert g.reaches_no_cycle() == fixpoint_reaches_no_cycle(g)
 
 
 def test_witness_path_golden():

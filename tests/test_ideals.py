@@ -11,7 +11,8 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
                      zero_subspace)
 from evolalg import linalg
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
-                     double_loop, loop_feeder, make_rng, pair_cycle_mixing,
+                     double_loop, fixpoint_reaches_no_cycle, loop_feeder,
+                     make_rng, pair_cycle_mixing,
                      random_algebra, random_element, scalars,
                      swap_pair_plus_loop, two_loops_two_sinks,
                      two_sinks_and_pair)
@@ -98,6 +99,13 @@ def test_radical_golden():
     # a sink next to a loop: only the sink dies
     d = EvolutionAlgebra.from_squares(QQ, [(0, 0), (0, 1)])
     assert subspace_equal(radical(d), subspace_from_vectors(QQ, 2, [(1, 0)]))
+
+
+@FIXED
+@given(st.sampled_from([GF(2), GF(3), QQ]).flatmap(algebras))
+def test_radical_is_the_span_of_the_fixpoint(a):
+    expected = fixpoint_reaches_no_cycle(associated_graph(a))
+    assert radical(a) == linalg.coordinate_subspace(a.field, a.dim, expected)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(3)])
