@@ -23,7 +23,7 @@ from .ideals import ideal_generated_by, quotient, radical
 from .linalg import subspace_from_vectors, subspace_equal
 from .oracle import (ClassicalChecks, EnumerationBudget, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
-from .report import build_report, field_json, render_json, render_text, section
+from .report import build_report, field_json, render_json, render_text
 
 
 class _UsageError(Exception):
@@ -162,7 +162,7 @@ def _matrix_rows(field, matrix):
 
 def _cmd_report(args, name):
     algebra = _load_algebra(args)
-    _emit(section(build_report(algebra), name), args.json)
+    _emit(build_report(algebra, name), args.json)
     return 0
 
 

@@ -12,8 +12,9 @@ ASCII digits only.  The matrix entry at row k, column i is the
 coefficient of e_k in e_i^2, i.e. column i spells out e_i^2.  Emission
 is canonical, so parse and emit are mutually inverse byte for byte.
 
-field.parse runs once per distinct token text of a document, whose n^2
-entries repeat few tokens; an invalid one is reported where it first occurs.
+field.parse runs once per distinct token text of a document or basis
+file, whose entries repeat few tokens; an invalid one is reported where it
+first occurs.
 The parsed scalars are canonical, so the algebra is built on them without
 a second coercion.
 """
@@ -58,6 +59,32 @@ def _parse_field_line(line, lineno):
     raise ParseError("expected 'field rational' or 'field prime <p>', got %r" % line, lineno)
 
 
+def _row_parser(field, width, noun, numbered):
+    """A function from (lineno, line) to the line's row of width scalars.
+    All rows it reads share one table from token text to
+    field.parse(token), a pure function of the text, filled with each
+    row's distinct tokens in order of first occurrence.  A wrong count is
+    reported as "expected <width> <noun>", and an invalid scalar by its
+    message, after "entry <k>: " when numbered."""
+    scalars = {}
+
+    def parse_row(lineno, line):
+        tokens = line.split()
+        if len(tokens) != width:
+            raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
+        for token in dict.fromkeys(tokens):
+            if token not in scalars:
+                try:
+                    scalars[token] = field.parse(token)
+                except FieldError as exc:
+                    message = ("entry %d: %s" % (tokens.index(token) + 1, exc) if numbered
+                               else str(exc))
+                    raise ParseError(message, lineno) from None
+        return tuple(map(scalars.__getitem__, tokens))
+
+    return parse_row
+
+
 def parse_document(text, field_override=None) -> EvolutionAlgebra:
     """Parse an algebra document (str or bytes).
 
@@ -98,21 +125,8 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     if line != "matrix":
         raise ParseError("expected 'matrix', got %r" % line, lineno)
 
-    scalars = {}  # token text -> field.parse(token), a pure function of the text
-    rows = []
-    for _ in range(dim):
-        lineno, line = take("a matrix row")
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ParseError("expected %d entries, found %d" % (dim, len(tokens)), lineno)
-        for token in dict.fromkeys(tokens):  # distinct tokens, in order
-            if token not in scalars:
-                try:
-                    scalars[token] = field.parse(token)
-                except FieldError as exc:
-                    raise ParseError("entry %d: %s" % (tokens.index(token) + 1, exc),
-                                     lineno) from None
-        rows.append(tuple(map(scalars.__getitem__, tokens)))
+    parse_row = _row_parser(field, dim, "entries", numbered=True)
+    rows = [parse_row(*take("a matrix row")) for _ in range(dim)]
 
     if cursor != len(lines):
         raise ParseError("unexpected trailing content %r" % lines[cursor][1], lines[cursor][0])
@@ -154,14 +168,7 @@ def parse_vector(field, text, dim: int) -> tuple:
 
 
 def parse_basis_file(field, text, dim: int):
-    """One vector per significant line, whitespace-separated scalars."""
-    vectors = []
-    for lineno, line in _significant_lines(text):
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ParseError("expected %d coordinates, found %d" % (dim, len(tokens)), lineno)
-        try:
-            vectors.append(tuple(field.parse(t) for t in tokens))
-        except FieldError as exc:
-            raise ParseError(str(exc), lineno) from None
-    return vectors
+    """One vector per significant line, whitespace-separated scalars, read
+    through the same distinct-token table as the matrix of a document."""
+    parse_row = _row_parser(field, dim, "coordinates", numbered=False)
+    return [parse_row(lineno, line) for lineno, line in _significant_lines(text)]

@@ -1,5 +1,7 @@
 """Structured analysis report: one dict with a fixed key order, rendered
-as JSON for machines or as an aligned table for people.
+as JSON for machines or as an aligned table for people.  Each key has its
+own producer, and a section (analyze, decompose, simple, radical) runs the
+producers of its keys alone.
 
 The JSON layout is pinned by docs/report.schema.json; identical input
 documents produce identical output bytes.
@@ -12,7 +14,7 @@ import json
 from .algebra import EvolutionAlgebra
 from .decompose import (CHAIN_START, PRINCIPAL_CYCLE, canonical_decomposition,
                         is_simple, optimal_decomposition)
-from .ideals import annihilator, radical
+from .ideals import annihilator, is_nondegenerate, radical
 from .linalg import Subspace
 
 
@@ -27,41 +29,45 @@ def field_json(field):
     return {"kind": "prime", "p": field.p}
 
 
-def build_report(algebra: EvolutionAlgebra) -> dict:
-    canon = canonical_decomposition(algebra)
-    decomp = optimal_decomposition(algebra)
-    simplicity = is_simple(algebra)
+def _blocks(algebra):
     f = algebra.field
-    return {
-        "field": field_json(f),
-        "dim": algebra.dim,
-        "annihilator": _basis_rows(annihilator(algebra)),
-        "radical": _basis_rows(radical(algebra)),
-        "nondegenerate": decomp.algebra_nondegenerate,
-        "chain_start_indices": [min(p.seed) for p in canon.parts if p.kind == CHAIN_START],
-        "principal_cycles": [sorted(p.seed) for p in canon.parts if p.kind == PRINCIPAL_CYCLE],
-        "canonical_parts": [
-            {"kind": part.kind, "seed": sorted(part.seed), "derived": sorted(part.derived)}
-            for part in canon.parts
-        ],
-        "blocks": [
-            {
-                "indices": sorted(block.indices),
-                "nondegenerate": block.nondegenerate,
-                "simple": block.simple,
-                "det": f.format(block.det),
-            }
-            for block in decomp.blocks
-        ],
-        "simple": simplicity.simple,
-        "simple_reasons": list(simplicity.reasons),
-        "optimal_certified": decomp.optimal_certified,
-    }
+    return [
+        {
+            "indices": sorted(block.indices),
+            "nondegenerate": block.nondegenerate,
+            "simple": block.simple,
+            "det": f.format(block.det),
+        }
+        for block in optimal_decomposition(algebra).blocks
+    ]
 
 
-ANALYZE_KEYS = ("field", "dim", "annihilator", "radical", "nondegenerate",
-                "chain_start_indices", "principal_cycles", "canonical_parts",
-                "blocks", "simple", "simple_reasons", "optimal_certified")
+# Each key of the analyze report, in its printed order, mapped to the
+# routine that produces its value from the algebra.  The routines name the
+# library functions at call time, so a function rebound on this module
+# (a tracer, a test) is the one that runs.  Work shared between keys is
+# done once: the invariants they read are memoised per algebra object.
+_PRODUCERS = {
+    "field": lambda a: field_json(a.field),
+    "dim": lambda a: a.dim,
+    "annihilator": lambda a: _basis_rows(annihilator(a)),
+    "radical": lambda a: _basis_rows(radical(a)),
+    "nondegenerate": lambda a: is_nondegenerate(a),
+    "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a).parts
+                                      if p.kind == CHAIN_START],
+    "principal_cycles": lambda a: [sorted(p.seed) for p in canonical_decomposition(a).parts
+                                   if p.kind == PRINCIPAL_CYCLE],
+    "canonical_parts": lambda a: [
+        {"kind": part.kind, "seed": sorted(part.seed), "derived": sorted(part.derived)}
+        for part in canonical_decomposition(a).parts
+    ],
+    "blocks": _blocks,
+    "simple": lambda a: is_simple(a).simple,
+    "simple_reasons": lambda a: list(is_simple(a).reasons),
+    "optimal_certified": lambda a: optimal_decomposition(a).optimal_certified,
+}
+
+ANALYZE_KEYS = tuple(_PRODUCERS)
 
 SECTION_KEYS = {
     "analyze": ANALYZE_KEYS,
@@ -73,8 +79,11 @@ SECTION_KEYS = {
 }
 
 
-def section(report: dict, name: str) -> dict:
-    return {k: report[k] for k in SECTION_KEYS[name]}
+def build_report(algebra: EvolutionAlgebra, name: str = "analyze") -> dict:
+    """The report section name (a key of SECTION_KEYS), computing only the
+    keys it holds: the radical section, for one, runs no det and no
+    canonical decomposition."""
+    return {key: _PRODUCERS[key](algebra) for key in SECTION_KEYS[name]}
 
 
 def render_json(report: dict) -> str:

@@ -279,3 +279,36 @@ def algebras(draw, field, max_dim=6):
     square = st.lists(scalars(field), min_size=n, max_size=n)
     return EvolutionAlgebra.from_squares(
         field, draw(st.lists(square, min_size=n, max_size=n)))
+
+
+@st.composite
+def weighted_digraph_algebras(draw, field):
+    """An algebra over field drawn as weighted edges i -> j (e_j in e_i^2
+    with a nonzero coefficient).  The vertices, relabelled at random, are
+    cut into runs of 1 to 3.  Two times in three a run is closed into a
+    cycle (a loop for a run of one), else it is left an open path; two
+    times in three it gets one edge from an earlier run.  Up to two random
+    edges come on top.  So loops, sinks, chain starts and weak blocks of
+    several strongly connected components, with or without an index on no
+    cycle, are all common."""
+    sizes = draw(st.lists(st.integers(min_value=1, max_value=3), min_size=1, max_size=5))
+    n = sum(sizes)
+    label = draw(st.permutations(range(1, n + 1)))
+    weight = nonzero_scalars(field)
+    often = st.sampled_from((True, True, False))
+    edges = {}
+    start = 0
+    for size in sizes:
+        run = label[start:start + size]
+        closed = draw(often)
+        for k in range(size if closed else size - 1):
+            edges[run[k], run[(k + 1) % size]] = draw(weight)
+        if start and draw(often):
+            edges[label[draw(st.integers(min_value=0, max_value=start - 1))], run[0]] = draw(weight)
+        start += size
+    vertex = st.integers(min_value=1, max_value=n)
+    edges.update(draw(st.dictionaries(st.tuples(vertex, vertex), weight, max_size=2)))
+    squares = [[field.zero] * n for _ in range(n)]
+    for (i, j), w in edges.items():
+        squares[i - 1][j - 1] = w
+    return EvolutionAlgebra.from_squares(field, squares)

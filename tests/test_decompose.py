@@ -16,7 +16,7 @@ from support import (FIXED, algebras, all_chains_die, double_loop,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
                      shared_loop_target, simplicity_checked,
                      squares_span_deficient, swap_pair_plus_loop,
-                     two_loops_two_sinks)
+                     two_loops_two_sinks, weighted_digraph_algebras)
 
 
 def test_derived_index_set_golden():
@@ -196,6 +196,40 @@ def test_decomposition_validity_random(field):
             len(report.blocks) == 1 and report.blocks[0].simple)
 
 
+# dim 4: e1^2 = 2 e2, e2^2 = 3 e1 + e3, e3^2 = 5 e4, e4^2 = e3: the 2-cycles
+# {1, 2} and {3, 4} joined by the edge 2 -> 3, one weak block of two
+# strongly connected components
+def two_cycles_joined_by_an_edge(field):
+    return EvolutionAlgebra.from_squares(field, [
+        (0, 2, 0, 0), (3, 0, 1, 0), (0, 0, 0, 5), (0, 0, 1, 0)])
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)])
+def test_block_det_is_the_product_of_its_component_dets_golden(field):
+    a = two_cycles_joined_by_an_edge(field)
+    assert associated_graph(a).strongly_connected_components() == (
+        frozenset({1, 2}), frozenset({3, 4}))
+    (block,) = optimal_decomposition(a).blocks
+    assert block.indices == {1, 2, 3, 4}
+    # det [[0, 3], [2, 0]] = -6 and det [[0, 1], [5, 0]] = -5
+    assert block.det == field.coerce(30) == det(field, a.structure)
+    assert not block.simple
+    # 1 and 2 reach everything, 3 and 4 only their own cycle
+    assert simplicity_checked(a).reasons == ("D(3) != Lambda",)
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras))
+def test_block_dets_are_the_dets_of_the_blocks(a):
+    # each block det, read off the strongly connected components, equals
+    # one elimination of the block's whole restricted matrix
+    entries = a.structure.entries
+    for block in optimal_decomposition(a).blocks:
+        idx = sorted(block.indices)
+        rows = tuple(tuple(entries[r - 1][c - 1] for c in idx) for r in idx)
+        assert block.det == det(a.field, Matrix(len(idx), len(idx), rows))
+
+
 def test_graph_and_decomposition_are_computed_once_per_algebra():
     a = two_loops_two_sinks()
     assert associated_graph(a) is associated_graph(a)
@@ -244,14 +278,32 @@ def test_report_does_only_block_dets(monkeypatch):
                                 evolalg.decompose._intersection_components))
 
     rng = make_rng(4321)
-    for _ in range(20):
-        a = random_algebra(rng, GF(7), rng.randrange(2, 9))
+    skipped = eliminated = 0
+    for k in range(40):
+        # every other algebra has no zero square, so that blocks with no
+        # acyclic index, which do need dets, occur as well
+        a = random_algebra(rng, GF(7), rng.randrange(2, 9), zero_col_prob=0.25 * (k % 2))
         for name in calls:
             calls[name] = 0
         blocks = build_report(a)["blocks"]
-        assert calls == {"det": len(blocks), "is_ideal": 0, "multiply": 0,
+        # one det per strongly connected component of at least 2 vertices,
+        # in the blocks that hold no acyclic index (a one-vertex component
+        # with no loop); every other block det is a product of loops or 0
+        g = associated_graph(a)
+        components = g.strongly_connected_components()
+        expected = 0
+        for block in blocks:
+            inside = [c for c in components if c <= frozenset(block["indices"])]
+            if all(len(c) > 1 or min(c) in g.out_edges(min(c)) for c in inside):
+                expected += sum(1 for c in inside if len(c) > 1)
+            else:
+                skipped += 1
+        eliminated += expected
+        assert calls == {"det": expected, "is_ideal": 0, "multiply": 0,
                          "descendents": 0, "ascendents": 0, "_rref_rows": 0,
                          "_intersection_components": 0}
+    # the corpus holds both kinds of block
+    assert skipped and eliminated
 
 
 SMALL_FIELDS = st.sampled_from([GF(2), GF(3), QQ])
