@@ -7,13 +7,10 @@ components of the associated graph (every derived set is forward-closed
 and weakly connected), so the blocks are read off the graph; the
 fragmentation stays public as the paper's process on arbitrary covers.
 
-The block dets are read off the graph too.  An edge i -> j is a nonzero
-entry (j, i) of M_B, so with the indices listed in a topological order of
-the graph's condensation M_B is block triangular, one diagonal block per
-strongly connected component.  The det of a weak block is therefore the
-product of the dets of the components inside it: a one-vertex component
-gives its loop coefficient, which is 0 at an index on no cycle, and only a
-component of at least 2 vertices needs an elimination.
+An edge i -> j is a nonzero entry (j, i) of M_B, so a sink of the graph
+is a zero column of its block's restricted matrix and an index that no
+square involves is a zero row.  Either makes the block det 0, and
+linalg.det returns that 0 before any elimination.
 """
 
 from __future__ import annotations
@@ -156,27 +153,6 @@ def _restricted_structure(algebra, indices):
     return Matrix(len(idx), len(idx), rows)
 
 
-def _block_det(algebra, components):
-    """det(M_B) restricted to a weak block, as the product of the dets of
-    the strongly connected components inside it (M_B is block triangular
-    over the condensation).  A one-vertex component contributes its loop
-    coefficient, so a block that holds an index on no cycle (a one-vertex
-    component with no loop) has det 0, found before any elimination; each
-    larger component gets one det of its own restricted matrix."""
-    f = algebra.field
-    squares = algebra._squares  # squares[i - 1][i - 1]: the loop coefficient of i
-    loops = [squares[i - 1][i - 1] for c in components if len(c) == 1 for i in c]
-    if not all(loops):  # canonical scalars: zero iff falsy
-        return f.zero
-    value = f.one
-    for x in loops:
-        value = f.mul(value, x)
-    for c in components:
-        if len(c) > 1:
-            value = f.mul(value, det(f, _restricted_structure(algebra, c)))
-    return value
-
-
 @_memoized
 def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     """One basis-spanned ideal per weak component of the associated graph,
@@ -185,13 +161,6 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     derived set holding its source, and each derived set is weakly
     connected (test_weak_components_are_the_fragmented_canonical_parts).
 
-    Each block det is the product over the strongly connected components
-    inside the block (_block_det): listed in a topological order of the
-    condensation, the block's restricted matrix is block triangular with
-    one diagonal block per component.  A block is simple exactly when it
-    is one component with a nonzero det; a one-vertex component has a
-    nonzero det only through its loop, so it is then cyclic.
-
     The direct sum is always valid; optimality (irreducibility of every
     block, uniqueness) is certified only for non-degenerate algebras.
     Facts true by construction are checked by test_decomposition_validity_random
@@ -199,8 +168,6 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     closed under descendents), distinct blocks are orthogonal (distinct
     basis elements multiply to zero), and det(M_B) is the product of the
     block dets (M_B is block diagonal up to relabelling).
-    test_block_dets_are_the_dets_of_the_blocks holds each block det to one
-    elimination of the whole block.
     """
     f = algebra.field
     n = algebra.dim
@@ -208,17 +175,14 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
         return DecompositionReport((), True, True)
     graph = associated_graph(algebra)
     sinks = graph.sinks()  # the indices whose square vanishes
-    weak = graph.weak_components()
-    block_of = {v: k for k, block in enumerate(weak) for v in block}
-    inside = [[] for _ in weak]
-    for component in graph.strongly_connected_components():
-        inside[block_of[min(component)]].append(component)
     blocks = []
-    for block, components in zip(weak, inside):
+    for block in graph.weak_components():
         ideal = coordinate_subspace(f, n, block)
-        block_det = _block_det(algebra, components)
+        block_det = det(f, _restricted_structure(algebra, block))
         nondeg = block.isdisjoint(sinks)
-        simple = len(components) == 1 and not f.is_zero(block_det)
+        # each i in the block reaches all of it iff it is one cyclic component
+        simple = (not f.is_zero(block_det) and graph.is_cyclic_index(min(block))
+                  and graph.cycle_of(min(block)) == block)
         blocks.append(BlockReport(block, ideal, nondeg, simple, block_det))
     nondeg = all(block.nondegenerate for block in blocks)
     return DecompositionReport(tuple(blocks), nondeg, nondeg)

@@ -230,9 +230,12 @@ def det(field, m: Matrix):
     """Exact determinant of a square m, or zero below full rank: the value
     _echelon returns, which over F_p is the signed product of its pivots
     mod p and over QQ its last Bareiss pivot, signed and divided by the
-    row scales that cleared the denominators."""
+    row scales that cleared the denominators.  A zero row or zero column
+    gives zero with no elimination (a zero scalar is falsy in every field)."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
+    if not all(map(any, m.entries)) or not all(map(any, zip(*m.entries))):
+        return field.zero
     pivots, value = _echelon(field, [list(r) for r in m.entries], m.cols)
     return value if len(pivots) == m.rows else field.zero
 

@@ -220,14 +220,21 @@ def test_block_det_is_the_product_of_its_component_dets_golden(field):
 
 @FIXED
 @given(st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras))
-def test_block_dets_are_the_dets_of_the_blocks(a):
-    # each block det, read off the strongly connected components, equals
-    # one elimination of the block's whole restricted matrix
-    entries = a.structure.entries
+def test_block_dets_are_the_products_of_their_component_dets(a):
+    # listed in a topological order of the condensation, a block's
+    # restricted matrix is block triangular with one diagonal block per
+    # strongly connected component; a one-vertex component gives its loop
+    # coefficient, and a larger one has no zero row or column, so its det
+    # is an elimination.  Blocks with a sink or an index no square involves
+    # get their 0 from det's zero-line test.
+    f = a.field
+    components = associated_graph(a).strongly_connected_components()
     for block in optimal_decomposition(a).blocks:
-        idx = sorted(block.indices)
-        rows = tuple(tuple(entries[r - 1][c - 1] for c in idx) for r in idx)
-        assert block.det == det(a.field, Matrix(len(idx), len(idx), rows))
+        product = f.one
+        for c in components:
+            if c <= block.indices:
+                product = f.mul(product, det(f, _restricted_structure(a, c)))
+        assert block.det == product
 
 
 def test_graph_and_decomposition_are_computed_once_per_algebra():
@@ -247,7 +254,7 @@ def test_report_does_only_block_dets(monkeypatch):
     import evolalg.linalg
     from evolalg.report import build_report
 
-    calls = {"det": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
+    calls = {"det": 0, "_echelon": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
              "ascendents": 0, "_rref_rows": 0, "_intersection_components": 0}
 
     def counted(name, fn):
@@ -277,31 +284,35 @@ def test_report_does_only_block_dets(monkeypatch):
                         counted("_intersection_components",
                                 evolalg.decompose._intersection_components))
 
+    # the elimination det runs when its matrix has no zero row or column
+    monkeypatch.setattr(evolalg.linalg, "_echelon",
+                        counted("_echelon", evolalg.linalg._echelon))
+
     rng = make_rng(4321)
     skipped = eliminated = 0
     for k in range(40):
         # every other algebra has no zero square, so that blocks with no
-        # acyclic index, which do need dets, occur as well
+        # sink and no index outside every square, which need an
+        # elimination, occur as well
         a = random_algebra(rng, GF(7), rng.randrange(2, 9), zero_col_prob=0.25 * (k % 2))
         for name in calls:
             calls[name] = 0
         blocks = build_report(a)["blocks"]
-        # one det per strongly connected component of at least 2 vertices,
-        # in the blocks that hold no acyclic index (a one-vertex component
-        # with no loop); every other block det is a product of loops or 0
+        # one det per block; it eliminates only when the block holds no
+        # sink (a zero column) and every index of the block is in the
+        # square of one (else a zero row)
         g = associated_graph(a)
-        components = g.strongly_connected_components()
         expected = 0
         for block in blocks:
-            inside = [c for c in components if c <= frozenset(block["indices"])]
-            if all(len(c) > 1 or min(c) in g.out_edges(min(c)) for c in inside):
-                expected += sum(1 for c in inside if len(c) > 1)
+            entered = frozenset().union(*(g.out_edges(i) for i in block["indices"]))
+            if g.sinks().isdisjoint(block["indices"]) and entered >= set(block["indices"]):
+                expected += 1
             else:
                 skipped += 1
         eliminated += expected
-        assert calls == {"det": expected, "is_ideal": 0, "multiply": 0,
-                         "descendents": 0, "ascendents": 0, "_rref_rows": 0,
-                         "_intersection_components": 0}
+        assert calls == {"det": len(blocks), "_echelon": expected, "is_ideal": 0,
+                         "multiply": 0, "descendents": 0, "ascendents": 0,
+                         "_rref_rows": 0, "_intersection_components": 0}
     # the corpus holds both kinds of block
     assert skipped and eliminated
 

@@ -233,6 +233,37 @@ def test_det_matches_sympy(field, data):
     assert det(field, m) == from_sympy(field, sympy_matrix(field, rows, n).det())
 
 
+@field_param
+def test_zero_row_or_column_gives_zero_det_with_no_elimination(field, monkeypatch):
+    import evolalg.linalg
+
+    eliminations = []
+
+    def counted(*args):
+        eliminations.append(args)
+        return echelon(*args)
+
+    echelon = evolalg.linalg._echelon
+    monkeypatch.setattr(evolalg.linalg, "_echelon", counted)
+    rng = make_rng(field_ids(field))
+    for k in range(60):
+        n = rng.randrange(1, 6)
+        rows = [[field.coerce(rng.randrange(-9, 10)) if field.kind == "rational"
+                 else rng.randrange(field.p) for _ in range(n)] for _ in range(n)]
+        line = rng.randrange(n)
+        if k % 2:
+            rows[line] = [field.zero] * n
+        else:
+            for row in rows:
+                row[line] = field.zero
+        m = Matrix(n, n, tuple(tuple(r) for r in rows))
+        assert det(field, m) == field.zero == from_sympy(field, sympy_matrix(field, rows, n).det())
+    assert eliminations == []
+    # a matrix with no zero line still eliminates
+    assert det(field, Matrix(2, 2, ((field.zero, field.one), (field.one, field.one)))) == field.neg(field.one)
+    assert len(eliminations) == 1
+
+
 @pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)
 @FIXED
 @given(data=st.data())
