@@ -157,7 +157,7 @@ def _emit(payload: dict, as_json: bool):
 
 
 def _matrix_rows(field, matrix):
-    return [[field.format(x) for x in row] for row in matrix.entries]
+    return [list(map(field.format, row)) for row in matrix.entries]
 
 
 def _cmd_report(args, name):

@@ -196,7 +196,12 @@ def is_simple(algebra: EvolutionAlgebra) -> SimplicityResult:
     rank fullness plus D(i) == Lambda.
     det(M_B) == 0 is read off the block dets of optimal_decomposition, whose
     product it is (test_decomposition_validity_random).  D(i) == Lambda
-    holds just for i in the seed of a sole, principal-cycle canonical part.
+    is read off the condensation of the graph: every vertex is reached
+    from some source component (one that no edge enters from outside),
+    and no vertex outside a source component reaches it.  So the indices
+    that reach everything form the sole source component when that
+    component is cyclic (a principal cycle, not a chain start), and there
+    are none otherwise.
     """
     n = algebra.dim
     f = algebra.field
@@ -205,8 +210,9 @@ def is_simple(algebra: EvolutionAlgebra) -> SimplicityResult:
     reasons = []
     if any(f.is_zero(block.det) for block in optimal_decomposition(algebra).blocks):
         reasons.append("det(M_B) == 0")
-    parts = canonical_decomposition(algebra).parts
-    reach_all = (parts[0].seed if len(parts) == 1 and parts[0].kind == PRINCIPAL_CYCLE
+    graph = associated_graph(algebra)
+    cycles = graph.principal_cycles()
+    reach_all = (cycles[0] if len(cycles) == 1 and not graph.chain_start_indices()
                  else frozenset())
     short = next((i for i in range(1, n + 1) if i not in reach_all), None)
     if short is not None:

@@ -12,11 +12,13 @@ ASCII digits only.  The matrix entry at row k, column i is the
 coefficient of e_k in e_i^2, i.e. column i spells out e_i^2.  Emission
 is canonical, so parse and emit are mutually inverse byte for byte.
 
-field.parse runs once per distinct token text of a document or basis
-file, whose entries repeat few tokens; an invalid one is reported where it
-first occurs.
-The parsed scalars are canonical, so the algebra is built on them without
-a second coercion.
+The rows of a document or basis file repeat few distinct token texts.
+Each is looked up in one table from text to scalar, a dict that calls
+field.parse on a miss and keeps the value, so field.parse runs once per
+distinct token and a row is read by one map over the table's lookup,
+which stays in C on every hit.  An invalid token is reported where it
+first occurs.  The parsed scalars are canonical, so the algebra is built
+on them without a second coercion.
 """
 
 from __future__ import annotations
@@ -59,28 +61,45 @@ def _parse_field_line(line, lineno):
     raise ParseError("expected 'field rational' or 'field prime <p>', got %r" % line, lineno)
 
 
+class _ScalarTable(dict):
+    """Token text -> field.parse(text), a pure function of the text, filled
+    on a miss: the first lookup of a text parses it and stores the value.
+    A text that field.parse refuses is never stored."""
+
+    __slots__ = ("_parse",)
+
+    def __init__(self, parse):
+        super().__init__()
+        self._parse = parse
+
+    def __missing__(self, token):
+        value = self[token] = self._parse(token)
+        return value
+
+
 def _row_parser(field, width, noun, numbered):
     """A function from (lineno, line) to the line's row of width scalars.
-    All rows it reads share one table from token text to
-    field.parse(token), a pure function of the text, filled with each
-    row's distinct tokens in order of first occurrence.  A wrong count is
-    reported as "expected <width> <noun>", and an invalid scalar by its
-    message, after "entry <k>: " when numbered."""
-    scalars = {}
+    All rows it reads share one _ScalarTable, so a row is one lookup per
+    token and field.parse runs once per distinct text, on its first
+    lookup.  A wrong count is reported as "expected <width> <noun>", and
+    an invalid scalar by its message, after "entry <k>: " when numbered,
+    where k is the position of the row's first token the table does not
+    hold: the tokens before it were all stored, and the refused one was
+    not."""
+    table = _ScalarTable(field.parse)
+    lookup = table.__getitem__
 
     def parse_row(lineno, line):
         tokens = line.split()
         if len(tokens) != width:
             raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
-        for token in dict.fromkeys(tokens):
-            if token not in scalars:
-                try:
-                    scalars[token] = field.parse(token)
-                except FieldError as exc:
-                    message = ("entry %d: %s" % (tokens.index(token) + 1, exc) if numbered
-                               else str(exc))
-                    raise ParseError(message, lineno) from None
-        return tuple(map(scalars.__getitem__, tokens))
+        try:
+            return tuple(map(lookup, tokens))
+        except FieldError as exc:
+            if numbered:
+                k = next(k for k, token in enumerate(tokens, 1) if token not in table)
+                raise ParseError("entry %d: %s" % (k, exc), lineno) from None
+            raise ParseError(str(exc), lineno) from None
 
     return parse_row
 
@@ -169,6 +188,6 @@ def parse_vector(field, text, dim: int) -> tuple:
 
 def parse_basis_file(field, text, dim: int):
     """One vector per significant line, whitespace-separated scalars, read
-    through the same distinct-token table as the matrix of a document."""
+    through the same self-filling token table as the matrix of a document."""
     parse_row = _row_parser(field, dim, "coordinates", numbered=False)
     return [parse_row(lineno, line) for lineno, line in _significant_lines(text)]

@@ -175,7 +175,7 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
                else [f.one if c == j else f.zero for c in chosen]
                for j in range(1, n + 1)]
     projection = Matrix(q, n, tuple(zip(*columns)))
-    residues = [_residue(f, rows, algebra.square_of_basis(i)[::-1]) for i in chosen]
+    residues = [_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1]) for i in chosen]
     structure = Matrix(q, q, tuple(zip(*[[r[k] for k in keep] for r in residues])))
     return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, structure),
                                 projection)

@@ -19,7 +19,8 @@ Comp. 22), whose every division is exact.  Entries go back to canonical
 scalars (Fraction over QQ, ints in [0, p) over F_p) only where a reduced
 basis is handed out.  A canonical basis needs no elimination at all:
 Subspace.contains subtracts from v its coordinate at each pivot times
-that pivot's row (_residue) and asks whether anything is left.
+that pivot's row (_residue) and asks whether anything is left; the pivot
+columns are found once per subspace.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down.
 """
@@ -28,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import lcm, prod
 from struct import iter_unpack
 
@@ -240,14 +242,15 @@ def det(field, m: Matrix):
     return value if len(pivots) == m.rows else field.zero
 
 
-def _residue(field, basis, v) -> list:
-    """v minus v[p] b over the rows b of a canonical basis, p the pivot of
-    b, which is zero exactly when v lies in their span: each row is 1 at
-    its own pivot and 0 at every other, so v[p] is its coefficient.  Zero
-    entries are skipped, and over F_p each coordinate is reduced once."""
+def _residue(field, basis, pivots, v) -> list:
+    """v minus v[p] b over the rows b of a canonical basis, p the pivot
+    column of b (pivots lists them in row order), which is zero exactly
+    when v lies in their span: each row is 1 at its own pivot and 0 at
+    every other, so v[p] is its coefficient.  Zero entries are skipped,
+    and over F_p each coordinate is reduced once."""
     out = list(v)
-    for row in basis:
-        c = v[row.index(1)]
+    for col, row in zip(pivots, basis):
+        c = v[col]
         if c:
             out = [x - c * y if y else x for x, y in zip(out, row)]
     if field.kind != "rational":
@@ -286,8 +289,13 @@ class Subspace:
         if len(v) != self.ambient_dim:
             raise DimensionError("vector of length %d in an ambient space of dim %d"
                                  % (len(v), self.ambient_dim))
-        return not any(_residue(self.field, self.basis.entries,
+        return not any(_residue(self.field, self.basis.entries, self._pivots,
                                 [self.field.coerce(x) for x in v]))
+
+    @cached_property
+    def _pivots(self) -> list:
+        """The pivot column of each basis row: its first nonzero entry, a one."""
+        return [row.index(1) for row in self.basis.entries]
 
     def vectors(self):
         """Canonical basis rows."""

@@ -4,23 +4,46 @@ own producer, and a section (analyze, decompose, simple, radical) runs the
 producers of its keys alone.
 
 The JSON layout is pinned by docs/report.schema.json; identical input
-documents produce identical output bytes.
+documents produce identical output bytes.  Those bytes are the ones
+json.dumps(report, indent=2) gives, written by a small recursive writer
+of this module: CPython's C encoder runs only when indent is None, and
+with an indent json falls back to its pure-Python encoder, one generator
+step per value.  The writer hands each list of strings, or of ints, to
+one str.join over the C-level string escaper or int.__repr__, and defers
+to json itself for anything that is not a plain string, int, bool, None,
+list, tuple or dict with string keys.
+
+The annihilator and the radical are spanned by basis vectors, so their
+rows are copied from one template of the texts of zero and one instead
+of formatting each entry.
 """
 
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _encode_str
 
 from .algebra import EvolutionAlgebra
 from .decompose import (CHAIN_START, PRINCIPAL_CYCLE, canonical_decomposition,
                         is_simple, optimal_decomposition)
-from .ideals import annihilator, is_nondegenerate, radical
-from .linalg import Subspace
+from .graph import associated_graph
+from .ideals import is_nondegenerate
 
 
-def _basis_rows(subspace: Subspace):
-    f = subspace.field
-    return [[f.format(x) for x in row] for row in subspace.vectors()]
+def _unit_rows(field, n, indices):
+    """The canonical basis rows, as texts, of the span of the e_i over
+    indices: ideals.annihilator and ideals.radical are these spans of the
+    sinks and of the vertices that reach no cycle.  Each row is copied
+    from one template of format(zero) texts with format(one) at its index,
+    as linalg.coordinate_subspace builds the rows themselves."""
+    zero, one = field.format(field.zero), field.format(field.one)
+    template = [zero] * n
+    rows = []
+    for i in sorted(indices):
+        template[i - 1] = one
+        rows.append(template.copy())
+        template[i - 1] = zero
+    return rows
 
 
 def field_json(field):
@@ -50,8 +73,8 @@ def _blocks(algebra):
 _PRODUCERS = {
     "field": lambda a: field_json(a.field),
     "dim": lambda a: a.dim,
-    "annihilator": lambda a: _basis_rows(annihilator(a)),
-    "radical": lambda a: _basis_rows(radical(a)),
+    "annihilator": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).sinks()),
+    "radical": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).reaches_no_cycle()),
     "nondegenerate": lambda a: is_nondegenerate(a),
     "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a).parts
                                       if p.kind == CHAIN_START],
@@ -86,8 +109,44 @@ def build_report(algebra: EvolutionAlgebra, name: str = "analyze") -> dict:
     return {key: _PRODUCERS[key](algebra) for key in SECTION_KEYS[name]}
 
 
+def _json(value, pad):
+    """json.dumps(value, indent=2) for a value nested at the indentation
+    pad.  Exact types take the fast routes (a bool is not an int here);
+    any other value, and a dict with a key that is not a str, is written
+    by json itself, with every line after its first indented by pad."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is bool:
+        return "true" if value else "false"
+    if value is None:
+        return "null"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = set(map(type, value))
+        if items == {str}:
+            body = map(_encode_str, value)
+        elif items == {int}:
+            body = map(int.__repr__, value)
+        else:
+            body = [_json(item, inner) for item in value]
+        return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
+    if kind is dict and set(map(type, value)) <= {str}:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        body = [_encode_str(key) + ": " + _json(item, inner) for key, item in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def render_json(report: dict) -> str:
-    return json.dumps(report, indent=2) + "\n"
+    """json.dumps(report, indent=2) and a newline, byte for byte."""
+    return _json(report, "") + "\n"
 
 
 def _fmt_value(key, value):

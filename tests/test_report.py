@@ -1,5 +1,7 @@
+import json
 import sys
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -8,7 +10,8 @@ import evolalg.linalg
 from evolalg import GF, QQ, EvolutionAlgebra
 from evolalg.cli import main
 from evolalg.documents import emit_document
-from evolalg.report import ANALYZE_KEYS, SECTION_KEYS, build_report
+from evolalg.ideals import annihilator, radical
+from evolalg.report import ANALYZE_KEYS, SECTION_KEYS, build_report, render_json
 from support import (FIXED, algebras, make_rng, random_algebra,
                      weighted_digraph_algebras)
 
@@ -33,7 +36,11 @@ def test_each_section_is_the_analyze_report_filtered_to_its_keys(a):
         assert sections[name] == {key: full[key] for key in keys}
 
 
-def test_radical_runs_no_det_and_no_canonical_decomposition(monkeypatch, tmp_path, capsys):
+@pytest.fixture
+def counted_calls(monkeypatch):
+    """Counts of the calls to linalg.det and to
+    decompose.canonical_decomposition, through every name the package
+    holds for either, not just one."""
     calls = {"det": 0, "canonical_decomposition": 0}
 
     def counted(name, fn):
@@ -42,13 +49,16 @@ def test_radical_runs_no_det_and_no_canonical_decomposition(monkeypatch, tmp_pat
             return fn(*args, **kwargs)
         return wrapper
 
-    # rebind every name the package holds for the function, not just one
     for name, fn in (("det", evolalg.linalg.det),
                      ("canonical_decomposition", evolalg.decompose.canonical_decomposition)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("evolalg") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
+    return calls
 
+
+def test_radical_runs_no_det_and_no_canonical_decomposition(counted_calls, tmp_path, capsys):
+    calls = counted_calls
     rng = make_rng(8642)
     analyze_dets = 0
     for k in range(30):
@@ -67,3 +77,57 @@ def test_radical_runs_no_det_and_no_canonical_decomposition(monkeypatch, tmp_pat
         calls.update(det=0, canonical_decomposition=0)
     assert analyze_dets
     capsys.readouterr()
+
+
+def test_simple_runs_no_canonical_decomposition(counted_calls, tmp_path, capsys):
+    # the simple verdict reads D(i) == Lambda off the graph's condensation
+    calls = counted_calls
+    rng = make_rng(9753)
+    verdicts = set()
+    for k in range(30):
+        field = (QQ, GF(7))[k % 2]
+        a = random_algebra(rng, field, rng.randrange(1, 9), zero_col_prob=0.2 * (k % 3))
+        doc = tmp_path / ("a%d.alg" % k)
+        doc.write_text(emit_document(a))
+        verdicts.add(build_report(a, "simple")["simple"])
+        for as_json in ((), ("--json",)):
+            assert main(["simple", "--input", str(doc), *as_json]) == 0
+        assert calls["canonical_decomposition"] == 0
+        build_report(a, "decompose")
+        assert calls["canonical_decomposition"] > 0
+        calls.update(det=0, canonical_decomposition=0)
+    assert verdicts == {True, False}
+    capsys.readouterr()
+
+
+def _strings():
+    """Texts that json must escape: quotes, backslashes, control
+    characters, non-ASCII letters and characters outside the BMP."""
+    return st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\U0001f600 ab'))
+
+
+def _json_values():
+    """Nested JSON values; floats and dicts with int keys take the route
+    through json itself."""
+    ints = st.one_of(st.integers(), st.integers(min_value=-10 ** 60, max_value=10 ** 60))
+    leaves = st.one_of(st.none(), st.booleans(), ints, _strings(), st.floats(),
+                       st.lists(_strings()), st.lists(ints), st.lists(st.booleans()))
+    return st.recursive(leaves, lambda children: st.one_of(
+        st.lists(children), st.dictionaries(_strings(), children),
+        st.dictionaries(st.one_of(_strings(), st.integers()), children, max_size=3)),
+        max_leaves=30)
+
+
+@FIXED
+@given(_json_values())
+def test_render_json_is_json_dumps_with_indent_2(value):
+    assert render_json(value) == json.dumps(value, indent=2) + "\n"
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(2), GF(7)]).flatmap(
+    lambda f: st.one_of(algebras(f), weighted_digraph_algebras(f))))
+def test_annihilator_and_radical_rows_format_the_subspaces(a):
+    report = build_report(a, "radical")
+    for key, subspace in (("annihilator", annihilator(a)), ("radical", radical(a))):
+        assert report[key] == [[a.field.format(x) for x in row] for row in subspace.vectors()]
