@@ -20,7 +20,7 @@ from .decompose import (CanonicalDecomposition, DecompositionReport,
 from .errors import (BudgetExceededError, DimensionError, EvolAlgError,
                      FieldError, InternalConsistencyError, ParseError,
                      PreconditionError)
-from .fields import GF, QQ, FieldDescriptor, PrimeField, Rationals, field_from_descriptor
+from .fields import GF, QQ, PrimeField, Rationals
 from .graph import AssociatedGraph, associated_graph, witness_path
 from .ideals import (QuotientPresentation, absorption_preimage, annihilator,
                      has_absorption_property, ideal_closure,

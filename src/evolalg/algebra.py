@@ -20,25 +20,23 @@ class EvolutionAlgebra:
         if structure.rows != structure.cols:
             raise DimensionError("structure matrix must be square, got %dx%d"
                                  % (structure.rows, structure.cols))
-        n = structure.rows
         # every entry is coerced to a canonical Fraction or int in [0, p)
-        self._adopt(field, Matrix(n, n, tuple(tuple(map(field.coerce, row))
-                                              for row in structure.entries)))
+        rows = [tuple(map(field.coerce, row)) for row in structure.entries]
+        self._adopt(field, tuple(zip(*rows)))
 
     @classmethod
-    def _from_canonical(cls, field, structure: Matrix) -> "EvolutionAlgebra":
-        """The algebra of a square structure matrix whose entries already
-        are canonical scalars of field, as parse_document makes them; no
-        entry is coerced again."""
-        return cls.__new__(cls)._adopt(field, structure)
+    def _from_canonical(cls, field, squares: tuple) -> "EvolutionAlgebra":
+        """The algebra of the basis squares, a tuple of n tuples of n
+        entries that already are canonical scalars of field; no entry is
+        coerced again."""
+        return cls.__new__(cls)._adopt(field, squares)
 
-    def _adopt(self, field, structure: Matrix) -> "EvolutionAlgebra":
+    def _adopt(self, field, squares: tuple) -> "EvolutionAlgebra":
         self.field = field
-        self.dim = structure.rows
-        self.structure = structure
-        # column i = coordinates of e_{i+1}^2; kept around because multiply
-        # touches columns constantly
-        self._squares = tuple(zip(*structure.entries))
+        self.dim = len(squares)
+        # the product is held once, as the columns of M_B: _squares[i] is
+        # the coordinate tuple of e_{i+1}^2
+        self._squares = squares
         self._invariants = {}  # filled by functions decorated with _memoized
         return self
 
@@ -49,16 +47,21 @@ class EvolutionAlgebra:
         for v in squares:
             if len(v) != n:
                 raise DimensionError("square with %d coordinates in dimension %d" % (len(v), n))
-        rows = tuple(tuple(squares[i][k] for i in range(n)) for k in range(n))
-        return cls(field, Matrix(n, n, rows))
+        return cls._from_canonical(field, tuple(tuple(map(field.coerce, v)) for v in squares))
+
+    @functools.cached_property
+    def structure(self) -> Matrix:
+        """The structure matrix M_B, entry (k, i) the coefficient of e_k in
+        e_i^2: a dense row-major view of the squares, built on first use."""
+        return Matrix(self.dim, self.dim, tuple(zip(*self._squares)))
 
     def __eq__(self, other):
         return (isinstance(other, EvolutionAlgebra)
                 and self.field == other.field
-                and self.structure == other.structure)
+                and self._squares == other._squares)
 
     def __hash__(self):
-        return hash((self.field, self.structure))
+        return hash((self.field, self._squares))
 
     def __repr__(self):
         return "EvolutionAlgebra(%r, dim=%d)" % (self.field, self.dim)
@@ -138,11 +141,10 @@ def algebra_from_graph(field, adjacency) -> EvolutionAlgebra:
     matrix: adjacency[i][j] truthy means an edge (i+1) -> (j+1), and the
     structure matrix is its transpose over {0, 1}."""
     n = len(adjacency)
-    rows = []
+    one, zero = field.one, field.zero
+    squares = []
     for r in adjacency:
         if len(r) != n:
             raise DimensionError("adjacency matrix must be square")
-        rows.append([bool(x) for x in r])
-    one, zero = field.one, field.zero
-    entries = tuple(tuple(one if rows[i][k] else zero for i in range(n)) for k in range(n))
-    return EvolutionAlgebra(field, Matrix(n, n, entries))
+        squares.append(tuple(one if x else zero for x in r))
+    return EvolutionAlgebra._from_canonical(field, tuple(squares))

@@ -7,10 +7,11 @@ components of the associated graph (every derived set is forward-closed
 and weakly connected), so the blocks are read off the graph; the
 fragmentation stays public as the paper's process on arbitrary covers.
 
-An edge i -> j is a nonzero entry (j, i) of M_B, so a sink of the graph
-is a zero column of its block's restricted matrix and an index that no
-square involves is a zero row.  Either makes the block det 0, and
-linalg.det returns that 0 before any elimination.
+A block det is taken of the block's squares sliced to the block, the
+transpose of its restriction of M_B.  An edge i -> j is a nonzero entry j
+of e_i^2, so a sink of the graph is a zero row of that slice and an index
+that no square involves is a zero column.  Either makes the block det 0,
+and linalg.det returns that 0 before any elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import EvolutionAlgebra, _memoized
 from .errors import PreconditionError
 from .graph import AssociatedGraph, associated_graph
 from .ideals import is_nondegenerate
-from .linalg import Matrix, Subspace, coordinate_subspace, det
+from .linalg import Matrix, det
 
 PRINCIPAL_CYCLE = "principal_cycle"
 CHAIN_START = "chain_start"
@@ -49,7 +50,6 @@ class Fragmentation:
 @dataclass(frozen=True)
 class BlockReport:
     indices: frozenset
-    ideal: Subspace
     nondegenerate: bool
     simple: bool
     det: object
@@ -58,7 +58,6 @@ class BlockReport:
 @dataclass(frozen=True)
 class DecompositionReport:
     blocks: tuple
-    algebra_nondegenerate: bool
     optimal_certified: bool
 
 
@@ -86,17 +85,16 @@ class IrreducibilityResult:
 @_memoized
 def canonical_decomposition(algebra: EvolutionAlgebra) -> CanonicalDecomposition:
     """One derived set per principal cycle and per chain-start index,
-    computed once per algebra object.  For a finite index set these always
-    cover everything (test_canonical_parts_are_forward_closed_and_cover)."""
+    computed once per algebra object.  These seeds are the source
+    components of the graph's condensation, in their order: a cyclic one
+    is a principal cycle, any other is a vertex that no edge enters.  For
+    a finite index set their derived sets always cover everything
+    (test_canonical_parts_are_forward_closed_and_cover)."""
     graph = associated_graph(algebra)
-    parts = []
-    for cycle in graph.principal_cycles():
-        parts.append(CanonicalPart(PRINCIPAL_CYCLE, cycle, graph.forward_closure(cycle)))
-    for i in sorted(graph.chain_start_indices()):
-        parts.append(CanonicalPart(CHAIN_START, frozenset({i}),
-                                   graph.forward_closure({i})))
-    parts.sort(key=lambda part: min(part.seed))
-    return CanonicalDecomposition(tuple(parts))
+    return CanonicalDecomposition(tuple(
+        CanonicalPart(PRINCIPAL_CYCLE if graph.is_cyclic_index(min(seed)) else CHAIN_START,
+                      seed, graph.forward_closure(seed))
+        for seed in graph.source_components()))
 
 
 def _intersection_components(parts):
@@ -138,19 +136,21 @@ def optimal_fragmentation(parts) -> Fragmentation:
 
 
 def _restricted_structure(algebra, indices):
-    """M_B restricted to the rows and columns in indices, a non-empty subset
-    of 1..n: each row is sliced by one itemgetter, which returns a bare
-    entry for a single index, and all n indices give M_B itself."""
-    if len(indices) == algebra.dim:
-        return algebra.structure
+    """The transpose of M_B restricted to the rows and columns in indices, a
+    non-empty subset of 1..n, which has the same det: the squares of the
+    indices, each sliced to them by one itemgetter, which returns a bare
+    entry for a single index; all n indices give the squares themselves."""
+    squares = algebra._squares
+    k = len(indices)
+    if k == algebra.dim:
+        return Matrix(k, k, squares)
     idx = sorted(indices)
-    entries = algebra.structure.entries
     pick = itemgetter(*(c - 1 for c in idx))
-    if len(idx) == 1:
-        rows = ((pick(entries[idx[0] - 1]),),)
+    if k == 1:
+        rows = ((pick(squares[idx[0] - 1]),),)
     else:
-        rows = tuple(pick(entries[r - 1]) for r in idx)
-    return Matrix(len(idx), len(idx), rows)
+        rows = tuple(pick(squares[r - 1]) for r in idx)
+    return Matrix(k, k, rows)
 
 
 @_memoized
@@ -170,22 +170,19 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     block dets (M_B is block diagonal up to relabelling).
     """
     f = algebra.field
-    n = algebra.dim
-    if n == 0:
-        return DecompositionReport((), True, True)
+    if algebra.dim == 0:
+        return DecompositionReport((), True)
     graph = associated_graph(algebra)
     sinks = graph.sinks()  # the indices whose square vanishes
     blocks = []
     for block in graph.weak_components():
-        ideal = coordinate_subspace(f, n, block)
         block_det = det(f, _restricted_structure(algebra, block))
         nondeg = block.isdisjoint(sinks)
         # each i in the block reaches all of it iff it is one cyclic component
         simple = (not f.is_zero(block_det) and graph.is_cyclic_index(min(block))
                   and graph.cycle_of(min(block)) == block)
-        blocks.append(BlockReport(block, ideal, nondeg, simple, block_det))
-    nondeg = all(block.nondegenerate for block in blocks)
-    return DecompositionReport(tuple(blocks), nondeg, nondeg)
+        blocks.append(BlockReport(block, nondeg, simple, block_det))
+    return DecompositionReport(tuple(blocks), all(block.nondegenerate for block in blocks))
 
 
 @_memoized
@@ -211,8 +208,8 @@ def is_simple(algebra: EvolutionAlgebra) -> SimplicityResult:
     if any(f.is_zero(block.det) for block in optimal_decomposition(algebra).blocks):
         reasons.append("det(M_B) == 0")
     graph = associated_graph(algebra)
-    cycles = graph.principal_cycles()
-    reach_all = (cycles[0] if len(cycles) == 1 and not graph.chain_start_indices()
+    sources = graph.source_components()
+    reach_all = (sources[0] if len(sources) == 1 and graph.is_cyclic_index(min(sources[0]))
                  else frozenset())
     short = next((i for i in range(1, n + 1) if i not in reach_all), None)
     if short is not None:

@@ -27,7 +27,6 @@ from .algebra import EvolutionAlgebra
 from .errors import FieldError, ParseError
 from .fields import GF, QQ, parse_integer
 from .graph import AssociatedGraph
-from .linalg import Matrix
 
 
 def _significant_lines(text):
@@ -149,7 +148,7 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
 
     if cursor != len(lines):
         raise ParseError("unexpected trailing content %r" % lines[cursor][1], lines[cursor][0])
-    return EvolutionAlgebra._from_canonical(field, Matrix(dim, dim, tuple(rows)))
+    return EvolutionAlgebra._from_canonical(field, tuple(zip(*rows)))
 
 
 def emit_document(algebra: EvolutionAlgebra) -> str:

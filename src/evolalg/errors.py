@@ -6,7 +6,7 @@ class EvolAlgError(Exception):
 
 
 class FieldError(EvolAlgError, ValueError):
-    """Invalid scalar, field descriptor, or modulus."""
+    """Invalid scalar or modulus."""
 
 
 class DimensionError(EvolAlgError, ValueError):

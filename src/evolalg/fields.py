@@ -60,32 +60,6 @@ def parse_integer(text: str) -> int:
     return int(text)
 
 
-def _check_modulus_range(p: int) -> None:
-    """Refuse a modulus that is_prime cannot decide exactly."""
-    if p >= MODULUS_BOUND:
-        raise FieldError("modulus %d is too large: prime fields need p < %d"
-                         % (p, MODULUS_BOUND))
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
-    """Serializable identity of a field: kind 'rational' or 'prime' (with p)."""
-
-    kind: str
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.kind == "rational":
-            if self.p is not None:
-                raise FieldError("rational field takes no modulus")
-        elif self.kind == "prime":
-            if self.p is None or not is_prime(self.p):
-                raise FieldError("prime field needs a prime modulus, got %r" % (self.p,))
-            _check_modulus_range(self.p)
-        else:
-            raise FieldError("unknown field kind %r" % (self.kind,))
-
-
 def _split_scalar(text: str):
     """(numerator, denominator or None) of a scalar text.  A text of ASCII
     digits alone, the common matrix entry, is read by int() directly; any
@@ -115,10 +89,6 @@ class Rationals:
     kind = "rational"
     zero = Fraction(0)
     one = Fraction(1)
-
-    @property
-    def descriptor(self) -> FieldDescriptor:
-        return FieldDescriptor("rational")
 
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
@@ -174,15 +144,14 @@ class PrimeField:
     def __post_init__(self):
         if not is_prime(self.p):
             raise FieldError("%r is not prime" % (self.p,))
-        _check_modulus_range(self.p)
+        # a modulus that is_prime cannot decide exactly
+        if self.p >= MODULUS_BOUND:
+            raise FieldError("modulus %d is too large: prime fields need p < %d"
+                             % (self.p, MODULUS_BOUND))
 
     @property
     def one(self):
         return 1 % self.p
-
-    @property
-    def descriptor(self) -> FieldDescriptor:
-        return FieldDescriptor("prime", self.p)
 
     def coerce(self, value) -> int:
         if isinstance(value, bool):
@@ -238,9 +207,3 @@ QQ = Rationals()
 
 def GF(p: int) -> PrimeField:
     return PrimeField(p)
-
-
-def field_from_descriptor(descriptor: FieldDescriptor):
-    if descriptor.kind == "rational":
-        return QQ
-    return PrimeField(descriptor.p)

@@ -126,14 +126,15 @@ class AssociatedGraph:
     def _condensation(self):
         """(components sorted by least element, the component of each
         vertex as a list indexed by vertex, the components no edge enters
-        from outside, the weak components sorted by least element, the
-        vertices from which no path reaches a cycle), from one iterative
-        Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2)) on lists indexed by
-        vertex and one walk over its components.  index[v] is 0 until v is
-        visited and component_of[v] is None until its component is
-        complete, so w is still on the stack iff it is visited and has no
-        component yet; a finished component is cut off the stack at the
-        position where its root was pushed.
+        from outside sorted by least element, the weak components sorted
+        by least element, the vertices from which no path reaches a
+        cycle), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
+        Comput. 1(2)) on lists indexed by vertex and one walk over its
+        components.  index[v] is 0 until v is visited and component_of[v]
+        is None until its component is complete, so w is still on the
+        stack iff it is visited and has no component yet; a finished
+        component is cut off the stack at the position where its root was
+        pushed.
 
         Tarjan completes a component only after every component it
         reaches, so the walk, in completion order, meets each component
@@ -199,7 +200,8 @@ class AssociatedGraph:
         groups = {id(group): group for group in weak.values()}.values()
         no_cycle = frozenset().union(*(c for c in components if c not in reaching))
         components.sort(key=min)
-        self._scc = (tuple(components), component_of, frozenset(components) - entered,
+        self._scc = (tuple(components), component_of,
+                     tuple(c for c in components if c not in entered),
                      tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
                      no_cycle)
         return self._scc
@@ -220,14 +222,19 @@ class AssociatedGraph:
     def is_principal_cyclic(self, i: int) -> bool:
         """True when no edge enters the cycle of the cyclic index i from
         outside, i.e. every ascendent of i already sits in its cycle."""
-        return self.cycle_of(i) in self._condensation()[2]
+        return self.cycle_of(i) in self.source_components()
+
+    def source_components(self):
+        """The strongly connected components that no edge enters from
+        outside, sorted by least element: every vertex is reached from one
+        of them.  The cyclic ones are the principal cycles, and each other
+        one is a single vertex that no edge enters, a chain start."""
+        return self._condensation()[2]
 
     def principal_cycles(self):
         """The cyclic components that no edge enters from outside, pairwise
         disjoint, sorted by least element."""
-        components, _, sources, _, _ = self._condensation()
-        return tuple(c for c in components
-                     if c in sources and self.is_cyclic_index(min(c)))
+        return tuple(c for c in self.source_components() if self.is_cyclic_index(min(c)))
 
     def chain_start_indices(self) -> frozenset:
         """Vertices with no incoming edge, i.e. no ascendents (sources)."""
@@ -256,10 +263,10 @@ class AssociatedGraph:
 
 @_memoized
 def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
-    """Edge i -> j present exactly when the structure entry (j, i) is
-    nonzero; built once per algebra object.  The entries are canonical
-    (EvolutionAlgebra.__init__), so nonzero iff truthy, and compress picks
-    the targets of each column out of 1..n; they lie in range by
+    """Edge i -> j present exactly when entry j of e_i^2 is nonzero; built
+    once per algebra object.  The entries are canonical (every constructor
+    of EvolutionAlgebra makes them so), so nonzero iff truthy, and compress
+    picks the targets of each square out of 1..n; they lie in range by
     construction, so the graph is built without the public check."""
     vertices = range(1, algebra.dim + 1)
     return AssociatedGraph._from_frozensets(
@@ -300,5 +307,5 @@ def witness_path(algebra: EvolutionAlgebra, i: int, j: int):
     f = algebra.field
     weight = f.one
     for a, b in zip(path, path[1:]):
-        weight = f.mul(weight, algebra.structure.entries[b - 1][a - 1])
+        weight = f.mul(weight, algebra._squares[a - 1][b - 1])
     return tuple(path), weight

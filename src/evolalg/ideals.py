@@ -176,6 +176,6 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
                for j in range(1, n + 1)]
     projection = Matrix(q, n, tuple(zip(*columns)))
     residues = [_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1]) for i in chosen]
-    structure = Matrix(q, q, tuple(zip(*[[r[k] for k in keep] for r in residues])))
-    return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, structure),
+    squares = tuple(tuple(r[k] for k in keep) for r in residues)
+    return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, squares),
                                 projection)

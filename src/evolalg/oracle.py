@@ -127,7 +127,7 @@ def simple_oracle(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT
     """Nonzero product and no ideal strictly between 0 and the whole space."""
     _require_enumerable(algebra, budget)
     f = algebra.field
-    square_nonzero = any(not f.is_zero(x) for row in algebra.structure.entries for x in row)
+    square_nonzero = any(not f.is_zero(x) for square in algebra._squares for x in square)
     if not square_nonzero:
         return False
     if ideals is None:

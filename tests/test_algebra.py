@@ -1,24 +1,61 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      Matrix, algebra_from_graph, associated_graph,
                      power_associativity_witnesses)
-from support import (fan_to_swap_pair, make_rng, random_algebra,
+from evolalg.documents import emit_document, parse_document
+from support import (FIXED, fan_to_swap_pair, make_rng, random_algebra,
                      random_element, swap_pair_plus_loop, two_sinks_and_pair)
 
 
-def test_construction_from_matrix_and_from_squares_agree():
-    # e1^2 = e2+e3, e2^2 = 0, e3^2 = -2 e4, e4^2 = 5 e3: row k, column i is
-    # the coefficient of e_k in e_i^2
-    rows = [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 5], [0, 0, -2, 0]]
-    a = EvolutionAlgebra(QQ, Matrix.from_rows([[QQ.coerce(x) for x in r] for r in rows]))
-    assert a == fan_to_swap_pair()
-    assert a.square_of_basis(1) == a.element((0, 1, 1, 0))
-    assert a.square_of_basis(2) == a.zero_element()
-    assert a.square_of_basis(3) == a.element((0, 0, 0, -2))
-    assert a.square_of_basis(4) == a.element((0, 0, 5, 0))
+def loose_scalars(field):
+    """Entries that field.coerce turns into canonical scalars: ints, negative
+    ones too, Fractions and the texts of both.  The denominators are units
+    in every field used here."""
+    ints = st.integers(min_value=-30, max_value=30)
+    dens = st.sampled_from((1, 2, 3, 5) if field.kind == "rational" else (1, 3, 5))
+    fractions = st.builds(Fraction, ints, dens)
+    return st.one_of(ints, fractions, ints.map(str), ints.map("%+d".__mod__),
+                     fractions.map(str))
+
+
+@st.composite
+def loose_matrices(draw, field):
+    """A field and an n x n list of rows, 1 <= n <= 5, of loose scalars."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    row = st.lists(loose_scalars(field), min_size=n, max_size=n)
+    return field, draw(st.lists(row, min_size=n, max_size=n))
+
+
+def same_algebra(a, b):
+    return a == b and hash(a) == hash(b)
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(2), GF(7)]).flatmap(loose_matrices))
+# e1^2 = e2+e3, e2^2 = 0, e3^2 = -2 e4, e4^2 = 5 e3: row k, column i is
+# the coefficient of e_k in e_i^2
+@example((QQ, [[0, 0, 0, 0], [1, 0, 0, 0], [1, 0, 0, 5], [0, 0, -2, 0]]))
+def test_construction_from_matrix_and_from_squares_agree(case):
+    field, rows = case
+    n = len(rows)
+    canonical = tuple(tuple(map(field.coerce, row)) for row in rows)
+    a = EvolutionAlgebra(field, Matrix.from_rows(rows))
+    assert same_algebra(a, EvolutionAlgebra.from_squares(field, list(zip(*rows))))
+    assert same_algebra(a, parse_document(emit_document(a)))
+    assert a.structure == Matrix(n, n, canonical)
+    for i in range(1, n + 1):
+        assert a.square_of_basis(i) == tuple(row[i - 1] for row in canonical)
+    # the graph's 0/1 adjacency matrix: row i is the support of e_i^2
+    adjacency = [[1 if x else 0 for x in square] for square in zip(*canonical)]
+    g = algebra_from_graph(field, adjacency)
+    assert same_algebra(g, EvolutionAlgebra.from_squares(field, adjacency))
+    assert same_algebra(g, EvolutionAlgebra(field, Matrix.from_rows(zip(*adjacency))))
+    assert same_algebra(g, parse_document(emit_document(g)))
 
 
 def test_construction_rejects_bad_shapes_and_scalars():

@@ -3,14 +3,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
-                     PreconditionError, associated_graph,
+                     PreconditionError, algebra_from_graph, associated_graph,
                      canonical_decomposition, is_fragmentable, is_ideal,
                      is_irreducible, is_nondegenerate, is_simple,
                      optimal_decomposition, optimal_fragmentation,
                      simple_sum_report, subspace_from_vectors)
-from evolalg.decompose import _restricted_structure
+from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
+                               _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
-from support import (FIXED, algebras, all_chains_die, double_loop,
+from support import (FIXED, algebras, all_chains_die, digraphs, double_loop,
                      entangled_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
@@ -49,7 +50,6 @@ def test_canonical_decomposition_golden():
     assert canon.parts[0].derived == {1, 2, 3}
 
     # an entry vertex and a side loop produce two overlapping parts
-    from evolalg import algebra_from_graph
     side = algebra_from_graph(QQ, graph_core_with_side_loop().adjacency_matrix())
     canon = canonical_decomposition(side)
     described = {(p.kind, frozenset(p.seed), frozenset(p.derived)) for p in canon.parts}
@@ -71,6 +71,23 @@ def test_canonical_parts_are_forward_closed_and_cover():
             for i in part.derived:
                 assert g.descendents(i) <= part.derived
         assert covered == set(range(1, a.dim + 1))
+
+
+@FIXED
+@given(st.one_of(
+    st.sampled_from([QQ, GF(2)]).flatmap(
+        lambda f: digraphs().map(lambda g: algebra_from_graph(f, g.adjacency_matrix()))),
+    st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras)))
+def test_canonical_parts_are_the_principal_cycles_and_the_chain_starts(a):
+    # the parts come from the source components of the condensation; build
+    # them from principal_cycles() and chain_start_indices() instead
+    g = associated_graph(a)
+    parts = [CanonicalPart(PRINCIPAL_CYCLE, cycle, g.forward_closure(cycle))
+             for cycle in g.principal_cycles()]
+    parts += [CanonicalPart(CHAIN_START, frozenset({i}), g.forward_closure({i}))
+              for i in sorted(g.chain_start_indices())]
+    parts.sort(key=lambda part: min(part.seed))
+    assert canonical_decomposition(a).parts == tuple(parts)
 
 
 def test_is_fragmentable_golden():
@@ -111,7 +128,7 @@ def test_optimal_decomposition_golden():
     a = swap_pair_plus_loop()
     report = optimal_decomposition(a)
     assert [set(b.indices) for b in report.blocks] == [{1, 2}, {3}]
-    assert report.optimal_certified and report.algebra_nondegenerate
+    assert report.optimal_certified and is_nondegenerate(a)
     assert all(b.simple for b in report.blocks)
 
     b = two_loops_two_sinks()
@@ -155,12 +172,15 @@ def test_block_slices_and_ideals_golden(field):
         entries = algebra.structure.entries
         for block in optimal_decomposition(algebra).blocks:
             idx = sorted(block.indices)
+            m = len(idx)
+            # the slice of the block's squares is the transpose of its row
+            # slice, so it has the same det
+            squares = tuple(tuple(algebra.square_of_basis(c)[r - 1] for r in idx) for c in idx)
+            assert _restricted_structure(algebra, block.indices) == Matrix(m, m, squares)
             rows = tuple(tuple(entries[r - 1][c - 1] for c in idx) for r in idx)
-            assert _restricted_structure(algebra, block.indices) == Matrix(len(idx), len(idx), rows)
-            assert block.det == det(field, Matrix(len(idx), len(idx), rows))
-            assert block.ideal == coordinate_subspace(field, n, idx)
+            assert block.det == det(field, Matrix(m, m, rows))
             units = [[1 if k == i else 0 for k in range(1, n + 1)] for i in idx]
-            assert block.ideal == subspace_from_vectors(field, n, units)
+            assert coordinate_subspace(field, n, idx) == subspace_from_vectors(field, n, units)
     assert [blk.det for blk in report.blocks] == [field.coerce(x) for x in (-6, -5, -4)]
     assert optimal_decomposition(b).blocks[0].det == det(field, b.structure)
 
@@ -176,10 +196,11 @@ def test_decomposition_validity_random(field):
         for block in report.blocks:
             assert not (block.indices & seen)
             seen |= block.indices
-            assert is_ideal(a, block.ideal)
+            ideal = coordinate_subspace(field, a.dim, block.indices)
+            assert is_ideal(a, ideal)
             # block ideals are spanned by standard basis vectors
-            assert block.ideal.dim == len(block.indices)
-            for row in block.ideal.vectors():
+            assert ideal.dim == len(block.indices)
+            for row in ideal.vectors():
                 assert sum(1 for x in row if not field.is_zero(x)) == 1
             assert block.nondegenerate == all(
                 any(not field.is_zero(x) for x in a.square_of_basis(i))

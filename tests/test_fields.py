@@ -6,7 +6,7 @@ import sympy
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evolalg import GF, QQ, FieldDescriptor, FieldError, field_from_descriptor
+from evolalg import GF, QQ, FieldError
 from evolalg import fields
 from evolalg.fields import _SCALAR_RE, MODULUS_BOUND, is_prime
 from support import FIXED
@@ -94,17 +94,6 @@ def test_prime_field_coerce_reduces_fractions():
         f.coerce(Fraction(1, 3))
 
 
-def test_field_descriptor_round_trip():
-    assert field_from_descriptor(QQ.descriptor) == QQ
-    assert field_from_descriptor(GF(7).descriptor) == GF(7)
-    with pytest.raises(FieldError):
-        FieldDescriptor("prime", 8)
-    with pytest.raises(FieldError):
-        FieldDescriptor("rational", 5)
-    with pytest.raises(FieldError):
-        FieldDescriptor("complex")
-
-
 @FIXED
 @given(st.integers(min_value=-10, max_value=10 ** 6))
 def test_is_prime_matches_trial_division_below_a_million(n):
@@ -136,8 +125,6 @@ def test_modulus_range():
     too_large = sympy.nextprime(MODULUS_BOUND)
     with pytest.raises(FieldError, match="too large"):
         GF(too_large)
-    with pytest.raises(FieldError, match="too large"):
-        FieldDescriptor("prime", too_large)
     # the bound itself is a strong pseudoprime to every base is_prime uses
     with pytest.raises(FieldError):
         GF(MODULUS_BOUND)

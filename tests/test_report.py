@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import evolalg.cli
 import evolalg.decompose
 import evolalg.linalg
 from evolalg import GF, QQ, EvolutionAlgebra
 from evolalg.cli import main
-from evolalg.documents import emit_document
+from evolalg.documents import emit_document, parse_document
 from evolalg.ideals import annihilator, radical
 from evolalg.report import ANALYZE_KEYS, SECTION_KEYS, build_report, render_json
 from support import (FIXED, algebras, make_rng, random_algebra,
@@ -38,10 +39,10 @@ def test_each_section_is_the_analyze_report_filtered_to_its_keys(a):
 
 @pytest.fixture
 def counted_calls(monkeypatch):
-    """Counts of the calls to linalg.det and to
-    decompose.canonical_decomposition, through every name the package
-    holds for either, not just one."""
-    calls = {"det": 0, "canonical_decomposition": 0}
+    """Counts of the calls to linalg.det, to
+    decompose.canonical_decomposition and to linalg.coordinate_subspace,
+    through every name the package holds for each, not just one."""
+    calls = {"det": 0, "canonical_decomposition": 0, "coordinate_subspace": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -50,7 +51,8 @@ def counted_calls(monkeypatch):
         return wrapper
 
     for name, fn in (("det", evolalg.linalg.det),
-                     ("canonical_decomposition", evolalg.decompose.canonical_decomposition)):
+                     ("canonical_decomposition", evolalg.decompose.canonical_decomposition),
+                     ("coordinate_subspace", evolalg.linalg.coordinate_subspace)):
         for module_name, module in list(sys.modules.items()):
             if module_name.startswith("evolalg") and getattr(module, name, None) is fn:
                 monkeypatch.setattr(module, name, counted(name, fn))
@@ -69,7 +71,7 @@ def test_radical_runs_no_det_and_no_canonical_decomposition(counted_calls, tmp_p
         build_report(a, "radical")
         for as_json in ((), ("--json",)):
             assert main(["radical", "--input", str(doc), *as_json]) == 0
-        assert calls == {"det": 0, "canonical_decomposition": 0}
+        assert calls == {"det": 0, "canonical_decomposition": 0, "coordinate_subspace": 0}
         # the counters do see both: the analyze section runs them
         build_report(a)
         assert calls["canonical_decomposition"] > 0
@@ -97,6 +99,42 @@ def test_simple_runs_no_canonical_decomposition(counted_calls, tmp_path, capsys)
         assert calls["canonical_decomposition"] > 0
         calls.update(det=0, canonical_decomposition=0)
     assert verdicts == {True, False}
+    capsys.readouterr()
+
+
+def test_reports_build_no_coordinate_subspace_and_no_structure_view(
+        counted_calls, monkeypatch, tmp_path, capsys):
+    # blocks are index sets and block dets slice the squares, so no section
+    # writes a basis-spanned ideal down or makes the row-major structure
+    calls = counted_calls
+    parsed = []
+
+    def recorded(*args, **kwargs):
+        algebra = parse_document(*args, **kwargs)
+        parsed.append(algebra)
+        return algebra
+
+    monkeypatch.setattr(evolalg.cli, "parse_document", recorded)
+    rng = make_rng(4217)
+    for k in range(30):
+        field = (QQ, GF(7))[k % 2]
+        text = emit_document(random_algebra(rng, field, rng.randrange(1, 9),
+                                            zero_col_prob=0.2 * (k % 3)))
+        doc = tmp_path / ("a%d.alg" % k)
+        doc.write_text(text)
+        for name in SECTION_KEYS:
+            a = parse_document(text)
+            build_report(a, name)
+            assert "structure" not in vars(a)
+            for as_json in ((), ("--json",)):
+                assert main([name, "--input", str(doc), *as_json]) == 0
+        assert calls["coordinate_subspace"] == 0
+        assert len(parsed) == 8 and not any("structure" in vars(b) for b in parsed)
+        parsed.clear()
+    # the counter does see coordinate_subspace, and structure is a view
+    radical(a)
+    assert calls["coordinate_subspace"] > 0
+    assert a.structure is vars(a)["structure"]
     capsys.readouterr()
 
 
