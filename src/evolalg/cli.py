@@ -3,6 +3,11 @@
 Subcommands: analyze, decompose, simple, radical, ideal, graph, quotient,
 oracle.  Exit codes: 0 success, 1 parse/validation/usage error, 2 internal
 consistency failure (a bug surfaced by a cross-check, never user input).
+
+main parses the flags, loads the algebra and calls the subcommand's
+handler from _COMMANDS; each handler writes its output through _emit (the
+graph's DOT aside).  Every exit 2 leaves through one route: a handler, or
+the library below it, raises InternalConsistencyError and main prints it.
 """
 
 from __future__ import annotations
@@ -23,7 +28,8 @@ from .ideals import ideal_generated_by, quotient, radical
 from .linalg import subspace_from_vectors, subspace_equal
 from .oracle import (ClassicalChecks, EnumerationBudget, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
-from .report import build_report, field_json, render_json, render_text
+from .report import (_braces, _brackets, _yesno, build_report, field_json,
+                     render_json, render_table, render_text)
 
 
 class _UsageError(Exception):
@@ -31,8 +37,9 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    # exit 2 is reserved for internal consistency failures, so usage errors
-    # must leave through code 1 instead of argparse's default 2
+    # exit 2 is reserved for a cross-check that caught the library
+    # disagreeing with itself, so usage errors must leave through code 1
+    # instead of argparse's default 2
     def error(self, message):
         raise _UsageError(message)
 
@@ -69,16 +76,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--json", action="store_true",
                        help="machine-readable output")
 
-    for name, blurb in (
-        ("analyze", "full report: invariants, decomposition, simplicity"),
-        ("decompose", "canonical parts, fragmentation blocks, certification"),
-        ("simple", "simplicity verdict with reason codes"),
-        ("radical", "annihilator, absorption radical, non-degeneracy"),
-        ("ideal", "basis and dimension of the ideal generated by a vector"),
-        ("graph", "DOT export of the associated graph"),
-        ("quotient", "quotient algebra by an ideal given through a basis file"),
-        ("oracle", "brute-force cross-checks over a prime field"),
-    ):
+    for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         common(p)
         if name == "ideal":
@@ -145,29 +143,22 @@ def _field_override(args):
         raise _UsageError(str(exc))
 
 
-def _load_algebra(args):
-    return parse_document(_read_text(args.input), field_override=_field_override(args))
-
-
-def _emit(payload: dict, as_json: bool):
-    if as_json:
-        sys.stdout.write(render_json(payload))
-    else:
-        sys.stdout.write(render_text(payload))
+def _emit(args, payload: dict, text):
+    """Write payload as JSON under --json, else the text that the
+    zero-argument callable text builds; --json builds no text."""
+    sys.stdout.write(render_json(payload) if args.json else text())
 
 
 def _matrix_rows(field, matrix):
     return [list(map(field.format, row)) for row in matrix.entries]
 
 
-def _cmd_report(args, name):
-    algebra = _load_algebra(args)
-    _emit(build_report(algebra, name), args.json)
-    return 0
+def _cmd_report(args, algebra):
+    report = build_report(algebra, args.command)
+    _emit(args, report, lambda: render_text(report))
 
 
-def _cmd_ideal(args):
-    algebra = _load_algebra(args)
+def _cmd_ideal(args, algebra):
     vector = parse_vector(algebra.field, args.vector, algebra.dim)
     span = ideal_generated_by(algebra, vector)
     payload = {
@@ -177,30 +168,21 @@ def _cmd_ideal(args):
         "ideal_dim": span.dim,
         "ideal_basis": _matrix_rows(algebra.field, span.basis),
     }
-    if args.json:
-        sys.stdout.write(render_json(payload))
-    else:
-        lines = ["vector      [%s]" % " ".join(payload["vector"]),
-                 "ideal dim   %d" % span.dim]
-        for row in payload["ideal_basis"]:
-            lines.append("basis       [%s]" % " ".join(row))
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    _emit(args, payload, lambda: render_table(
+        [("vector", _brackets(payload["vector"])), ("ideal dim", str(span.dim))]
+        + [("basis", _brackets(row)) for row in payload["ideal_basis"]], 10))
 
 
-def _cmd_graph(args):
-    algebra = _load_algebra(args)
+def _cmd_graph(args, algebra):
     text = export_dot(associated_graph(algebra))
     if args.dot:
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _cmd_quotient(args):
-    algebra = _load_algebra(args)
+def _cmd_quotient(args, algebra):
     vectors = parse_basis_file(algebra.field, _read_text(args.ideal_basis), algebra.dim)
     ideal = subspace_from_vectors(algebra.field, algebra.dim, vectors)
     presentation = quotient(algebra, ideal)
@@ -214,22 +196,15 @@ def _cmd_quotient(args):
         "quotient_structure": _matrix_rows(f, presentation.quotient.structure),
         "projection": _matrix_rows(f, presentation.projection),
     }
-    if args.json:
-        sys.stdout.write(render_json(payload))
-    else:
-        lines = ["ideal dim     %d" % ideal.dim,
-                 "quotient dim  %d" % presentation.quotient.dim,
-                 "chosen        {%s}" % ", ".join(str(i) for i in presentation.chosen)]
-        for row in payload["quotient_structure"]:
-            lines.append("structure     [%s]" % " ".join(row))
-        for row in payload["projection"]:
-            lines.append("projection    [%s]" % " ".join(row))
-        sys.stdout.write("\n".join(lines) + "\n")
-    return 0
+    _emit(args, payload, lambda: render_table(
+        [("ideal dim", str(ideal.dim)),
+         ("quotient dim", str(presentation.quotient.dim)),
+         ("chosen", _braces(presentation.chosen))]
+        + [("structure", _brackets(row)) for row in payload["quotient_structure"]]
+        + [("projection", _brackets(row)) for row in payload["projection"]], 12))
 
 
-def _cmd_oracle(args):
-    algebra = _load_algebra(args)
+def _cmd_oracle(args, algebra):
     budget = EnumerationBudget(max_vectors=args.max_vectors)
     ideals = enumerate_ideals(algebra, budget)
     fast_radical = radical(algebra)
@@ -237,6 +212,7 @@ def _cmd_oracle(args):
     radical_match = subspace_equal(fast_radical, slow_radical)
     fast_simple = bool(is_simple(algebra))
     slow_simple = simple_oracle(algebra, budget, ideals=ideals)
+    simple_match = fast_simple == slow_simple
     checks: ClassicalChecks = classical_checks(algebra, budget, ideals=ideals)
     payload = {
         "field": field_json(algebra.field),
@@ -244,25 +220,31 @@ def _cmd_oracle(args):
         "ideal_count": len(ideals),
         "radical_match": radical_match,
         "simple": fast_simple,
-        "simple_match": fast_simple == slow_simple,
+        "simple_match": simple_match,
         "semiprime": checks.semiprime,
         "classically_nondegenerate": checks.classically_nondegenerate,
     }
-    if args.json:
-        sys.stdout.write(render_json(payload))
-    else:
-        lines = ["ideals enumerated           %d" % payload["ideal_count"],
-                 "radical matches oracle      %s" % ("yes" if radical_match else "NO"),
-                 "simple matches oracle       %s" % ("yes" if payload["simple_match"] else "NO"),
-                 "semiprime                   %s" % ("yes" if checks.semiprime else "no"),
-                 "classically nondegenerate   %s"
-                 % ("yes" if checks.classically_nondegenerate else "no")]
-        sys.stdout.write("\n".join(lines) + "\n")
-    if not (radical_match and payload["simple_match"]):
-        print("internal consistency failure: fast path disagrees with the oracle",
-              file=sys.stderr)
-        return 2
-    return 0
+    _emit(args, payload, lambda: render_table([
+        ("ideals enumerated", str(len(ideals))),
+        ("radical matches oracle", "yes" if radical_match else "NO"),
+        ("simple matches oracle", "yes" if simple_match else "NO"),
+        ("semiprime", _yesno(checks.semiprime)),
+        ("classically nondegenerate", _yesno(checks.classically_nondegenerate))], 26))
+    if not (radical_match and simple_match):
+        raise InternalConsistencyError("fast path disagrees with the oracle")
+
+
+# Each subcommand's help line and handler, in the order --help lists them.
+_COMMANDS = {
+    "analyze": ("full report: invariants, decomposition, simplicity", _cmd_report),
+    "decompose": ("canonical parts, fragmentation blocks, certification", _cmd_report),
+    "simple": ("simplicity verdict with reason codes", _cmd_report),
+    "radical": ("annihilator, absorption radical, non-degeneracy", _cmd_report),
+    "ideal": ("basis and dimension of the ideal generated by a vector", _cmd_ideal),
+    "graph": ("DOT export of the associated graph", _cmd_graph),
+    "quotient": ("quotient algebra by an ideal given through a basis file", _cmd_quotient),
+    "oracle": ("brute-force cross-checks over a prime field", _cmd_oracle),
+}
 
 
 def main(argv=None) -> int:
@@ -274,27 +256,17 @@ def main(argv=None) -> int:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        if args.command in ("analyze", "decompose", "simple", "radical"):
-            return _cmd_report(args, args.command)
-        if args.command == "ideal":
-            return _cmd_ideal(args)
-        if args.command == "graph":
-            return _cmd_graph(args)
-        if args.command == "quotient":
-            return _cmd_quotient(args)
-        if args.command == "oracle":
-            return _cmd_oracle(args)
-        raise _UsageError("unknown command %r" % args.command)
+        algebra = parse_document(_read_text(args.input),
+                                 field_override=_field_override(args))
+        _COMMANDS[args.command][1](args, algebra)
     except InternalConsistencyError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return 2
     except (ParseError, FieldError, DimensionError, PreconditionError,
-            BudgetExceededError, _UsageError) as exc:
+            BudgetExceededError, _UsageError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
-    except OSError as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
+    return 0
 
 
 if __name__ == "__main__":

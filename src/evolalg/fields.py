@@ -7,8 +7,10 @@ comparison behave canonically:
   positive),
 * F_p residues are ints in ``[0, p)``.
 
-All arithmetic goes through a field object (``QQ`` or ``GF(p)``).  No
-floating point is accepted anywhere.
+Parsing, coercion and formatting go through a field object (``QQ`` or
+``GF(p)``), and so does the scalar arithmetic outside linalg.  The linalg
+kernels do not: they read the field's kind and modulus and eliminate on
+plain ints (see linalg).  No floating point is accepted anywhere.
 """
 
 from __future__ import annotations
@@ -142,12 +144,14 @@ class PrimeField:
     zero = 0
 
     def __post_init__(self):
-        if not is_prime(self.p):
-            raise FieldError("%r is not prime" % (self.p,))
-        # a modulus that is_prime cannot decide exactly
+        # refused before the primality test: is_prime is exact only below
+        # the bound, and Miller-Rabin on a modulus of thousands of digits
+        # takes seconds
         if self.p >= MODULUS_BOUND:
             raise FieldError("modulus %d is too large: prime fields need p < %d"
                              % (self.p, MODULUS_BOUND))
+        if not is_prime(self.p):
+            raise FieldError("%r is not prime" % (self.p,))
 
     @property
     def one(self):

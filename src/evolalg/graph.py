@@ -9,6 +9,7 @@ Weights are dropped here; witness_path recovers them from the algebra.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import compress
 
 from .algebra import EvolutionAlgebra, _memoized
@@ -54,7 +55,6 @@ class AssociatedGraph:
     def _adopt(self, out: tuple) -> "AssociatedGraph":
         self.n = len(out)
         self._out = out
-        self._scc = None
         return self
 
     @classmethod
@@ -123,6 +123,7 @@ class AssociatedGraph:
             self._check_index(i)
         return _closure(self._out, seeds)
 
+    @cached_property
     def _condensation(self):
         """(components sorted by least element, the component of each
         vertex as a list indexed by vertex, the components no edge enters
@@ -142,8 +143,6 @@ class AssociatedGraph:
         weak groups (the group with fewer components is relabelled into
         the other), and it reaches a cycle iff it holds an edge of its own
         (it is cyclic) or one of them reaches a cycle."""
-        if self._scc is not None:
-            return self._scc
         n, out = self.n, self._out
         index, low, at = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         component_of = [None] * (n + 1)
@@ -200,24 +199,23 @@ class AssociatedGraph:
         groups = {id(group): group for group in weak.values()}.values()
         no_cycle = frozenset().union(*(c for c in components if c not in reaching))
         components.sort(key=min)
-        self._scc = (tuple(components), component_of,
-                     tuple(c for c in components if c not in entered),
-                     tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
-                     no_cycle)
-        return self._scc
+        return (tuple(components), component_of,
+                tuple(c for c in components if c not in entered),
+                tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
+                no_cycle)
 
     def is_cyclic_index(self, i: int) -> bool:
         """True when i lies on a closed path: its strongly connected
         component has more than one vertex, or i has a self-loop."""
         self._check_index(i)
-        return len(self._condensation()[1][i]) > 1 or i in self._out[i - 1]
+        return len(self._condensation[1][i]) > 1 or i in self._out[i - 1]
 
     def cycle_of(self, i: int) -> frozenset:
         """The strongly connected component of a cyclic index i: the
         vertices mutually reachable with it."""
         if not self.is_cyclic_index(i):
             raise PreconditionError("index %d is not cyclic" % i)
-        return self._condensation()[1][i]
+        return self._condensation[1][i]
 
     def is_principal_cyclic(self, i: int) -> bool:
         """True when no edge enters the cycle of the cyclic index i from
@@ -229,7 +227,7 @@ class AssociatedGraph:
         outside, sorted by least element: every vertex is reached from one
         of them.  The cyclic ones are the principal cycles, and each other
         one is a single vertex that no edge enters, a chain start."""
-        return self._condensation()[2]
+        return self._condensation[2]
 
     def principal_cycles(self):
         """The cyclic components that no edge enters from outside, pairwise
@@ -246,19 +244,19 @@ class AssociatedGraph:
     def strongly_connected_components(self):
         """Partition of the vertices into strongly connected components,
         sorted by least element; every cycle fact is read off them."""
-        return self._condensation()[0]
+        return self._condensation[0]
 
     def weak_components(self):
         """Partition of {1..n} into components of the underlying undirected
         graph, sorted by least element: on an algebra's graph, the blocks
         of the optimal decomposition."""
-        return self._condensation()[3]
+        return self._condensation[3]
 
     def reaches_no_cycle(self) -> frozenset:
         """The vertices from which no path reaches a cyclic vertex; a
         cyclic vertex reaches itself.  On an algebra's graph, the indices
         whose basis elements span the radical."""
-        return self._condensation()[4]
+        return self._condensation[4]
 
 
 @_memoized

@@ -1,5 +1,6 @@
 """Structured analysis report: one dict with a fixed key order, rendered
-as JSON for machines or as an aligned table for people.  Each key has its
+as JSON for machines or as an aligned table for people (render_table,
+which also writes the tables of the other subcommands).  Each key has its
 own producer, and a section (analyze, decompose, simple, radical) runs the
 producers of its keys alone.
 
@@ -149,32 +150,34 @@ def render_json(report: dict) -> str:
     return _json(report, "") + "\n"
 
 
+def _braces(indices) -> str:
+    """{1, 2}: a set of indices as the text tables print it."""
+    return "{" + ", ".join(map(str, indices)) + "}"
+
+
+def _brackets(texts) -> str:
+    """[a b c]: a row of scalar texts as the text tables print it."""
+    return "[" + " ".join(texts) + "]"
+
+
 def _fmt_value(key, value):
     if key == "field":
         return value["kind"] if value["kind"] == "rational" else "prime %d" % value["p"]
     if key in ("annihilator", "radical"):
-        if not value:
-            return "0"
-        return "; ".join("[" + " ".join(row) + "]" for row in value)
-    if key in ("chain_start_indices",):
-        return "{" + ", ".join(str(i) for i in value) + "}"
+        return "; ".join(map(_brackets, value)) or "0"
+    if key == "chain_start_indices":
+        return _braces(value)
     if key == "principal_cycles":
-        return "; ".join("{" + ", ".join(str(i) for i in c) + "}" for c in value) or "(none)"
+        return "; ".join(map(_braces, value)) or "(none)"
     if key == "canonical_parts":
-        bits = []
-        for part in value:
-            seed = "{" + ", ".join(str(i) for i in part["seed"]) + "}"
-            derived = "{" + ", ".join(str(i) for i in part["derived"]) + "}"
-            bits.append("%s %s -> %s" % (part["kind"].replace("_", "-"), seed, derived))
-        return "; ".join(bits)
+        return "; ".join("%s %s -> %s" % (part["kind"].replace("_", "-"),
+                                          _braces(part["seed"]), _braces(part["derived"]))
+                         for part in value)
     if key == "blocks":
-        bits = []
-        for block in value:
-            idx = "{" + ", ".join(str(i) for i in block["indices"]) + "}"
-            bits.append("%s nondegenerate=%s simple=%s det=%s"
-                        % (idx, _yesno(block["nondegenerate"]),
-                           _yesno(block["simple"]), block["det"]))
-        return "; ".join(bits)
+        return "; ".join("%s nondegenerate=%s simple=%s det=%s"
+                         % (_braces(block["indices"]), _yesno(block["nondegenerate"]),
+                            _yesno(block["simple"]), block["det"])
+                         for block in value)
     if key == "simple_reasons":
         return "; ".join(value) or "(none)"
     if isinstance(value, bool):
@@ -186,11 +189,13 @@ def _yesno(flag):
     return "yes" if flag else "no"
 
 
+def render_table(rows, width: int) -> str:
+    """One line per (label, value) pair of texts: the label padded to
+    width, two spaces, the value."""
+    return "".join(label.ljust(width) + "  " + value + "\n" for label, value in rows)
+
+
 def render_text(report: dict) -> str:
-    keys = [k for k in ANALYZE_KEYS if k in report]
-    label_width = max(len(k.replace("_", " ")) for k in keys)
-    lines = []
-    for key in keys:
-        label = key.replace("_", " ").ljust(label_width)
-        lines.append("%s  %s" % (label, _fmt_value(key, report[key])))
-    return "\n".join(lines) + "\n"
+    rows = [(key.replace("_", " "), _fmt_value(key, report[key]))
+            for key in ANALYZE_KEYS if key in report]
+    return render_table(rows, max(len(label) for label, _ in rows))

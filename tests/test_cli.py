@@ -11,7 +11,7 @@ import pytest
 from evolalg import GF, EvolutionAlgebra
 from evolalg.cli import _build_parser, main
 from evolalg.documents import emit_document
-from evolalg.errors import InternalConsistencyError
+from evolalg.errors import FieldError, InternalConsistencyError
 from support import (double_loop, entangled_squares, pair_cycle_mixing,
                      swap_pair_plus_loop, two_loops_two_sinks)
 
@@ -186,6 +186,61 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert code == 1 and "budget" in err
 
 
+def test_ideal_text_golden(tmp_path, capsys):
+    doc = write_doc(tmp_path, entangled_squares())
+    assert run(capsys, "ideal", "--input", doc, "--vector", "0,1,-1") == (
+        0,
+        "vector      [0 1 -1]\n"
+        "ideal dim   3\n"
+        "basis       [1 0 0]\n"
+        "basis       [0 1 0]\n"
+        "basis       [0 0 1]\n",
+        "")
+    doc = write_doc(tmp_path, two_loops_two_sinks(), "sinks.alg")
+    assert run(capsys, "ideal", "--input", doc, "--vector", "0,0,0,1,0") == (
+        0, "vector      [0 0 0 1 0]\nideal dim   1\nbasis       [0 0 0 1 0]\n", "")
+
+
+def test_quotient_text_golden(tmp_path, capsys):
+    doc = write_doc(tmp_path, entangled_squares())
+    basis = tmp_path / "ideal.txt"
+    basis.write_text("1 1 0\n0 1 1\n")
+    assert run(capsys, "quotient", "--input", doc, "--ideal-basis", str(basis)) == (
+        0,
+        "ideal dim     2\n"
+        "quotient dim  1\n"
+        "chosen        {1}\n"
+        "structure     [0]\n"
+        "projection    [1 -1 1]\n",
+        "")
+    doc = write_doc(tmp_path, two_loops_two_sinks(), "sinks.alg")
+    basis.write_text("0 0 0 1 0\n0 0 0 0 1\n")
+    assert run(capsys, "quotient", "--input", doc, "--ideal-basis", str(basis)) == (
+        0,
+        "ideal dim     2\n"
+        "quotient dim  3\n"
+        "chosen        {1, 2, 3}\n"
+        "structure     [1 1 0]\n"
+        "structure     [0 0 0]\n"
+        "structure     [0 0 1]\n"
+        "projection    [1 0 0 0 0]\n"
+        "projection    [0 1 0 0 0]\n"
+        "projection    [0 0 1 0 0]\n",
+        "")
+
+
+def test_oracle_text_golden(tmp_path, capsys):
+    doc = write_doc(tmp_path, pair_cycle_mixing(GF(2)))
+    assert run(capsys, "oracle", "--input", doc) == (
+        0,
+        "ideals enumerated           2\n"
+        "radical matches oracle      yes\n"
+        "simple matches oracle       yes\n"
+        "semiprime                   yes\n"
+        "classically nondegenerate   no\n",
+        "")
+
+
 def feed_stdin(monkeypatch, data: bytes):
     # a text stream over bytes, like the real sys.stdin
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
@@ -238,9 +293,23 @@ def test_exit_code_2_when_oracle_disagrees(tmp_path, capsys, monkeypatch):
     from evolalg import full_subspace
 
     monkeypatch.setattr(cli_module, "radical", lambda a: full_subspace(a.field, a.dim))
-    code, _, err = run(capsys, "oracle", "--input", doc,
-                       "--field", "prime", "--p", "2")
-    assert code == 2 and "disagrees" in err
+    failure = "internal consistency failure: fast path disagrees with the oracle\n"
+    assert run(capsys, "oracle", "--input", doc, "--field", "prime", "--p", "2") == (
+        2,
+        "ideals enumerated           2\n"
+        "radical matches oracle      NO\n"
+        "simple matches oracle       yes\n"
+        "semiprime                   yes\n"
+        "classically nondegenerate   no\n",
+        failure)
+    assert run(capsys, "oracle", "--input", doc, "--field", "prime", "--p", "2",
+               "--json") == (
+        2,
+        '{\n  "field": {\n    "kind": "prime",\n    "p": 2\n  },\n  "dim": 2,\n'
+        '  "ideal_count": 2,\n  "radical_match": false,\n  "simple": true,\n'
+        '  "simple_match": true,\n  "semiprime": true,\n'
+        '  "classically_nondegenerate": false\n}\n',
+        failure)
 
 
 def test_large_prime_modulus_is_accepted(tmp_path, capsys):
@@ -269,6 +338,31 @@ def test_modulus_above_the_bound_is_refused(tmp_path, capsys):
                          "--field", "prime", "--p", too_large)
     assert code == 1 and out == ""
     assert "too large" in err and err.count("\n") == 1
+
+
+def test_oversized_modulus_is_refused_before_the_primality_test(tmp_path, capsys,
+                                                                monkeypatch):
+    # Miller-Rabin on a modulus of 4300 digits took seconds; the bound
+    # alone refuses it, so is_prime must never run
+    def fail(n):
+        raise AssertionError("is_prime called on a modulus above the bound")
+
+    import evolalg.fields as fields_module
+    monkeypatch.setattr(fields_module, "is_prime", fail)
+    huge = 10 ** 4299 + 7
+    with pytest.raises(FieldError, match="too large"):
+        GF(huge)
+
+    doc = tmp_path / "huge.alg"
+    doc.write_text("field prime %d\ndim 1\nmatrix\n1\n" % huge)
+    small = write_doc(tmp_path, double_loop(), "small.alg")
+    for argv, prefix in (
+            (["analyze", "--input", str(doc)], "error: line 1: modulus 1000"),
+            (["analyze", "--input", small, "--field", "prime", "--p", str(huge)],
+             "error: modulus 1000")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith(prefix) and "too large" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("where", ["matrix", "vector", "ideal-basis"])
