@@ -10,13 +10,11 @@ simplicity and irreducibility, and produces the optimal direct-sum
 decomposition, whose blocks are the weak components of the graph.
 """
 
-from .algebra import (EvolutionAlgebra, algebra_from_graph,
-                      power_associativity_witnesses)
+from .algebra import EvolutionAlgebra, algebra_from_graph
 from .decompose import (CanonicalDecomposition, DecompositionReport,
-                        Fragmentation, canonical_decomposition,
-                        is_fragmentable, is_irreducible, is_simple,
-                        optimal_decomposition, optimal_fragmentation,
-                        simple_sum_report)
+                        canonical_decomposition, is_fragmentable,
+                        is_irreducible, is_simple, optimal_decomposition,
+                        optimal_fragmentation)
 from .errors import (BudgetExceededError, DimensionError, EvolAlgError,
                      FieldError, InternalConsistencyError, ParseError,
                      PreconditionError)

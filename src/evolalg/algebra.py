@@ -119,32 +119,13 @@ def _memoized(compute):
     return memoized
 
 
-def power_associativity_witnesses(algebra: EvolutionAlgebra) -> frozenset:
-    """Indices i where (e_i^2)(e_i^2) differs from ((e_i^2)e_i)e_i.
-
-    An empty set is necessary for power-associativity; only these two
-    fourth-power expressions are compared, nothing more is decided.
-    """
-    bad = []
-    for i in range(1, algebra.dim + 1):
-        sq = algebra.square_of_basis(i)
-        e = algebra.basis_element(i)
-        lhs = algebra.multiply(sq, sq)
-        rhs = algebra.multiply(algebra.multiply(sq, e), e)
-        if lhs != rhs:
-            bad.append(i)
-    return frozenset(bad)
-
-
-def algebra_from_graph(field, adjacency) -> EvolutionAlgebra:
-    """Evolution algebra of a directed graph given by a boolean adjacency
-    matrix: adjacency[i][j] truthy means an edge (i+1) -> (j+1), and the
-    structure matrix is its transpose over {0, 1}."""
-    n = len(adjacency)
+def algebra_from_graph(field, graph) -> EvolutionAlgebra:
+    """Evolution algebra of a directed graph, an AssociatedGraph: e_i^2 is
+    the sum of the e_j over the edges i -> j, so the structure matrix is
+    the transpose of the graph's adjacency matrix over {0, 1}, and
+    associated_graph gives the graph back."""
     one, zero = field.one, field.zero
-    squares = []
-    for r in adjacency:
-        if len(r) != n:
-            raise DimensionError("adjacency matrix must be square")
-        squares.append(tuple(one if x else zero for x in r))
-    return EvolutionAlgebra._from_canonical(field, tuple(squares))
+    vertices = range(1, graph.n + 1)
+    return EvolutionAlgebra._from_canonical(field, tuple(
+        tuple(one if j in targets else zero for j in vertices)
+        for targets in map(graph.out_edges, vertices)))

@@ -73,12 +73,13 @@ def _build_parser() -> _Parser:
                        help="override the document's field")
         p.add_argument("--p", type=_integer, metavar="P",
                        help="modulus for --field prime")
-        p.add_argument("--json", action="store_true",
-                       help="machine-readable output")
 
     for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
         common(p)
+        if name != "graph":  # DOT is the graph's one output form
+            p.add_argument("--json", action="store_true",
+                           help="machine-readable output")
         if name == "ideal":
             p.add_argument("--vector", required=True, metavar="C1,C2,...",
                            help="coordinates of the generating element")

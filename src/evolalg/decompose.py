@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, _memoized
-from .errors import PreconditionError
 from .graph import AssociatedGraph, associated_graph
 from .ideals import is_nondegenerate
 from .linalg import Matrix, det
@@ -39,12 +38,6 @@ class CanonicalPart:
 @dataclass(frozen=True)
 class CanonicalDecomposition:
     parts: tuple
-
-
-@dataclass(frozen=True)
-class Fragmentation:
-    blocks: tuple        # pairwise disjoint index sets, sorted by least element
-    block_members: tuple # for each block, positions of the covering sets it absorbed
 
 
 @dataclass(frozen=True)
@@ -97,42 +90,37 @@ def canonical_decomposition(algebra: EvolutionAlgebra) -> CanonicalDecomposition
         for seed in graph.source_components()))
 
 
-def _intersection_components(parts):
-    """Connected components (by pairwise intersection) of a list of sets,
-    as sorted tuples of positions."""
-    m = len(parts)
-    overlaps = [(a + 1, b + 1) for a in range(m) for b in range(a + 1, m)
-                if parts[a] & parts[b]]
-    return [tuple(x - 1 for x in sorted(component))
-            for component in AssociatedGraph.from_edges(m, overlaps).weak_components()]
+def _overlap_graph(parts) -> AssociatedGraph:
+    """The graph on the positions 1..m of the covering sets with one edge
+    from each set to the first set that holds each of its elements: two
+    sets share a weak component iff a chain of overlapping sets joins
+    them, and the graph has sum |parts| edges, not m^2 intersections."""
+    first = {}
+    edges = []
+    for k, part in enumerate(parts, start=1):
+        for x in part:
+            edges.append((k, first.setdefault(x, k)))
+    return AssociatedGraph.from_edges(len(parts), edges)
 
 
-def _validated_parts(parts):
+def optimal_fragmentation(parts) -> tuple:
+    """Merge the covering sets along the weak components of their overlap
+    graph: the blocks are pairwise disjoint, sorted by least element, and
+    no block splits any further."""
     parts = [frozenset(p) for p in parts]
     if not parts:
         raise ValueError("no covering sets given")
     if any(not p for p in parts):
         raise ValueError("covering sets must be non-empty")
-    return parts
+    blocks = (frozenset().union(*(parts[k - 1] for k in component))
+              for component in _overlap_graph(parts).weak_components())
+    return tuple(sorted(blocks, key=min))
 
 
 def is_fragmentable(parts) -> bool:
-    """True when the intersection graph of the covering sets is
-    disconnected, i.e. the union splits into two groups of whole sets."""
-    parts = _validated_parts(parts)
-    return len(_intersection_components(parts)) > 1
-
-
-def optimal_fragmentation(parts) -> Fragmentation:
-    """Merge the covering sets along the connected components of their
-    intersection graph; no resulting block splits any further."""
-    parts = _validated_parts(parts)
-    blocks = []
-    for members in _intersection_components(parts):
-        block = frozenset().union(*(parts[x] for x in members))
-        blocks.append((block, members))
-    blocks.sort(key=lambda item: min(item[0]))
-    return Fragmentation(tuple(b for b, _ in blocks), tuple(ms for _, ms in blocks))
+    """True when the union of the covering sets splits into two groups of
+    whole sets, i.e. their fragmentation has more than one block."""
+    return len(optimal_fragmentation(parts)) > 1
 
 
 def _restricted_structure(algebra, indices):
@@ -224,14 +212,3 @@ def is_irreducible(algebra: EvolutionAlgebra) -> IrreducibilityResult:
     graph = associated_graph(algebra)
     connected = len(graph.weak_components()) <= 1
     return IrreducibilityResult(connected, is_nondegenerate(algebra))
-
-
-def simple_sum_report(algebra: EvolutionAlgebra):
-    """For a non-degenerate algebra: the block partition when every block
-    is simple as an algebra, else None."""
-    if not is_nondegenerate(algebra):
-        raise PreconditionError("simple-sum report requires a non-degenerate algebra")
-    report = optimal_decomposition(algebra)
-    if all(block.simple for block in report.blocks):
-        return tuple(block.indices for block in report.blocks)
-    return None

@@ -54,6 +54,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _digit_count(n: int) -> int:
+    """The number of decimal digits of n > 0.  str(n) refuses more than
+    CPython's 4300 digits, so start from the bit length: 30103/100000
+    overestimates log10(2) by under 1e-8, so the start is at most the
+    count, and at most two below it."""
+    digits = max(n.bit_length() * 30103 // 100000 - 1, 1)
+    while 10 ** digits <= n:
+        digits += 1
+    return digits
+
+
 def parse_integer(text: str) -> int:
     """int(text) for text of the form [+-]?[0-9]+, else ValueError; int()
     alone also takes other Unicode digits, '_' and surrounding space."""
@@ -106,9 +117,6 @@ class Rationals:
     def add(self, a, b):
         return a + b
 
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -119,9 +127,6 @@ class Rationals:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
-
-    def div(self, a, b):
-        return a * self.inv(b)
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -148,8 +153,8 @@ class PrimeField:
         # the bound, and Miller-Rabin on a modulus of thousands of digits
         # takes seconds
         if self.p >= MODULUS_BOUND:
-            raise FieldError("modulus %d is too large: prime fields need p < %d"
-                             % (self.p, MODULUS_BOUND))
+            raise FieldError("modulus of %d digits is too large: prime fields need p < %d"
+                             % (_digit_count(self.p), MODULUS_BOUND))
         if not is_prime(self.p):
             raise FieldError("%r is not prime" % (self.p,))
 
@@ -173,9 +178,6 @@ class PrimeField:
     def add(self, a, b):
         return (a + b) % self.p
 
-    def sub(self, a, b):
-        return (a - b) % self.p
-
     def mul(self, a, b):
         return (a * b) % self.p
 
@@ -186,9 +188,6 @@ class PrimeField:
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero in F_%d" % self.p)
         return pow(a, self.p - 2, self.p)
-
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
 
     def is_zero(self, a) -> bool:
         return a % self.p == 0

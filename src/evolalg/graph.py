@@ -83,11 +83,6 @@ class AssociatedGraph:
         self._check_index(i)
         return self._out[i - 1]
 
-    def adjacency_matrix(self):
-        """Rows of 0/1 ints: entry (i, j) is 1 exactly when i+1 -> j+1."""
-        return tuple(tuple(1 if j + 1 in self._out[i] else 0 for j in range(self.n))
-                     for i in range(self.n))
-
     def descendents(self, i: int) -> frozenset:
         """All vertices reachable from i by a path of length >= 1."""
         self._check_index(i)
@@ -125,17 +120,16 @@ class AssociatedGraph:
 
     @cached_property
     def _condensation(self):
-        """(components sorted by least element, the component of each
-        vertex as a list indexed by vertex, the components no edge enters
-        from outside sorted by least element, the weak components sorted
-        by least element, the vertices from which no path reaches a
-        cycle), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
-        Comput. 1(2)) on lists indexed by vertex and one walk over its
-        components.  index[v] is 0 until v is visited and component_of[v]
-        is None until its component is complete, so w is still on the
-        stack iff it is visited and has no component yet; a finished
-        component is cut off the stack at the position where its root was
-        pushed.
+        """(the strongly connected component of each vertex as a list
+        indexed by vertex, the components no edge enters from outside
+        sorted by least element, the weak components sorted by least
+        element, the vertices from which no path reaches a cycle), from
+        one iterative Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2)) on
+        lists indexed by vertex and one walk over its components.
+        index[v] is 0 until v is visited and component_of[v] is None until
+        its component is complete, so w is still on the stack iff it is
+        visited and has no component yet; a finished component is cut off
+        the stack at the position where its root was pushed.
 
         Tarjan completes a component only after every component it
         reaches, so the walk, in completion order, meets each component
@@ -198,9 +192,8 @@ class AssociatedGraph:
                         weak[c] = group
         groups = {id(group): group for group in weak.values()}.values()
         no_cycle = frozenset().union(*(c for c in components if c not in reaching))
-        components.sort(key=min)
-        return (tuple(components), component_of,
-                tuple(c for c in components if c not in entered),
+        return (component_of,
+                tuple(sorted((c for c in components if c not in entered), key=min)),
                 tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
                 no_cycle)
 
@@ -208,26 +201,21 @@ class AssociatedGraph:
         """True when i lies on a closed path: its strongly connected
         component has more than one vertex, or i has a self-loop."""
         self._check_index(i)
-        return len(self._condensation[1][i]) > 1 or i in self._out[i - 1]
+        return len(self._condensation[0][i]) > 1 or i in self._out[i - 1]
 
     def cycle_of(self, i: int) -> frozenset:
         """The strongly connected component of a cyclic index i: the
         vertices mutually reachable with it."""
         if not self.is_cyclic_index(i):
             raise PreconditionError("index %d is not cyclic" % i)
-        return self._condensation[1][i]
-
-    def is_principal_cyclic(self, i: int) -> bool:
-        """True when no edge enters the cycle of the cyclic index i from
-        outside, i.e. every ascendent of i already sits in its cycle."""
-        return self.cycle_of(i) in self.source_components()
+        return self._condensation[0][i]
 
     def source_components(self):
         """The strongly connected components that no edge enters from
         outside, sorted by least element: every vertex is reached from one
         of them.  The cyclic ones are the principal cycles, and each other
         one is a single vertex that no edge enters, a chain start."""
-        return self._condensation[2]
+        return self._condensation[1]
 
     def principal_cycles(self):
         """The cyclic components that no edge enters from outside, pairwise
@@ -241,22 +229,17 @@ class AssociatedGraph:
     def sinks(self) -> frozenset:
         return frozenset(i for i in range(1, self.n + 1) if not self._out[i - 1])
 
-    def strongly_connected_components(self):
-        """Partition of the vertices into strongly connected components,
-        sorted by least element; every cycle fact is read off them."""
-        return self._condensation[0]
-
     def weak_components(self):
         """Partition of {1..n} into components of the underlying undirected
         graph, sorted by least element: on an algebra's graph, the blocks
         of the optimal decomposition."""
-        return self._condensation[3]
+        return self._condensation[2]
 
     def reaches_no_cycle(self) -> frozenset:
         """The vertices from which no path reaches a cyclic vertex; a
         cyclic vertex reaches itself.  On an algebra's graph, the indices
         whose basis elements span the radical."""
-        return self._condensation[4]
+        return self._condensation[3]
 
 
 @_memoized

@@ -51,18 +51,6 @@ class Matrix:
             if len(r) != self.cols:
                 raise DimensionError("expected %d columns, got %d" % (self.cols, len(r)))
 
-    @classmethod
-    def from_rows(cls, rows, cols=None) -> "Matrix":
-        rows = tuple(tuple(r) for r in rows)
-        if cols is None:
-            if not rows:
-                raise DimensionError("column count required for a matrix with no rows")
-            cols = len(rows[0])
-        return cls(len(rows), cols, rows)
-
-    def row(self, i: int) -> tuple:
-        return self.entries[i]
-
 
 def _echelon(field, rows, width):
     """Forward elimination in place on integer rows, touching only the
@@ -281,9 +269,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return self.basis.rows
-
-    def is_zero(self) -> bool:
-        return self.basis.rows == 0
 
     def contains(self, v) -> bool:
         if len(v) != self.ambient_dim:

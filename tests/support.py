@@ -158,6 +158,29 @@ def fixpoint_reaches_no_cycle(graph):
     return frozenset(dead)
 
 
+def matrix(rows):
+    """The Matrix of the given rows, at least one, all of one length."""
+    rows = tuple(map(tuple, rows))
+    return Matrix(len(rows), len(rows[0]), rows)
+
+
+def out_edge_sets(graph):
+    """The out-set of each vertex of graph, in vertex order."""
+    return tuple(map(graph.out_edges, range(1, graph.n + 1)))
+
+
+def strong_component(graph, v):
+    """The strongly connected component of vertex v from the public cycle
+    facts: the cycle of a cyclic index, else v alone."""
+    return graph.cycle_of(v) if graph.is_cyclic_index(v) else frozenset({v})
+
+
+def strong_components(graph):
+    """The strongly connected components of graph, sorted by least element."""
+    components = {strong_component(graph, v) for v in range(1, graph.n + 1)}
+    return tuple(sorted(components, key=min))
+
+
 # reference graphs (1-based edge lists)
 
 def graph_fan_swap():

@@ -4,11 +4,11 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
-                     Matrix, algebra_from_graph, associated_graph,
-                     power_associativity_witnesses)
+from evolalg import (GF, QQ, AssociatedGraph, DimensionError,
+                     EvolutionAlgebra, FieldError, Matrix, algebra_from_graph,
+                     associated_graph)
 from evolalg.documents import emit_document, parse_document
-from support import (FIXED, fan_to_swap_pair, make_rng, random_algebra,
+from support import (FIXED, fan_to_swap_pair, make_rng, matrix, random_algebra,
                      random_element, swap_pair_plus_loop, two_sinks_and_pair)
 
 
@@ -44,7 +44,7 @@ def test_construction_from_matrix_and_from_squares_agree(case):
     field, rows = case
     n = len(rows)
     canonical = tuple(tuple(map(field.coerce, row)) for row in rows)
-    a = EvolutionAlgebra(field, Matrix.from_rows(rows))
+    a = EvolutionAlgebra(field, matrix(rows))
     assert same_algebra(a, EvolutionAlgebra.from_squares(field, list(zip(*rows))))
     assert same_algebra(a, parse_document(emit_document(a)))
     assert a.structure == Matrix(n, n, canonical)
@@ -52,17 +52,17 @@ def test_construction_from_matrix_and_from_squares_agree(case):
         assert a.square_of_basis(i) == tuple(row[i - 1] for row in canonical)
     # the graph's 0/1 adjacency matrix: row i is the support of e_i^2
     adjacency = [[1 if x else 0 for x in square] for square in zip(*canonical)]
-    g = algebra_from_graph(field, adjacency)
+    g = algebra_from_graph(field, associated_graph(a))
     assert same_algebra(g, EvolutionAlgebra.from_squares(field, adjacency))
-    assert same_algebra(g, EvolutionAlgebra(field, Matrix.from_rows(zip(*adjacency))))
+    assert same_algebra(g, EvolutionAlgebra(field, matrix(zip(*adjacency))))
     assert same_algebra(g, parse_document(emit_document(g)))
 
 
 def test_construction_rejects_bad_shapes_and_scalars():
     with pytest.raises(DimensionError):
-        EvolutionAlgebra(QQ, Matrix.from_rows([[QQ.zero] * 3, [QQ.zero] * 3]))
+        EvolutionAlgebra(QQ, matrix([[QQ.zero] * 3, [QQ.zero] * 3]))
     with pytest.raises(FieldError):
-        EvolutionAlgebra(GF(5), Matrix.from_rows([[Fraction(1, 5)]]))
+        EvolutionAlgebra(GF(5), matrix([[Fraction(1, 5)]]))
     zero = EvolutionAlgebra.from_squares(QQ, [(0, 0), (0, 0)])
     assert zero.dim == 2  # the zero-product algebra is legal
 
@@ -124,67 +124,16 @@ def test_commutativity_flexibility_bilinearity_random(field):
             vec_scale(field, c, a.multiply(x, y))
 
 
-def fourth_power_pair(a, i):
-    """The two fourth-power expressions evaluated straight from the
-    structure constants, bypassing multiply: sum_k w_ki^2 e_k^2 versus
-    w_ii^2 e_i^2."""
-    f = a.field
-    col = a.square_of_basis(i)
-    lhs = a.zero_element()
-    for k in range(1, a.dim + 1):
-        c = f.mul(col[k - 1], col[k - 1])
-        lhs = vec_add(f, lhs, vec_scale(f, c, a.square_of_basis(k)))
-    wii = col[i - 1]
-    rhs = vec_scale(f, f.mul(wii, wii), a.square_of_basis(i))
-    return lhs, rhs
-
-
-def test_power_associativity_witnesses_golden():
-    # zero-product algebra: no witnesses
-    assert power_associativity_witnesses(
-        EvolutionAlgebra.from_squares(QQ, [(0, 0), (0, 0)])) == frozenset()
-    # e1^2 = 2 e1: both expressions evaluate to 8 e1, hence no witness
-    one_dim = EvolutionAlgebra.from_squares(QQ, [(2,)])
-    sq = one_dim.square_of_basis(1)
-    assert one_dim.multiply(sq, sq) == one_dim.element((8,))
-    assert power_associativity_witnesses(one_dim) == frozenset()
-    # e1^2 = e2, e2^2 = 0: both sides vanish for i = 1 and i = 2
-    nil = EvolutionAlgebra.from_squares(QQ, [(0, 1), (0, 0)])
-    assert power_associativity_witnesses(nil) == frozenset()
-    # e1^2 = e1+e2, e2^2 = e2: the off-diagonal w_21 spoils index 1
-    spoiled = EvolutionAlgebra.from_squares(QQ, [(1, 1), (0, 1)])
-    lhs, rhs = fourth_power_pair(spoiled, 1)
-    assert lhs != rhs
-    assert power_associativity_witnesses(spoiled) == frozenset({1})
-
-
-@pytest.mark.parametrize("field", [QQ, GF(3)])
-def test_witnesses_match_structure_constant_expressions(field):
-    rng = make_rng(777)
-    for _ in range(60):
-        a = random_algebra(rng, field, rng.randrange(1, 5))
-        expected = frozenset(i for i in range(1, a.dim + 1)
-                             if fourth_power_pair(a, i)[0] != fourth_power_pair(a, i)[1])
-        assert power_associativity_witnesses(a) == expected
-
-
 def test_algebra_from_graph_golden():
     # the 6-vertex graph with sinks 1 and 3, pair cycle 5 <-> 6
-    adjacency = [
-        [0, 0, 0, 0, 0, 0],
-        [1, 0, 1, 0, 0, 0],
-        [0, 0, 0, 0, 0, 0],
-        [0, 0, 1, 0, 1, 0],
-        [0, 0, 0, 0, 0, 1],
-        [0, 0, 0, 0, 1, 0],
-    ]
-    a = algebra_from_graph(QQ, adjacency)
+    graph = AssociatedGraph.from_edges(6, [(2, 1), (2, 3), (4, 3), (4, 5), (5, 6), (6, 5)])
+    a = algebra_from_graph(QQ, graph)
     assert a == two_sinks_and_pair()
 
-    empty = algebra_from_graph(QQ, [[0, 0], [0, 0]])
+    empty = algebra_from_graph(QQ, AssociatedGraph.from_edges(2, []))
     assert empty.structure.entries == ((QQ.zero,) * 2,) * 2
 
-    loop = algebra_from_graph(QQ, [[1]])
+    loop = algebra_from_graph(QQ, AssociatedGraph.from_edges(1, [(1, 1)]))
     assert loop.square_of_basis(1) == loop.element((1,))
 
 
@@ -194,7 +143,11 @@ def test_graph_round_trip(field):
     for _ in range(50):
         n = rng.randrange(1, 6)
         adjacency = [[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]
-        a = algebra_from_graph(field, adjacency)
-        g = associated_graph(a)
-        assert g.adjacency_matrix() == tuple(tuple(int(x) for x in row)
-                                             for row in adjacency)
+        graph = AssociatedGraph.from_edges(
+            n, [(i + 1, j + 1) for i in range(n) for j in range(n) if adjacency[i][j]])
+        a = algebra_from_graph(field, graph)
+        assert associated_graph(a) == graph
+        # e_i^2 is the sum of the e_j over the edges i -> j
+        for i in range(1, n + 1):
+            assert a.square_of_basis(i) == tuple(field.one if x else field.zero
+                                                 for x in adjacency[i - 1])

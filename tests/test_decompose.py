@@ -3,21 +3,22 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
-                     PreconditionError, algebra_from_graph, associated_graph,
+                     algebra_from_graph, associated_graph,
                      canonical_decomposition, is_fragmentable, is_ideal,
                      is_irreducible, is_nondegenerate, is_simple,
                      optimal_decomposition, optimal_fragmentation,
-                     simple_sum_report, subspace_from_vectors)
+                     subspace_from_vectors)
 from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
                                _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
-from support import (FIXED, algebras, all_chains_die, digraphs, double_loop,
+from support import (FIXED, algebras, digraphs, double_loop,
                      entangled_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
                      shared_loop_target, simplicity_checked,
-                     squares_span_deficient, swap_pair_plus_loop,
-                     two_loops_two_sinks, weighted_digraph_algebras)
+                     squares_span_deficient, strong_components,
+                     swap_pair_plus_loop, two_loops_two_sinks,
+                     weighted_digraph_algebras)
 
 
 def test_derived_index_set_golden():
@@ -50,7 +51,7 @@ def test_canonical_decomposition_golden():
     assert canon.parts[0].derived == {1, 2, 3}
 
     # an entry vertex and a side loop produce two overlapping parts
-    side = algebra_from_graph(QQ, graph_core_with_side_loop().adjacency_matrix())
+    side = algebra_from_graph(QQ, graph_core_with_side_loop())
     canon = canonical_decomposition(side)
     described = {(p.kind, frozenset(p.seed), frozenset(p.derived)) for p in canon.parts}
     assert described == {
@@ -76,7 +77,7 @@ def test_canonical_parts_are_forward_closed_and_cover():
 @FIXED
 @given(st.one_of(
     st.sampled_from([QQ, GF(2)]).flatmap(
-        lambda f: digraphs().map(lambda g: algebra_from_graph(f, g.adjacency_matrix()))),
+        lambda f: digraphs().map(lambda g: algebra_from_graph(f, g))),
     st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras)))
 def test_canonical_parts_are_the_principal_cycles_and_the_chain_starts(a):
     # the parts come from the source components of the condensation; build
@@ -102,26 +103,56 @@ def test_is_fragmentable_golden():
 
 
 def test_optimal_fragmentation_golden():
-    frag = optimal_fragmentation([{1, 2}, {3, 5}, {4}])
-    assert frag.blocks == ({1, 2}, {3, 5}, {4})
-    assert frag.block_members == ((0,), (1,), (2,))
-
-    frag = optimal_fragmentation([{1, 2}, {2, 3}, {4}])
-    assert frag.blocks == ({1, 2, 3}, {4})
-    assert frag.block_members == ((0, 1), (2,))
-
+    assert optimal_fragmentation([{1, 2}, {3, 5}, {4}]) == ({1, 2}, {3, 5}, {4})
+    assert optimal_fragmentation([{1, 2}, {2, 3}, {4}]) == ({1, 2, 3}, {4})
     # a chain of overlaps merges everything
-    frag = optimal_fragmentation([{1, 2}, {2, 3}, {3, 4}])
-    assert frag.blocks == ({1, 2, 3, 4},)
+    assert optimal_fragmentation([{1, 2}, {2, 3}, {3, 4}]) == ({1, 2, 3, 4},)
+    assert optimal_fragmentation([{1, 2, 3, 5}, {2, 3, 4, 5}]) == ({1, 2, 3, 4, 5},)
+    # blocks are sorted by least element, not by the first set they absorb
+    assert optimal_fragmentation([{4, 5}, {9}, {1, 8}, {5, 2}]) == ({1, 8}, {2, 4, 5}, {9})
+    with pytest.raises(ValueError):
+        optimal_fragmentation([])
+    with pytest.raises(ValueError):
+        optimal_fragmentation([{1}, set()])
 
-    # every covering set lands in exactly one block, blocks disjoint
-    frag = optimal_fragmentation([{1, 2, 3, 5}, {2, 3, 4, 5}])
-    assert frag.blocks == ({1, 2, 3, 4, 5},)
-    for blocks in [frag.blocks]:
-        seen = set()
-        for b in blocks:
-            assert not (b & seen)
-            seen |= b
+
+def merged_until_disjoint(parts):
+    """The reference fragmentation: each set in turn absorbs every block
+    it meets, so the blocks stay pairwise disjoint, sorted at the end."""
+    blocks = []
+    for part in map(frozenset, parts):
+        blocks = ([b for b in blocks if b.isdisjoint(part)]
+                  + [part.union(*(b for b in blocks if not b.isdisjoint(part)))])
+    return tuple(sorted(blocks, key=min))
+
+
+@st.composite
+def covers(draw):
+    """A list of non-empty sets over 1..u, shuffled: random sets, chains
+    whose consecutive sets share an element, repeats of earlier sets and
+    singletons."""
+    element = st.integers(min_value=1, max_value=draw(st.integers(min_value=1, max_value=30)))
+    parts = []
+    for kind in draw(st.lists(st.sampled_from(("set", "chain", "repeat", "singleton")),
+                              min_size=1, max_size=8)):
+        if kind == "set":
+            parts.append(draw(st.frozensets(element, min_size=1, max_size=5)))
+        elif kind == "chain":
+            links = draw(st.lists(element, min_size=2, max_size=6))
+            parts += [frozenset(pair) for pair in zip(links, links[1:])]
+        elif kind == "repeat" and parts:
+            parts.append(draw(st.sampled_from(parts)))
+        else:
+            parts.append(frozenset({draw(element)}))
+    return draw(st.permutations(parts))
+
+
+@FIXED
+@given(covers())
+def test_fragmentation_merges_overlapping_sets_until_disjoint(parts):
+    blocks = optimal_fragmentation(parts)
+    assert blocks == merged_until_disjoint(parts)
+    assert is_fragmentable(parts) == (len(blocks) > 1)
 
 
 def test_optimal_decomposition_golden():
@@ -228,7 +259,7 @@ def two_cycles_joined_by_an_edge(field):
 @pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)])
 def test_block_det_is_the_product_of_its_component_dets_golden(field):
     a = two_cycles_joined_by_an_edge(field)
-    assert associated_graph(a).strongly_connected_components() == (
+    assert strong_components(associated_graph(a)) == (
         frozenset({1, 2}), frozenset({3, 4}))
     (block,) = optimal_decomposition(a).blocks
     assert block.indices == {1, 2, 3, 4}
@@ -249,7 +280,7 @@ def test_block_dets_are_the_products_of_their_component_dets(a):
     # is an elimination.  Blocks with a sink or an index no square involves
     # get their 0 from det's zero-line test.
     f = a.field
-    components = associated_graph(a).strongly_connected_components()
+    components = strong_components(associated_graph(a))
     for block in optimal_decomposition(a).blocks:
         product = f.one
         for c in components:
@@ -276,7 +307,7 @@ def test_report_does_only_block_dets(monkeypatch):
     from evolalg.report import build_report
 
     calls = {"det": 0, "_echelon": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
-             "ascendents": 0, "_rref_rows": 0, "_intersection_components": 0}
+             "ascendents": 0, "_rref_rows": 0, "_overlap_graph": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -301,9 +332,8 @@ def test_report_does_only_block_dets(monkeypatch):
                             counted(name, getattr(AssociatedGraph, name)))
     # the blocks are the weak components, read off the same pass; the
     # canonical parts are not fragmented
-    monkeypatch.setattr(evolalg.decompose, "_intersection_components",
-                        counted("_intersection_components",
-                                evolalg.decompose._intersection_components))
+    monkeypatch.setattr(evolalg.decompose, "_overlap_graph",
+                        counted("_overlap_graph", evolalg.decompose._overlap_graph))
 
     # the elimination det runs when its matrix has no zero row or column
     monkeypatch.setattr(evolalg.linalg, "_echelon",
@@ -333,7 +363,7 @@ def test_report_does_only_block_dets(monkeypatch):
         eliminated += expected
         assert calls == {"det": len(blocks), "_echelon": expected, "is_ideal": 0,
                          "multiply": 0, "descendents": 0, "ascendents": 0,
-                         "_rref_rows": 0, "_intersection_components": 0}
+                         "_rref_rows": 0, "_overlap_graph": 0}
     # the corpus holds both kinds of block
     assert skipped and eliminated
 
@@ -414,16 +444,6 @@ def test_is_irreducible_golden():
     # degenerate: connectivity is reported but flagged inconclusive
     verdict = is_irreducible(loop_with_tail())
     assert verdict.connected and not verdict.conclusive
-
-
-def test_simple_sum_report_golden():
-    assert simple_sum_report(swap_pair_plus_loop()) == ({1, 2}, {3})
-    assert simple_sum_report(shared_loop_target()) is None
-    assert simple_sum_report(pair_cycle_mixing()) == ({1, 2},)
-    with pytest.raises(PreconditionError):
-        simple_sum_report(two_loops_two_sinks())
-    with pytest.raises(PreconditionError):
-        simple_sum_report(all_chains_die())
 
 
 def test_simplicity_implies_nondegenerate_and_full_rank():

@@ -2,12 +2,12 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError, Matrix,
+from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError,
                      ParseError, associated_graph)
 from evolalg.documents import (emit_document, export_dot, parse_basis_file,
                                parse_document, parse_vector)
 from support import (ALL_REFERENCE_BUILDERS, FIXED, fan_to_swap_pair,
-                     make_rng, random_algebra)
+                     make_rng, matrix, out_edge_sets, random_algebra)
 
 GOLDEN_DOC = """\
 # chain into a two-cycle with one dead branch
@@ -24,8 +24,7 @@ matrix
 def test_parse_golden_document():
     a = parse_document(GOLDEN_DOC)
     assert a == fan_to_swap_pair()
-    assert associated_graph(a).adjacency_matrix() == (
-        (0, 1, 1, 0), (0, 0, 0, 0), (0, 0, 0, 1), (0, 0, 1, 0))
+    assert out_edge_sets(associated_graph(a)) == ({2, 3}, set(), {4}, {3})
     # bytes are accepted as well
     assert parse_document(GOLDEN_DOC.encode()) == a
 
@@ -238,7 +237,7 @@ def test_parse_document_coerces_no_entry(monkeypatch, field):
     a = parse_document(document_text(field, rows))
     assert calls == []
     # the public constructor still coerces, and builds the same algebra
-    raw = Matrix.from_rows([[field.parse(t) for t in row] for row in rows])
+    raw = matrix([[field.parse(t) for t in row] for row in rows])
     assert EvolutionAlgebra(field, raw) == a
     assert len(calls) == 16
     assert a.square_of_basis(1) == (field.zero, field.zero, field.parse("1/2"), field.zero)

@@ -2,16 +2,19 @@
 
 No linter runs on the package, and deleting code tends to leave its
 imports behind.  The package's __init__.py imports names only to
-re-export them, so it is exempt.
+re-export them, so it is exempt.  The README's library tour likewise
+imports only exported names, and it runs as written.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "evolalg"
 MODULES = sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+README = PACKAGE.parent.parent / "README.md"
 
 
 def imported_names(tree):
@@ -36,3 +39,13 @@ def test_every_imported_name_is_used(module):
     unused = ["%s (line %d)" % (name, line) for name, line in imported_names(tree)
               if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (module, ", ".join(unused))
+
+
+def test_readme_tour_imports_exported_names_and_runs():
+    import evolalg
+
+    (tour,) = re.findall(r"```python\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    statement = ast.parse(tour).body[0]
+    assert isinstance(statement, ast.ImportFrom) and statement.module == "evolalg"
+    assert {alias.name for alias in statement.names} <= set(evolalg.__all__)
+    exec(compile(tour, "README.md", "exec"), {})

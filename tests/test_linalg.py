@@ -13,11 +13,11 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, Matrix, det,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
 from evolalg.linalg import coordinate_subspace, mat_vec
-from support import FIXED, make_rng, scalars
+from support import FIXED, make_rng, matrix, scalars
 
 
-def mat(rows, cols=None):
-    return Matrix.from_rows([[QQ.coerce(x) for x in r] for r in rows], cols=cols)
+def mat(rows):
+    return matrix([[QQ.coerce(x) for x in r] for r in rows])
 
 
 def test_rref_identity_is_fixed():
@@ -93,9 +93,8 @@ def test_subspace_sum_and_intersection_golden():
 
 
 def random_matrix(rng, field, rows, cols):
-    return Matrix.from_rows(
-        [[rng.randrange(field.p) for _ in range(cols)] for _ in range(rows)],
-        cols=cols)
+    return Matrix(rows, cols, tuple(tuple(rng.randrange(field.p) for _ in range(cols))
+                                    for _ in range(rows)))
 
 
 def test_rref_idempotent_and_rank_vs_det_over_prime_fields():
@@ -145,10 +144,10 @@ def test_column_without_a_pivot_mod_p_is_cleared():
     # pivot mod p, but the row still holds p there
     for p in (2, 3):
         f = GF(p)
-        assert det(f, Matrix.from_rows([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == p - 1
-        dependent = Matrix.from_rows([[1, 1, 0], [1, 1, 1], [2, 2, 1]])
+        assert det(f, matrix([[1, 1, 0], [1, 1, 1], [0, 1, 1]])) == p - 1
+        dependent = matrix([[1, 1, 0], [1, 1, 1], [2, 2, 1]])
         assert det(f, dependent) == 0
-        assert rref(f, dependent) == (2, Matrix.from_rows([[1, 1, 0], [0, 0, 1], [0, 0, 0]]))
+        assert rref(f, dependent) == (2, matrix([[1, 1, 0], [0, 0, 1], [0, 0, 0]]))
         span = subspace_from_vectors(f, 3, [(1, 1, 0), (1, 1, 1)])
         assert span.contains((0, 0, 1)) and not span.contains((0, 1, 0))
 
@@ -163,11 +162,11 @@ def test_packed_slots_hold_the_largest_growth(p):
     n = 8
     lower = [[1 if c <= r else 0 for c in range(n)] for r in range(n)]
     upper = [[1 if c == r else p - 1 if c > r else 0 for c in range(n)] for r in range(n)]
-    a = Matrix.from_rows([[sum(lower[r][k] * upper[k][c] for k in range(n)) % p
-                           for c in range(n)] for r in range(n)])
+    a = matrix([[sum(lower[r][k] * upper[k][c] for k in range(n)) % p
+                 for c in range(n)] for r in range(n)])
     f = GF(p)
     assert det(f, a) == 1
-    assert rref(f, a) == (n, Matrix.from_rows([[int(r == c) for c in range(n)] for r in range(n)]))
+    assert rref(f, a) == (n, matrix([[int(r == c) for c in range(n)] for r in range(n)]))
 
 
 # sympy's DomainMatrix is the test-only oracle for the elimination kernel;
