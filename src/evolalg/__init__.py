@@ -10,6 +10,8 @@ simplicity and irreducibility, and produces the optimal direct-sum
 decomposition, whose blocks are the weak components of the graph.
 """
 
+from types import ModuleType as _ModuleType
+
 from .algebra import EvolutionAlgebra, algebra_from_graph
 from .decompose import (CanonicalDecomposition, DecompositionReport,
                         canonical_decomposition, is_fragmentable,
@@ -33,4 +35,7 @@ from .oracle import (ClassicalChecks, EnumerationBudget, absorption_oracle,
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the exported names are those the imports above bind, less the submodules
+# that importing them binds as a side effect
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _ModuleType))

@@ -9,11 +9,15 @@ One forward-elimination kernel, _echelon, is the only code that
 eliminates below a pivot: det reads the determinant it returns, and
 _rref_rows back-substitutes on the rows it leaves (Subspace.contains
 needs no elimination; see below).  Its inner loops run on Python
-ints and call no field method per entry.  Over F_p each row is one int
-of fixed-width slots, wide enough for (rows + 1) p^2, so one row update
-is one multiply-add with no carry between slots, and one inversion per
-pivot; a row is reduced mod p slot by slot only when it becomes a pivot
-row.  Over QQ the rows are scaled by the lcm of their denominators and
+ints and call no field method per entry.  Over F_p no loop runs per
+entry in Python: each row is packed by one struct call into one int of
+fixed-width slots, wide enough for (rows + 1) p^2, and stays packed, so
+one row update is one multiply-add with no carry between slots, and one
+inversion per pivot.  All slots of a row are reduced mod p at once by a
+Barrett step on its even and its odd slots (SWAR), before the row serves
+as a pivot row; the back-substitution of _rref_rows runs on the packed
+rows too, and each row is unpacked once, by one struct call, at the
+end.  Over QQ the rows are scaled by the lcm of their denominators and
 reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
 Comp. 22), whose every division is exact.  Entries go back to canonical
 scalars (Fraction over QQ, ints in [0, p) over F_p) only where a reduced
@@ -30,8 +34,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from math import lcm, prod
-from struct import iter_unpack
+from struct import Struct
 
 from .errors import DimensionError
 
@@ -52,21 +57,84 @@ class Matrix:
                 raise DimensionError("expected %d columns, got %d" % (self.cols, len(r)))
 
 
+def _slots(p, count, width):
+    """The layout of count packed rows of width residues mod p: (bits,
+    pack, unpack, reduce).
+
+    A slot is nbytes bytes, the bit length of (count + 1) p^2 rounded up to
+    whole bytes, so bits = 8 nbytes; column 0 is the most significant slot.
+    pack turns a row of ints into one int with one struct call: each slot
+    is nbytes - size pad bytes and the smallest struct code of size bytes
+    that holds p - 1.  Where no code does (p > 2^64), int.to_bytes is
+    mapped over the row instead.  A row with an entry outside [0, p) is
+    reduced first, so raw ints pack as their residues.  unpack is the
+    inverse on a reduced row, one struct call again.
+
+    reduce takes every slot of a packed int mod p at once (SWAR: the same
+    arithmetic on all slots of one int), given that each slot holds less
+    than 2^bits.  The even and the odd slots are split apart, so that each
+    value v sits alone in a region of 2 bits bits, and each half takes one
+    Barrett step (Barrett 1986, CRYPTO) with m = 2^bits // p: the quotient
+    estimate q = (v m) >> bits is the true quotient or one less, so v - q p
+    lies in [0, 2p), and adding 2^bits - p to it carries into bit bits of
+    its region exactly when one more p is to be subtracted.  No product
+    leaves its region, so no slot borrows from or carries into another."""
+    nbytes = -(-((count + 1) * p * p).bit_length() // 8)
+    bits = 8 * nbytes
+    if p <= 1 << 64:
+        size, code = next((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                          if p <= 1 << 8 * s)
+        layout = Struct(">" + "%dx%s" % (nbytes - size, code) * width)
+        write, read = layout.pack, layout.unpack
+    else:
+        layout = Struct(">" + "%ds" % nbytes * width)
+
+        def write(*row):
+            return b"".join(map(int.to_bytes, row, repeat(nbytes), repeat("big")))
+
+        def read(raw):
+            return map(int.from_bytes, layout.unpack(raw), repeat("big"))
+
+    def pack(row):
+        if row and (min(row) < 0 or max(row) >= p):
+            row = [*map(p.__rmod__, row)]  # x % p for each x
+        return int.from_bytes(write(*row), "big")
+
+    def unpack(x):
+        return [*read(x.to_bytes(nbytes * width, "big"))]
+
+    # one: a 1 at the foot of every region of 2 bits bits, as many regions
+    # as there are even slots
+    one = int.from_bytes(b"\1".rjust(2 * nbytes, b"\0") * ((width + 1) // 2), "big")
+    low, m, lift = ((1 << bits) - 1) * one, (1 << bits) // p, ((1 << bits) - p) * one
+
+    def reduce(x):
+        even, odd = x & low, x >> bits & low
+        even -= (even * m >> bits & low) * p
+        even -= ((even + lift) >> bits & one) * p
+        odd -= (odd * m >> bits & low) * p
+        odd -= ((odd + lift) >> bits & one) * p
+        return even | odd << bits
+
+    return bits, pack, unpack, reduce
+
+
 def _echelon(field, rows, width):
     """Forward elimination in place on integer rows, touching only the
     columns from each pivot on.  Returns (pivot columns, signed
     determinant of the pivot block as a field scalar).
 
-    Over F_p each row is reduced to residues in [0, p) and packed into one
-    int of fixed-width slots, column 0 in the most significant one.  A slot
+    Over F_p each row is packed once into one int of fixed-width slots
+    (_slots) and stays packed: the rows are left as those ints.  A slot
     starts below p and gains less than p^2 at each pivot, and there are
-    fewer pivots than rows + 1, so a slot of the bit length of
-    (rows + 1) p^2, rounded up to whole bytes, never carries into the next.
-    One row update is one multiply-add, masked to the columns right of the
-    pivot, so a row's entry in the next column is one shift.  A row is
-    reduced slot by slot only when it becomes a pivot row and was updated
-    since it was packed; a nonzero multiple of p left in a column with no
-    pivot is cleared.  The residues go back into the row lists at the end.
+    fewer pivots than rows + 1, so it stays below (rows + 1) p^2 and never
+    carries into the next.  One row update is one multiply-add, masked to
+    the columns right of the pivot, so a row's entry in the next column is
+    one shift.  Every row below a pivot is updated, with factor zero where
+    its entry is zero, so each pivot row but the first has been updated:
+    it is reduced mod p in all its slots at once (SWAR) before it serves.
+    A nonzero multiple of p left in a column with no pivot is cleared.
+    The determinant is read off the pivots alone; no row is unpacked.
 
     Over QQ each row is first scaled by the lcm of its denominators, and
     the rows are left as ints: Bareiss fraction-free elimination, where
@@ -78,12 +146,8 @@ def _echelon(field, rows, width):
     done to it."""
     if field.kind != "rational":
         p = field.p
-        nbytes = -(-((len(rows) + 1) * p * p).bit_length() // 8)
-        bits, zero, slot = 8 * nbytes, bytes(nbytes), "%ds" % nbytes
-        packed = [int.from_bytes(b"".join([(x % p).to_bytes(nbytes, "big") if x else zero
-                                           for x in row]), "big") for row in rows]
-        # rows[r]: the input row of packed[r], None once packed[r] is
-        # updated, and its residues once it is a pivot row
+        bits, pack, _, reduce = _slots(p, len(rows), width)
+        rows[:] = map(pack, rows)
         pivots = []
         sign = value = 1
         for col in range(width):
@@ -94,39 +158,24 @@ def _echelon(field, rows, width):
             keep = (1 << shift) - 1  # the columns right of col
             hit = None
             for r in range(top, len(rows)):
-                row = packed[r]
+                row = rows[r]
                 if row > keep:
                     if (row >> shift) % p:
                         hit = r
                         break
-                    packed[r] = row & keep
+                    rows[r] = row & keep
             if hit is None:
                 continue
             if hit != top:
                 rows[top], rows[hit] = rows[hit], rows[top]
-                packed[top], packed[hit] = packed[hit], packed[top]
                 sign = -sign
-            if rows[top] is None:
-                raw = packed[top].to_bytes((width - col) * nbytes, "big")
-                tail = [int.from_bytes(x, "big") % p if x != zero else 0
-                        for x, in iter_unpack(slot, raw)]
-                packed[top] = int.from_bytes(b"".join([x.to_bytes(nbytes, "big") if x else zero
-                                                       for x in tail]), "big")
-                rows[top] = [0] * col + tail
-            else:
-                rows[top] = [x % p for x in rows[top]]
-            pivot_row = packed[top]
+            pivot_row = rows[top] = reduce(rows[top]) if top else rows[top]
             lead = pivot_row >> shift
             value = value * lead % p
             minus_inv = p - pow(lead, -1, p)
-            for r in range(top + 1, len(rows)):
-                row = packed[r]
-                if row > keep:
-                    packed[r] = (row + (row >> shift) * minus_inv % p * pivot_row) & keep
-                    rows[r] = None
+            rows[top + 1:] = [(row + (row >> shift) * minus_inv % p * pivot_row) & keep
+                              for row in rows[top + 1:]]
             pivots.append(col)
-        for r in range(len(pivots), len(rows)):
-            rows[r] = [0] * width
         return pivots, sign * value % p
     scales = []
     for i, row in enumerate(rows):
@@ -169,21 +218,28 @@ def _echelon(field, rows, width):
 
 def _rref_rows(field, rows, width):
     """Reduce a list of row lists in place to canonical field scalars;
-    return (rank, pivot columns)."""
+    return (rank, pivot columns).
+
+    Over F_p the back-substitution runs on the packed rows _echelon leaves:
+    from the last pivot up, its row is reduced, scaled by the inverse of
+    its lead and reduced again, and each row above gets one multiply-add
+    that makes its slot in the pivot column a multiple of p, its factor
+    read off that slot.  A row above gains less than p^2 per slot at each
+    pivot below it, so the slots stay below (rows + 1) p^2.  Each pivot
+    row is reduced when its turn comes and is not touched after, and the
+    rows below the rank are zero, so each row is unpacked once as it is."""
     pivots, _ = _echelon(field, rows, width)
     rank = len(pivots)
     if field.kind != "rational":
         p = field.p
+        bits, _, unpack, reduce = _slots(p, len(rows), width)
+        slot = (1 << bits) - 1
         for top in reversed(range(rank)):
-            col = pivots[top]
-            pivot_row = rows[top]
-            inv = pow(pivot_row[col], -1, p)
-            pivot_row[col:] = [inv * x % p for x in pivot_row[col:]]
-            tail = pivot_row[col:]
-            for row in rows[:top]:
-                if row[col]:
-                    factor = row[col]
-                    row[col:] = [(x - factor * y) % p for x, y in zip(row[col:], tail)]
+            shift = bits * (width - 1 - pivots[top])
+            row = reduce(rows[top])
+            row = rows[top] = reduce(row * pow(row >> shift, -1, p))
+            rows[:top] = [above + -(above >> shift & slot) % p * row for above in rows[:top]]
+        rows[:] = map(unpack, rows)
         return rank, pivots
     # integer back-substitution: with d the last pivot, the determinant of
     # the scaled pivot block, each row becomes d times its reduced row,
@@ -226,7 +282,7 @@ def det(field, m: Matrix):
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
     if not all(map(any, m.entries)) or not all(map(any, zip(*m.entries))):
         return field.zero
-    pivots, value = _echelon(field, [list(r) for r in m.entries], m.cols)
+    pivots, value = _echelon(field, list(m.entries), m.cols)
     return value if len(pivots) == m.rows else field.zero
 
 

@@ -3,7 +3,8 @@
 No linter runs on the package, and deleting code tends to leave its
 imports behind.  The package's __init__.py imports names only to
 re-export them, so it is exempt.  The README's library tour likewise
-imports only exported names, and it runs as written.
+imports only exported names, and it runs as written.  The exported
+names hold no submodule, so a star-import rebinds no name to a module.
 """
 
 import ast
@@ -49,3 +50,19 @@ def test_readme_tour_imports_exported_names_and_runs():
     assert isinstance(statement, ast.ImportFrom) and statement.module == "evolalg"
     assert {alias.name for alias in statement.names} <= set(evolalg.__all__)
     exec(compile(tour, "README.md", "exec"), {})
+
+
+def test_star_import_binds_no_module():
+    # importing the submodules binds them in the package namespace, and a
+    # star-import of a submodule name would rebind a caller's graph or
+    # fields to the module
+    import types
+
+    import evolalg
+
+    assert not [name for name in evolalg.__all__
+                if isinstance(getattr(evolalg, name), types.ModuleType)]
+    namespace = {}
+    exec("from evolalg import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(evolalg.__all__)
+    assert not [name for name, value in namespace.items() if isinstance(value, types.ModuleType)]

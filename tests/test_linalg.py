@@ -12,7 +12,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, Matrix, det,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
-from evolalg.linalg import coordinate_subspace, mat_vec
+from evolalg.linalg import _slots, coordinate_subspace, mat_vec
 from support import FIXED, make_rng, matrix, scalars
 
 
@@ -225,7 +225,8 @@ def vector_lists(draw, field, width, max_rows=5):
 @FIXED
 @given(data=st.data())
 def test_det_matches_sympy(field, data):
-    n = data.draw(st.integers(min_value=0, max_value=5))
+    # up to 11 columns: packed F_p rows of an odd and an even slot count
+    n = data.draw(st.integers(min_value=0, max_value=11))
     rows = vector_lists(data.draw, field, n, max_rows=n)
     rows += [[field.zero] * n] * (n - len(rows))
     m = Matrix(n, n, tuple(tuple(r) for r in rows))
@@ -279,12 +280,42 @@ def test_raw_ints_give_the_results_of_their_residues(field, data):
     assert rref(field, raw) == rref(field, reduced)
 
 
+@pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)
+@FIXED
+@given(data=st.data())
+def test_slot_reduction_is_mod_p_in_every_slot(field, data):
+    # the slot width the kernel picks for 1 to 130 rows, odd and even slot
+    # counts (the reduction splits the even slots from the odd ones), and
+    # the values where a Barrett step is off by one p or a slot is full
+    p = field.p
+    count = data.draw(st.integers(min_value=1, max_value=130))
+    width = data.draw(st.integers(min_value=1, max_value=9))
+    bits, _, _, reduce = _slots(p, count, width)
+    top = 1 << bits
+    edges = [0, p - 1, p, 2 * p - 1, (top - 1) // p * p, top - 1]
+    values = data.draw(st.lists(st.one_of(st.sampled_from(edges),
+                                          st.integers(min_value=0, max_value=top - 1)),
+                                min_size=width, max_size=width))
+    packed = 0
+    for v in values:
+        packed = packed << bits | v
+    reduced = reduce(packed)
+    assert reduced >> bits * width == 0
+    assert ([reduced >> bits * (width - 1 - k) & (top - 1) for k in range(width)]
+            == [v % p for v in values])
+
+
 @field_param
 @FIXED
 @given(data=st.data())
 def test_rref_matches_sympy(field, data):
-    cols = data.draw(st.integers(min_value=1, max_value=5))
+    cols = data.draw(st.integers(min_value=1, max_value=11))
     rows = vector_lists(data.draw, field, cols)
+    if field.kind != "rational" and data.draw(st.booleans()):
+        # [A | I]: wide rows with a pivot in every row, as for an inverse
+        rows = [r + [field.one if j == i else field.zero for j in range(len(rows))]
+                for i, r in enumerate(rows)]
+        cols += len(rows)
     rank, reduced = rref(field, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
     expected, pivots = sympy_matrix(field, rows, cols).rref()
     assert rank == len(pivots)
