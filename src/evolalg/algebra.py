@@ -90,20 +90,18 @@ class EvolutionAlgebra:
         return self._squares[i - 1]
 
     def multiply(self, a, b) -> tuple:
-        """Product of two elements: sum over i of a_i*b_i times e_i^2."""
+        """Product of two elements: sum over i of a_i*b_i times e_i^2,
+        each coordinate summed with Python's operators and coerced once."""
         if len(a) != self.dim or len(b) != self.dim:
             raise DimensionError("operands must have %d coordinates" % self.dim)
-        f = self.field
-        out = [f.zero] * self.dim
-        for i in range(self.dim):
-            c = f.mul(a[i], b[i])
-            if f.is_zero(c):
-                continue
-            col = self._squares[i]
-            for k in range(self.dim):
-                if not f.is_zero(col[k]):
-                    out[k] = f.add(out[k], f.mul(c, col[k]))
-        return tuple(out)
+        out = [0] * self.dim
+        for x, y, square in zip(a, b, self._squares):
+            c = x * y
+            if c:
+                for k, s in enumerate(square):
+                    if s:
+                        out[k] += c * s
+        return tuple(map(self.field.coerce, out))
 
 
 def _memoized(compute):

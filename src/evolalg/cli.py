@@ -150,8 +150,8 @@ def _emit(args, payload: dict, text):
     sys.stdout.write(render_json(payload) if args.json else text())
 
 
-def _matrix_rows(field, matrix):
-    return [list(map(field.format, row)) for row in matrix.entries]
+def _matrix_rows(matrix):
+    return [list(map(str, row)) for row in matrix.entries]
 
 
 def _cmd_report(args, algebra):
@@ -165,9 +165,9 @@ def _cmd_ideal(args, algebra):
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,
-        "vector": [algebra.field.format(x) for x in vector],
+        "vector": list(map(str, vector)),
         "ideal_dim": span.dim,
-        "ideal_basis": _matrix_rows(algebra.field, span.basis),
+        "ideal_basis": _matrix_rows(span.basis),
     }
     _emit(args, payload, lambda: render_table(
         [("vector", _brackets(payload["vector"])), ("ideal dim", str(span.dim))]
@@ -187,15 +187,14 @@ def _cmd_quotient(args, algebra):
     vectors = parse_basis_file(algebra.field, _read_text(args.ideal_basis), algebra.dim)
     ideal = subspace_from_vectors(algebra.field, algebra.dim, vectors)
     presentation = quotient(algebra, ideal)
-    f = algebra.field
     payload = {
-        "field": field_json(f),
+        "field": field_json(algebra.field),
         "dim": algebra.dim,
         "ideal_dim": ideal.dim,
         "chosen": list(presentation.chosen),
         "quotient_dim": presentation.quotient.dim,
-        "quotient_structure": _matrix_rows(f, presentation.quotient.structure),
-        "projection": _matrix_rows(f, presentation.projection),
+        "quotient_structure": _matrix_rows(presentation.quotient.structure),
+        "projection": _matrix_rows(presentation.projection),
     }
     _emit(args, payload, lambda: render_table(
         [("ideal dim", str(ideal.dim)),

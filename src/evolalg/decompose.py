@@ -167,7 +167,7 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
         block_det = det(f, _restricted_structure(algebra, block))
         nondeg = block.isdisjoint(sinks)
         # each i in the block reaches all of it iff it is one cyclic component
-        simple = (not f.is_zero(block_det) and graph.is_cyclic_index(min(block))
+        simple = (bool(block_det) and graph.is_cyclic_index(min(block))
                   and graph.cycle_of(min(block)) == block)
         blocks.append(BlockReport(block, nondeg, simple, block_det))
     return DecompositionReport(tuple(blocks), all(block.nondegenerate for block in blocks))
@@ -189,11 +189,10 @@ def is_simple(algebra: EvolutionAlgebra) -> SimplicityResult:
     are none otherwise.
     """
     n = algebra.dim
-    f = algebra.field
     if n == 0:
         return SimplicityResult(False, ("zero algebra",))
     reasons = []
-    if any(f.is_zero(block.det) for block in optimal_decomposition(algebra).blocks):
+    if not all(block.det for block in optimal_decomposition(algebra).blocks):
         reasons.append("det(M_B) == 0")
     graph = associated_graph(algebra)
     sources = graph.source_components()

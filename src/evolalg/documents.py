@@ -157,7 +157,7 @@ def emit_document(algebra: EvolutionAlgebra) -> str:
     header = "field rational" if f.kind == "rational" else "field prime %d" % f.p
     out = [header, "dim %d" % algebra.dim, "matrix"]
     for row in algebra.structure.entries:
-        out.append(" ".join(f.format(x) for x in row))
+        out.append(" ".join(map(str, row)))
     return "\n".join(out) + "\n"
 
 

@@ -1,16 +1,22 @@
-"""Exact scalar arithmetic over the rationals and over prime fields F_p.
+"""Exact scalars over the rationals and over prime fields F_p.
 
-Scalars stay plain Python values so that equality, hashing and tuple
-comparison behave canonically:
+A field object (``QQ`` or ``GF(p)``) does two things: ``parse`` reads a
+scalar's text and ``coerce`` takes a Python value (int, bool, Fraction or
+text) into the field.  Each returns a canonical scalar, a plain Python
+value on which equality, hashing and tuple comparison behave canonically:
 
 * rationals are ``fractions.Fraction`` (always gcd-reduced, denominator
   positive),
 * F_p residues are ints in ``[0, p)``.
 
-Parsing, coercion and formatting go through a field object (``QQ`` or
-``GF(p)``), and so does the scalar arithmetic outside linalg.  The linalg
-kernels do not: they read the field's kind and modulus and eliminate on
-plain ints (see linalg).  No floating point is accepted anywhere.
+Everything else is plain Python on those values.  A canonical scalar is
+zero exactly when it is falsy.  Sums and products use Python's operators;
+over F_p their results are reduced by ``coerce``, the one reduction.  The
+text of a scalar is ``str``, and ``parse(str(x)) == x``.  The field object
+also carries ``kind``, the modulus ``p`` of a prime field, and the
+canonical ``zero`` and ``one``; the linalg kernels read the kind and the
+modulus and eliminate on plain ints (see linalg).  No floating point is
+accepted anywhere.
 """
 
 from __future__ import annotations
@@ -106,37 +112,15 @@ class Rationals:
     def coerce(self, value) -> Fraction:
         if isinstance(value, Fraction):
             return value  # immutable and already reduced
-        if isinstance(value, bool):
-            return Fraction(int(value))
         if isinstance(value, int):
             return Fraction(value)
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError("cannot use %r as a rational scalar (floats are banned)" % (value,))
 
-    def add(self, a, b):
-        return a + b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return 1 / Fraction(a)
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def parse(self, text: str) -> Fraction:
         num, den = _split_scalar(text)
         return Fraction(num) if den is None else Fraction(num, den)
-
-    def format(self, a) -> str:
-        return str(a)
 
 
 @dataclass(frozen=True)
@@ -147,6 +131,7 @@ class PrimeField:
 
     kind = "prime"
     zero = 0
+    one = 1  # 1 % p is 1 for every prime p
 
     def __post_init__(self):
         # refused before the primality test: is_prime is exact only below
@@ -158,51 +143,24 @@ class PrimeField:
         if not is_prime(self.p):
             raise FieldError("%r is not prime" % (self.p,))
 
-    @property
-    def one(self):
-        return 1 % self.p
-
     def coerce(self, value) -> int:
-        if isinstance(value, bool):
-            return int(value) % self.p
         if isinstance(value, int):
             return value % self.p
         if isinstance(value, Fraction):
             if value.denominator % self.p == 0:
                 raise FieldError("denominator of %s vanishes mod %d" % (value, self.p))
-            return self.mul(value.numerator % self.p, self.inv(value.denominator % self.p))
+            return value.numerator * pow(value.denominator, -1, self.p) % self.p
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError("cannot use %r as an F_%d scalar" % (value, self.p))
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def neg(self, a):
-        return (-a) % self.p
-
-    def inv(self, a):
-        if a % self.p == 0:
-            raise ZeroDivisionError("inverse of zero in F_%d" % self.p)
-        return pow(a, self.p - 2, self.p)
-
-    def is_zero(self, a) -> bool:
-        return a % self.p == 0
-
     def parse(self, text: str) -> int:
         num, den = _split_scalar(text)
-        value = num % self.p
-        if den is not None:
-            if den % self.p == 0:
-                raise FieldError("denominator of %r vanishes mod %d" % (text, self.p))
-            value = self.mul(value, self.inv(den % self.p))
-        return value
-
-    def format(self, a) -> str:
-        return str(a % self.p)
+        if den is None:
+            return num % self.p
+        if den % self.p == 0:
+            raise FieldError("denominator of %r vanishes mod %d" % (text, self.p))
+        return num * pow(den, -1, self.p) % self.p
 
 
 QQ = Rationals()

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from itertools import compress
+from math import prod
 
 from .algebra import EvolutionAlgebra, _memoized
 from .errors import PreconditionError
@@ -285,8 +286,5 @@ def witness_path(algebra: EvolutionAlgebra, i: int, j: int):
     while not (path[-1] == i and len(path) >= 2):
         path.append(parent[path[-1]])
     path.reverse()
-    f = algebra.field
-    weight = f.one
-    for a, b in zip(path, path[1:]):
-        weight = f.mul(weight, algebra._squares[a - 1][b - 1])
-    return tuple(path), weight
+    weight = prod(algebra._squares[a - 1][b - 1] for a, b in zip(path, path[1:]))
+    return tuple(path), algebra.field.coerce(weight)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import EvolutionAlgebra
-from .errors import DimensionError, PreconditionError
+from .errors import DimensionError, FieldError, PreconditionError
 from .graph import associated_graph
 from .linalg import (Matrix, Subspace, _residue, _rref_rows, coordinate_subspace,
                      mat_vec, subspace_from_vectors)
@@ -34,6 +34,9 @@ def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
     if subspace.ambient_dim != algebra.dim:
         raise DimensionError("subspace ambient dim %d does not match algebra dim %d"
                              % (subspace.ambient_dim, algebra.dim))
+    if subspace.field != algebra.field:
+        raise FieldError("subspace over %r in an algebra over %r"
+                         % (subspace.field, algebra.field))
     support = {i for v in subspace.vectors() for i, x in enumerate(v, 1) if x}
     return all(subspace.contains(algebra.square_of_basis(i)) for i in support)
 
@@ -77,13 +80,10 @@ def ideal_generated_by_square(algebra: EvolutionAlgebra, k: int) -> Subspace:
 
 
 def lambda_x(algebra: EvolutionAlgebra, x) -> frozenset:
-    """Indices i with e_i * x nonzero: x_i nonzero and e_i^2 nonzero."""
-    if len(x) != algebra.dim:
-        raise DimensionError("element with %d coordinates in dimension %d"
-                             % (len(x), algebra.dim))
+    """Indices i with e_i * x nonzero: x_i nonzero and e_i^2 nonzero.  x
+    is coerced first, so a raw coordinate such as 7 over GF(7) is zero."""
     sinks = associated_graph(algebra).sinks()
-    return frozenset(i for i in range(1, algebra.dim + 1)
-                     if not algebra.field.is_zero(x[i - 1]) and i not in sinks)
+    return frozenset(i for i, c in enumerate(algebra.element(x), 1) if c and i not in sinks)
 
 
 def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:
@@ -171,7 +171,7 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     q = len(chosen)
     # P has kernel I and takes each e_c to a unit vector, so P e_l is -w and
     # P v is the residue of v modulo the rows w, both on the chosen positions
-    columns = [[f.neg(reduced[j][k]) for k in keep] if j in reduced
+    columns = [[f.coerce(-reduced[j][k]) for k in keep] if j in reduced
                else [f.one if c == j else f.zero for c in chosen]
                for j in range(1, n + 1)]
     projection = Matrix(q, n, tuple(zip(*columns)))

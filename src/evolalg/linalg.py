@@ -38,7 +38,7 @@ from itertools import repeat
 from math import lcm, prod
 from struct import Struct
 
-from .errors import DimensionError
+from .errors import DimensionError, FieldError
 
 
 @dataclass(frozen=True)
@@ -384,6 +384,8 @@ def full_subspace(field, ambient_dim: int) -> Subspace:
 def _same_ambient(s1: Subspace, s2: Subspace):
     if s1.ambient_dim != s2.ambient_dim:
         raise DimensionError("subspaces live in different ambient dimensions")
+    if s1.field != s2.field:
+        raise FieldError("subspaces over different fields, %r and %r" % (s1.field, s2.field))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
@@ -404,8 +406,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     stacked += [list(r) + zeros for r in s2.basis.entries]
     _rref_rows(f, stacked, 2 * n)
     carriers = tuple(tuple(row[n:]) for row in stacked
-                     if all(f.is_zero(x) for x in row[:n])
-                     and not all(f.is_zero(x) for x in row[n:]))
+                     if not any(row[:n]) and any(row[n:]))
     return Subspace(f, n, Matrix(len(carriers), n, carriers))
 
 

@@ -126,9 +126,7 @@ def simple_oracle(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT
                   ideals=None) -> bool:
     """Nonzero product and no ideal strictly between 0 and the whole space."""
     _require_enumerable(algebra, budget)
-    f = algebra.field
-    square_nonzero = any(not f.is_zero(x) for square in algebra._squares for x in square)
-    if not square_nonzero:
+    if not any(map(any, algebra._squares)):
         return False
     if ideals is None:
         ideals = enumerate_ideals(algebra, budget)
@@ -159,19 +157,18 @@ def classical_checks(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFA
         if s.dim == 0:
             continue
         vectors = s.vectors()
-        squares_to_zero = all(all(f.is_zero(x) for x in algebra.multiply(u, v))
-                              for u in vectors for v in vectors)
+        squares_to_zero = not any(any(algebra.multiply(u, v))
+                                  for u in vectors for v in vectors)
         if squares_to_zero:
             semiprime = False
             break
 
     classically = True
     for a in all_vectors(f, n):
-        if all(x == 0 for x in a):
+        if not any(a):
             continue
-        if all(all(f.is_zero(x) for x in
-                   algebra.multiply(a, algebra.multiply(algebra.basis_element(i), a)))
-               for i in range(1, n + 1)):
+        if not any(any(algebra.multiply(a, algebra.multiply(algebra.basis_element(i), a)))
+                   for i in range(1, n + 1)):
             classically = False
             break
 

@@ -35,9 +35,9 @@ def _unit_rows(field, n, indices):
     """The canonical basis rows, as texts, of the span of the e_i over
     indices: ideals.annihilator and ideals.radical are these spans of the
     sinks and of the vertices that reach no cycle.  Each row is copied
-    from one template of format(zero) texts with format(one) at its index,
-    as linalg.coordinate_subspace builds the rows themselves."""
-    zero, one = field.format(field.zero), field.format(field.one)
+    from one template of str(zero) texts with str(one) at its index, as
+    linalg.coordinate_subspace builds the rows themselves."""
+    zero, one = str(field.zero), str(field.one)
     template = [zero] * n
     rows = []
     for i in sorted(indices):
@@ -54,13 +54,12 @@ def field_json(field):
 
 
 def _blocks(algebra):
-    f = algebra.field
     return [
         {
             "indices": sorted(block.indices),
             "nondegenerate": block.nondegenerate,
             "simple": block.simple,
-            "det": f.format(block.det),
+            "det": str(block.det),
         }
         for block in optimal_decomposition(algebra).blocks
     ]

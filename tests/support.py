@@ -235,7 +235,7 @@ def random_algebra(rng, field, dim, zero_col_prob=0.25, density=0.45):
             continue
         col = [random_scalar(rng, field) if rng.random() < density else field.zero
                for _ in range(dim)]
-        if all(field.is_zero(x) for x in col):
+        if not any(col):
             col[rng.randrange(dim)] = random_scalar(rng, field)
         squares.append(tuple(col))
     return EvolutionAlgebra.from_squares(field, squares)

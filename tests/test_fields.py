@@ -22,10 +22,10 @@ def test_rational_parse_and_format_round_trip():
                         ("-3/4", Fraction(-3, 4)), ("+5/10", Fraction(1, 2))]:
         assert QQ.parse(text) == value
     # canonical: reduced, denominator positive
-    assert QQ.format(QQ.parse("4/6")) == "2/3"
-    assert QQ.format(QQ.parse("-4/6")) == "-2/3"
+    assert str(QQ.parse("4/6")) == "2/3"
+    assert str(QQ.parse("-4/6")) == "-2/3"
     for text in ["0", "7", "-2", "1/2", "-3/4"]:
-        assert QQ.format(QQ.parse(text)) == text
+        assert str(QQ.parse(text)) == text
 
 
 @pytest.mark.parametrize("bad", ["", "x", "1/0", "1.5", "1/-2", "2/", "/3", "1 2"])
@@ -37,11 +37,12 @@ def test_rational_parse_rejects_garbage(bad):
 def test_rational_arithmetic_is_exact():
     a = QQ.parse("1/3")
     b = QQ.parse("1/6")
-    assert QQ.add(a, b) == Fraction(1, 2)
-    assert QQ.mul(a, b) == Fraction(1, 18)
-    assert QQ.inv(Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.coerce(a + b) == a + b == Fraction(1, 2)
+    assert QQ.coerce(a * b) == a * b == Fraction(1, 18)
+    assert QQ.coerce(1 / Fraction(-2, 3)) == Fraction(-3, 2)
+    assert QQ.coerce(-a + a) == QQ.zero and not -a + a
     with pytest.raises(ZeroDivisionError):
-        QQ.inv(Fraction(0))
+        1 / QQ.zero
 
 
 def test_rational_coerce_bans_floats():
@@ -54,16 +55,17 @@ def test_rational_coerce_bans_floats():
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97])
 def test_prime_field_axioms_exhaustively(p):
     f = GF(p)
+    assert f.one == f.coerce(1) == 1
     for a in range(p):
-        assert f.add(a, f.neg(a)) == 0
+        assert f.coerce(a + f.coerce(-a)) == f.zero
         if a:
-            assert f.mul(a, f.inv(a)) == f.one
+            assert f.coerce(a * f.coerce(Fraction(1, a))) == f.one
         for b in range(p):
-            assert f.add(a, b) == f.add(b, a)
-            assert f.mul(a, b) == f.mul(b, a)
-            assert f.mul(a, f.add(b, 1)) == f.add(f.mul(a, b), a)
-    with pytest.raises(ZeroDivisionError):
-        f.inv(0)
+            assert f.coerce(a + b) == f.coerce(b + a) in range(p)
+            assert f.coerce(a * b) == f.coerce(b * a) in range(p)
+            assert f.coerce(a * f.coerce(b + 1)) == f.coerce(f.coerce(a * b) + a)
+    with pytest.raises(FieldError):
+        f.coerce(Fraction(1, p))  # zero has no inverse
 
 
 @pytest.mark.parametrize("bad_p", [0, 1, 4, 6, 9, 15, -7])
@@ -77,7 +79,7 @@ def test_prime_field_parses_signed_and_fractional_scalars():
     assert f.parse("-2") == 3
     assert f.parse("7") == 2
     assert f.parse("1/2") == 3  # inverse of 2 mod 5
-    assert f.parse("-3/4") == f.mul(2, f.inv(4))
+    assert f.parse("-3/4") == f.coerce(2 * pow(4, -1, 5))
     with pytest.raises(FieldError):
         f.parse("1/5")  # denominator vanishes mod 5
     with pytest.raises(FieldError):
@@ -189,3 +191,36 @@ def test_scalar_fast_path_agrees_with_the_regex_route(field, text):
     with mock.patch.object(fields, "_split_scalar", regex_split_scalar):
         reference = parse_outcome(field, text)
     assert fast == reference
+
+
+CANONICAL_FIELDS = [QQ, GF(2), GF(7), GF(10007), GF(2 ** 61 - 1), GF(2 ** 64 + 13)]
+
+
+def raw_values(field):
+    """Values coerce takes: bools, ints, and Fractions with a denominator
+    the modulus does not divide; over F_p also multiples of p and values
+    a few p away from zero."""
+    fractions = st.builds(Fraction, st.integers(), st.integers(min_value=1))
+    if field.kind == "rational":
+        return st.one_of(st.booleans(), st.integers(), fractions)
+    p = field.p
+    return st.one_of(st.booleans(), st.integers(), st.integers(-3 * p, 3 * p),
+                     st.integers(-3, 3).map(p.__mul__),
+                     fractions.filter(lambda x: x.denominator % p))
+
+
+@pytest.mark.parametrize("field", CANONICAL_FIELDS)
+@FIXED
+@given(data=st.data())
+def test_canonical_scalars_are_falsy_at_zero_alone_and_parse_their_text(field, data):
+    # the contract every caller of the field relies on: a zero test is a
+    # truth test, and the text of a scalar is str
+    value = data.draw(raw_values(field))
+    scalars = [field.zero, field.one, field.coerce(value)]
+    if not isinstance(value, bool):
+        scalars.append(field.parse(str(value)))
+        assert scalars[-1] == scalars[-2]
+    for x in scalars:
+        assert type(x) is type(field.zero)
+        assert (not x) == (x == field.zero)
+        assert field.parse(str(x)) == x

@@ -1,15 +1,18 @@
+from fractions import Fraction
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
-                     PreconditionError, absorption_preimage, annihilator,
+                     FieldError, PreconditionError, absorption_preimage, annihilator,
                      associated_graph, has_absorption_property, ideal_closure,
                      ideal_generated_by, ideal_generated_by_square, is_ideal,
                      is_nondegenerate, lambda_x, mu_n, quotient, radical,
                      subspace_equal, subspace_from_vectors, subspace_sum,
                      zero_subspace)
 from evolalg import linalg
+from evolalg.linalg import coordinate_subspace
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
                      double_loop, fixpoint_reaches_no_cycle, loop_feeder,
                      make_rng, pair_cycle_mixing,
@@ -121,7 +124,7 @@ def test_radical_tower_properties(field):
         assert (rad.dim == 0) == (ann.dim == 0)
         # absorption ideals are spanned by standard basis vectors
         for row in rad.vectors():
-            assert sum(1 for x in row if not field.is_zero(x)) == 1
+            assert sum(1 for x in row if x) == 1
         q = quotient(a, rad)
         assert annihilator(q.quotient).dim == 0
         assert radical(q.quotient).dim == 0
@@ -262,7 +265,7 @@ def test_quotient_projection_properties_random(field):
         # the projection annihilates exactly the ideal: it kills the
         # ideal's basis and has full row rank, so its kernel is no bigger
         for v in rad.vectors():
-            assert all(field.is_zero(x) for x in pres.project(v))
+            assert not any(pres.project(v))
         from evolalg import rref
         rank, _ = rref(field, pres.projection)
         assert rank == pres.quotient.dim
@@ -366,3 +369,49 @@ def test_membership_and_quotients_do_not_eliminate(monkeypatch):
     assert calls == {"_echelon": 0, "multiply": 0}
     assert quotient(a, ideal).chosen == (1,)
     assert calls == {"_echelon": 1, "multiply": 0}
+
+
+def test_is_ideal_refuses_a_subspace_over_another_field():
+    # over QQ, e1 * e1 = 2 e2 lies outside span{e1}; over GF(2) it is 0
+    a = EvolutionAlgebra.from_squares(QQ, [(0, 2), (0, 0)])
+    assert not is_ideal(a, coordinate_subspace(QQ, 2, [1]))
+    s = coordinate_subspace(GF(2), 2, [1])
+    for refused in (is_ideal, quotient, has_absorption_property, absorption_preimage):
+        with pytest.raises(FieldError):
+            refused(a, s)
+
+
+def raw_forms(field, x):
+    """Values that field.coerce takes to the canonical scalar x: x itself,
+    Fraction(2n, 2d) and, for an integer, the int; over F_p x + p and
+    x + 2p; True for one and False for zero."""
+    if field.kind == "rational":
+        forms = [x, Fraction(2 * x.numerator, 2 * x.denominator)]
+        if x.denominator == 1:
+            forms.append(x.numerator)
+    else:
+        forms = [x, x + field.p, x + 2 * field.p]
+    if x in (0, 1):
+        forms.append(bool(x))
+    return st.sampled_from(forms)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+@FIXED
+@given(data=st.data())
+def test_raw_coordinates_act_as_their_canonical_forms(field, data):
+    # a library caller may pass 7 or 14 for zero over GF(7), or True for
+    # one: every routine that tests or multiplies coordinates coerces first
+    a = data.draw(algebras(field))
+    x = tuple(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim)))
+    raw = tuple(data.draw(raw_forms(field, c)) for c in x)
+    y = tuple(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim)))
+    assert lambda_x(a, raw) == lambda_x(a, x)
+    for n in range(3):
+        assert mu_n(a, raw, n) == mu_n(a, x, n)
+    assert ideal_generated_by(a, raw) == ideal_generated_by(a, x)
+    for left, right, product in ((raw, y, a.multiply(x, y)), (y, raw, a.multiply(y, x)),
+                                 (raw, raw, a.multiply(x, x))):
+        result = a.multiply(left, right)
+        assert result == product
+        assert {type(c) for c in result} == {type(field.zero)}

@@ -1,8 +1,9 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every local name a function binds is read.
 
 No linter runs on the package, and deleting code tends to leave its
-imports behind.  The package's __init__.py imports names only to
-re-export them, so it is exempt.  The README's library tour likewise
+imports and locals behind.  The package's __init__.py imports names only
+to re-export them, so it is exempt.  The README's library tour likewise
 imports only exported names, and it runs as written.  The exported
 names hold no submodule, so a star-import rebinds no name to a module.
 """
@@ -40,6 +41,68 @@ def test_every_imported_name_is_used(module):
     unused = ["%s (line %d)" % (name, line) for name, line in imported_names(tree)
               if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (module, ", ".join(unused))
+
+
+NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def own_scope(function):
+    """The nodes of a function's body, less those inside the functions,
+    lambdas and classes defined in it."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, NESTED_SCOPES):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def unread_locals(function):
+    """(name, line) of each name the function binds in its own scope and
+    nothing in it reads, nested functions included; names starting with
+    _ and names declared global or nonlocal are exempt."""
+    nodes = list(own_scope(function))
+    declared = {name for node in nodes if isinstance(node, (ast.Global, ast.Nonlocal))
+                for name in node.names}
+    bound = {}
+    for node in nodes:
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            bound.setdefault(node.id, node.lineno)
+        elif isinstance(node, ast.ExceptHandler) and node.name:
+            bound.setdefault(node.name, node.lineno)
+    read = {node.id for node in ast.walk(function)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(((name, line) for name, line in bound.items()
+                   if name not in read and name not in declared and not name.startswith("_")),
+                  key=lambda item: item[1])
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_local_name_is_read(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    dead = ["%s in %s (line %d)" % (name, function.name, line)
+            for function in ast.walk(tree)
+            if isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+            for name, line in unread_locals(function)]
+    assert not dead, "%s binds locals it never reads: %s" % (module, ", ".join(dead))
+
+
+def test_unread_locals_are_found():
+    tree = ast.parse(
+        "def f(a):\n"
+        "    field = a.field\n"          # bound, never read
+        "    total = 0\n"
+        "    for _, x in a:\n"
+        "        total += x\n"
+        "    try:\n"
+        "        pass\n"
+        "    except ValueError as exc:\n"  # bound, never read
+        "        pass\n"
+        "    def g():\n"
+        "        nonlocal total\n"
+        "        total = 1\n"
+        "    return total, g, [y for y in a]\n")
+    assert unread_locals(tree.body[0]) == [("field", 2), ("exc", 8)]
 
 
 def test_readme_tour_imports_exported_names_and_runs():

@@ -7,8 +7,8 @@ from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
-from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, Matrix, det,
-                     full_subspace, ideal_generated_by, quotient, rref,
+from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
+                     Matrix, det, full_subspace, ideal_generated_by, quotient, rref,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
@@ -90,6 +90,17 @@ def test_subspace_sum_and_intersection_golden():
     plane2 = subspace_from_vectors(QQ, 3, [(0, 1, 0), (0, 0, 1)])
     meet = subspace_intersection(plane1, plane2)
     assert subspace_equal(meet, subspace_from_vectors(QQ, 3, [(0, 1, 0)]))
+
+
+def test_subspaces_over_different_fields_are_refused():
+    # span{e1} over QQ and over GF(3) hold different vectors, although
+    # their canonical bases compare equal
+    over_qq, over_gf3 = coordinate_subspace(QQ, 2, [1]), coordinate_subspace(GF(3), 2, [1])
+    assert over_qq.basis == over_gf3.basis
+    for combine in (subspace_equal, subspace_sum, subspace_intersection):
+        with pytest.raises(FieldError):
+            combine(over_qq, over_gf3)
+    assert subspace_equal(over_gf3, coordinate_subspace(GF(3), 2, [1]))
 
 
 def random_matrix(rng, field, rows, cols):
@@ -208,7 +219,7 @@ def combination(draw, field, rows, width):
     out = [field.zero] * width
     for row in rows:
         k = draw(scalars(field))
-        out = [field.add(x, field.mul(k, y)) for x, y in zip(out, row)]
+        out = [field.coerce(x + k * y) for x, y in zip(out, row)]
     return out
 
 
@@ -260,7 +271,7 @@ def test_zero_row_or_column_gives_zero_det_with_no_elimination(field, monkeypatc
         assert det(field, m) == field.zero == from_sympy(field, sympy_matrix(field, rows, n).det())
     assert eliminations == []
     # a matrix with no zero line still eliminates
-    assert det(field, Matrix(2, 2, ((field.zero, field.one), (field.one, field.one)))) == field.neg(field.one)
+    assert det(field, Matrix(2, 2, ((field.zero, field.one), (field.one, field.one)))) == field.coerce(-1)
     assert len(eliminations) == 1
 
 
@@ -477,7 +488,7 @@ def test_mat_vec_matches_the_field_arithmetic_loop(field, data):
     for row in m.entries:
         acc = field.zero
         for x, y in zip(row, v):
-            acc = field.add(acc, field.mul(x, y))
+            acc = field.coerce(acc + x * y)
         expected.append(acc)
     assert mat_vec(field, m, v) == tuple(expected)
     with pytest.raises(DimensionError):

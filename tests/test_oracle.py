@@ -123,7 +123,7 @@ def test_fast_paths_agree_with_oracles_on_random_corpus():
                 if absorbing:
                     # absorbing ideals are spanned by standard basis vectors
                     for row in s.vectors():
-                        assert sum(1 for x in row if not field.is_zero(x)) == 1
+                        assert sum(1 for x in row if x) == 1
             checks = classical_checks(a, ideals=ideals)
             if checks.classically_nondegenerate:
                 assert checks.semiprime

@@ -168,4 +168,4 @@ def test_render_json_is_json_dumps_with_indent_2(value):
 def test_annihilator_and_radical_rows_format_the_subspaces(a):
     report = build_report(a, "radical")
     for key, subspace in (("annihilator", annihilator(a)), ("radical", radical(a))):
-        assert report[key] == [[a.field.format(x) for x in row] for row in subspace.vectors()]
+        assert report[key] == [list(map(str, row)) for row in subspace.vectors()]
