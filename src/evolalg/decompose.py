@@ -16,7 +16,7 @@ and linalg.det returns that 0 before any elimination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, _memoized
@@ -28,48 +28,26 @@ PRINCIPAL_CYCLE = "principal_cycle"
 CHAIN_START = "chain_start"
 
 
-@dataclass(frozen=True)
-class CanonicalPart:
-    kind: str        # PRINCIPAL_CYCLE or CHAIN_START
-    seed: frozenset  # the cycle, or the singleton chain-start index
-    derived: frozenset
+# kind is PRINCIPAL_CYCLE or CHAIN_START; seed is the cycle, or the
+# singleton chain-start index
+CanonicalPart = namedtuple("CanonicalPart", "kind seed derived")
+CanonicalDecomposition = namedtuple("CanonicalDecomposition", "parts")
+BlockReport = namedtuple("BlockReport", "indices nondegenerate simple det")
+DecompositionReport = namedtuple("DecompositionReport", "blocks optimal_certified")
 
 
-@dataclass(frozen=True)
-class CanonicalDecomposition:
-    parts: tuple
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    indices: frozenset
-    nondegenerate: bool
-    simple: bool
-    det: object
-
-
-@dataclass(frozen=True)
-class DecompositionReport:
-    blocks: tuple
-    optimal_certified: bool
-
-
-@dataclass(frozen=True)
-class SimplicityResult:
-    simple: bool
-    reasons: tuple
+class SimplicityResult(namedtuple("SimplicityResult", "simple reasons")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.simple
 
 
-@dataclass(frozen=True)
-class IrreducibilityResult:
+class IrreducibilityResult(namedtuple("IrreducibilityResult", "connected conclusive")):
     """Connectivity verdict; trust it as irreducibility only when conclusive
     (the algebra is non-degenerate)."""
 
-    connected: bool
-    conclusive: bool
+    __slots__ = ()
 
     def __bool__(self):
         return self.connected

@@ -22,7 +22,6 @@ accepted anywhere.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import FieldError
@@ -101,10 +100,11 @@ def _split_scalar(text: str):
     return num, den
 
 
-@dataclass(frozen=True)
 class Rationals:
-    """The field of arbitrary-precision rationals; scalars are Fraction."""
+    """The field of arbitrary-precision rationals; scalars are Fraction.
+    Every instance is equal to every other."""
 
+    __slots__ = ()
     kind = "rational"
     zero = Fraction(0)
     one = Fraction(1)
@@ -122,26 +122,37 @@ class Rationals:
         num, den = _split_scalar(text)
         return Fraction(num) if den is None else Fraction(num, den)
 
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return True
+        return NotImplemented
 
-@dataclass(frozen=True)
+    def __hash__(self):
+        return hash(())
+
+    def __repr__(self):
+        return "Rationals()"
+
+
 class PrimeField:
-    """The field F_p for a small prime p; scalars are ints in [0, p)."""
+    """The field F_p for a small prime p; scalars are ints in [0, p).
+    Two instances are equal when their moduli are, and p is read-only."""
 
-    p: int
-
+    __slots__ = ("p",)
     kind = "prime"
     zero = 0
     one = 1  # 1 % p is 1 for every prime p
 
-    def __post_init__(self):
+    def __init__(self, p: int):
         # refused before the primality test: is_prime is exact only below
         # the bound, and Miller-Rabin on a modulus of thousands of digits
         # takes seconds
-        if self.p >= MODULUS_BOUND:
+        if p >= MODULUS_BOUND:
             raise FieldError("modulus of %d digits is too large: prime fields need p < %d"
-                             % (_digit_count(self.p), MODULUS_BOUND))
-        if not is_prime(self.p):
-            raise FieldError("%r is not prime" % (self.p,))
+                             % (_digit_count(p), MODULUS_BOUND))
+        if not is_prime(p):
+            raise FieldError("%r is not prime" % (p,))
+        object.__setattr__(self, "p", p)
 
     def coerce(self, value) -> int:
         if isinstance(value, int):
@@ -161,6 +172,26 @@ class PrimeField:
         if den % self.p == 0:
             raise FieldError("denominator of %r vanishes mod %d" % (text, self.p))
         return num * pow(den, -1, self.p) % self.p
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.p == other.p
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.p,))
+
+    def __reduce__(self):
+        return PrimeField, (self.p,)
+
+    def __repr__(self):
+        return "PrimeField(p=%r)" % (self.p,)
 
 
 QQ = Rationals()

@@ -7,7 +7,7 @@ make sense on an ideal validate their input with is_ideal first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
@@ -136,8 +136,7 @@ def ideal_closure(algebra: EvolutionAlgebra, x) -> Subspace:
         span = grown
 
 
-@dataclass(frozen=True)
-class QuotientPresentation:
+class QuotientPresentation(namedtuple("QuotientPresentation", "chosen quotient projection")):
     """A/I presented on the greedily chosen surviving basis images.
 
     chosen holds the indices i whose images form a natural basis of the
@@ -145,9 +144,7 @@ class QuotientPresentation:
     coordinates in A to coordinates in the quotient, with kernel exactly I.
     """
 
-    chosen: tuple
-    quotient: EvolutionAlgebra
-    projection: Matrix
+    __slots__ = ()
 
     def project(self, v) -> tuple:
         return mat_vec(self.quotient.field, self.projection, v)

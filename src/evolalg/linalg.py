@@ -31,7 +31,7 @@ coordinate_subspace writes their canonical basis down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
@@ -41,20 +41,20 @@ from struct import Struct
 from .errors import DimensionError, FieldError
 
 
-@dataclass(frozen=True)
-class Matrix:
-    rows: int
-    cols: int
-    entries: tuple  # tuple of row tuples
+class Matrix(namedtuple("Matrix", "rows cols entries")):
+    """A rows x cols grid; entries is a tuple of row tuples."""
 
-    def __post_init__(self):
-        if self.rows < 0 or self.cols < 0:
+    __slots__ = ()
+
+    def __new__(cls, rows, cols, entries):
+        if rows < 0 or cols < 0:
             raise DimensionError("negative matrix shape")
-        if len(self.entries) != self.rows:
-            raise DimensionError("expected %d rows, got %d" % (self.rows, len(self.entries)))
-        for r in self.entries:
-            if len(r) != self.cols:
-                raise DimensionError("expected %d columns, got %d" % (self.cols, len(r)))
+        if len(entries) != rows:
+            raise DimensionError("expected %d rows, got %d" % (rows, len(entries)))
+        for r in entries:
+            if len(r) != cols:
+                raise DimensionError("expected %d columns, got %d" % (cols, len(r)))
+        return tuple.__new__(cls, (rows, cols, entries))
 
 
 def _slots(p, count, width):
@@ -314,13 +314,10 @@ def mat_vec(field, m: Matrix, v) -> tuple:
     return tuple(s % field.p for s in sums)
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A linear subspace held by its canonical (RREF, no zero rows) basis."""
-
-    field: object
-    ambient_dim: int
-    basis: Matrix
+class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
+    """A linear subspace held by its canonical (RREF, no zero rows) basis.
+    The class has no __slots__: its instances keep their pivot columns,
+    found on first use, in their __dict__."""
 
     @property
     def dim(self) -> int:

@@ -12,7 +12,7 @@ the support of I, held to the product loop by the tests.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .algebra import EvolutionAlgebra
 from .errors import BudgetExceededError, FieldError
@@ -22,11 +22,10 @@ from .linalg import (Matrix, Subspace, full_subspace, subspace_intersection,
                      zero_subspace)
 
 
-@dataclass(frozen=True)
-class EnumerationBudget:
+class EnumerationBudget(namedtuple("EnumerationBudget", "max_vectors", defaults=(4096,))):
     """Cap on |F_p|^n; instances beyond it are refused, not attempted."""
 
-    max_vectors: int = 4096
+    __slots__ = ()
 
 
 DEFAULT_BUDGET = EnumerationBudget()
@@ -133,10 +132,7 @@ def simple_oracle(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT
     return all(s.dim in (0, algebra.dim) for s in ideals)
 
 
-@dataclass(frozen=True)
-class ClassicalChecks:
-    semiprime: bool
-    classically_nondegenerate: bool
+ClassicalChecks = namedtuple("ClassicalChecks", "semiprime classically_nondegenerate")
 
 
 def classical_checks(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET,

@@ -334,6 +334,16 @@ def test_large_prime_modulus_is_accepted(tmp_path, capsys):
     assert code == 0 and err == ""
 
 
+@pytest.mark.parametrize("command", ["analyze", "radical"])
+def test_p_alone_means_field_prime(tmp_path, capsys, command):
+    doc = tmp_path / "gf2.alg"
+    doc.write_text("field prime 2\ndim 2\nmatrix\n1 2\n1 0\n")
+    alone = run(capsys, command, "--input", str(doc), "--p", "3")
+    assert alone == run(capsys, command, "--input", str(doc), "--field", "prime", "--p", "3")
+    code, out, err = alone
+    assert code == 0 and err == "" and "prime 3" in out
+
+
 def test_modulus_above_the_bound_is_refused(tmp_path, capsys):
     too_large = "3317044064679887385962123"  # the least prime above the bound
     doc = tmp_path / "huge.alg"

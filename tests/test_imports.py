@@ -6,10 +6,17 @@ imports and locals behind.  The package's __init__.py imports names only
 to re-export them, so it is exempt.  The README's library tour likewise
 imports only exported names, and it runs as written.  The exported
 names hold no submodule, so a star-import rebinds no name to a module.
+
+Every CLI call is a fresh process that imports the package, so no module
+imports dataclasses or typing: building a dataclass execs generated code,
+and dataclasses brings inspect, ast, dis and tokenize along.
 """
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -30,6 +37,15 @@ def imported_names(tree):
                 yield alias.asname or alias.name, node.lineno
 
 
+def imported_modules(tree):
+    """The top-level name of each module an absolute import reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
 def test_the_package_has_modules():
     assert {"algebra.py", "cli.py", "decompose.py"} <= set(MODULES)
 
@@ -41,6 +57,22 @@ def test_every_imported_name_is_used(module):
     unused = ["%s (line %d)" % (name, line) for name, line in imported_names(tree)
               if name not in used]
     assert not unused, "%s imports names it never uses: %s" % (module, ", ".join(unused))
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in PACKAGE.glob("*.py")))
+def test_no_module_imports_dataclasses_or_typing(module):
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+    assert not {"dataclasses", "typing"} & set(imported_modules(tree))
+
+
+def test_importing_the_cli_loads_no_code_generation_machinery():
+    # -S: a site module may import typing itself
+    probe = ("import sys, evolalg.cli; print(*[m for m in %r if m in sys.modules])"
+             % (("dataclasses", "inspect", "typing", "ast", "dis", "tokenize"),))
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run([sys.executable, "-S", "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 NESTED_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)

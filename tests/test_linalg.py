@@ -8,7 +8,7 @@ from sympy import QQ as SympyQQ
 from sympy.polys.matrices import DomainMatrix
 
 from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
-                     Matrix, det, full_subspace, ideal_generated_by, quotient, rref,
+                     Matrix, Subspace, det, full_subspace, ideal_generated_by, quotient, rref,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
@@ -74,6 +74,26 @@ def test_subspace_construction_and_membership():
         subspace_from_vectors(QQ, 3, [(1, 0)])
     with pytest.raises(DimensionError):
         line.contains((1, 0))
+
+
+class SearchedRow(tuple):
+    """A basis row that counts the searches for its pivot column."""
+
+    searches = 0
+
+    def index(self, *args):
+        SearchedRow.searches += 1
+        return tuple.index(self, *args)
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)])
+def test_pivot_columns_are_found_once_per_subspace(field):
+    rows = tuple(SearchedRow(map(field.coerce, row)) for row in [(1, 0, 2, 0), (0, 0, 0, 1)])
+    span = Subspace(field, 4, Matrix(2, 4, rows))
+    SearchedRow.searches = 0
+    answers = [span.contains(v) for v in [(2, 0, 4, 5), (0, 1, 0, 0), (1, 0, 2, 0)] * 3]
+    assert answers == [True, False, True] * 3
+    assert SearchedRow.searches == len(rows)
 
 
 def test_subspace_sum_and_intersection_golden():
