@@ -7,17 +7,23 @@ Grammar (full description in FORMAT.md):
     matrix
     <n rows of n whitespace-separated scalars>
 
-'#' starts a comment, blank lines are skipped.  Numbers are spelt with
-ASCII digits only.  The matrix entry at row k, column i is the
-coefficient of e_k in e_i^2, i.e. column i spells out e_i^2.  Emission
-is canonical, so parse and emit are mutually inverse byte for byte.
+Lines end at \\n, \\r\\n or \\r alone.  '#' starts a comment, blank lines
+are skipped.  Numbers are spelt with ASCII digits only.  The matrix entry
+at row k, column i is the coefficient of e_k in e_i^2, i.e. column i
+spells out e_i^2.  Emission is canonical, so parse and emit are mutually
+inverse byte for byte.
 
-The rows of a document or basis file repeat few distinct token texts.
-Each is looked up in one table from text to scalar, a dict that calls
-field.parse on a miss and keeps the value, so field.parse runs once per
-distinct token and a row is read by one map over the table's lookup,
-which stays in C on every hit.  An invalid token is reported where it
-first occurs.  The parsed scalars are canonical, so the algebra is built
+A row of a document or basis file is read by one of two routes, both in
+C-level builtins.  By default each token is looked up in one table from
+text to scalar, a dict that calls field.parse on a miss and keeps the
+value, so field.parse runs once per distinct token and a row is one map
+over the table's lookup.  That pays where texts repeat, as in sparse
+matrices.  Where the last row read through the table missed on most of
+its tokens, so that the texts rarely repeat, a prime-field row of ASCII
+digits alone is read by one map of int and reduced mod p only when an
+entry reaches p; any other row, and one that int() refuses, goes through
+the table.  An invalid token is reported where it first occurs, by the
+table route.  The parsed scalars are canonical, so the algebra is built
 on them without a second coercion.
 """
 
@@ -36,7 +42,10 @@ def _significant_lines(text):
         except UnicodeDecodeError as exc:
             raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start],
                              text.count(b"\n", 0, exc.start) + 1) from None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    # not splitlines(): it also ends a line at U+2028, \v, \f and others,
+    # which the UTF-8 error path above does not count
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
@@ -78,27 +87,54 @@ class _ScalarTable(dict):
 
 def _row_parser(field, width, noun, numbered):
     """A function from (lineno, line) to the line's row of width scalars.
-    All rows it reads share one _ScalarTable, so a row is one lookup per
-    token and field.parse runs once per distinct text, on its first
-    lookup.  A wrong count is reported as "expected <width> <noun>", and
-    an invalid scalar by its message, after "entry <k>: " when numbered,
-    where k is the position of the row's first token the table does not
-    hold: the tokens before it were all stored, and the refused one was
-    not."""
+
+    A row goes by one of two routes, chosen by what the rows before it
+    showed.  The table route looks each token up in one _ScalarTable that
+    all rows share, so field.parse runs once per distinct text, on its
+    first lookup.  The table's growth over a row counts the row's new
+    texts; when they are most of its tokens, the texts rarely repeat and
+    the lookups mostly miss, so over F_p the next rows take the int
+    route: a row whose tokens are all ASCII digits is one map of int,
+    which gives what field.parse gives on such a text once it is reduced
+    mod p, and is reduced by one more map only when an entry reaches p.
+    A row with any other token, or one that int() refuses (more digits
+    than CPython converts), is read by the table route, which reports the
+    error and decides the route of the rows after it.
+
+    A wrong count is reported as "expected <width> <noun>", and an invalid
+    scalar by its message, after "entry <k>: " when numbered, where k is
+    the position of the row's first token the table does not hold: the
+    tokens before it were all stored, and the refused one was not."""
     table = _ScalarTable(field.parse)
     lookup = table.__getitem__
+    p = field.p if field.kind == "prime" else None
+    distinct = False  # the last row read through the table missed on most tokens
 
     def parse_row(lineno, line):
+        nonlocal distinct
         tokens = line.split()
         if len(tokens) != width:
             raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
+        if distinct:
+            digits = "".join(tokens)
+            if digits.isascii() and digits.isdigit():
+                try:
+                    row = tuple(map(int, tokens))
+                except ValueError:  # over CPython's digit limit
+                    pass
+                else:
+                    # x % p for each x, where an entry reaches p
+                    return tuple(map(p.__rmod__, row)) if max(row) >= p else row
+        before = len(table)
         try:
-            return tuple(map(lookup, tokens))
+            row = tuple(map(lookup, tokens))
         except FieldError as exc:
             if numbered:
                 k = next(k for k, token in enumerate(tokens, 1) if token not in table)
                 raise ParseError("entry %d: %s" % (k, exc), lineno) from None
             raise ParseError(str(exc), lineno) from None
+        distinct = p is not None and 2 * (len(table) - before) > width
+        return row
 
     return parse_row
 

@@ -11,8 +11,8 @@ _rref_rows back-substitutes on the rows it leaves (Subspace.contains
 needs no elimination; see below).  Its inner loops run on Python
 ints and call no field method per entry.  Over F_p no loop runs per
 entry in Python: each row is packed by one struct call into one int of
-fixed-width slots, wide enough for (rows + 1) p^2, and stays packed, so
-one row update is one multiply-add with no carry between slots, and one
+fixed-width slots, wide enough for every value elimination reaches, and
+stays packed: a row update is one multiply-add with no carry, and one
 inversion per pivot.  All slots of a row are reduced mod p at once by a
 Barrett step on its even and its odd slots (SWAR), before the row serves
 as a pivot row; the back-substitution of _rref_rows runs on the packed
@@ -36,7 +36,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
 from math import lcm, prod
-from struct import Struct
+from struct import Struct, error as struct_error
 
 from .errors import DimensionError, FieldError
 
@@ -61,14 +61,22 @@ def _slots(p, count, width):
     """The layout of count packed rows of width residues mod p: (bits,
     pack, unpack, reduce).
 
-    A slot is nbytes bytes, the bit length of (count + 1) p^2 rounded up to
-    whole bytes, so bits = 8 nbytes; column 0 is the most significant slot.
     pack turns a row of ints into one int with one struct call: each slot
     is nbytes - size pad bytes and the smallest struct code of size bytes
-    that holds p - 1.  Where no code does (p > 2^64), int.to_bytes is
-    mapped over the row instead.  A row with an entry outside [0, p) is
-    reduced first, so raw ints pack as their residues.  unpack is the
-    inverse on a reduced row, one struct call again.
+    that holds p - 1, and column 0 is the most significant slot.  It does
+    not look at the entries first: the library hands it canonical
+    residues, and struct itself refuses an entry below 0 or of more than
+    size bytes, which is then packed as its residue, so raw ints pack as
+    their residues or as ints below 2^(8 size) of the same residues.
+    Where no code holds p - 1 (p > 2^64), int.to_bytes is mapped over the
+    row instead, after an explicit check, and every slot starts below p.
+    unpack is the inverse on a reduced row, one struct call again.
+
+    A slot is nbytes bytes and bits = 8 nbytes, enough for p s + count p^2
+    with s = 2^(8 size), or s = p on the to_bytes route (where that is
+    (count + 1) p^2): elimination (_echelon) starts a slot below s, the
+    first pivot row, which it does not reduce, adds at most (p - 1)(s - 1)
+    to it, and each of the fewer than count later ones less than p^2.
 
     reduce takes every slot of a packed int mod p at once (SWAR: the same
     arithmetic on all slots of one int), given that each slot holds less
@@ -79,26 +87,33 @@ def _slots(p, count, width):
     lies in [0, 2p), and adding 2^bits - p to it carries into bit bits of
     its region exactly when one more p is to be subtracted.  No product
     leaves its region, so no slot borrows from or carries into another."""
-    nbytes = -(-((count + 1) * p * p).bit_length() // 8)
+    size, code = next(((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+                       if p <= 1 << 8 * s), (None, None))
+    start = p if code is None else 1 << 8 * size
+    nbytes = -(-(p * start + count * p * p).bit_length() // 8)
     bits = 8 * nbytes
-    if p <= 1 << 64:
-        size, code = next((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
-                          if p <= 1 << 8 * s)
+    if code is not None:
         layout = Struct(">" + "%dx%s" % (nbytes - size, code) * width)
-        write, read = layout.pack, layout.unpack
+        read = layout.unpack
+
+        def write(row):
+            try:
+                return layout.pack(*row)
+            except struct_error:  # an entry below 0 or of more than size bytes
+                return layout.pack(*map(p.__rmod__, row))  # x % p for each x
     else:
         layout = Struct(">" + "%ds" % nbytes * width)
 
-        def write(*row):
+        def write(row):
+            if row and (min(row) < 0 or max(row) >= p):
+                row = map(p.__rmod__, row)
             return b"".join(map(int.to_bytes, row, repeat(nbytes), repeat("big")))
 
         def read(raw):
             return map(int.from_bytes, layout.unpack(raw), repeat("big"))
 
     def pack(row):
-        if row and (min(row) < 0 or max(row) >= p):
-            row = [*map(p.__rmod__, row)]  # x % p for each x
-        return int.from_bytes(write(*row), "big")
+        return int.from_bytes(write(row), "big")
 
     def unpack(x):
         return [*read(x.to_bytes(nbytes * width, "big"))]
@@ -126,9 +141,10 @@ def _echelon(field, rows, width):
 
     Over F_p each row is packed once into one int of fixed-width slots
     (_slots) and stays packed: the rows are left as those ints.  A slot
-    starts below p and gains less than p^2 at each pivot, and there are
-    fewer pivots than rows + 1, so it stays below (rows + 1) p^2 and never
-    carries into the next.  One row update is one multiply-add, masked to
+    starts below the bound s of _slots, gains at most (p - 1)(s - 1) from
+    the first pivot row and less than p^2 from each later one, so it stays
+    below p s + rows p^2, the width _slots gives it, and never carries
+    into the next.  One row update is one multiply-add, masked to
     the columns right of the pivot, so a row's entry in the next column is
     one shift.  Every row below a pivot is updated, with factor zero where
     its entry is zero, so each pivot row but the first has been updated:
@@ -225,9 +241,10 @@ def _rref_rows(field, rows, width):
     its lead and reduced again, and each row above gets one multiply-add
     that makes its slot in the pivot column a multiple of p, its factor
     read off that slot.  A row above gains less than p^2 per slot at each
-    pivot below it, so the slots stay below (rows + 1) p^2.  Each pivot
-    row is reduced when its turn comes and is not touched after, and the
-    rows below the rank are zero, so each row is unpacked once as it is."""
+    pivot below it, so the slots stay below s + rows p^2 (_slots).  Each
+    pivot row is reduced when its turn comes and is not touched after, and
+    the rows below the rank are zero, so each row is unpacked once as it
+    is."""
     pivots, _ = _echelon(field, rows, width)
     rank = len(pivots)
     if field.kind != "rational":

@@ -180,24 +180,45 @@ def document_text(field, rows):
                      + [" ".join(row) for row in rows]) + "\n"
 
 
+def reference_rows(field, rows, first_line, numbered):
+    """field.parse on every token in order: the rows, or the ParseError of
+    the first token it refuses."""
+    out = []
+    for r, row in enumerate(rows):
+        values = []
+        for pos, token in enumerate(row, start=1):
+            try:
+                values.append(field.parse(token))
+            except FieldError as exc:
+                message = "entry %d: %s" % (pos, exc) if numbered else str(exc)
+                return ParseError(message, first_line + r)
+        out.append(tuple(values))
+    return out
+
+
+def counted_parses(monkeypatch, field):
+    calls = []
+    parse = type(field).parse
+
+    def counting_parse(self, text):
+        calls.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(type(field), "parse", counting_parse)
+    return calls
+
+
 @FIXED
 @given(field=st.sampled_from(FIELDS), rows=token_rows())
 def test_parse_document_equals_a_per_token_parse(field, rows):
     # reference: field.parse on every entry, in document order; the first
     # token that it refuses names the line and the entry of the error
-    expected, error = [], None
-    for r, row in enumerate(rows):
-        for pos, token in enumerate(row, start=1):
-            try:
-                field.parse(token)
-            except FieldError as exc:
-                error = error or ParseError("entry %d: %s" % (pos, exc), 4 + r)
-        expected.append(tuple(field.parse(t) for t in row) if error is None else None)
+    expected = reference_rows(field, rows, 4, numbered=True)
     text = document_text(field, rows)
-    if error is not None:
+    if isinstance(expected, ParseError):
         with pytest.raises(ParseError) as err:
             parse_document(text)
-        assert (err.value.line, str(err.value)) == (error.line, str(error))
+        assert (err.value.line, str(err.value)) == (expected.line, str(expected))
         return
     entries = parse_document(text).structure.entries
     assert entries == tuple(expected)
@@ -207,14 +228,7 @@ def test_parse_document_equals_a_per_token_parse(field, rows):
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_field_parse_runs_once_per_distinct_matrix_token(monkeypatch, field):
-    calls = []
-    parse = type(field).parse
-
-    def counting_parse(self, text):
-        calls.append(text)
-        return parse(self, text)
-
-    monkeypatch.setattr(type(field), "parse", counting_parse)
+    calls = counted_parses(monkeypatch, field)
     rows = [["0", "1", "0", "-1"], ["0", "0", "+1", "1"],
             ["1/2", "0", "0", "0"], ["0", "1", "1/2", "0"]]
     a = parse_document(document_text(field, rows))
@@ -241,3 +255,111 @@ def test_parse_document_coerces_no_entry(monkeypatch, field):
     assert EvolutionAlgebra(field, raw) == a
     assert len(calls) == 16
     assert a.square_of_basis(1) == (field.zero, field.zero, field.parse("1/2"), field.zero)
+
+
+@pytest.mark.parametrize("text,entries", [
+    # the text after U+2028 in a comment is still comment
+    ("field prime 5\n# note\u2028dim 3\ndim 2\nmatrix\n1 0\n0 1\n", ((1, 0), (0, 1))),
+    # \v inside a row separates two entries of one row
+    ("field prime 5\ndim 2\nmatrix\n3\v4\n0 1\n", ((3, 4), (0, 1))),
+    # \r\n and a lone \r end a line each
+    ("field prime 5\r\ndim 2\rmatrix\r\n1 2\r3 4\r\n", ((1, 2), (3, 4))),
+], ids=["separator-in-comment", "vertical-tab-in-row", "carriage-returns"])
+def test_lines_end_at_newline_or_carriage_return_alone(text, entries):
+    assert parse_document(text).structure.entries == entries
+
+
+def test_line_numbers_count_the_line_ends_the_utf8_error_counts():
+    # \f, U+2029, U+001C and U+0085 end no line: the error on the fifth
+    # line is reported there, as the invalid byte in its place is
+    head = "field prime 5\x0c\ndim 2 # a\u2029b\x1cc\x85d\nmatrix\n1 0\n"
+    with pytest.raises(ParseError) as err:
+        parse_document(head + "0 x\n")
+    assert str(err.value) == "line 5: entry 2: invalid scalar 'x'"
+    with pytest.raises(ParseError) as err:
+        parse_document(head.encode() + b"0 \xff\n")
+    assert str(err.value) == "line 5: invalid UTF-8 byte 0xff"
+
+
+# tokens each route must read as field.parse does, or refuse with its
+# message: leading zeros, signs, fractions, digit strings at and over
+# CPython's 4300-digit limit, Unicode digits that int() takes and
+# field.parse refuses, '_' separators and a zero denominator
+ODD_TOKENS = ("007", "4" * 4300, "5" * 4301, "\u0663", "\uff11", "\u00b2", "+1", "-0",
+              "1_0", "2/2", "1/0")
+# texts a row of repeated tokens is made of: digits alone, which the int
+# route reads, and others, which send a row back to the table route
+REPEATED = ("0", "1", "-1", "+0", "1/2")
+ROUTE_FIELDS = (QQ, GF(2), GF(7), GF(10007), GF(2 ** 61 - 1))
+
+
+@st.composite
+def route_rows(draw, field, width, count):
+    """count rows of width tokens, alternately of mostly distinct texts of
+    ASCII digits (distinct through leading zeros where p is small, and
+    often at or above p) and of one repeated text, so that the parser
+    takes each route and switches both ways; odd tokens go into random
+    rows at random places."""
+    top = 3 * field.p if field.kind == "prime" else 1000
+    distinct = st.tuples(st.integers(min_value=0, max_value=2),
+                         st.integers(min_value=0, max_value=top)).map(
+        lambda zeros_value: "0" * zeros_value[0] + str(zeros_value[1]))
+    offset = draw(st.integers(min_value=0, max_value=1))
+    rows = []
+    for r in range(count):
+        if (r + offset) % 2:
+            rows.append(draw(st.lists(distinct, min_size=width, max_size=width, unique=True)))
+        else:
+            rows.append([draw(st.sampled_from(REPEATED))] * width)
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
+        row[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
+            st.sampled_from(ODD_TOKENS))
+    return rows
+
+
+@FIXED
+@given(data=st.data())
+def test_both_row_routes_equal_a_per_token_parse(data):
+    field = data.draw(st.sampled_from(ROUTE_FIELDS))
+    width = data.draw(st.integers(min_value=1, max_value=7))
+    basis = data.draw(st.booleans())
+    count = data.draw(st.integers(min_value=1, max_value=9)) if basis else width
+    rows = data.draw(route_rows(field, width, count))
+    if basis:
+        text = "".join(" ".join(row) + "\n" for row in rows)
+        expected = reference_rows(field, rows, 1, numbered=False)
+        read = lambda: parse_basis_file(field, text, width)  # noqa: E731
+    else:
+        text = document_text(field, rows)
+        expected = reference_rows(field, rows, 4, numbered=True)
+        read = lambda: list(parse_document(text).structure.entries)  # noqa: E731
+    if isinstance(expected, ParseError):
+        with pytest.raises(ParseError) as err:
+            read()
+        assert (err.value.line, str(err.value)) == (expected.line, str(expected))
+        return
+    got = read()
+    assert got == expected
+    assert {type(x) for row in got for x in row} == {type(field.zero)}
+
+
+def test_dense_prime_document_parses_only_its_first_row_token_by_token(monkeypatch):
+    field = GF(10007)
+    rng = make_rng(120120)
+    rows = [[str(rng.randrange(field.p)) for _ in range(120)] for _ in range(120)]
+    expected = [tuple(map(field.parse, row)) for row in rows]
+    calls = counted_parses(monkeypatch, field)
+    assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
+    assert len(calls) <= 120
+
+
+def test_sparse_prime_document_parses_each_distinct_token_once(monkeypatch):
+    field = GF(10007)
+    rng = make_rng(144144)
+    rows = [[str(rng.randrange(1, field.p)) if rng.random() < 0.03 else "0"
+             for _ in range(120)] for _ in range(120)]
+    expected = [tuple(map(field.parse, row)) for row in rows]
+    calls = counted_parses(monkeypatch, field)
+    assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
+    assert sorted(calls) == sorted({t for row in rows for t in row})

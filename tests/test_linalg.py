@@ -311,6 +311,28 @@ def test_raw_ints_give_the_results_of_their_residues(field, data):
     assert rref(field, raw) == rref(field, reduced)
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, 251, 257, 10007])
+@FIXED
+@given(data=st.data())
+def test_raw_ints_up_to_the_struct_code_bound_give_the_results_of_their_residues(p, data):
+    # a row is packed as it is unless struct refuses an entry: one below 0,
+    # or one of more bytes than the code that holds p - 1, so the slots
+    # must have room for entries up to that code's bound; the largest
+    # entries of each residue class are the likeliest to overflow a slot
+    field = GF(p)
+    top = 1 << 8 * next(size for size in (1, 2, 4, 8) if p <= 1 << 8 * size)
+    edges = [top - 1 - k for k in range(p)] + [p, p - 1, 0, -1, -p, -top, top, 3 * top]
+    entry = st.one_of(st.sampled_from(edges), st.integers(min_value=-3 * p, max_value=top - 1))
+    rows = data.draw(st.integers(min_value=1, max_value=9))
+    cols = data.draw(st.integers(min_value=1, max_value=9))
+    raw = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    reduced = [[x % p for x in row] for row in raw]
+    assert rref(field, matrix(raw)) == rref(field, matrix(reduced))
+    k = min(rows, cols)
+    assert (det(field, matrix(row[:k] for row in raw[:k]))
+            == det(field, matrix(row[:k] for row in reduced[:k])))
+
+
 @pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)
 @FIXED
 @given(data=st.data())
