@@ -20,7 +20,8 @@ class EvolutionAlgebra:
         if structure.rows != structure.cols:
             raise DimensionError("structure matrix must be square, got %dx%d"
                                  % (structure.rows, structure.cols))
-        # every entry is coerced to a canonical Fraction or int in [0, p)
+        # every entry is coerced to a canonical scalar: over QQ an int or a
+        # Fraction of denominator above 1, over F_p an int in [0, p)
         rows = [tuple(map(field.coerce, row)) for row in structure.entries]
         self._adopt(field, tuple(zip(*rows)))
 

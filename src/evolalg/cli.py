@@ -22,7 +22,7 @@ from .documents import (export_dot, parse_basis_file, parse_document,
                         parse_vector)
 from .errors import (BudgetExceededError, DimensionError, FieldError,
                      InternalConsistencyError, ParseError, PreconditionError)
-from .fields import GF, QQ, parse_integer
+from .fields import GF, QQ, _texts, parse_integer
 from .graph import associated_graph
 from .ideals import ideal_generated_by, quotient, radical
 from .linalg import subspace_from_vectors, subspace_equal
@@ -151,7 +151,7 @@ def _emit(args, payload: dict, text):
 
 
 def _matrix_rows(matrix):
-    return [list(map(str, row)) for row in matrix.entries]
+    return [*map(_texts, matrix.entries)]
 
 
 def _cmd_report(args, algebra):
@@ -165,7 +165,7 @@ def _cmd_ideal(args, algebra):
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,
-        "vector": list(map(str, vector)),
+        "vector": _texts(vector),
         "ideal_dim": span.dim,
         "ideal_basis": _matrix_rows(span.basis),
     }

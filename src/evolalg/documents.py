@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from .algebra import EvolutionAlgebra
 from .errors import FieldError, ParseError
-from .fields import GF, QQ, parse_integer
+from .fields import GF, QQ, _texts, parse_integer
 from .graph import AssociatedGraph
 
 
@@ -40,10 +40,13 @@ def _significant_lines(text):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
-            raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start],
-                             text.count(b"\n", 0, exc.start) + 1) from None
-    # not splitlines(): it also ends a line at U+2028, \v, \f and others,
-    # which the UTF-8 error path above does not count
+            # the line ends before the bad byte, counted as below: a \r\n
+            # is one end, and the bad byte is no \n that could pair with a
+            # \r just before it
+            before = text[:exc.start]
+            ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
+            raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start], ends + 1) from None
+    # not splitlines(): it also ends a line at U+2028, \v, \f and others
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -193,7 +196,7 @@ def emit_document(algebra: EvolutionAlgebra) -> str:
     header = "field rational" if f.kind == "rational" else "field prime %d" % f.p
     out = [header, "dim %d" % algebra.dim, "matrix"]
     for row in algebra.structure.entries:
-        out.append(" ".join(map(str, row)))
+        out.append(" ".join(_texts(row)))
     return "\n".join(out) + "\n"
 
 

@@ -5,15 +5,27 @@ scalar's text and ``coerce`` takes a Python value (int, bool, Fraction or
 text) into the field.  Each returns a canonical scalar, a plain Python
 value on which equality, hashing and tuple comparison behave canonically:
 
-* rationals are ``fractions.Fraction`` (always gcd-reduced, denominator
-  positive),
+* a rational is an ``int`` when it is an integer, and otherwise a
+  ``fractions.Fraction`` with denominator above 1 (gcd-reduced,
+  denominator positive),
 * F_p residues are ints in ``[0, p)``.
+
+So the integers that make up most documents are plain ints over both
+fields, and truth tests, ``str`` and ``numerator``/``denominator`` on
+them run in C.  A Fraction equals the int of the same value and hashes
+like it, so equality, hashing and sorting are the same for either form;
+only a result must be handed out in canonical form, and over QQ
+``coerce`` and the linalg kernels give ``x.numerator`` for an x of
+denominator 1.  A bool is an int whose text is ``True``, so ``coerce``
+takes it to 0 or 1.
 
 Everything else is plain Python on those values.  A canonical scalar is
 zero exactly when it is falsy.  Sums and products use Python's operators;
 over F_p their results are reduced by ``coerce``, the one reduction.  The
-text of a scalar is ``str``, and ``parse(str(x)) == x``.  The field object
-also carries ``kind``, the modulus ``p`` of a prime field, and the
+text of a scalar is ``str``, and ``parse(str(x)) == x``; writers go
+through ``_text`` and ``_texts``, which give the same text also where an
+int part has more digits than CPython's ``str`` converts.  The field
+object also carries ``kind``, the modulus ``p`` of a prime field, and the
 canonical ``zero`` and ``one``; the linalg kernels read the kind and the
 modulus and eliminate on plain ints (see linalg).  No floating point is
 accepted anywhere.
@@ -100,27 +112,79 @@ def _split_scalar(text: str):
     return num, den
 
 
+# A run of at most this many digits is below every limit on digits that
+# CPython lets sys.set_int_max_str_digits set (the least is 640).
+_CHUNK_DIGITS = 512
+
+
+def _decimal(n: int) -> str:
+    """The decimal text of an int of any size, with no process-wide limit
+    changed: n is split by divide and conquer over the powers
+    10^(512 2^i), and str writes each run of at most 512 digits."""
+    if n < 0:
+        return "-" + _decimal(-n)
+    powers = [10 ** _CHUNK_DIGITS]  # powers[i] is 10^(512 2^i)
+    while powers[-1] <= n:
+        powers.append(powers[-1] * powers[-1])
+
+    def runs(x, i):
+        # the digits of x < powers[i], padded with zeros to 512 2^i
+        if not i:
+            return str(x).zfill(_CHUNK_DIGITS)
+        high, low = divmod(x, powers[i - 1])
+        return runs(high, i - 1) + runs(low, i - 1)
+
+    return runs(n, len(powers) - 1).lstrip("0") or "0"
+
+
+def _text(x) -> str:
+    """str(x) for a canonical scalar x, also where an int part of x has
+    more digits than CPython's str converts (sys.get_int_max_str_digits):
+    every writer of scalar text goes through here or through _texts."""
+    try:
+        return str(x)
+    except ValueError:
+        if type(x) is int:
+            return _decimal(x)
+        return _decimal(x.numerator) + "/" + _decimal(x.denominator)
+
+
+def _texts(row) -> list:
+    """[_text(x) for x in row], for a sequence row: one map of str, which
+    runs in C on ints, unless an entry is over the digit limit."""
+    try:
+        return [*map(str, row)]
+    except ValueError:
+        return [*map(_text, row)]
+
+
 class Rationals:
-    """The field of arbitrary-precision rationals; scalars are Fraction.
-    Every instance is equal to every other."""
+    """The field of arbitrary-precision rationals; a scalar is an int when
+    it is an integer and a Fraction otherwise.  Every instance is equal to
+    every other."""
 
     __slots__ = ()
     kind = "rational"
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, value) -> Fraction:
+    def coerce(self, value):
+        if type(value) is int:
+            return value
         if isinstance(value, Fraction):
-            return value  # immutable and already reduced
-        if isinstance(value, int):
-            return Fraction(value)
+            # immutable and already reduced
+            return value.numerator if value.denominator == 1 else value
+        if isinstance(value, int):  # a bool or another int subclass
+            return int(value)
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError("cannot use %r as a rational scalar (floats are banned)" % (value,))
 
-    def parse(self, text: str) -> Fraction:
+    def parse(self, text: str):
         num, den = _split_scalar(text)
-        return Fraction(num) if den is None else Fraction(num, den)
+        if den is None:
+            return num
+        return Fraction(num, den) if num % den else num // den
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:

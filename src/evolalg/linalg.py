@@ -20,8 +20,9 @@ rows too, and each row is unpacked once, by one struct call, at the
 end.  Over QQ the rows are scaled by the lcm of their denominators and
 reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
 Comp. 22), whose every division is exact.  Entries go back to canonical
-scalars (Fraction over QQ, ints in [0, p) over F_p) only where a reduced
-basis is handed out.  A canonical basis needs no elimination at all:
+scalars (over QQ an int, or a Fraction where the division leaves a
+remainder; ints in [0, p) over F_p) only where a reduced basis or a
+determinant is handed out.  A canonical basis needs no elimination at all:
 Subspace.contains subtracts from v its coordinate at each pivot times
 that pivot's row (_residue) and asks whether anything is left; the pivot
 columns are found once per subspace.
@@ -229,7 +230,8 @@ def _echelon(field, rows, width):
                 row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
                 divisors[r] = value
         pivots.append(col)
-    return pivots, Fraction(sign * value, prod(scales[:len(pivots)]))
+    value, scale = sign * value, prod(scales[:len(pivots)])
+    return pivots, Fraction(value, scale) if value % scale else value // scale
 
 
 def _rref_rows(field, rows, width):
@@ -260,7 +262,8 @@ def _rref_rows(field, rows, width):
         return rank, pivots
     # integer back-substitution: with d the last pivot, the determinant of
     # the scaled pivot block, each row becomes d times its reduced row,
-    # which is integral by Cramer's rule, so every division is exact
+    # which is integral by Cramer's rule, so every division is exact; an
+    # entry x of it is the canonical x // d where d divides x
     d = rows[rank - 1][pivots[-1]] if rank else 1
     for top in reversed(range(rank)):
         col = pivots[top]
@@ -273,9 +276,8 @@ def _rref_rows(field, rows, width):
         for a, other in below:
             acc = [x - a * y for x, y in zip(acc, other[col:])]
         row[col:] = [x // pk for x in acc]
-    zero, one = field.zero, field.one
     for i, row in enumerate(rows):
-        rows[i] = [zero if not x else one if x == d else Fraction(x, d) for x in row]
+        rows[i] = [Fraction(x, d) if x % d else x // d for x in row]
     return rank, pivots
 
 
@@ -293,14 +295,22 @@ def det(field, m: Matrix):
     """Exact determinant of a square m, or zero below full rank: the value
     _echelon returns, which over F_p is the signed product of its pivots
     mod p and over QQ its last Bareiss pivot, signed and divided by the
-    row scales that cleared the denominators.  A zero row or zero column
-    gives zero with no elimination (a zero scalar is falsy in every field)."""
+    row scales that cleared the denominators (an int where they divide
+    it).  A zero row or zero column gives zero with no elimination (a zero
+    scalar is falsy in every field)."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
     if not all(map(any, m.entries)) or not all(map(any, zip(*m.entries))):
         return field.zero
     pivots, value = _echelon(field, list(m.entries), m.cols)
     return value if len(pivots) == m.rows else field.zero
+
+
+def _integral(values) -> list:
+    """Sums and products of canonical rationals made canonical again: a
+    Fraction that the arithmetic left with denominator 1 becomes its
+    numerator, and an int stays as it is (its denominator is 1 too)."""
+    return [x.numerator if x.denominator == 1 else x for x in values]
 
 
 def _residue(field, basis, pivots, v) -> list:
@@ -317,7 +327,7 @@ def _residue(field, basis, pivots, v) -> list:
     if field.kind != "rational":
         p = field.p
         return [x % p for x in out]
-    return out
+    return _integral(out)
 
 
 def mat_vec(field, m: Matrix, v) -> tuple:
@@ -327,7 +337,7 @@ def mat_vec(field, m: Matrix, v) -> tuple:
         raise DimensionError("vector of length %d against %d columns" % (len(v), m.cols))
     sums = [sum([x * y for x, y in zip(row, v) if x and y], field.zero) for row in m.entries]
     if field.kind == "rational":
-        return tuple(sums)
+        return tuple(_integral(sums))
     return tuple(s % field.p for s in sums)
 
 

@@ -27,6 +27,7 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .algebra import EvolutionAlgebra
 from .decompose import (CHAIN_START, PRINCIPAL_CYCLE, canonical_decomposition,
                         is_simple, optimal_decomposition)
+from .fields import _text, _texts
 from .graph import associated_graph
 from .ideals import is_nondegenerate
 
@@ -35,9 +36,9 @@ def _unit_rows(field, n, indices):
     """The canonical basis rows, as texts, of the span of the e_i over
     indices: ideals.annihilator and ideals.radical are these spans of the
     sinks and of the vertices that reach no cycle.  Each row is copied
-    from one template of str(zero) texts with str(one) at its index, as
-    linalg.coordinate_subspace builds the rows themselves."""
-    zero, one = str(field.zero), str(field.one)
+    from one template of texts of zero with the text of one at its index,
+    as linalg.coordinate_subspace builds the rows themselves."""
+    zero, one = _texts((field.zero, field.one))
     template = [zero] * n
     rows = []
     for i in sorted(indices):
@@ -59,7 +60,7 @@ def _blocks(algebra):
             "indices": sorted(block.indices),
             "nondegenerate": block.nondegenerate,
             "simple": block.simple,
-            "det": str(block.det),
+            "det": _text(block.det),
         }
         for block in optimal_decomposition(algebra).blocks
     ]

@@ -215,8 +215,16 @@ def graph_core_loop_tail():
 
 # random corpora
 
-RATIONAL_POOL = tuple(Fraction(n) for n in (1, -1, 2, -2, 3, 5)) + (
-    Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+RATIONAL_POOL = (1, -1, 2, -2, 3, 5, Fraction(1, 2), Fraction(-1, 2), Fraction(2, 3))
+
+
+def is_canonical(field, x):
+    """The scalar contract of evolalg.fields: over QQ an int, or a Fraction
+    of denominator above 1; over F_p an int in [0, p).  A bool is neither,
+    and neither is a float."""
+    if field.kind == "rational":
+        return type(x) is int or (type(x) is Fraction and x.denominator > 1)
+    return type(x) is int and 0 <= x < field.p
 
 
 def random_scalar(rng, field):

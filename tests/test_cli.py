@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -319,6 +320,51 @@ def test_exit_code_2_when_oracle_disagrees(tmp_path, capsys, monkeypatch):
         '  "simple_match": true,\n  "semiprime": true,\n'
         '  "classically_nondegenerate": false\n}\n',
         failure)
+
+
+def test_det_over_the_digit_limit_is_written_in_full(tmp_path, capsys):
+    # det [[N, 1], [1, 12]] = 12 N - 1 with N = 10^4300 - 1, the largest
+    # entry a document holds, has 4302 digits: more than str writes
+    doc = tmp_path / "huge-det.alg"
+    doc.write_text("field rational\ndim 2\nmatrix\n%s 1\n1 12\n" % ("9" * 4300))
+    text = "11" + "9" * 4298 + "87"
+    for command in ("analyze", "decompose"):
+        code, out, err = run(capsys, command, "--input", str(doc), "--json")
+        assert (code, err) == (0, "")
+        assert [b["det"] for b in json.loads(out)["blocks"]] == [text]
+        code, out, err = run(capsys, command, "--input", str(doc))
+        assert (code, err) == (0, "")
+        assert "blocks               {1, 2} nondegenerate=yes simple=yes det=%s\n" % text in out
+    # e1^2 = e2^2 = N e2 + e3: the ideal of (N, 1, 0) is spanned by it and
+    # (0, N, 1), whose reduced basis holds -1/N^2 of 8600 digits
+    doc.write_text("field rational\ndim 3\nmatrix\n0 0 0\n{0} {0} 0\n1 1 0\n".format("9" * 4300))
+    code, out, err = run(capsys, "ideal", "--input", str(doc), "--vector", "9" * 4300 + ",1,0",
+                         "--json")
+    assert (code, err) == (0, "")
+    square = "9" * 4299 + "8" + "0" * 4299 + "1"
+    assert json.loads(out)["ideal_basis"] == [["1", "0", "-1/" + square],
+                                              ["0", "1", "1/" + "9" * 4300]]
+
+
+def test_integer_rational_documents_call_no_fraction_method(tmp_path, capsys, monkeypatch):
+    # over QQ an integer is an int, so zero tests and text run in C: on a
+    # document of integers the pure-Python Fraction's truth test and text
+    # are never called
+    calls = []
+    for name in ("__bool__", "__str__"):
+        def counting(self, _name=name, _method=getattr(Fraction, name)):
+            calls.append(_name)
+            return _method(self)
+        monkeypatch.setattr(Fraction, name, counting)
+    # e1^2 = 2 e2, e2^2 = 3 e3, e3^2 = e1 - 4 e4, e4^2 = 7 e4
+    doc = tmp_path / "integers.alg"
+    doc.write_text("field rational\ndim 4\nmatrix\n0 0 1 0\n2 0 0 0\n0 3 0 0\n0 0 -4 7\n")
+    for argv in (["analyze"], ["radical"], ["ideal", "--vector", "0,0,0,1"],
+                 ["ideal", "--vector", "1,0,0,0"]):
+        code, out, err = run(capsys, *argv, "--input", str(doc), "--json")
+        assert (code, err) == (0, "") and out
+    assert json.loads(out)["ideal_dim"] == 4
+    assert calls == []
 
 
 def test_large_prime_modulus_is_accepted(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from unittest import mock
 
@@ -9,7 +12,7 @@ from hypothesis import strategies as st
 from evolalg import GF, QQ, FieldError
 from evolalg import fields
 from evolalg.fields import _SCALAR_RE, MODULUS_BOUND, is_prime
-from support import FIXED
+from support import FIXED, is_canonical
 
 
 def trial_division_is_prime(n):
@@ -50,6 +53,73 @@ def test_rational_coerce_bans_floats():
     assert QQ.coerce("1/2") == Fraction(1, 2)
     with pytest.raises(FieldError):
         QQ.coerce(0.5)
+
+
+def test_integral_rationals_are_ints():
+    # an integer is an int, in whatever form it comes: a bool, a Fraction
+    # of denominator 1, or a text with a denominator that divides it
+    for value, expected in [(True, 1), (False, 0), (Fraction(6, 3), 2), (Fraction(-4, 1), -4),
+                            ("4/2", 2), ("-0/5", 0), (7, 7), ("1/2", Fraction(1, 2))]:
+        got = QQ.coerce(value)
+        assert got == expected and type(got) is type(expected)
+    assert type(QQ.parse("-9/3")) is int and type(QQ.zero) is type(QQ.one) is int
+    assert str(QQ.coerce(True)) == "1"
+
+
+@contextmanager
+def unlimited_int_text():
+    """CPython's int <-> str conversions with no limit on digits, for a
+    reference text; the limit is put back afterwards."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def huge_int(digits, offset, seed):
+    """A signed int of about `digits` digits: 10^digits + offset (where
+    the runs of _decimal meet) when seed is 0, else one drawn below
+    10^digits by a Random(seed)."""
+    rng = random.Random(seed)
+    value = 10 ** digits + offset if not seed else rng.randrange(10 ** digits)
+    return rng.choice([1, -1]) * value
+
+
+# (digits, offset, seed) of an int: hypothesis prints its arguments, and
+# repr of an int over CPython's digit limit fails, so the tests draw these
+# small parameters and build the ints themselves
+HUGE_INTS = st.tuples(st.integers(min_value=0, max_value=12000), st.integers(-1, 1),
+                      st.sampled_from([0, 0, 1, 2, 3]))
+
+
+def assert_text_is_str(x):
+    # _text and _texts write what str writes with no digit limit, and
+    # leave the process-wide limit as it was
+    limit = sys.get_int_max_str_digits()
+    got, row = fields._text(x), fields._texts([QQ.zero, x, QQ.one])
+    assert sys.get_int_max_str_digits() == limit
+    with unlimited_int_text():
+        assert got == str(x) and row == ["0", str(x), "1"]
+        assert QQ.parse(got) == x
+
+
+@FIXED
+@given(num=HUGE_INTS, den=st.none() | HUGE_INTS)
+def test_scalar_text_is_str_at_any_size(num, den):
+    x = huge_int(*num)
+    if den is not None:
+        x = QQ.coerce(Fraction(x, huge_int(*den) or 1))
+    assert_text_is_str(x)
+
+
+def test_scalar_text_golden_over_the_digit_limit():
+    # 12 (10^4300 - 1) - 1, the det of [[10^4300 - 1, 1], [1, 12]]
+    assert fields._text(12 * 10 ** 4300 - 13) == "11" + "9" * 4298 + "87"
+    assert fields._text(-10 ** 4400) == "-1" + "0" * 4400
+    assert fields._text(Fraction(1, 10 ** 5000 + 1)) == "1/1" + "0" * 4999 + "1"
+    assert_text_is_str(Fraction(10 ** 4300 + 1, 3 * 10 ** 4400 - 1))
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97])
@@ -221,6 +291,6 @@ def test_canonical_scalars_are_falsy_at_zero_alone_and_parse_their_text(field, d
         scalars.append(field.parse(str(value)))
         assert scalars[-1] == scalars[-2]
     for x in scalars:
-        assert type(x) is type(field.zero)
+        assert is_canonical(field, x)
         assert (not x) == (x == field.zero)
         assert field.parse(str(x)) == x

@@ -13,7 +13,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
 from evolalg.linalg import _slots, coordinate_subspace, mat_vec
-from support import FIXED, make_rng, matrix, scalars
+from support import FIXED, is_canonical, make_rng, matrix, scalars
 
 
 def mat(rows):
@@ -487,12 +487,6 @@ def test_wide_rational_contains_matches_sympy_rank(data):
     assert subspace_from_vectors(QQ, n, rows).contains(v) == expected
 
 
-def canonical(field, x):
-    if field.kind == "rational":
-        return type(x) is Fraction
-    return type(x) is int and 0 <= x < field.p
-
-
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(3), GF(10007)], ids=field_ids)
 @FIXED
 @given(data=st.data())
@@ -515,7 +509,7 @@ def test_results_are_canonical_field_scalars(field, data):
     s2 = subspace_from_vectors(field, n, more)
     for s in (s1, subspace_sum(s1, s2), subspace_intersection(s1, s2)):
         entries += [x for r in s.vectors() for x in r]
-    assert all(canonical(field, x) for x in entries)
+    assert all(is_canonical(field, x) for x in entries)
 
 
 @field_param
