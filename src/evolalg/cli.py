@@ -25,7 +25,7 @@ from .errors import (BudgetExceededError, DimensionError, FieldError,
 from .fields import GF, QQ, _texts, parse_integer
 from .graph import associated_graph
 from .ideals import ideal_generated_by, quotient, radical
-from .linalg import subspace_from_vectors, subspace_equal
+from .linalg import _span, subspace_equal
 from .oracle import (ClassicalChecks, EnumerationBudget, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
 from .report import (_braces, _brackets, _yesno, build_report, field_json,
@@ -184,8 +184,9 @@ def _cmd_graph(args, algebra):
 
 
 def _cmd_quotient(args, algebra):
+    # parse_basis_file checks each row's width and returns canonical rows
     vectors = parse_basis_file(algebra.field, _read_text(args.ideal_basis), algebra.dim)
-    ideal = subspace_from_vectors(algebra.field, algebra.dim, vectors)
+    ideal = _span(algebra.field, algebra.dim, vectors)
     presentation = quotient(algebra, ideal)
     payload = {
         "field": field_json(algebra.field),

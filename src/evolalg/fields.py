@@ -29,6 +29,14 @@ object also carries ``kind``, the modulus ``p`` of a prime field, and the
 canonical ``zero`` and ``one``; the linalg kernels read the kind and the
 modulus and eliminate on plain ints (see linalg).  No floating point is
 accepted anywhere.
+
+A raw value becomes canonical at the public edge, once: the parsers, the
+EvolutionAlgebra constructors and ``element``, the routines that take a
+vector (``subspace_from_vectors``, ``Subspace.contains`` and those of
+ideals), and ``det``/``rref`` on raw ints.  Inside the package every
+scalar is canonical already, so internal calls hand it to the span and
+membership cores (``linalg._span``, ``Subspace._holds``) without
+another ``coerce``.
 """
 
 from __future__ import annotations

@@ -2,7 +2,10 @@
 radical, ideals generated by one element, quotient algebras.
 
 Ideals are carried as plain linalg.Subspace values; operations that only
-make sense on an ideal validate their input with is_ideal first.
+make sense on an ideal validate their input with is_ideal first.  A
+coordinate vector handed in is coerced once, where it enters; basis
+squares and subspace bases are canonical already, so they reach the span
+(linalg._span) and membership (Subspace._holds) cores as they are.
 """
 
 from __future__ import annotations
@@ -12,8 +15,8 @@ from collections import namedtuple
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _residue, _rref_rows, coordinate_subspace,
-                     mat_vec, subspace_from_vectors)
+from .linalg import (Matrix, Subspace, _residue, _rref_rows, _span, coordinate_subspace,
+                     full_subspace, mat_vec, subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
@@ -38,7 +41,7 @@ def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
         raise FieldError("subspace over %r in an algebra over %r"
                          % (subspace.field, algebra.field))
     support = {i for v in subspace.vectors() for i, x in enumerate(v, 1) if x}
-    return all(subspace.contains(algebra.square_of_basis(i)) for i in support)
+    return all(subspace._holds(algebra.square_of_basis(i)) for i in support)
 
 
 def _require_ideal(algebra, subspace):
@@ -52,13 +55,13 @@ def absorption_preimage(algebra: EvolutionAlgebra, ideal: Subspace) -> Subspace:
     _require_ideal(algebra, ideal)
     return coordinate_subspace(algebra.field, algebra.dim,
                                [i for i in range(1, algebra.dim + 1)
-                                if ideal.contains(algebra.square_of_basis(i))])
+                                if ideal._holds(algebra.square_of_basis(i))])
 
 
 def has_absorption_property(algebra: EvolutionAlgebra, ideal: Subspace) -> bool:
     """True when xA inside I forces x in I."""
     preimage = absorption_preimage(algebra, ideal)
-    return all(ideal.contains(v) for v in preimage.vectors())
+    return all(ideal._holds(v) for v in preimage.vectors())
 
 
 def radical(algebra: EvolutionAlgebra) -> Subspace:
@@ -73,10 +76,9 @@ def radical(algebra: EvolutionAlgebra) -> Subspace:
 
 
 def ideal_generated_by_square(algebra: EvolutionAlgebra, k: int) -> Subspace:
-    """<e_k^2> = span of the squares e_j^2 over j in D(k) plus k itself."""
-    indices = sorted(associated_graph(algebra).forward_closure({k}))
-    return subspace_from_vectors(algebra.field, algebra.dim,
-                                 [algebra.square_of_basis(j) for j in indices])
+    """<e_k^2> = span of the squares e_j^2 over j in D(k) plus k itself:
+    <x> at x = e_k^2, whose nonzero coordinates are the out-neighbours of k."""
+    return _generated(algebra, algebra.square_of_basis(k))
 
 
 def lambda_x(algebra: EvolutionAlgebra, x) -> frozenset:
@@ -97,7 +99,7 @@ def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:
         raise ValueError("multiplication depth must be >= 0")
     f = algebra.field
     if n == 0:
-        return subspace_from_vectors(f, algebra.dim, [algebra.element(x)])
+        return _span(f, algebra.dim, [algebra.element(x)])
     lam = lambda_x(algebra, x)
     if n == 1:
         indices = set(lam)
@@ -106,16 +108,21 @@ def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:
         indices = set()
         for i in lam:
             indices |= graph.descendents_m(i, n - 1)
-    return subspace_from_vectors(f, algebra.dim,
-                                 [algebra.square_of_basis(j) for j in sorted(indices)])
+    return _span(f, algebra.dim, [algebra.square_of_basis(j) for j in sorted(indices)])
 
 
 def ideal_generated_by(algebra: EvolutionAlgebra, x) -> Subspace:
     """<x> = span{x} + span of e_j^2 over j in the forward closure of
     lambda_x (each seed included)."""
-    indices = associated_graph(algebra).forward_closure(lambda_x(algebra, x))
-    gens = [algebra.element(x)] + [algebra.square_of_basis(j) for j in sorted(indices)]
-    return subspace_from_vectors(algebra.field, algebra.dim, gens)
+    return _generated(algebra, algebra.element(x))
+
+
+def _generated(algebra, x) -> Subspace:
+    """<x> for a canonical x.  The closure starts from all nonzero
+    coordinates of x, not only from lambda_x: the others are sinks, which
+    reach nothing and add only their square, zero."""
+    indices = associated_graph(algebra).forward_closure(i for i, c in enumerate(x, 1) if c)
+    return _span(algebra.field, algebra.dim, [x, *map(algebra.square_of_basis, sorted(indices))])
 
 
 def ideal_closure(algebra: EvolutionAlgebra, x) -> Subspace:
@@ -160,19 +167,19 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     # when i is not the last nonzero position l of a vector of I: the pivots
     # of I's basis with its columns reversed, whose reduced row w for l is 1
     # at l and 0 at every other l
-    rows = [list(reversed(v)) for v in ideal.vectors()]
+    rows = [v[::-1] for v in ideal.vectors()]
     _, pivots = _rref_rows(f, rows, n)
-    reduced = {n - col: row for col, row in zip(pivots, rows)}
-    chosen = [i for i in range(1, n + 1) if i not in reduced]
+    chosen = sorted(set(range(1, n + 1)).difference(n - col for col in pivots))
     keep = [n - c for c in chosen]  # the chosen positions, reversed
-    q = len(chosen)
-    # P has kernel I and takes each e_c to a unit vector, so P e_l is -w and
-    # P v is the residue of v modulo the rows w, both on the chosen positions
-    columns = [[f.coerce(-reduced[j][k]) for k in keep] if j in reduced
-               else [f.one if c == j else f.zero for c in chosen]
-               for j in range(1, n + 1)]
-    projection = Matrix(q, n, tuple(zip(*columns)))
-    residues = [_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1]) for i in chosen]
-    squares = tuple(tuple(r[k] for k in keep) for r in residues)
+
+    def project(v):
+        # P has kernel I and takes each e_c to a unit vector: P v is the
+        # residue of v modulo the rows w, on the chosen positions (so P e_l
+        # is -w)
+        residue = _residue(f, rows, pivots, v[::-1])
+        return tuple(map(residue.__getitem__, keep))
+
+    projection = Matrix(len(chosen), n, tuple(zip(*map(project, full_subspace(f, n).vectors()))))
+    squares = tuple(project(algebra.square_of_basis(i)) for i in chosen)
     return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, squares),
                                 projection)

@@ -28,6 +28,9 @@ that pivot's row (_residue) and asks whether anything is left; the pivot
 columns are found once per subspace.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down.
+subspace_from_vectors and Subspace.contains check and coerce what a
+caller hands them; the package's own calls, whose rows are canonical,
+go straight to their cores, _span and Subspace._holds.
 """
 
 from __future__ import annotations
@@ -137,8 +140,9 @@ def _slots(p, count, width):
 
 def _echelon(field, rows, width):
     """Forward elimination in place on integer rows, touching only the
-    columns from each pivot on.  Returns (pivot columns, signed
-    determinant of the pivot block as a field scalar).
+    columns from each pivot on.  Returns (pivot columns, a field scalar
+    that is the determinant when every row is a pivot row; det reads it
+    only then, and _rref_rows never).
 
     Over F_p each row is packed once into one int of fixed-width slots
     (_slots) and stays packed: the rows are left as those ints.  A slot
@@ -215,7 +219,6 @@ def _echelon(field, rows, width):
         if hit != top:
             rows[top], rows[hit] = rows[hit], rows[top]
             divisors[top], divisors[hit] = divisors[hit], divisors[top]
-            scales[top], scales[hit] = scales[hit], scales[top]
             sign = -sign
         pivot_row = rows[top]
         if divisors[top] != value:
@@ -230,13 +233,13 @@ def _echelon(field, rows, width):
                 row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
                 divisors[r] = value
         pivots.append(col)
-    value, scale = sign * value, prod(scales[:len(pivots)])
+    value, scale = sign * value, prod(scales)
     return pivots, Fraction(value, scale) if value % scale else value // scale
 
 
 def _rref_rows(field, rows, width):
-    """Reduce a list of row lists in place to canonical field scalars;
-    return (rank, pivot columns).
+    """Reduce a list of rows (lists or tuples) in place to lists of
+    canonical field scalars; return (rank, pivot columns).
 
     Over F_p the back-substitution runs on the packed rows _echelon leaves:
     from the last pivot up, its row is reduced, scaled by the inverse of
@@ -354,8 +357,12 @@ class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
         if len(v) != self.ambient_dim:
             raise DimensionError("vector of length %d in an ambient space of dim %d"
                                  % (len(v), self.ambient_dim))
-        return not any(_residue(self.field, self.basis.entries, self._pivots,
-                                [self.field.coerce(x) for x in v]))
+        return self._holds([*map(self.field.coerce, v)])
+
+    def _holds(self, v) -> bool:
+        """contains for a canonical v of the ambient length, which is
+        neither checked nor coerced: the residue of v is zero."""
+        return not any(_residue(self.field, self.basis.entries, self._pivots, v))
 
     @cached_property
     def _pivots(self) -> list:
@@ -373,7 +380,14 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
         if len(v) != ambient_dim:
             raise DimensionError("vector of length %d in an ambient space of dim %d"
                                  % (len(v), ambient_dim))
-        rows.append([field.coerce(x) for x in v])
+        rows.append([*map(field.coerce, v)])
+    return _span(field, ambient_dim, rows)
+
+
+def _span(field, ambient_dim: int, rows) -> Subspace:
+    """subspace_from_vectors for a list of rows of ambient_dim canonical
+    scalars (tuples or lists), which are neither checked nor coerced; the
+    list itself is reduced in place."""
     rank, _ = _rref_rows(field, rows, ambient_dim)
     basis = Matrix(rank, ambient_dim, tuple(tuple(r) for r in rows[:rank]))
     return Subspace(field, ambient_dim, basis)
@@ -414,8 +428,7 @@ def _same_ambient(s1: Subspace, s2: Subspace):
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
     _same_ambient(s1, s2)
-    return subspace_from_vectors(s1.field, s1.ambient_dim,
-                                 list(s1.basis.entries) + list(s2.basis.entries))
+    return _span(s1.field, s1.ambient_dim, [*s1.basis.entries, *s2.basis.entries])
 
 
 def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:

@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import os
@@ -8,12 +9,15 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evolalg import GF, EvolutionAlgebra
-from evolalg.cli import _build_parser, main
+from evolalg.cli import _COMMANDS, _build_parser, main
 from evolalg.documents import emit_document
 from evolalg.errors import FieldError, InternalConsistencyError
-from support import (double_loop, entangled_squares, pair_cycle_mixing,
+from evolalg.fields import PrimeField, Rationals
+from support import (FIXED, double_loop, entangled_squares, pair_cycle_mixing,
                      swap_pair_plus_loop, two_loops_two_sinks)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
@@ -564,3 +568,123 @@ def test_signed_and_zero_padded_ascii_integers_still_parse(tmp_path, capsys):
     code, out, err = run(capsys, "simple", "--input", str(doc), "--field", "prime", "--p", "+05")
     assert code == 0 and err == ""
     assert out.startswith("field           prime 5\ndim             2\n")
+
+
+def count_coercions(monkeypatch) -> list:
+    """Every value either field's coerce is handed from now on."""
+    seen = []
+    for cls in (Rationals, PrimeField):
+        def counting(self, value, _coerce=cls.coerce):
+            seen.append(value)
+            return _coerce(self, value)
+        monkeypatch.setattr(cls, "coerce", counting)
+    return seen
+
+
+@pytest.mark.parametrize("field_line", ["field rational", "field prime 7"])
+def test_canonical_values_cross_the_library_uncoerced(tmp_path, capsys, monkeypatch,
+                                                      field_line):
+    # a document's scalars are canonical once parsed, and so is every basis
+    # square and every reduced basis: only a value a caller hands in is
+    # coerced, once.  e1^2 = e2 + e3, e2^2 = e1 + e2, e3^2 = -1/2 (e1 + e2),
+    # e4^2 = e4, so <e2^2> = span{(0, 1, 1, 0), (1, 1, 0, 0)} has no
+    # natural basis
+    doc = tmp_path / "a.alg"
+    doc.write_text(field_line + "\ndim 4\nmatrix\n0 1 -1/2 0\n1 1 -1/2 0\n1 0 0 0\n0 0 0 1\n")
+    seen = count_coercions(monkeypatch)
+    for argv in (["analyze", "--json"], ["decompose", "--json"], ["simple", "--json"],
+                 ["radical", "--json"], ["graph"]):
+        code, out, err = run(capsys, *argv, "--input", str(doc))
+        assert (code, err) == (0, "") and out
+    assert seen == []
+    code, out, err = run(capsys, "ideal", "--json", "--input", str(doc), "--vector", "1,1,0,0")
+    assert (code, err) == (0, "") and len(seen) <= 4
+    basis = json.loads(out)["ideal_basis"]
+    assert len(basis) == 2 and all(sum(x != "0" for x in row) > 1 for row in basis)
+    (tmp_path / "ideal.txt").write_text("".join(" ".join(row) + "\n" for row in basis))
+    del seen[:]
+    code, out, err = run(capsys, "quotient", "--json", "--input", str(doc),
+                         "--ideal-basis", str(tmp_path / "ideal.txt"))
+    assert (code, err) == (0, "") and json.loads(out)["quotient_dim"] == 2
+    assert seen == []
+
+
+# the CLI fuzz grammar, each list valid choices first: header forms, dim
+# tokens, entries and line endings that the parsers must accept or refuse
+# in one line
+FUZZ_MODULI = (["2", "3", "7"], ["0", "4", "-3", str(2 ** 61 - 1), "1" + "0" * 29])
+FUZZ_DIMS = (["1", "2", "3"], ["0", "-1", "x", "1_0", "١", "2 2"])
+FUZZ_TOKENS = (["0", "0", "1", "-1", "2", "1/2", "-2/3"],
+               ["1/0", "0.5", "١", "１", "9" * 4301, "1_0"])
+FUZZ_ARGS = ([[], [], ["--p", "3"], ["--field", "prime", "--p", "7"], ["--field", "rational"]],
+             [["--field", "prime"], ["--field", "rational", "--p", "2"], ["--p", "4"],
+              ["--p", "-3"], ["--p", "0"], ["--p", str(2 ** 61 - 1)]])
+
+
+@st.composite
+def fuzz_choice(draw, pools, clean):
+    """A choice from the valid pool of a (valid, odd) pair when clean, else
+    from both."""
+    valid, odd = pools
+    return draw(st.sampled_from(valid if clean else valid + odd))
+
+
+@st.composite
+def fuzz_lines(draw, n, max_rows, clean):
+    """max_rows rows of n valid entries when clean, else 0 to max_rows rows
+    of n - 1 to n + 1 entries, odd tokens among them."""
+    rows = []
+    for _ in range(draw(st.integers(min_value=max_rows if clean else 0, max_value=max_rows))):
+        width = n if clean else draw(st.sampled_from([n, n, n - 1, n + 1]))
+        rows.append(" ".join(draw(fuzz_choice(FUZZ_TOKENS, clean)) for _ in range(width)))
+    return rows
+
+
+def fuzz_bytes(draw, lines, clean) -> bytes:
+    ending = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    data = "".join(line + ending for line in lines).encode("utf-8")
+    if not clean and draw(st.booleans()):  # one stray invalid byte
+        at = draw(st.integers(min_value=0, max_value=len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(FIXED, max_examples=60)  # eight runs per example; about 1.5 s
+@given(data=st.data())
+def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
+    # exit 2 only comes from a cross-check that caught the library
+    # disagreeing with itself, so no input reaches it
+    draw = data.draw
+    clean = draw(st.booleans())
+    where = tmp_path_factory.mktemp("fuzz")
+    header = draw(st.sampled_from(["field rational", "field prime"]))
+    if header == "field prime":
+        header += " " + draw(fuzz_choice(FUZZ_MODULI, clean))
+    dim = draw(fuzz_choice(FUZZ_DIMS, clean))
+    n = int(dim) if dim in FUZZ_DIMS[0] else 2
+    rows = draw(fuzz_lines(n, n, clean))
+    (where / "a.alg").write_bytes(fuzz_bytes(draw, [header, "dim " + dim, "matrix", *rows], clean))
+    basis = draw(fuzz_lines(n, 2, clean or draw(st.booleans())))
+    (where / "basis.txt").write_bytes(fuzz_bytes(draw, basis, clean))
+    for command in _COMMANDS:
+        argv = [command, "--input", str(where / "a.alg"), *draw(fuzz_choice(FUZZ_ARGS, clean))]
+        if draw(st.booleans()):
+            argv.append("--json")  # refused by graph
+        if command == "ideal":
+            width = n if clean else draw(st.sampled_from([n - 1, n, n + 1]))
+            argv += ["--vector", ",".join(draw(fuzz_choice(FUZZ_TOKENS, clean))
+                                          for _ in range(width))]
+        elif command == "quotient":
+            argv += ["--ideal-basis", str(where / "basis.txt")]
+        elif command == "graph" and draw(st.booleans()):
+            argv += ["--dot", str(where / "out.dot")]
+        elif command == "oracle":
+            # a budget of at most 64 vectors: larger instances are refused
+            argv += draw(st.sampled_from([[], ["--p", "2"], ["--p", "3"]]))
+            argv += ["--max-vectors", draw(fuzz_choice((["64"], ["0", "1"]), clean))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
+                                          and err.endswith("\n")), (argv, code, err)

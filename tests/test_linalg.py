@@ -76,6 +76,22 @@ def test_subspace_construction_and_membership():
         line.contains((1, 0))
 
 
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+def test_public_entry_points_coerce_what_they_are_handed(field):
+    # text, bools, Fractions of denominator 1 and ints outside [0, p) are
+    # coerced where they enter; a float is refused there
+    raw = subspace_from_vectors(field, 3, [("1", True, Fraction(4, 2)), (0, 14, "-1/2")])
+    canonical = subspace_from_vectors(field, 3, [(1, 1, 2), (0, field.coerce(14),
+                                                             field.coerce(Fraction(-1, 2)))])
+    assert raw == canonical
+    assert raw.contains(("2", 2, Fraction(8, 2))) and not raw.contains((True, 0, 0))
+    for vectors in ([(0.5, 0, 0)], [(0, 0, 0), ("1", 1.0, 0)]):
+        with pytest.raises(FieldError):
+            subspace_from_vectors(field, 3, vectors)
+    with pytest.raises(FieldError):
+        raw.contains((0.5, 0, 0))
+
+
 class SearchedRow(tuple):
     """A basis row that counts the searches for its pivot column."""
 
