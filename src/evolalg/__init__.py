@@ -13,10 +13,9 @@ decomposition, whose blocks are the weak components of the graph.
 from types import ModuleType as _ModuleType
 
 from .algebra import EvolutionAlgebra, algebra_from_graph
-from .decompose import (CanonicalDecomposition, DecompositionReport,
-                        canonical_decomposition, is_fragmentable,
-                        is_irreducible, is_simple, optimal_decomposition,
-                        optimal_fragmentation)
+from .decompose import (DecompositionReport, canonical_decomposition,
+                        is_fragmentable, is_irreducible, is_simple,
+                        optimal_decomposition, optimal_fragmentation)
 from .errors import (BudgetExceededError, DimensionError, EvolAlgError,
                      FieldError, InternalConsistencyError, ParseError,
                      PreconditionError)
@@ -29,9 +28,9 @@ from .ideals import (QuotientPresentation, absorption_preimage, annihilator,
 from .linalg import (Matrix, Subspace, det, full_subspace, rref,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
-from .oracle import (ClassicalChecks, EnumerationBudget, absorption_oracle,
-                     classical_checks, enumerate_ideals, enumerate_subspaces,
-                     radical_oracle, simple_oracle)
+from .oracle import (ClassicalChecks, absorption_oracle, classical_checks,
+                     enumerate_ideals, enumerate_subspaces, radical_oracle,
+                     simple_oracle)
 
 __version__ = "0.1.0"
 

@@ -26,7 +26,7 @@ from .fields import GF, QQ, _texts, parse_integer
 from .graph import associated_graph
 from .ideals import ideal_generated_by, quotient, radical
 from .linalg import _span, subspace_equal
-from .oracle import (ClassicalChecks, EnumerationBudget, classical_checks,
+from .oracle import (MAX_VECTORS, ClassicalChecks, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
 from .report import (_braces, _brackets, _yesno, build_report, field_json,
                      render_json, render_table, render_text)
@@ -90,8 +90,8 @@ def _build_parser() -> _Parser:
             p.add_argument("--ideal-basis", required=True, metavar="FILE",
                            help="file with one spanning vector per line")
         if name == "oracle":
-            p.add_argument("--max-vectors", type=_positive_int, default=4096,
-                           help="enumeration budget on |F_p|^n (default 4096)")
+            p.add_argument("--max-vectors", type=_positive_int, default=MAX_VECTORS,
+                           help="enumeration budget on |F_p|^n (default %d)" % MAX_VECTORS)
     return parser
 
 
@@ -206,15 +206,11 @@ def _cmd_quotient(args, algebra):
 
 
 def _cmd_oracle(args, algebra):
-    budget = EnumerationBudget(max_vectors=args.max_vectors)
-    ideals = enumerate_ideals(algebra, budget)
-    fast_radical = radical(algebra)
-    slow_radical = radical_oracle(algebra, budget, ideals=ideals)
-    radical_match = subspace_equal(fast_radical, slow_radical)
+    ideals = enumerate_ideals(algebra, args.max_vectors)
+    radical_match = subspace_equal(radical(algebra), radical_oracle(algebra, args.max_vectors))
     fast_simple = bool(is_simple(algebra))
-    slow_simple = simple_oracle(algebra, budget, ideals=ideals)
-    simple_match = fast_simple == slow_simple
-    checks: ClassicalChecks = classical_checks(algebra, budget, ideals=ideals)
+    simple_match = fast_simple == simple_oracle(algebra, args.max_vectors)
+    checks: ClassicalChecks = classical_checks(algebra, args.max_vectors)
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,

@@ -31,7 +31,6 @@ CHAIN_START = "chain_start"
 # kind is PRINCIPAL_CYCLE or CHAIN_START; seed is the cycle, or the
 # singleton chain-start index
 CanonicalPart = namedtuple("CanonicalPart", "kind seed derived")
-CanonicalDecomposition = namedtuple("CanonicalDecomposition", "parts")
 BlockReport = namedtuple("BlockReport", "indices nondegenerate simple det")
 DecompositionReport = namedtuple("DecompositionReport", "blocks optimal_certified")
 
@@ -54,18 +53,18 @@ class IrreducibilityResult(namedtuple("IrreducibilityResult", "connected conclus
 
 
 @_memoized
-def canonical_decomposition(algebra: EvolutionAlgebra) -> CanonicalDecomposition:
-    """One derived set per principal cycle and per chain-start index,
-    computed once per algebra object.  These seeds are the source
-    components of the graph's condensation, in their order: a cyclic one
-    is a principal cycle, any other is a vertex that no edge enters.  For
-    a finite index set their derived sets always cover everything
-    (test_canonical_parts_are_forward_closed_and_cover)."""
+def canonical_decomposition(algebra: EvolutionAlgebra) -> tuple:
+    """The tuple of CanonicalParts, one derived set per principal cycle
+    and per chain-start index, computed once per algebra object.  These
+    seeds are the source components of the graph's condensation, in their
+    order: a cyclic one is a principal cycle, any other is a vertex that
+    no edge enters.  For a finite index set their derived sets always
+    cover everything (test_canonical_parts_are_forward_closed_and_cover)."""
     graph = associated_graph(algebra)
-    return CanonicalDecomposition(tuple(
+    return tuple(
         CanonicalPart(PRINCIPAL_CYCLE if graph.is_cyclic_index(min(seed)) else CHAIN_START,
                       seed, graph.forward_closure(seed))
-        for seed in graph.source_components()))
+        for seed in graph.source_components())
 
 
 def _overlap_graph(parts) -> AssociatedGraph:

@@ -30,6 +30,12 @@ canonical ``zero`` and ``one``; the linalg kernels read the kind and the
 modulus and eliminate on plain ints (see linalg).  No floating point is
 accepted anywhere.
 
+``PrimeField`` is a namedtuple of its one field ``p``, as the package's
+other records are: immutable, equal and hashed as the tuple ``(p,)``,
+pickled by its fields, and validated in ``__new__``.  ``Rationals`` has
+no field, and a namedtuple with none is falsy, so it is a ``__slots__``
+class whose instances are all equal.
+
 A raw value becomes canonical at the public edge, once: the parsers, the
 EvolutionAlgebra constructors and ``element``, the routines that take a
 vector (``subspace_from_vectors``, ``Subspace.contains`` and those of
@@ -42,6 +48,7 @@ another ``coerce``.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import FieldError
@@ -77,17 +84,6 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-def _digit_count(n: int) -> int:
-    """The number of decimal digits of n > 0.  str(n) refuses more than
-    CPython's 4300 digits, so start from the bit length: 30103/100000
-    overestimates log10(2) by under 1e-8, so the start is at most the
-    count, and at most two below it."""
-    digits = max(n.bit_length() * 30103 // 100000 - 1, 1)
-    while 10 ** digits <= n:
-        digits += 1
-    return digits
 
 
 def parse_integer(text: str) -> int:
@@ -206,25 +202,24 @@ class Rationals:
         return "Rationals()"
 
 
-class PrimeField:
-    """The field F_p for a small prime p; scalars are ints in [0, p).
-    Two instances are equal when their moduli are, and p is read-only."""
+class PrimeField(namedtuple("PrimeField", "p")):
+    """The field F_p for a small prime p; scalars are ints in [0, p)."""
 
-    __slots__ = ("p",)
+    __slots__ = ()
     kind = "prime"
     zero = 0
     one = 1  # 1 % p is 1 for every prime p
 
-    def __init__(self, p: int):
+    def __new__(cls, p: int):
         # refused before the primality test: is_prime is exact only below
         # the bound, and Miller-Rabin on a modulus of thousands of digits
         # takes seconds
         if p >= MODULUS_BOUND:
             raise FieldError("modulus of %d digits is too large: prime fields need p < %d"
-                             % (_digit_count(p), MODULUS_BOUND))
+                             % (len(_text(p)), MODULUS_BOUND))
         if not is_prime(p):
             raise FieldError("%r is not prime" % (p,))
-        object.__setattr__(self, "p", p)
+        return super().__new__(cls, p)
 
     def coerce(self, value) -> int:
         if isinstance(value, int):
@@ -244,26 +239,6 @@ class PrimeField:
         if den % self.p == 0:
             raise FieldError("denominator of %r vanishes mod %d" % (text, self.p))
         return num * pow(den, -1, self.p) % self.p
-
-    def __setattr__(self, name, value):
-        raise AttributeError("cannot assign to field %r" % (name,))
-
-    def __delattr__(self, name):
-        raise AttributeError("cannot delete field %r" % (name,))
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.p == other.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.p,))
-
-    def __reduce__(self):
-        return PrimeField, (self.p,)
-
-    def __repr__(self):
-        return "PrimeField(p=%r)" % (self.p,)
 
 
 QQ = Rationals()

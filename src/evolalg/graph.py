@@ -263,24 +263,18 @@ def witness_path(algebra: EvolutionAlgebra, i: int, j: int):
     graph = associated_graph(algebra)
     graph._check_index(i)
     graph._check_index(j)
+    # i enters parent only when a path of length >= 1 comes back to it
     parent = {}
-    frontier = []
-    for v in sorted(graph.out_edges(i)):
-        if v not in parent:
-            parent[v] = i
-            frontier.append(v)
-    found = j in parent
-    while frontier and not found:
+    frontier = [i]
+    while frontier and j not in parent:
         nxt = []
         for u in frontier:
             for v in sorted(graph.out_edges(u)):
                 if v not in parent:
                     parent[v] = u
                     nxt.append(v)
-                    if v == j:
-                        found = True
         frontier = nxt
-    if not found:
+    if j not in parent:
         return None
     path = [j]
     while not (path[-1] == i and len(path) >= 2):

@@ -7,6 +7,11 @@ in the ideals and decompose modules; the fast paths must agree with them
 on every enumerable instance.  The exception is enumerate_ideals, which
 keeps the subspaces passing ideals.is_ideal: e_i^2 in I for each i of
 the support of I, held to the product loop by the tests.
+
+Each verifier takes max_vectors, a cap on |F_p|^n: an instance beyond it
+is refused, not attempted.  The ideals of an algebra are enumerated once
+per algebra object and shared, as a tuple, by enumerate_ideals and the
+verifiers that read them; the cap is checked on every call all the same.
 """
 
 from __future__ import annotations
@@ -14,37 +19,30 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .algebra import EvolutionAlgebra
+from .algebra import EvolutionAlgebra, _memoized
 from .errors import BudgetExceededError, FieldError
 from .fields import PrimeField
 from .ideals import is_ideal
 from .linalg import (Matrix, Subspace, full_subspace, subspace_intersection,
                      zero_subspace)
 
+# The default of max_vectors.
+MAX_VECTORS = 4096
 
-class EnumerationBudget(namedtuple("EnumerationBudget", "max_vectors", defaults=(4096,))):
-    """Cap on |F_p|^n; instances beyond it are refused, not attempted."""
-
-    __slots__ = ()
-
-
-DEFAULT_BUDGET = EnumerationBudget()
-
-# Cap on the number of subspaces enumerate_ideals visits, whatever the
-# budget: at tens of microseconds per subspace it keeps every admitted
-# instance to a few seconds (GF(2)^7 and GF(3)^6 pass, GF(2)^8 and GF(3)^7
-# do not).
+# Cap on the number of subspaces enumerate_ideals visits, whatever
+# max_vectors: at tens of microseconds per subspace it keeps every
+# admitted instance to a few seconds (GF(2)^7 and GF(3)^6 pass, GF(2)^8
+# and GF(3)^7 do not).
 MAX_SUBSPACES = 100_000
 
 
-def _require_enumerable(algebra: EvolutionAlgebra, budget: EnumerationBudget) -> int:
+def _require_enumerable(algebra: EvolutionAlgebra, max_vectors: int) -> int:
     field = algebra.field
     if not isinstance(field, PrimeField):
         raise FieldError("brute-force oracles run over prime fields only")
     count = field.p ** algebra.dim
-    if count > budget.max_vectors:
-        raise BudgetExceededError("%d vectors exceed the budget of %d"
-                                  % (count, budget.max_vectors))
+    if count > max_vectors:
+        raise BudgetExceededError("%d vectors exceed the budget of %d" % (count, max_vectors))
     return field.p
 
 
@@ -82,22 +80,28 @@ def enumerate_subspaces(field: PrimeField, n: int):
                 yield Subspace(field, n, basis)
 
 
-def enumerate_ideals(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET):
-    """All subspaces passing is_ideal, the zero and full ones included."""
-    p = _require_enumerable(algebra, budget)
+@_memoized
+def _ideals(algebra: EvolutionAlgebra) -> tuple:
+    return tuple(s for s in enumerate_subspaces(algebra.field, algebra.dim)
+                 if is_ideal(algebra, s))
+
+
+def enumerate_ideals(algebra: EvolutionAlgebra, max_vectors: int = MAX_VECTORS) -> tuple:
+    """All subspaces passing is_ideal, the zero and full ones included,
+    enumerated once per algebra object."""
+    p = _require_enumerable(algebra, max_vectors)
     count = subspace_count(p, algebra.dim)
     if count > MAX_SUBSPACES:
         raise BudgetExceededError("F_%d^%d has %d subspaces, more than the cap of %d"
                                   % (p, algebra.dim, count, MAX_SUBSPACES))
-    return [s for s in enumerate_subspaces(algebra.field, algebra.dim)
-            if is_ideal(algebra, s)]
+    return _ideals(algebra)
 
 
 def absorption_oracle(algebra: EvolutionAlgebra, ideal: Subspace,
-                      budget: EnumerationBudget = DEFAULT_BUDGET) -> bool:
+                      max_vectors: int = MAX_VECTORS) -> bool:
     """Absorption by exhaustive vector enumeration: every x with xA inside
     the ideal must itself lie in the ideal."""
-    _require_enumerable(algebra, budget)
+    _require_enumerable(algebra, max_vectors)
     n = algebra.dim
     for x in all_vectors(algebra.field, n):
         if ideal.contains(x):
@@ -108,45 +112,34 @@ def absorption_oracle(algebra: EvolutionAlgebra, ideal: Subspace,
     return True
 
 
-def radical_oracle(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET,
-                   ideals=None) -> Subspace:
+def radical_oracle(algebra: EvolutionAlgebra, max_vectors: int = MAX_VECTORS) -> Subspace:
     """Literal intersection of every enumerated ideal that absorbs."""
-    _require_enumerable(algebra, budget)
-    if ideals is None:
-        ideals = enumerate_ideals(algebra, budget)
     result = full_subspace(algebra.field, algebra.dim)
-    for ideal in ideals:
-        if absorption_oracle(algebra, ideal, budget):
+    for ideal in enumerate_ideals(algebra, max_vectors):
+        if absorption_oracle(algebra, ideal, max_vectors):
             result = subspace_intersection(result, ideal)
     return result
 
 
-def simple_oracle(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET,
-                  ideals=None) -> bool:
+def simple_oracle(algebra: EvolutionAlgebra, max_vectors: int = MAX_VECTORS) -> bool:
     """Nonzero product and no ideal strictly between 0 and the whole space."""
-    _require_enumerable(algebra, budget)
-    if not any(map(any, algebra._squares)):
-        return False
-    if ideals is None:
-        ideals = enumerate_ideals(algebra, budget)
-    return all(s.dim in (0, algebra.dim) for s in ideals)
+    _require_enumerable(algebra, max_vectors)
+    return (any(map(any, algebra._squares))
+            and all(s.dim in (0, algebra.dim) for s in enumerate_ideals(algebra, max_vectors)))
 
 
 ClassicalChecks = namedtuple("ClassicalChecks", "semiprime classically_nondegenerate")
 
 
-def classical_checks(algebra: EvolutionAlgebra, budget: EnumerationBudget = DEFAULT_BUDGET,
-                     ideals=None) -> ClassicalChecks:
+def classical_checks(algebra: EvolutionAlgebra, max_vectors: int = MAX_VECTORS) -> ClassicalChecks:
     """The classical notions, decided by enumeration.
 
     semiprime: no nonzero ideal squares to zero.  classically
     nondegenerate: a(Aa) = 0 happens only for a = 0.
     """
-    _require_enumerable(algebra, budget)
     f = algebra.field
     n = algebra.dim
-    if ideals is None:
-        ideals = enumerate_ideals(algebra, budget)
+    ideals = enumerate_ideals(algebra, max_vectors)
 
     semiprime = True
     for s in ideals:

@@ -77,13 +77,13 @@ _PRODUCERS = {
     "annihilator": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).sinks()),
     "radical": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).reaches_no_cycle()),
     "nondegenerate": lambda a: is_nondegenerate(a),
-    "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a).parts
+    "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a)
                                       if p.kind == CHAIN_START],
-    "principal_cycles": lambda a: [sorted(p.seed) for p in canonical_decomposition(a).parts
+    "principal_cycles": lambda a: [sorted(p.seed) for p in canonical_decomposition(a)
                                    if p.kind == PRINCIPAL_CYCLE],
     "canonical_parts": lambda a: [
         {"kind": part.kind, "seed": sorted(part.seed), "derived": sorted(part.derived)}
-        for part in canonical_decomposition(a).parts
+        for part in canonical_decomposition(a)
     ],
     "blocks": _blocks,
     "simple": lambda a: is_simple(a).simple,

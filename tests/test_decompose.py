@@ -37,7 +37,7 @@ def test_derived_index_set_golden():
 
 def test_canonical_decomposition_golden():
     canon = canonical_decomposition(two_loops_two_sinks())
-    described = [(p.kind, set(p.seed), set(p.derived)) for p in canon.parts]
+    described = [(p.kind, set(p.seed), set(p.derived)) for p in canon]
     assert described == [
         ("chain_start", {2}, {1, 2}),
         ("principal_cycle", {3}, {3, 5}),
@@ -47,13 +47,13 @@ def test_canonical_decomposition_golden():
     # one strongly connected core covering everything: a single part
     ring = EvolutionAlgebra.from_squares(QQ, [(0, 1, 0), (0, 0, 1), (1, 0, 0)])
     canon = canonical_decomposition(ring)
-    assert len(canon.parts) == 1
-    assert canon.parts[0].derived == {1, 2, 3}
+    assert len(canon) == 1
+    assert canon[0].derived == {1, 2, 3}
 
     # an entry vertex and a side loop produce two overlapping parts
     side = algebra_from_graph(QQ, graph_core_with_side_loop())
     canon = canonical_decomposition(side)
-    described = {(p.kind, frozenset(p.seed), frozenset(p.derived)) for p in canon.parts}
+    described = {(p.kind, frozenset(p.seed), frozenset(p.derived)) for p in canon}
     assert described == {
         ("chain_start", frozenset({1}), frozenset({1, 2, 3, 5})),
         ("principal_cycle", frozenset({4}), frozenset({2, 3, 4, 5})),
@@ -67,7 +67,7 @@ def test_canonical_parts_are_forward_closed_and_cover():
         g = associated_graph(a)
         canon = canonical_decomposition(a)
         covered = set()
-        for part in canon.parts:
+        for part in canon:
             covered |= part.derived
             for i in part.derived:
                 assert g.descendents(i) <= part.derived
@@ -88,7 +88,7 @@ def test_canonical_parts_are_the_principal_cycles_and_the_chain_starts(a):
     parts += [CanonicalPart(CHAIN_START, frozenset({i}), g.forward_closure({i}))
               for i in sorted(g.chain_start_indices())]
     parts.sort(key=lambda part: min(part.seed))
-    assert canonical_decomposition(a).parts == tuple(parts)
+    assert canonical_decomposition(a) == tuple(parts)
 
 
 def test_is_fragmentable_golden():

@@ -204,6 +204,15 @@ def test_modulus_range():
             GF(4 * 10 ** (digits - 1) + 7)
 
 
+def test_modulus_refusal_golden_past_the_digit_limit():
+    # 10^5000 + 1 has more digits than str() takes: they are counted on
+    # the text that _text writes for an int of any size
+    with pytest.raises(FieldError) as refusal:
+        GF(10 ** 5000 + 1)
+    assert str(refusal.value) == ("modulus of 5001 digits is too large: "
+                                  "prime fields need p < 3317044064679887385961981")
+
+
 @pytest.mark.parametrize("field", [QQ, GF(7)])
 def test_over_long_scalar_is_a_field_error(field):
     with pytest.raises(FieldError, match="limit"):

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given
@@ -11,11 +12,12 @@ from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, Matrix,
 from support import (FIXED, digraphs, fan_to_swap_pair,
                      fixpoint_reaches_no_cycle, graph_core_loop_tail,
                      graph_core_triple, graph_core_with_side_loop,
-                     graph_cycle_with_entry, graph_fan_swap,
+                     graph_cycle_with_entry, graph_fan_swap, is_canonical,
                      lone_loop_plus_sink, loop_with_tail, make_rng,
                      out_edge_sets, random_algebra, strong_component,
                      strong_components, swap_pair_plus_loop,
-                     two_loops_two_sinks, two_sinks_and_pair)
+                     two_loops_two_sinks, two_sinks_and_pair,
+                     weighted_digraph_algebras)
 
 
 def bool_matrix_power_support(adj, m):
@@ -295,7 +297,7 @@ def union_find_weak_components(g):
 def test_weak_components_are_the_fragmented_canonical_parts(g):
     # the paper's process on the algebra's own cover, and a search over
     # every edge, must both give the components read off the condensation
-    parts = canonical_decomposition(algebra_from_graph(QQ, g)).parts
+    parts = canonical_decomposition(algebra_from_graph(QQ, g))
     fragmented = optimal_fragmentation([part.derived for part in parts])
     assert g.weak_components() == fragmented == union_find_weak_components(g)
 
@@ -328,6 +330,25 @@ def test_witness_path_golden():
         result = witness_path(a, i, j)
         if result is not None:
             assert result[1] != QQ.zero
+
+
+@FIXED
+@given(st.sampled_from([QQ, GF(7)]).flatmap(weighted_digraph_algebras))
+def test_witness_path_is_a_shortest_weighted_path(a):
+    g = associated_graph(a)
+    for i in range(1, a.dim + 1):
+        for j in range(1, a.dim + 1):
+            result = witness_path(a, i, j)
+            assert (result is None) == (j not in g.descendents(i))
+            if result is None:
+                continue
+            path, weight = result
+            shortest = next(m for m in range(1, a.dim + 1) if j in g.descendents_m(i, m))
+            assert len(path) - 1 == shortest and (path[0], path[-1]) == (i, j)
+            steps = list(zip(path, path[1:]))
+            assert all(v in g.out_edges(u) for u, v in steps)
+            assert weight == a.field.coerce(prod(a.square_of_basis(u)[v - 1] for u, v in steps))
+            assert weight and is_canonical(a.field, weight)
 
 
 def raw_scalars(field):

@@ -1,8 +1,9 @@
 import pytest
 
-from evolalg import (GF, QQ, BudgetExceededError, EnumerationBudget,
-                     EvolutionAlgebra, FieldError, absorption_oracle,
-                     classical_checks, enumerate_ideals, enumerate_subspaces,
+import evolalg.oracle
+from evolalg import (GF, QQ, BudgetExceededError, EvolutionAlgebra,
+                     FieldError, absorption_oracle, classical_checks,
+                     enumerate_ideals, enumerate_subspaces,
                      has_absorption_property, is_nondegenerate, is_simple,
                      radical, radical_oracle, simple_oracle, subspace_equal,
                      subspace_from_vectors)
@@ -53,10 +54,31 @@ def test_budget_and_field_guards():
         enumerate_ideals(pair_cycle_mixing(QQ))
     big = EvolutionAlgebra.from_squares(GF(5), [(1,) * 6] * 6)
     with pytest.raises(BudgetExceededError):
-        enumerate_ideals(big, EnumerationBudget(max_vectors=100))
+        enumerate_ideals(big, 100)
     # a roomier budget admits the same instance
     small = EvolutionAlgebra.from_squares(GF(2), [(1, 0), (0, 1)])
-    assert enumerate_ideals(small, EnumerationBudget(max_vectors=4))
+    assert enumerate_ideals(small, 4)
+
+
+def test_ideals_are_enumerated_once_per_algebra(monkeypatch):
+    runs = []
+
+    def counted(field, n):
+        runs.append((field, n))
+        return enumerate_subspaces(field, n)
+
+    monkeypatch.setattr(evolalg.oracle, "enumerate_subspaces", counted)
+    a = EvolutionAlgebra.from_squares(GF(2), [(0, 1, 0), (1, 0, 1), (0, 0, 1)])
+    ideals = enumerate_ideals(a)
+    radical_oracle(a)
+    simple_oracle(a)
+    classical_checks(a)
+    assert runs == [(GF(2), 3)]
+    assert enumerate_ideals(a) is ideals and isinstance(ideals, tuple)
+    # the budget is checked on every call: the memo never bypasses it
+    with pytest.raises(BudgetExceededError, match="^8 vectors exceed the budget of 4$"):
+        enumerate_ideals(a, 4)
+    assert runs == [(GF(2), 3)]
 
 
 @pytest.mark.parametrize("p,n", [(2, 0), (2, 5), (3, 4), (7, 3), (10007, 2)])
@@ -69,7 +91,7 @@ def test_subspace_cap_refuses_instances_the_vector_budget_admits():
     assert subspace_count(2, 7) <= MAX_SUBSPACES < subspace_count(2, 8)
     eight = EvolutionAlgebra.from_squares(GF(2), [(1,) * 8] * 8)
     with pytest.raises(BudgetExceededError, match="subspaces"):
-        enumerate_ideals(eight, EnumerationBudget(max_vectors=10 ** 6))
+        enumerate_ideals(eight, 10 ** 6)
 
 
 def test_radical_oracle_golden():
@@ -115,8 +137,8 @@ def test_fast_paths_agree_with_oracles_on_random_corpus():
         for _ in range(30):
             a = random_algebra(rng, field, rng.randrange(1, 4))
             ideals = enumerate_ideals(a)
-            assert subspace_equal(radical(a), radical_oracle(a, ideals=ideals))
-            assert bool(is_simple(a)) == simple_oracle(a, ideals=ideals)
+            assert subspace_equal(radical(a), radical_oracle(a))
+            assert bool(is_simple(a)) == simple_oracle(a)
             for s in ideals:
                 absorbing = has_absorption_property(a, s)
                 assert absorbing == absorption_oracle(a, s)
@@ -124,7 +146,7 @@ def test_fast_paths_agree_with_oracles_on_random_corpus():
                     # absorbing ideals are spanned by standard basis vectors
                     for row in s.vectors():
                         assert sum(1 for x in row if x) == 1
-            checks = classical_checks(a, ideals=ideals)
+            checks = classical_checks(a)
             if checks.classically_nondegenerate:
                 assert checks.semiprime
             if checks.semiprime:

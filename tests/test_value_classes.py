@@ -14,9 +14,9 @@ from fractions import Fraction
 
 import pytest
 
-from evolalg import (GF, QQ, CanonicalDecomposition, ClassicalChecks, DecompositionReport,
-                     DimensionError, EnumerationBudget, EvolutionAlgebra, FieldError, Matrix,
-                     PrimeField, QuotientPresentation, Rationals, Subspace)
+from evolalg import (GF, QQ, ClassicalChecks, DecompositionReport, DimensionError,
+                     EvolutionAlgebra, FieldError, Matrix, PrimeField, QuotientPresentation,
+                     Rationals, Subspace)
 from evolalg.decompose import (BlockReport, CanonicalPart, IrreducibilityResult,
                                SimplicityResult)
 from evolalg.fields import MODULUS_BOUND
@@ -58,17 +58,12 @@ def irreducibility_truthiness(verdict):
     assert not verdict and IrreducibilityResult(True, False)
 
 
-def budget_default(budget):
-    assert budget.max_vectors == 4096 and budget == EnumerationBudget(4096)
-
-
 def nothing(_):
     pass
 
 
 UNIT = Matrix(1, 1, ((1,),))
 LINE = EvolutionAlgebra.from_squares(QQ, [[1]])
-PART = CanonicalPart("chain_start", frozenset({1}), frozenset({1, 2}))
 
 # (class, constructor arguments, the arguments of an unequal instance or
 # None, repr, the class's own checks)
@@ -84,8 +79,6 @@ CASES = [
      ("principal_cycle", frozenset({1}), frozenset({1, 2})),
      "CanonicalPart(kind='chain_start', seed=frozenset({1}), derived=frozenset({1, 2}))",
      nothing),
-    (CanonicalDecomposition, ((PART,),), ((),),
-     "CanonicalDecomposition(parts=(%r,))" % (PART,), nothing),
     (BlockReport, (frozenset({1, 2}), True, False, Fraction(0)),
      (frozenset({1, 2}), True, False, Fraction(3)),
      "BlockReport(indices=frozenset({1, 2}), nondegenerate=True, simple=False, "
@@ -99,7 +92,6 @@ CASES = [
     (QuotientPresentation, ((1,), LINE, UNIT), ((2,), LINE, UNIT),
      "QuotientPresentation(chosen=(1,), quotient=EvolutionAlgebra(Rationals(), dim=1), "
      "projection=Matrix(rows=1, cols=1, entries=((1,),)))", nothing),
-    (EnumerationBudget, (), (10,), "EnumerationBudget(max_vectors=4096)", budget_default),
     (ClassicalChecks, (True, False), (True, True),
      "ClassicalChecks(semiprime=True, classically_nondegenerate=False)", nothing),
 ]
