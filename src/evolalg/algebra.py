@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from .errors import DimensionError
-from .linalg import Matrix
+from .linalg import Matrix, _unit_rows, _vector
 
 
 class EvolutionAlgebra:
@@ -44,11 +44,7 @@ class EvolutionAlgebra:
     @classmethod
     def from_squares(cls, field, squares) -> "EvolutionAlgebra":
         """Build from the list of basis squares: squares[i] = coords of e_{i+1}^2."""
-        n = len(squares)
-        for v in squares:
-            if len(v) != n:
-                raise DimensionError("square with %d coordinates in dimension %d" % (len(v), n))
-        return cls._from_canonical(field, tuple(tuple(map(field.coerce, v)) for v in squares))
+        return cls._from_canonical(field, tuple(_vector(field, len(squares), v) for v in squares))
 
     @functools.cached_property
     def structure(self) -> Matrix:
@@ -76,15 +72,11 @@ class EvolutionAlgebra:
 
     def basis_element(self, i: int) -> tuple:
         self._check_index(i)
-        f = self.field
-        return tuple(f.one if k == i - 1 else f.zero for k in range(self.dim))
+        return tuple(_unit_rows(self.field.zero, self.field.one, self.dim, (i,))[0])
 
     def element(self, coords) -> tuple:
         """Coerce a coordinate sequence into a canonical element."""
-        if len(coords) != self.dim:
-            raise DimensionError("element with %d coordinates in dimension %d"
-                                 % (len(coords), self.dim))
-        return tuple(self.field.coerce(x) for x in coords)
+        return _vector(self.field, self.dim, coords)
 
     def square_of_basis(self, i: int) -> tuple:
         self._check_index(i)

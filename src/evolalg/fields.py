@@ -30,19 +30,21 @@ canonical ``zero`` and ``one``; the linalg kernels read the kind and the
 modulus and eliminate on plain ints (see linalg).  No floating point is
 accepted anywhere.
 
-``PrimeField`` is a namedtuple of its one field ``p``, as the package's
-other records are: immutable, equal and hashed as the tuple ``(p,)``,
-pickled by its fields, and validated in ``__new__``.  ``Rationals`` has
-no field, and a namedtuple with none is falsy, so it is a ``__slots__``
-class whose instances are all equal.
+Both fields are namedtuples, as the package's other records are:
+immutable, equal and hashed as the tuple of their fields, and pickled by
+them.  ``PrimeField`` has the one field ``p``, equals ``(p,)`` and is
+validated in ``__new__``; ``Rationals`` has none, so all its instances
+are equal, and equal to ``()``, and it defines ``__bool__``, since a
+namedtuple with no fields would be falsy.
 
 A raw value becomes canonical at the public edge, once: the parsers, the
 EvolutionAlgebra constructors and ``element``, the routines that take a
-vector (``subspace_from_vectors``, ``Subspace.contains`` and those of
-ideals), and ``det``/``rref`` on raw ints.  Inside the package every
-scalar is canonical already, so internal calls hand it to the span and
-membership cores (``linalg._span``, ``Subspace._holds``) without
-another ``coerce``.
+vector (``subspace_from_vectors``, ``Subspace.contains``, those of
+ideals and ``QuotientPresentation.project``, all through the one check
+``linalg._vector``), and ``det``/``rref``, which take whatever ``coerce``
+takes.  Inside the package every scalar is canonical already, so
+internal calls hand it to the span and membership cores
+(``linalg._span``, ``Subspace._holds``) without another ``coerce``.
 """
 
 from __future__ import annotations
@@ -162,10 +164,10 @@ def _texts(row) -> list:
         return [*map(_text, row)]
 
 
-class Rationals:
+class Rationals(namedtuple("Rationals", "")):
     """The field of arbitrary-precision rationals; a scalar is an int when
     it is an integer and a Fraction otherwise.  Every instance is equal to
-    every other."""
+    every other, and to ()."""
 
     __slots__ = ()
     kind = "rational"
@@ -190,16 +192,9 @@ class Rationals:
             return num
         return Fraction(num, den) if num % den else num // den
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return True
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(())
-
-    def __repr__(self):
-        return "Rationals()"
+    def __bool__(self):
+        # a namedtuple with no fields is otherwise falsy
+        return True
 
 
 class PrimeField(namedtuple("PrimeField", "p")):

@@ -36,27 +36,16 @@ class AssociatedGraph:
     them.  Reachability questions are answered by one search each."""
 
     def __init__(self, out_edges):
-        out = []
-        n = len(out_edges)
-        for targets in out_edges:
-            ts = frozenset(targets)
-            for t in ts:
-                if not 1 <= t <= n:
-                    raise IndexError("edge target %d outside 1..%d" % (t, n))
-            out.append(ts)
-        self._adopt(tuple(out))
-
-    @classmethod
-    def _from_frozensets(cls, out: tuple) -> "AssociatedGraph":
-        """The graph whose out-sets are the given frozensets, each already
-        inside 1..len(out), as associated_graph makes them; no target is
-        checked again."""
-        return cls.__new__(cls)._adopt(out)
-
-    def _adopt(self, out: tuple) -> "AssociatedGraph":
-        self.n = len(out)
-        self._out = out
-        return self
+        """out_edges[i - 1] holds the targets of vertex i, each in 1..n for
+        n = len(out_edges).  A frozenset is kept as it is, not copied; all
+        targets are range-checked at once, and a refusal names the lowest
+        target below 1, or else the highest above n."""
+        out = self._out = tuple(map(frozenset, out_edges))
+        n = self.n = len(out)
+        targets = frozenset().union(*out)
+        if targets and not 1 <= min(targets) <= max(targets) <= n:
+            bad = min(targets) if min(targets) < 1 else max(targets)
+            raise IndexError("edge target %d outside 1..%d" % (bad, n))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AssociatedGraph":
@@ -248,11 +237,10 @@ def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
     """Edge i -> j present exactly when entry j of e_i^2 is nonzero; built
     once per algebra object.  The entries are canonical (every constructor
     of EvolutionAlgebra makes them so), so nonzero iff truthy, and compress
-    picks the targets of each square out of 1..n; they lie in range by
-    construction, so the graph is built without the public check."""
+    picks the targets of each square out of 1..n as frozensets, which the
+    one constructor keeps as they are."""
     vertices = range(1, algebra.dim + 1)
-    return AssociatedGraph._from_frozensets(
-        tuple(frozenset(compress(vertices, col)) for col in algebra._squares))
+    return AssociatedGraph([frozenset(compress(vertices, col)) for col in algebra._squares])
 
 
 def witness_path(algebra: EvolutionAlgebra, i: int, j: int):

@@ -154,6 +154,8 @@ class QuotientPresentation(namedtuple("QuotientPresentation", "chosen quotient p
     __slots__ = ()
 
     def project(self, v) -> tuple:
+        """The quotient coordinates of v, a vector of A that mat_vec checks
+        and coerces first."""
         return mat_vec(self.quotient.field, self.projection, v)
 
 

@@ -27,10 +27,17 @@ Subspace.contains subtracts from v its coordinate at each pivot times
 that pivot's row (_residue) and asks whether anything is left; the pivot
 columns are found once per subspace.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
-coordinate_subspace writes their canonical basis down.
-subspace_from_vectors and Subspace.contains check and coerce what a
-caller hands them; the package's own calls, whose rows are canonical,
-go straight to their cores, _span and Subspace._holds.
+coordinate_subspace writes their canonical basis down, each row copied
+from one template (_unit_rows).
+A vector a caller hands in is checked and coerced by _vector, the one
+check of its length, in subspace_from_vectors, Subspace.contains, mat_vec
+(so QuotientPresentation.project) and the vector routines of algebra and
+ideals; the package's own calls, whose rows are canonical, go straight
+to the cores, _span and Subspace._holds.
+det and rref take a matrix of anything coerce takes: a row is used as it
+is when the kernel's own first step accepts it (the struct pack over F_p,
+the denominators over QQ), and is coerced only when that step refuses
+it.
 """
 
 from __future__ import annotations
@@ -38,7 +45,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import repeat
+from itertools import chain, repeat
 from math import lcm, prod
 from struct import Struct, error as struct_error
 
@@ -74,6 +81,8 @@ def _slots(p, count, width):
     their residues or as ints below 2^(8 size) of the same residues.
     Where no code holds p - 1 (p > 2^64), int.to_bytes is mapped over the
     row instead, after an explicit check, and every slot starts below p.
+    On either route a row with an entry that is not an int raises
+    struct.error or TypeError; _echelon then packs the coerced row.
     unpack is the inverse on a reduced row, one struct call again.
 
     A slot is nbytes bytes and bits = 8 nbytes, enough for p s + count p^2
@@ -145,11 +154,12 @@ def _echelon(field, rows, width):
     only then, and _rref_rows never).
 
     Over F_p each row is packed once into one int of fixed-width slots
-    (_slots) and stays packed: the rows are left as those ints.  A slot
-    starts below the bound s of _slots, gains at most (p - 1)(s - 1) from
-    the first pivot row and less than p^2 from each later one, so it stays
-    below p s + rows p^2, the width _slots gives it, and never carries
-    into the next.  One row update is one multiply-add, masked to
+    (_slots), after field.coerce where the pack refuses it, and stays
+    packed: the rows are left as those ints.  A slot starts below the
+    bound s of _slots, gains at most (p - 1)(s - 1) from the first pivot
+    row and less than p^2 from each later one, so it stays below
+    p s + rows p^2, the width _slots gives it, and never carries into the
+    next.  One row update is one multiply-add, masked to
     the columns right of the pivot, so a row's entry in the next column is
     one shift.  Every row below a pivot is updated, with factor zero where
     its entry is zero, so each pivot row but the first has been updated:
@@ -157,10 +167,11 @@ def _echelon(field, rows, width):
     A nonzero multiple of p left in a column with no pivot is cleared.
     The determinant is read off the pivots alone; no row is unpacked.
 
-    Over QQ each row is first scaled by the lcm of its denominators, and
-    the rows are left as ints: Bareiss fraction-free elimination, where
-    every entry is a minor of the scaled matrix and each update divides
-    exactly by the pivot of the step that last updated the row.  A row
+    Over QQ each row is first scaled by the lcm of its denominators (a
+    row with an entry that has none is coerced first), and the rows are
+    left as ints: Bareiss fraction-free elimination, where every entry is
+    a minor of the scaled matrix and each update divides exactly by the
+    pivot of the step that last updated the row.  A row
     whose entry in the pivot column is zero is left alone: if it later
     becomes a pivot row, it is multiplied by the last pivot and divided by
     its own divisor first, which is what the skipped updates would have
@@ -168,7 +179,11 @@ def _echelon(field, rows, width):
     if field.kind != "rational":
         p = field.p
         bits, pack, _, reduce = _slots(p, len(rows), width)
-        rows[:] = map(pack, rows)
+        for i, row in enumerate(rows):
+            try:
+                rows[i] = pack(row)
+            except (struct_error, TypeError):  # an entry that is not an int
+                rows[i] = pack([*map(field.coerce, row)])
         pivots = []
         sign = value = 1
         for col in range(width):
@@ -200,7 +215,11 @@ def _echelon(field, rows, width):
         return pivots, sign * value % p
     scales = []
     for i, row in enumerate(rows):
-        scale = lcm(*[x.denominator for x in row])
+        try:
+            scale = lcm(*[x.denominator for x in row])
+        except AttributeError:  # an entry that is not an int or a Fraction
+            row = [*map(field.coerce, row)]
+            scale = lcm(*[x.denominator for x in row])
         rows[i] = ([x.numerator for x in row] if scale == 1
                    else [x.numerator * (scale // x.denominator) for x in row])
         scales.append(scale)
@@ -300,10 +319,15 @@ def det(field, m: Matrix):
     mod p and over QQ its last Bareiss pivot, signed and divided by the
     row scales that cleared the denominators (an int where they divide
     it).  A zero row or zero column gives zero with no elimination (a zero
-    scalar is falsy in every field)."""
+    scalar is falsy in every field), once the entries' types show that
+    coerce takes each of them; otherwise they are coerced, which refuses
+    what coerce refuses."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
     if not all(map(any, m.entries)) or not all(map(any, zip(*m.entries))):
+        if not set(map(type, chain(*m.entries))) <= ({int, Fraction} if field.kind == "rational"
+                                                     else {int}):
+            list(map(field.coerce, chain(*m.entries)))  # raises what coerce raises
         return field.zero
     pivots, value = _echelon(field, list(m.entries), m.cols)
     return value if len(pivots) == m.rows else field.zero
@@ -334,10 +358,10 @@ def _residue(field, basis, pivots, v) -> list:
 
 
 def mat_vec(field, m: Matrix, v) -> tuple:
-    """m times the column vector v: each coordinate is one sum of the
-    products whose factors are both nonzero, reduced once mod p over F_p."""
-    if len(v) != m.cols:
-        raise DimensionError("vector of length %d against %d columns" % (len(v), m.cols))
+    """m times the column vector v, which is checked and coerced first
+    (_vector): each coordinate is one sum of the products whose factors
+    are both nonzero, reduced once mod p over F_p."""
+    v = _vector(field, m.cols, v)
     sums = [sum([x * y for x, y in zip(row, v) if x and y], field.zero) for row in m.entries]
     if field.kind == "rational":
         return tuple(_integral(sums))
@@ -354,10 +378,7 @@ class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
         return self.basis.rows
 
     def contains(self, v) -> bool:
-        if len(v) != self.ambient_dim:
-            raise DimensionError("vector of length %d in an ambient space of dim %d"
-                                 % (len(v), self.ambient_dim))
-        return self._holds([*map(self.field.coerce, v)])
+        return self._holds(_vector(self.field, self.ambient_dim, v))
 
     def _holds(self, v) -> bool:
         """contains for a canonical v of the ambient length, which is
@@ -374,14 +395,17 @@ class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
         return self.basis.entries
 
 
+def _vector(field, n: int, v) -> tuple:
+    """The canonical coordinates of a vector v that a caller hands in:
+    its length is checked against n, then each coordinate is coerced
+    once."""
+    if len(v) != n:
+        raise DimensionError("vector of length %d in an ambient space of dim %d" % (len(v), n))
+    return tuple(map(field.coerce, v))
+
+
 def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
-    rows = []
-    for v in vectors:
-        if len(v) != ambient_dim:
-            raise DimensionError("vector of length %d in an ambient space of dim %d"
-                                 % (len(v), ambient_dim))
-        rows.append([*map(field.coerce, v)])
-    return _span(field, ambient_dim, rows)
+    return _span(field, ambient_dim, [_vector(field, ambient_dim, v) for v in vectors])
 
 
 def _span(field, ambient_dim: int, rows) -> Subspace:
@@ -393,22 +417,29 @@ def _span(field, ambient_dim: int, rows) -> Subspace:
     return Subspace(field, ambient_dim, basis)
 
 
+def _unit_rows(zero, one, n: int, indices) -> list:
+    """The rows e_i of length n over the distinct indices (in 1..n,
+    unchecked), in ascending order, as lists: each is copied from one
+    template of zeros with a one set at its index.  coordinate_subspace
+    takes them over the field's scalars, the report over their texts."""
+    template = [zero] * n
+    rows = []
+    for i in sorted(indices):
+        template[i - 1] = one
+        rows.append(template.copy())
+        template[i - 1] = zero
+    return rows
+
+
 def coordinate_subspace(field, ambient_dim: int, indices) -> Subspace:
     """Span of the e_i over indices in 1..ambient_dim; an index outside
     that range is refused.  Distinct unit vectors in ascending order
-    already are the canonical basis; each is copied from one row of zeros
-    with a one set at its index."""
-    indices = sorted(set(indices))
-    if indices and not 1 <= indices[0] <= indices[-1] <= ambient_dim:
+    already are the canonical basis (_unit_rows)."""
+    indices = set(indices)
+    if indices and not 1 <= min(indices) <= max(indices) <= ambient_dim:
         raise IndexError("indices outside 1..%d" % ambient_dim)
-    one, zero = field.one, field.zero
-    template = [zero] * ambient_dim
-    rows = []
-    for i in indices:
-        template[i - 1] = one
-        rows.append(tuple(template))
-        template[i - 1] = zero
-    return Subspace(field, ambient_dim, Matrix(len(rows), ambient_dim, tuple(rows)))
+    rows = tuple(map(tuple, _unit_rows(field.zero, field.one, ambient_dim, indices)))
+    return Subspace(field, ambient_dim, Matrix(len(rows), ambient_dim, rows))
 
 
 def zero_subspace(field, ambient_dim: int) -> Subspace:

@@ -14,9 +14,10 @@ one str.join over the C-level string escaper or int.__repr__, and defers
 to json itself for anything that is not a plain string, int, bool, None,
 list, tuple or dict with string keys.
 
-The annihilator and the radical are spanned by basis vectors, so their
-rows are copied from one template of the texts of zero and one instead
-of formatting each entry.
+The annihilator and the radical are spanned by basis vectors (the sinks,
+and the vertices that reach no cycle), so linalg._unit_rows builds their
+rows over the texts "0" and "1", which zero and one have in every field,
+instead of formatting each entry.
 """
 
 from __future__ import annotations
@@ -27,25 +28,10 @@ from json.encoder import encode_basestring_ascii as _encode_str
 from .algebra import EvolutionAlgebra
 from .decompose import (CHAIN_START, PRINCIPAL_CYCLE, canonical_decomposition,
                         is_simple, optimal_decomposition)
-from .fields import _text, _texts
+from .fields import _text
 from .graph import associated_graph
 from .ideals import is_nondegenerate
-
-
-def _unit_rows(field, n, indices):
-    """The canonical basis rows, as texts, of the span of the e_i over
-    indices: ideals.annihilator and ideals.radical are these spans of the
-    sinks and of the vertices that reach no cycle.  Each row is copied
-    from one template of texts of zero with the text of one at its index,
-    as linalg.coordinate_subspace builds the rows themselves."""
-    zero, one = _texts((field.zero, field.one))
-    template = [zero] * n
-    rows = []
-    for i in sorted(indices):
-        template[i - 1] = one
-        rows.append(template.copy())
-        template[i - 1] = zero
-    return rows
+from .linalg import _unit_rows
 
 
 def field_json(field):
@@ -74,8 +60,8 @@ def _blocks(algebra):
 _PRODUCERS = {
     "field": lambda a: field_json(a.field),
     "dim": lambda a: a.dim,
-    "annihilator": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).sinks()),
-    "radical": lambda a: _unit_rows(a.field, a.dim, associated_graph(a).reaches_no_cycle()),
+    "annihilator": lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).sinks()),
+    "radical": lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).reaches_no_cycle()),
     "nondegenerate": lambda a: is_nondegenerate(a),
     "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a)
                                       if p.kind == CHAIN_START],

@@ -6,6 +6,7 @@ squares spelled out next to it.
 """
 
 from fractions import Fraction
+import functools
 import random
 
 from hypothesis import settings
@@ -300,6 +301,21 @@ def nonzero_scalars(field):
 
 def scalars(field):
     return st.one_of(st.just(field.zero), nonzero_scalars(field))
+
+
+@functools.cache
+def raw_scalars(field):
+    """Canonical scalars, and values that field.coerce takes but that are
+    not canonical as they are: ints of any sign and size, bools, Fractions
+    (of denominator 1 among them) and the texts of ints and of fractions.
+    Over F_p no denominator is a multiple of p, so coerce refuses none of
+    them.  One strategy per field, so that it is validated once."""
+    ints = st.one_of(st.integers(min_value=-9, max_value=9), st.integers())
+    dens = st.integers(min_value=1, max_value=10 ** 6)
+    if field.kind != "rational":
+        dens = dens.filter(lambda d: d % field.p)
+    return st.one_of(scalars(field), ints, st.booleans(), st.builds(Fraction, ints, dens),
+                     st.builds(str, ints), st.builds("{}/{}".format, ints, dens))
 
 
 @st.composite

@@ -1,19 +1,22 @@
+from fractions import Fraction
+from math import prod
+
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
-                     algebra_from_graph, associated_graph,
+                     algebra_from_graph, annihilator, associated_graph,
                      canonical_decomposition, is_fragmentable, is_ideal,
                      is_irreducible, is_nondegenerate, is_simple,
-                     optimal_decomposition, optimal_fragmentation,
+                     optimal_decomposition, optimal_fragmentation, radical,
                      subspace_from_vectors)
 from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
                                _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
 from support import (FIXED, algebras, digraphs, double_loop,
                      entangled_squares, graph_core_with_side_loop,
-                     inverse_permutation, loop_with_tail, make_rng,
+                     inverse_permutation, loop_with_tail, make_rng, nonzero_scalars,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
                      shared_loop_target, simplicity_checked,
                      squares_span_deficient, strong_components,
@@ -407,6 +410,54 @@ def test_partition_is_permutation_equivariant_when_nondegenerate():
             expected = {frozenset(inv[k - 1] for k in block) for block in base}
             got = {frozenset(b.indices) for b in optimal_decomposition(shuffled).blocks}
             assert got == expected
+
+
+def natural_basis_change(algebra, sigma, c):
+    """The algebra in the natural basis f_i = c_i e_sigma(i), for a
+    permutation sigma of 1..n and nonzero c_i: f_i^2 = c_i^2 e_sigma(i)^2
+    and e_sigma(j) = f_j / c_j, so w'_ji = c_i^2 w_sigma(j)sigma(i) / c_j."""
+    f, n = algebra.field, algebra.dim
+    return EvolutionAlgebra.from_squares(f, [
+        [f.coerce(Fraction(c[i] ** 2 * algebra.square_of_basis(sigma[i])[sigma[j] - 1], c[j]))
+         for j in range(n)] for i in range(n)])
+
+
+def unit_indices(subspace):
+    """The indices i of the e_i that span a subspace spanned by unit vectors."""
+    return frozenset(row.index(subspace.field.one) + 1 for row in subspace.vectors())
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(10007)], ids=["QQ", "GF2", "GF10007"])
+@settings(FIXED, max_examples=40)  # about 0.2 s per field
+@given(data=st.data())
+def test_natural_basis_changes_move_the_invariants_with_the_basis(field, data):
+    # a natural basis is unique up to the order and the scale of its
+    # vectors (c_i = 1 over GF(2)): simplicity, non-degeneracy and the dims
+    # of the annihilator and the radical stay; the radical's indices and
+    # the blocks move by sigma, and the restricted structure matrix of a
+    # block B is conjugated by a permutation and scaled to c_i^2 / c_j in
+    # entry (j, i), so its det is multiplied by the product of c_i over B
+    a = data.draw(st.one_of(weighted_digraph_algebras(field).filter(lambda a: a.dim <= 12),
+                            algebras(field)))
+    n = a.dim
+    sigma = data.draw(st.permutations(range(1, n + 1)))
+    c = data.draw(st.lists(nonzero_scalars(field), min_size=n, max_size=n))
+    b = natural_basis_change(a, sigma, c)
+    assert bool(is_simple(b)) == bool(is_simple(a))
+    assert is_nondegenerate(b) == is_nondegenerate(a)
+    assert annihilator(b).dim == annihilator(a).dim
+    assert radical(b).dim == radical(a).dim
+    inverse = inverse_permutation(sigma)
+
+    def moved(indices):
+        return frozenset(inverse[k - 1] for k in indices)
+
+    assert unit_indices(radical(b)) == moved(unit_indices(radical(a)))
+    expected = {moved(block.indices): (block.nondegenerate, block.simple, field.coerce(
+        block.det * prod(c[i - 1] for i in moved(block.indices))))
+        for block in optimal_decomposition(a).blocks}
+    assert {block.indices: (block.nondegenerate, block.simple, block.det)
+            for block in optimal_decomposition(b).blocks} == expected
 
 
 def test_is_simple_golden():

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 from math import prod
 
@@ -108,6 +109,33 @@ def test_ascendents_duality_and_golden():
             assert (j in g.ascendents(i)) == (i in g.descendents(j))
     # a chain-start index has no ascendents
     assert g.ascendents(2) == frozenset()
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: AssociatedGraph([{0}, set(), set()]), "edge target 0 outside 1..3"),
+    (lambda: AssociatedGraph([set(), {1, 4}, set()]), "edge target 4 outside 1..3"),
+    # the lowest target below 1 is named before any target above n
+    (lambda: AssociatedGraph([{5}, {-2, 0}, {4}]), "edge target -2 outside 1..3"),
+    (lambda: AssociatedGraph([{2}, {7, 9}, frozenset({8})]), "edge target 9 outside 1..3"),
+    (lambda: AssociatedGraph.from_edges(3, [(1, 4)]), "edge target 4 outside 1..3"),
+    (lambda: AssociatedGraph.from_edges(3, [(1, 2), (0, 1)]), "edge source 0 outside 1..3"),
+    (lambda: AssociatedGraph.from_edges(3, [(4, 1)]), "edge source 4 outside 1..3"),
+])
+def test_out_of_range_edges_are_refused_by_name(build, message):
+    with pytest.raises(IndexError, match="^%s$" % re.escape(message)):
+        build()
+
+
+def test_constructor_keeps_frozensets_as_they_are():
+    targets = frozenset({1, 2})
+    g = AssociatedGraph([targets, [2, 2]])
+    assert g.out_edges(1) is targets and g.out_edges(2) == frozenset({2})
+
+
+def test_empty_graph_is_accepted():
+    for empty in (AssociatedGraph([]), AssociatedGraph.from_edges(0, [])):
+        assert empty.n == 0 and empty == AssociatedGraph(())
+        assert empty.weak_components() == () and empty.sinks() == frozenset()
 
 
 def test_cyclic_indices_golden():

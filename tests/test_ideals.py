@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
@@ -16,7 +16,7 @@ from evolalg.linalg import coordinate_subspace
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
                      double_loop, fixpoint_reaches_no_cycle, is_canonical,
                      loop_feeder, make_rng, pair_cycle_mixing,
-                     random_algebra, random_element, scalars,
+                     random_algebra, random_element, raw_scalars, scalars,
                      swap_pair_plus_loop, two_loops_two_sinks,
                      two_sinks_and_pair)
 
@@ -243,6 +243,41 @@ def test_quotient_golden():
 
     with pytest.raises(PreconditionError):
         quotient(b, subspace_from_vectors(QQ, 3, [(1, 1, 0), (0, 0, 1)]))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7)], ids=["QQ", "GF7"])
+@settings(FIXED, max_examples=25)  # about 0.1 s per field
+@given(data=st.data())
+def test_project_coerces_the_vector_it_is_handed(field, data):
+    # A/I for I = <e2^2> = {(a, a+b, b)} (entangled_squares) has the one
+    # chosen index 1 and projection (1, -1, 1): text, bools, Fractions and
+    # out-of-range ints project as their coerced vector, a float is
+    # refused with FieldError and a wrong length with DimensionError
+    a = entangled_squares(field)
+    pres = quotient(a, ideal_generated_by_square(a, 2))
+    assert pres.chosen == (1,)
+    assert pres.projection.entries == ((field.one, field.coerce(-1), field.one),)
+    raw = data.draw(st.lists(raw_scalars(field), min_size=3, max_size=3))
+    x, y, z = map(field.coerce, raw)
+    projected = pres.project(raw)
+    assert projected == (field.coerce(x - y + z),)
+    assert all(is_canonical(field, c) for c in projected)
+    k = data.draw(st.integers(min_value=0, max_value=2))
+    with pytest.raises(FieldError):
+        pres.project(raw[:k] + [data.draw(st.floats())] + raw[k + 1:])
+    for wrong in (raw[:2], raw + [0]):
+        with pytest.raises(DimensionError, match="^vector of length %d in an ambient space "
+                                                 "of dim 3$" % len(wrong)):
+            pres.project(wrong)
+
+
+def test_project_golden_on_text_and_floats():
+    a = entangled_squares()
+    pres = quotient(a, ideal_generated_by_square(a, 2))
+    assert pres.project(("1/2", 0, 0)) == (Fraction(1, 2),)
+    assert pres.project((Fraction(1, 2), True, "3")) == (Fraction(5, 2),)
+    with pytest.raises(FieldError):
+        pres.project((0.5, 0, 0))
 
 
 def test_quotient_by_absorption_ideal_is_nondegenerate():

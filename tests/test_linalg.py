@@ -1,7 +1,8 @@
 from fractions import Fraction
+from itertools import chain
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
@@ -13,7 +14,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
 from evolalg.linalg import _slots, coordinate_subspace, mat_vec
-from support import FIXED, is_canonical, make_rng, matrix, scalars
+from support import FIXED, is_canonical, make_rng, matrix, raw_scalars, scalars
 
 
 def mat(rows):
@@ -347,6 +348,37 @@ def test_raw_ints_up_to_the_struct_code_bound_give_the_results_of_their_residues
     k = min(rows, cols)
     assert (det(field, matrix(row[:k] for row in raw[:k]))
             == det(field, matrix(row[:k] for row in reduced[:k])))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2 ** 61 - 1), GF(2 ** 64 + 13)],
+                         ids=field_ids)
+@settings(FIXED, max_examples=25)  # about 0.15 s per field
+@given(data=st.data())
+def test_det_and_rref_take_what_coerce_takes(field, data):
+    # text, bools, Fractions and raw ints give the det and the rref of the
+    # coerced matrix, over QQ and on both F_p packing routes (2^64 + 13,
+    # prime, is too wide for a struct code); a float is refused with
+    # coerce's FieldError, also where a zero row would give det 0 with no
+    # elimination
+    rows = data.draw(st.integers(min_value=1, max_value=4))
+    cols = data.draw(st.integers(min_value=1, max_value=4))
+    entry = raw_scalars(field)
+    raw = [[data.draw(entry) for _ in range(cols)] for _ in range(rows)]
+    coerced = [[field.coerce(x) for x in row] for row in raw]
+    rank, reduced = rref(field, matrix(raw))
+    assert (rank, reduced) == rref(field, matrix(coerced))
+    k = min(rows, cols)
+    square = [row[:k] for row in raw[:k]]
+    value = det(field, matrix(square))
+    assert value == det(field, matrix(row[:k] for row in coerced[:k]))
+    assert all(is_canonical(field, x) for x in [value, *chain(*reduced.entries)])
+    r, c = (data.draw(st.integers(min_value=0, max_value=k - 1)) for _ in range(2))
+    square[r][c] = data.draw(st.floats())
+    if k > 1 and data.draw(st.booleans()):
+        square[(r + 1) % k] = [field.zero] * k
+    for call in (det, rref):
+        with pytest.raises(FieldError):
+            call(field, matrix(square))
 
 
 @pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)

@@ -33,6 +33,12 @@ def algebras_key_dicts(field):
     assert a is not b and {a: "a"}[b] == "a"
 
 
+def rationals_are_one_truthy_value(field):
+    algebras_key_dicts(field)
+    # a namedtuple with no fields is falsy unless it says otherwise
+    assert bool(QQ) and QQ == Rationals() == ()
+
+
 def prime_field_refusals(field):
     algebras_key_dicts(field)
     with raises(FieldError, "8 is not prime"):
@@ -68,7 +74,7 @@ LINE = EvolutionAlgebra.from_squares(QQ, [[1]])
 # (class, constructor arguments, the arguments of an unequal instance or
 # None, repr, the class's own checks)
 CASES = [
-    (Rationals, (), None, "Rationals()", algebras_key_dicts),
+    (Rationals, (), None, "Rationals()", rationals_are_one_truthy_value),
     (PrimeField, (7,), (11,), "PrimeField(p=7)", prime_field_refusals),
     (Matrix, (1, 1, ((1,),)), (1, 1, ((2,),)), "Matrix(rows=1, cols=1, entries=((1,),))",
      matrix_shape_refusals),
