@@ -83,10 +83,10 @@ class EvolutionAlgebra:
         return self._squares[i - 1]
 
     def multiply(self, a, b) -> tuple:
-        """Product of two elements: sum over i of a_i*b_i times e_i^2,
-        each coordinate summed with Python's operators and coerced once."""
-        if len(a) != self.dim or len(b) != self.dim:
-            raise DimensionError("operands must have %d coordinates" % self.dim)
+        """Product of two elements: sum over i of a_i*b_i times e_i^2.  Both
+        operands are checked and coerced first (_vector); each coordinate
+        of the product is summed with Python's operators and coerced once."""
+        a, b = _vector(self.field, self.dim, a), _vector(self.field, self.dim, b)
         out = [0] * self.dim
         for x, y, square in zip(a, b, self._squares):
             c = x * y

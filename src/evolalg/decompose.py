@@ -7,6 +7,13 @@ components of the associated graph (every derived set is forward-closed
 and weakly connected), so the blocks are read off the graph; the
 fragmentation stays public as the paper's process on arbitrary covers.
 
+Every graph fact read here comes from the one Tarjan condensation of the
+associated graph, whose edge scan also records the components each
+component exits to: the seeds of the canonical parts are its source
+components, their derived sets are searches over those exit sets, and
+the blocks are its weak components.  No decision searches the edges a
+second time.
+
 A block det is taken of the block's squares sliced to the block, the
 transpose of its restriction of M_B.  An edge i -> j is a nonzero entry j
 of e_i^2, so a sink of the graph is a zero row of that slice and an index
@@ -58,12 +65,15 @@ def canonical_decomposition(algebra: EvolutionAlgebra) -> tuple:
     and per chain-start index, computed once per algebra object.  These
     seeds are the source components of the graph's condensation, in their
     order: a cyclic one is a principal cycle, any other is a vertex that
-    no edge enters.  For a finite index set their derived sets always
+    no edge enters.  The derived set of a seed is the union of the
+    components the condensation reaches from it, one search over the
+    exit sets its Tarjan pass recorded (AssociatedGraph._component_closure),
+    not over the edges.  For a finite index set the derived sets always
     cover everything (test_canonical_parts_are_forward_closed_and_cover)."""
     graph = associated_graph(algebra)
     return tuple(
         CanonicalPart(PRINCIPAL_CYCLE if graph.is_cyclic_index(min(seed)) else CHAIN_START,
-                      seed, graph.forward_closure(seed))
+                      seed, graph._component_closure(seed))
         for seed in graph.source_components())
 
 

@@ -20,11 +20,11 @@ value, so field.parse runs once per distinct token and a row is one map
 over the table's lookup.  That pays where texts repeat, as in sparse
 matrices.  Where the last row read through the table missed on most of
 its tokens, so that the texts rarely repeat, a prime-field row of ASCII
-digits alone is read by one map of int and reduced mod p only when an
-entry reaches p; any other row, and one that int() refuses, goes through
-the table.  An invalid token is reported where it first occurs, by the
-table route.  The parsed scalars are canonical, so the algebra is built
-on them without a second coercion.
+text with no sign and no underscore is read by one map of int and reduced
+mod p only when an entry reaches p; any other row, and one where int()
+refuses a token, goes through the table.  An invalid token is reported
+where it first occurs, by the table route.  The parsed scalars are
+canonical, so the algebra is built on them without a second coercion.
 """
 
 from __future__ import annotations
@@ -97,12 +97,15 @@ def _row_parser(field, width, noun, numbered):
     first lookup.  The table's growth over a row counts the row's new
     texts; when they are most of its tokens, the texts rarely repeat and
     the lookups mostly miss, so over F_p the next rows take the int
-    route: a row whose tokens are all ASCII digits is one map of int,
-    which gives what field.parse gives on such a text once it is reduced
-    mod p, and is reduced by one more map only when an entry reaches p.
-    A row with any other token, or one that int() refuses (more digits
-    than CPython converts), is read by the table route, which reports the
-    error and decides the route of the rows after it.
+    route: a line that is ASCII and holds no sign and no underscore is
+    one map of int, which on such a text accepts exactly the runs of
+    digits and gives what field.parse gives on them once reduced mod p;
+    the row is reduced by one more map only when an entry reaches p.  The
+    line is checked as it is, not rescanned token by token.  Any other
+    row, and one where int() refuses a token (a fraction, a stray
+    character, or more digits than CPython converts), is read by the
+    table route, which reports the error and decides the route of the
+    rows after it.
 
     A wrong count is reported as "expected <width> <noun>", and an invalid
     scalar by its message, after "entry <k>: " when numbered, where k is
@@ -118,16 +121,14 @@ def _row_parser(field, width, noun, numbered):
         tokens = line.split()
         if len(tokens) != width:
             raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
-        if distinct:
-            digits = "".join(tokens)
-            if digits.isascii() and digits.isdigit():
-                try:
-                    row = tuple(map(int, tokens))
-                except ValueError:  # over CPython's digit limit
-                    pass
-                else:
-                    # x % p for each x, where an entry reaches p
-                    return tuple(map(p.__rmod__, row)) if max(row) >= p else row
+        if distinct and line.isascii() and not ("+" in line or "-" in line or "_" in line):
+            try:
+                row = tuple(map(int, tokens))
+            except ValueError:  # a token other than digits, or over CPython's digit limit
+                pass
+            else:
+                # x % p for each x, where an entry reaches p
+                return tuple(map(p.__rmod__, row)) if max(row) >= p else row
         before = len(table)
         try:
             row = tuple(map(lookup, tokens))

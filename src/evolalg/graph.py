@@ -110,34 +110,45 @@ class AssociatedGraph:
 
     @cached_property
     def _condensation(self):
-        """(the strongly connected component of each vertex as a list
-        indexed by vertex, the components no edge enters from outside
-        sorted by least element, the weak components sorted by least
-        element, the vertices from which no path reaches a cycle), from
-        one iterative Tarjan pass (Tarjan 1972, SIAM J. Comput. 1(2)) on
-        lists indexed by vertex and one walk over its components.
-        index[v] is 0 until v is visited and component_of[v] is None until
-        its component is complete, so w is still on the stack iff it is
-        visited and has no component yet; a finished component is cut off
-        the stack at the position where its root was pushed.
+        """(the strongly connected components numbered 1..m in the order
+        they complete, a list giving each vertex the number of its
+        component, the exit set of each component (the numbers of the
+        other components its edges enter), the components no edge enters
+        from outside sorted by least element, the weak components sorted
+        by least element, the vertices from which no path reaches a
+        cycle), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
+        Comput. 1(2)) on lists indexed by vertex and one walk over its
+        components.  index[v] is 0 until v is visited and number[v] is 0
+        until its component is complete, so w is still on the stack iff
+        it is visited and has no number yet; a finished component is cut
+        off the stack at the position where its root was pushed.
+
+        The exit sets are collected during the same edge scan.  An edge
+        v -> w leaves the component of v exactly when w is in a completed
+        component (a w still on the stack shares the component of v), or
+        when it is the tree edge into the root w of a component, which
+        completes as the search returns over it.  Each such exit goes on
+        one list of hits; the hits made while a component is open are the
+        ones after the point where its root was pushed, less those of the
+        components completed since, which took theirs when they completed.
 
         Tarjan completes a component only after every component it
         reaches, so the walk, in completion order, meets each component
-        after the components its edges enter.  The component joins their
+        after the components it exits to.  The component joins their
         weak groups (the group with fewer components is relabelled into
-        the other), and it reaches a cycle iff it holds an edge of its own
-        (it is cyclic) or one of them reaches a cycle."""
+        the other), and it reaches a cycle iff it is cyclic (more than one
+        vertex, or a self-loop) or one of them reaches a cycle."""
         n, out = self.n, self._out
-        index, low, at = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
-        component_of = [None] * (n + 1)
-        stack, components = [], []
+        index, low, number = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
+        at, hit_at = [0] * (n + 1), [0] * (n + 1)
+        stack, hits, components, exits = [], [], [], []
         count = 0
         for root in range(1, n + 1):
             if index[root]:
                 continue
             count += 1
             index[root] = low[root] = count
-            at[root] = len(stack)
+            at[root], hit_at[root] = len(stack), len(hits)
             stack.append(root)
             work = [(root, iter(out[root - 1]))]
             while work:
@@ -146,66 +157,85 @@ class AssociatedGraph:
                     if not index[w]:
                         count += 1
                         index[w] = low[w] = count
-                        at[w] = len(stack)
+                        at[w], hit_at[w] = len(stack), len(hits)
                         stack.append(w)
                         work.append((w, iter(out[w - 1])))
                         break
-                    if component_of[w] is None and index[w] < low[v]:
+                    if number[w]:
+                        hits.append(number[w])
+                    elif index[w] < low[v]:
                         low[v] = index[w]
                 else:
                     work.pop()
-                    if work:
-                        parent = work[-1][0]
-                        if low[v] < low[parent]:
-                            low[parent] = low[v]
                     if low[v] == index[v]:
                         comp = frozenset(stack[at[v]:])
                         del stack[at[v]:]
-                        for w in comp:
-                            component_of[w] = comp
+                        exits.append(set(hits[hit_at[v]:]))
+                        del hits[hit_at[v]:]
                         components.append(comp)
-        entered, weak, reaching = set(), {}, set()
-        for comp in components:
-            targets = frozenset().union(*(out[v - 1] for v in comp))
-            hit = {component_of[w] for w in targets - comp}
+                        k = len(components)
+                        for w in comp:
+                            number[w] = k
+                        if work:  # the tree edge into v leaves its parent's component
+                            hits.append(k)
+                    elif low[v] < low[work[-1][0]]:
+                        low[work[-1][0]] = low[v]
+        entered, group_of, reaching = set(), [], []
+        for k, (comp, hit) in enumerate(zip(components, exits), start=1):
             entered |= hit
-            if not comp.isdisjoint(targets) or not reaching.isdisjoint(hit):
-                reaching.add(comp)
-            group = weak[comp] = [comp]
-            for target in hit:
-                other = weak[target]
+            reaching.append(len(comp) > 1 or not comp.isdisjoint(out[min(comp) - 1])
+                            or any(reaching[h - 1] for h in hit))
+            group = [k]
+            group_of.append(group)
+            for h in hit:
+                other = group_of[h - 1]
                 if other is not group:
                     if len(other) > len(group):
                         group, other = other, group
                     group += other
                     for c in other:
-                        weak[c] = group
-        groups = {id(group): group for group in weak.values()}.values()
-        no_cycle = frozenset().union(*(c for c in components if c not in reaching))
-        return (component_of,
-                tuple(sorted((c for c in components if c not in entered), key=min)),
-                tuple(sorted((frozenset().union(*g) for g in groups), key=min)),
-                no_cycle)
+                        group_of[c - 1] = group
+        groups = {id(group): group for group in group_of}.values()
+        return (components, number, exits,
+                tuple(sorted((c for k, c in enumerate(components, start=1) if k not in entered),
+                             key=min)),
+                tuple(sorted((frozenset().union(*(components[c - 1] for c in g)) for g in groups),
+                             key=min)),
+                frozenset().union(*(c for c, r in zip(components, reaching) if not r)))
 
     def is_cyclic_index(self, i: int) -> bool:
         """True when i lies on a closed path: its strongly connected
         component has more than one vertex, or i has a self-loop."""
         self._check_index(i)
-        return len(self._condensation[0][i]) > 1 or i in self._out[i - 1]
+        return len(self._component(i)) > 1 or i in self._out[i - 1]
 
     def cycle_of(self, i: int) -> frozenset:
         """The strongly connected component of a cyclic index i: the
         vertices mutually reachable with it."""
         if not self.is_cyclic_index(i):
             raise PreconditionError("index %d is not cyclic" % i)
-        return self._condensation[0][i]
+        return self._component(i)
+
+    def _component(self, i: int) -> frozenset:
+        """The strongly connected component of vertex i, unchecked."""
+        components, number = self._condensation[:2]
+        return components[number[i] - 1]
+
+    def _component_closure(self, component) -> frozenset:
+        """forward_closure(component) for a strongly connected component,
+        unchecked: the union of the components that one search over the
+        exit sets of the condensation reaches from it, with no pass over
+        the edges."""
+        components, number, exits = self._condensation[:3]
+        reached = _closure(exits, (number[next(iter(component))],))
+        return frozenset().union(*(components[k - 1] for k in reached))
 
     def source_components(self):
         """The strongly connected components that no edge enters from
         outside, sorted by least element: every vertex is reached from one
         of them.  The cyclic ones are the principal cycles, and each other
         one is a single vertex that no edge enters, a chain start."""
-        return self._condensation[1]
+        return self._condensation[3]
 
     def principal_cycles(self):
         """The cyclic components that no edge enters from outside, pairwise
@@ -223,13 +253,13 @@ class AssociatedGraph:
         """Partition of {1..n} into components of the underlying undirected
         graph, sorted by least element: on an algebra's graph, the blocks
         of the optimal decomposition."""
-        return self._condensation[2]
+        return self._condensation[4]
 
     def reaches_no_cycle(self) -> frozenset:
         """The vertices from which no path reaches a cyclic vertex; a
         cyclic vertex reaches itself.  On an algebra's graph, the indices
         whose basis elements span the radical."""
-        return self._condensation[3]
+        return self._condensation[5]
 
 
 @_memoized

@@ -11,12 +11,13 @@ squares and subspace bases are canonical already, so they reach the span
 from __future__ import annotations
 
 from collections import namedtuple
+from operator import neg
 
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _residue, _rref_rows, _span, coordinate_subspace,
-                     full_subspace, mat_vec, subspace_from_vectors)
+from .linalg import (Matrix, Subspace, _residue, _rref_rows, _span, _unit_rows,
+                     coordinate_subspace, mat_vec, subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
@@ -176,12 +177,19 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
 
     def project(v):
         # P has kernel I and takes each e_c to a unit vector: P v is the
-        # residue of v modulo the rows w, on the chosen positions (so P e_l
-        # is -w)
+        # residue of v modulo the rows w, on the chosen positions
         residue = _residue(f, rows, pivots, v[::-1])
         return tuple(map(residue.__getitem__, keep))
 
-    projection = Matrix(len(chosen), n, tuple(zip(*map(project, full_subspace(f, n).vectors()))))
+    # the columns of P are written from the reduced rows, with no residue:
+    # P e_c is the unit vector of the place of c among the chosen, and the
+    # residue of e_l is e_l - w, so P e_l is -w on the chosen positions
+    minus = neg if f.kind == "rational" else (lambda x: -x % f.p)
+    reduced = {n - col: row for col, row in zip(pivots, rows)}
+    units = iter(_unit_rows(f.zero, f.one, len(chosen), range(1, len(chosen) + 1)))
+    columns = [[minus(reduced[i][q]) for q in keep] if i in reduced else next(units)
+               for i in range(1, n + 1)]
+    projection = Matrix(len(chosen), n, tuple(zip(*columns)))
     squares = tuple(project(algebra.square_of_basis(i)) for i in chosen)
     return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, squares),
                                 projection)

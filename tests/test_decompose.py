@@ -81,10 +81,14 @@ def test_canonical_parts_are_forward_closed_and_cover():
 @given(st.one_of(
     st.sampled_from([QQ, GF(2)]).flatmap(
         lambda f: digraphs().map(lambda g: algebra_from_graph(f, g))),
-    st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras)))
+    st.sampled_from([QQ, GF(2), GF(7)]).flatmap(weighted_digraph_algebras),
+    digraphs(max_n=40).map(lambda g: algebra_from_graph(GF(2), g))))
 def test_canonical_parts_are_the_principal_cycles_and_the_chain_starts(a):
-    # the parts come from the source components of the condensation; build
-    # them from principal_cycles() and chain_start_indices() instead
+    # the parts come from the source components of the condensation and
+    # their derived sets from its exit sets; build them from
+    # principal_cycles(), chain_start_indices() and a search over the
+    # edges instead.  Graphs of up to 40 vertices give deep searches with
+    # many tree edges into components completed as the search returns
     g = associated_graph(a)
     parts = [CanonicalPart(PRINCIPAL_CYCLE, cycle, g.forward_closure(cycle))
              for cycle in g.principal_cycles()]

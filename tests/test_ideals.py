@@ -417,14 +417,14 @@ def test_is_ideal_refuses_a_subspace_over_another_field():
 
 
 def raw_forms(field, x):
-    """Values that field.coerce takes to the canonical scalar x: x itself
-    and Fraction(2n, 2d), which for an integer x is a Fraction of
-    denominator 1; over F_p x + p and x + 2p; True for one and False for
-    zero."""
+    """Values that field.coerce takes to the canonical scalar x: x itself,
+    its text, and Fraction(2n, 2d), which for an integer x is a Fraction
+    of denominator 1; over F_p x + p and x + 2p; True for one and False
+    for zero."""
     if field.kind == "rational":
-        forms = [x, Fraction(2 * x.numerator, 2 * x.denominator)]
+        forms = [x, str(x), Fraction(2 * x.numerator, 2 * x.denominator)]
     else:
-        forms = [x, x + field.p, x + 2 * field.p]
+        forms = [x, str(x), x + field.p, x + 2 * field.p]
     if x in (0, 1):
         forms.append(bool(x))
     return st.sampled_from(forms)
@@ -434,8 +434,9 @@ def raw_forms(field, x):
 @FIXED
 @given(data=st.data())
 def test_raw_coordinates_act_as_their_canonical_forms(field, data):
-    # a library caller may pass 7 or 14 for zero over GF(7), or True for
-    # one: every routine that tests or multiplies coordinates coerces first
+    # a library caller may pass 7 or 14 for zero over GF(7), "1" or True
+    # for one: every routine that tests or multiplies coordinates coerces
+    # first, and refuses a float as coerce does
     a = data.draw(algebras(field))
     x = tuple(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim)))
     raw = tuple(data.draw(raw_forms(field, c)) for c in x)
@@ -449,3 +450,8 @@ def test_raw_coordinates_act_as_their_canonical_forms(field, data):
         result = a.multiply(left, right)
         assert result == product
         assert all(is_canonical(field, c) for c in result)
+    k = data.draw(st.integers(min_value=0, max_value=a.dim - 1))
+    floated = raw[:k] + (data.draw(st.floats()),) + raw[k + 1:]
+    for left, right in ((floated, y), (y, floated)):
+        with pytest.raises(FieldError):
+            a.multiply(left, right)

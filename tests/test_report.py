@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 import evolalg.cli
 import evolalg.decompose
 import evolalg.linalg
-from evolalg import GF, QQ, EvolutionAlgebra
+from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, algebra_from_graph,
+                     ideal_generated_by)
 from evolalg.cli import main
 from evolalg.documents import emit_document, parse_document
 from evolalg.ideals import annihilator, radical
@@ -136,6 +137,39 @@ def test_reports_build_no_coordinate_subspace_and_no_structure_view(
     assert calls["coordinate_subspace"] > 0
     assert a.structure is vars(a)["structure"]
     capsys.readouterr()
+
+
+def test_analyze_runs_no_vertex_level_closure(monkeypatch):
+    # the derived sets of the canonical parts are read off the exit sets
+    # that the Tarjan pass records, so the report scans the edges once
+    seeds = []
+    closure = AssociatedGraph.forward_closure
+
+    def counted(graph, given):
+        seeds.append(given)
+        return closure(graph, given)
+
+    monkeypatch.setattr(AssociatedGraph, "forward_closure", counted)
+    n = 24
+    # one strongly connected component: a Hamiltonian cycle with chords
+    strong = [(i, i % n + 1) for i in range(1, n + 1)] + [(i, (i + 6) % n + 1)
+                                                           for i in range(1, n + 1, 3)]
+    # 4 weak components of 6 indices on interleaved positions: in each,
+    # two chain starts feed a 2-cycle that feeds a path into a sink
+    blocks = []
+    for b in range(1, 5):
+        s1, s2, c1, c2, m, t = range(b, n + 1, 4)
+        blocks += [(s1, c1), (s2, c1), (s2, m), (c1, c2), (c2, c1), (c2, m), (m, t)]
+    for edges, parts, weak in ((strong, 1, 1), (blocks, 8, 4)):
+        a = algebra_from_graph(GF(10007), AssociatedGraph.from_edges(n, edges))
+        report = build_report(a, "analyze")
+        assert len(evolalg.decompose.canonical_decomposition(a)) == parts
+        assert len(report["blocks"]) == weak
+        assert seeds == []
+        # the counter does see the closure that a generated ideal searches
+        ideal_generated_by(a, a.basis_element(1))
+        assert seeds
+        seeds.clear()
 
 
 def _strings():
