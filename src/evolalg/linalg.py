@@ -19,13 +19,17 @@ as a pivot row; the back-substitution of _rref_rows runs on the packed
 rows too, and each row is unpacked once, by one struct call, at the
 end.  Over QQ the rows are scaled by the lcm of their denominators and
 reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
-Comp. 22), whose every division is exact.  Entries go back to canonical
-scalars (over QQ an int, or a Fraction where the division leaves a
-remainder; ints in [0, p) over F_p) only where a reduced basis or a
-determinant is handed out.  A canonical basis needs no elimination at all:
-Subspace.contains subtracts from v its coordinate at each pivot times
-that pivot's row (_residue) and asks whether anything is left; the pivot
-columns are found once per subspace.
+Comp. 22), whose every division is exact, in its two-step form: each
+pass takes two pivots, in adjacent columns, and brings every row below
+them down two levels with one exact division per entry; a pass whose
+next column holds no second pivot (a singular or rectangular matrix, or
+the last column of an odd count) takes one step.  Entries go back to
+canonical scalars (over QQ an int, or a Fraction where the division
+leaves a remainder; ints in [0, p) over F_p) only where a reduced basis
+or a determinant is handed out.  A canonical basis needs no elimination
+at all: Subspace.contains subtracts from v its coordinate at each pivot
+times that pivot's row (_residue) and asks whether anything is left; the
+pivot columns are found once per subspace.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
 from one template (_unit_rows).
@@ -171,11 +175,23 @@ def _echelon(field, rows, width):
     row with an entry that has none is coerced first), and the rows are
     left as ints: Bareiss fraction-free elimination, where every entry is
     a minor of the scaled matrix and each update divides exactly by the
-    pivot of the step that last updated the row.  A row
-    whose entry in the pivot column is zero is left alone: if it later
-    becomes a pivot row, it is multiplied by the last pivot and divided by
-    its own divisor first, which is what the skipped updates would have
-    done to it."""
+    pivot of the step that last updated the row, its divisor.  A row
+    whose leading entries are zero is left alone: if it later becomes a
+    pivot row, it is multiplied by the last pivot and divided by its own
+    divisor first, which is what the skipped updates would have done to
+    it.  Each pass takes two pivots (Bareiss's two-step form).  With a00
+    and a01 the first pivot row's entries in the pivot column and the
+    next, the second pivot is the first row below whose x0, x1 there give
+    a00 x1 - x0 a01 != 0, its entry after one step times its divisor; it
+    is swapped up, with the sign, and takes that one step, which leaves p1
+    in the next column.  Every row below with x0 or x1 nonzero then takes
+    both steps at once, (p1 a00 x - p1 x0 y - (a00 x1 - x0 a01) z) //
+    (divisor a00) on the entries x, y, z right of the two columns of the
+    row and the two pivot rows, and both its entries there are set to
+    zero; its divisor becomes p1.  The divisor in the denominator is what
+    keeps the division exact for a row that skipped earlier passes.  Where
+    no row gives a second pivot, the pass takes one step in its column
+    alone."""
     if field.kind != "rational":
         p = field.p
         bits, pack, _, reduce = _slots(p, len(rows), width)
@@ -228,12 +244,12 @@ def _echelon(field, rows, width):
     # value: the last Bareiss pivot, the determinant of the pivot block so
     # far of the scaled rows
     sign = value = 1
-    for col in range(width):
+    col = 0
+    while col < width and len(pivots) < len(rows):
         top = len(pivots)
-        if top == len(rows):
-            break
         hit = next((r for r in range(top, len(rows)) if rows[r][col]), None)
         if hit is None:
+            col += 1
             continue
         if hit != top:
             rows[top], rows[hit] = rows[hit], rows[top]
@@ -242,16 +258,50 @@ def _echelon(field, rows, width):
         pivot_row = rows[top]
         if divisors[top] != value:
             pivot_row[col:] = [x * value // divisors[top] for x in pivot_row[col:]]
-        value = pivot_row[col]
-        tail = pivot_row[col:]
+        a00 = pivot_row[col]
+        pivots.append(col)
+        # the second pivot: the first row below whose entry in the next
+        # column after one step, (a00 x1 - x0 a01) / divisor, is nonzero
+        nxt = col + 1
+        hit = None
+        if nxt < width:
+            a01 = pivot_row[nxt]
+            hit = next((r for r in range(top + 1, len(rows))
+                        if a00 * rows[r][nxt] - rows[r][col] * a01), None)
+        if hit is None:
+            value = a00
+            tail = pivot_row[col:]
+            for r in range(top + 1, len(rows)):
+                row = rows[r]
+                a = row[col]
+                if a:
+                    d = divisors[r]
+                    row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
+                    divisors[r] = value
+            col += 1
+            continue
+        top += 1
+        if hit != top:
+            rows[top], rows[hit] = rows[hit], rows[top]
+            divisors[top], divisors[hit] = divisors[hit], divisors[top]
+            sign = -sign
+        second = rows[top]
+        x0, d = second[col], divisors[top]
+        second[col:] = [(a00 * x - x0 * y) // d for x, y in zip(second[col:], pivot_row[col:])]
+        value = second[nxt]
+        c = value * a00
+        tail0, tail1 = pivot_row[col + 2:], second[col + 2:]
         for r in range(top + 1, len(rows)):
             row = rows[r]
-            a = row[col]
-            if a:
-                d = divisors[r]
-                row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
+            x0, x1 = row[col], row[nxt]
+            if x0 or x1:
+                f0, f1, d = value * x0, a00 * x1 - x0 * a01, divisors[r] * a00
+                row[col + 2:] = [(c * x - f0 * y - f1 * z) // d
+                                 for x, y, z in zip(row[col + 2:], tail0, tail1)]
+                row[col] = row[nxt] = 0
                 divisors[r] = value
-        pivots.append(col)
+        pivots.append(nxt)
+        col += 2
     value, scale = sign * value, prod(scales)
     return pivots, Fraction(value, scale) if value % scale else value // scale
 

@@ -32,6 +32,9 @@ def test_rref_proportional_rows_collapse():
     rank, reduced = rref(QQ, mat([[1, 1], [2, 2]]))
     assert rank == 1
     assert reduced.entries == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
+    # the leading pairs are proportional: column 2 has no pivot, so the
+    # pass at column 1 finds no second pivot and takes one step
+    assert rref(QQ, mat([[1, 2, 3], [2, 4, 5]])) == (2, mat([[1, 2, 0], [0, 0, 1]]))
 
 
 def test_rref_of_entangled_square_span_has_rank_two():
@@ -47,6 +50,9 @@ def test_det_golden_values():
     # a zero column forces singularity
     assert det(QQ, mat([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
     assert det(QQ, mat([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
+    # row 2 is 2 row 1 in columns 1 and 2, so the second pivot of the
+    # first pass is row 3, swapped up; column 3 is a one-step pass
+    assert det(QQ, mat([[1, 2, 3], [2, 4, 5], [3, 7, 1]])) == 1
 
 
 def test_det_requires_square():
@@ -500,20 +506,37 @@ def wide_rows(draw, width, count):
     return draw(st.permutations(rows))
 
 
-@FIXED
+def sparse_row(width):
+    """A row of small ints, each 0 with probability 3/5, else one of
+    +-1..3: rows whose two leading entries of a pass are both zero, second
+    pivots found below the next row, columns with no second pivot and odd
+    pivot counts are all common."""
+    return st.lists(st.sampled_from([0] * 9 + [-3, -2, -1, 1, 2, 3]),
+                    min_size=width, max_size=width)
+
+
+@settings(FIXED, max_examples=200)  # about 100 wide and 100 sparse
 @given(data=st.data())
 def test_wide_rational_det_matches_sympy(data):
-    n = data.draw(st.integers(min_value=0, max_value=6))
-    rows = wide_rows(data.draw, n, n)
+    if data.draw(st.booleans()):
+        n = data.draw(st.integers(min_value=0, max_value=6))
+        rows = wide_rows(data.draw, n, n)
+    else:
+        n = data.draw(st.integers(min_value=0, max_value=10))
+        rows = data.draw(st.lists(sparse_row(n), min_size=n, max_size=n))
     m = Matrix(n, n, tuple(tuple(r) for r in rows))
     assert det(QQ, m) == from_sympy(QQ, sympy_matrix(QQ, rows, n).det())
 
 
-@FIXED
+@settings(FIXED, max_examples=200)  # about 100 wide and 100 sparse
 @given(data=st.data())
 def test_wide_rational_rref_matches_sympy(data):
-    cols = data.draw(st.integers(min_value=1, max_value=6))
-    rows = wide_rows(data.draw, cols, data.draw(st.integers(min_value=0, max_value=7)))
+    if data.draw(st.booleans()):
+        cols = data.draw(st.integers(min_value=1, max_value=6))
+        rows = wide_rows(data.draw, cols, data.draw(st.integers(min_value=0, max_value=7)))
+    else:
+        cols = data.draw(st.integers(min_value=1, max_value=10))
+        rows = data.draw(st.lists(sparse_row(cols), max_size=8))
     rank, reduced = rref(QQ, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
     expected, pivots = sympy_matrix(QQ, rows, cols).rref()
     assert rank == len(pivots)
