@@ -17,13 +17,16 @@ inversion per pivot.  All slots of a row are reduced mod p at once by a
 Barrett step on its even and its odd slots (SWAR), before the row serves
 as a pivot row; the back-substitution of _rref_rows runs on the packed
 rows too, and each row is unpacked once, by one struct call, at the
-end.  Over QQ the rows are scaled by the lcm of their denominators and
-reduced with Bareiss fraction-free elimination (Bareiss 1968, Math.
-Comp. 22), whose every division is exact, in its two-step form: each
-pass takes two pivots, in adjacent columns, and brings every row below
-them down two levels with one exact division per entry; a pass whose
-next column holds no second pivot (a singular or rectangular matrix, or
-the last column of an odd count) takes one step.  Entries go back to
+end.  Over QQ a row of plain ints is taken as it is, any other row is
+scaled by the lcm of its denominators, and the rows are reduced with
+Bareiss fraction-free elimination (Bareiss 1968, Math. Comp. 22), whose
+every division is exact, in its two-step form from Sylvester's
+identity: each pass takes two pivots, in adjacent columns, and brings
+every row below them down two levels, each entry a sum of products of
+two minors divided by one, the last pivot (BENCH_sylvester.json times
+it against a form that divided by a product of two); a pass whose next
+column holds no second pivot (a singular or rectangular matrix, or the
+last column of an odd count) takes one step.  Entries go back to
 canonical scalars (over QQ an int, or a Fraction where the division
 leaves a remainder; ints in [0, p) over F_p) only where a reduced basis
 or a determinant is handed out.  A canonical basis needs no elimination
@@ -171,27 +174,34 @@ def _echelon(field, rows, width):
     A nonzero multiple of p left in a column with no pivot is cleared.
     The determinant is read off the pivots alone; no row is unpacked.
 
-    Over QQ each row is first scaled by the lcm of its denominators (a
-    row with an entry that has none is coerced first), and the rows are
+    Over QQ a row whose entries are all plain ints enters as it is, with
+    scale 1; any other row is first scaled by the lcm of its denominators
+    (a row with an entry that has none is coerced first).  The rows are
     left as ints: Bareiss fraction-free elimination, where every entry is
-    a minor of the scaled matrix and each update divides exactly by the
-    pivot of the step that last updated the row, its divisor.  A row
-    whose leading entries are zero is left alone: if it later becomes a
-    pivot row, it is multiplied by the last pivot and divided by its own
-    divisor first, which is what the skipped updates would have done to
-    it.  Each pass takes two pivots (Bareiss's two-step form).  With a00
-    and a01 the first pivot row's entries in the pivot column and the
-    next, the second pivot is the first row below whose x0, x1 there give
-    a00 x1 - x0 a01 != 0, its entry after one step times its divisor; it
-    is swapped up, with the sign, and takes that one step, which leaves p1
-    in the next column.  Every row below with x0 or x1 nonzero then takes
-    both steps at once, (p1 a00 x - p1 x0 y - (a00 x1 - x0 a01) z) //
-    (divisor a00) on the entries x, y, z right of the two columns of the
-    row and the two pivot rows, and both its entries there are set to
-    zero; its divisor becomes p1.  The divisor in the denominator is what
-    keeps the division exact for a row that skipped earlier passes.  Where
-    no row gives a second pivot, the pass takes one step in its column
-    alone."""
+    a minor of the scaled matrix.  A row's divisor is the pivot of the
+    step that last updated it.  A row whose leading entries are zero is
+    left alone and keeps its divisor d; before it is next updated, or
+    serves as a pivot row, it is multiplied by the last pivot and divided
+    by d, which is what the skipped updates would have done to it (the
+    one-step update below divides by d instead, which comes to the same).
+
+    Each pass takes two pivots, in Bareiss's two-step form from
+    Sylvester's identity.  Let p be the last pivot and y the first pivot
+    row, with a00, a01 in the pivot column and the next.  The second
+    pivot row z is the first row below whose x0, x1 there give
+    a00 x1 - a01 x0 != 0; it is swapped up, with the sign, and brought up
+    to date, and a10, a11 are its entries there.  The new pivot is
+    c0 = (a00 a11 - a01 a10) / p.  Every row below with x0 or x1 nonzero
+    is brought up to date and takes both steps at once: with
+    c1 = (a00 x1 - a01 x0) / p and c2 = (a10 x1 - a11 x0) / p, each entry
+    x right of the two columns becomes (c0 x - c1 z + c2 y) / p, with y
+    and z the pivot rows' entries in its column, its entries in the two
+    columns are set to zero, and its divisor becomes c0.  c0, c1, c2 and
+    the new entries are minors, so every division, by the one minor p, is
+    exact.  Then z takes its one step, (a00 x - a10 y) / p, which leaves
+    zero in the pivot column and c0 in the next, as the back-substitution
+    of _rref_rows needs.  Where no row gives a second pivot, the pass
+    takes one step in its column alone, (a00 x - x0 y) / d."""
     if field.kind != "rational":
         p = field.p
         bits, pack, _, reduce = _slots(p, len(rows), width)
@@ -231,6 +241,9 @@ def _echelon(field, rows, width):
         return pivots, sign * value % p
     scales = []
     for i, row in enumerate(rows):
+        if set(map(type, row)) <= {int}:  # integral: enters with scale 1
+            rows[i] = [*row]
+            continue
         try:
             scale = lcm(*[x.denominator for x in row])
         except AttributeError:  # an entry that is not an int or a Fraction
@@ -286,20 +299,26 @@ def _echelon(field, rows, width):
             divisors[top], divisors[hit] = divisors[hit], divisors[top]
             sign = -sign
         second = rows[top]
-        x0, d = second[col], divisors[top]
-        second[col:] = [(a00 * x - x0 * y) // d for x, y in zip(second[col:], pivot_row[col:])]
-        value = second[nxt]
-        c = value * a00
+        p = value
+        if divisors[top] != p:
+            second[col:] = [x * p // divisors[top] for x in second[col:]]
+        a10, a11 = second[col], second[nxt]
+        value = (a00 * a11 - a01 * a10) // p
         tail0, tail1 = pivot_row[col + 2:], second[col + 2:]
         for r in range(top + 1, len(rows)):
             row = rows[r]
             x0, x1 = row[col], row[nxt]
             if x0 or x1:
-                f0, f1, d = value * x0, a00 * x1 - x0 * a01, divisors[r] * a00
-                row[col + 2:] = [(c * x - f0 * y - f1 * z) // d
+                if divisors[r] != p:
+                    d = divisors[r]
+                    row[col:] = [x * p // d for x in row[col:]]
+                    x0, x1 = row[col], row[nxt]
+                c1, c2 = (a00 * x1 - a01 * x0) // p, (a10 * x1 - a11 * x0) // p
+                row[col + 2:] = [(value * x - c1 * z + c2 * y) // p
                                  for x, y, z in zip(row[col + 2:], tail0, tail1)]
                 row[col] = row[nxt] = 0
                 divisors[r] = value
+        second[col:] = [(a00 * x - a10 * y) // p for x, y in zip(second[col:], pivot_row[col:])]
         pivots.append(nxt)
         col += 2
     value, scale = sign * value, prod(scales)

@@ -515,28 +515,49 @@ def sparse_row(width):
                     min_size=width, max_size=width)
 
 
-@settings(FIXED, max_examples=200)  # about 100 wide and 100 sparse
+def dense_row(width):
+    """A row in the shape of the benchmark's dense QQ corpus: each entry 0
+    with probability 1/4, else one of +-1..9, all plain ints: such rows
+    enter elimination unscaled, and nearly every pass over them takes two
+    pivots and updates every row below."""
+    return st.lists(st.sampled_from([0] * 6 + [s * v for s in (-1, 1) for v in range(1, 10)]),
+                    min_size=width, max_size=width)
+
+
+RATIONAL_FAMILIES = st.sampled_from(("wide", "sparse", "dense"))
+
+
+@settings(FIXED, max_examples=200)  # about 67 each of wide, sparse and dense
 @given(data=st.data())
 def test_wide_rational_det_matches_sympy(data):
-    if data.draw(st.booleans()):
+    family = data.draw(RATIONAL_FAMILIES)
+    if family == "wide":
         n = data.draw(st.integers(min_value=0, max_value=6))
         rows = wide_rows(data.draw, n, n)
-    else:
+    elif family == "sparse":
         n = data.draw(st.integers(min_value=0, max_value=10))
         rows = data.draw(st.lists(sparse_row(n), min_size=n, max_size=n))
+    else:
+        n = data.draw(st.integers(min_value=0, max_value=12))
+        rows = data.draw(st.lists(dense_row(n), min_size=n, max_size=n))
     m = Matrix(n, n, tuple(tuple(r) for r in rows))
     assert det(QQ, m) == from_sympy(QQ, sympy_matrix(QQ, rows, n).det())
 
 
-@settings(FIXED, max_examples=200)  # about 100 wide and 100 sparse
+@settings(FIXED, max_examples=200)  # about 67 each of wide, sparse and dense
 @given(data=st.data())
 def test_wide_rational_rref_matches_sympy(data):
-    if data.draw(st.booleans()):
+    family = data.draw(RATIONAL_FAMILIES)
+    if family == "wide":
         cols = data.draw(st.integers(min_value=1, max_value=6))
         rows = wide_rows(data.draw, cols, data.draw(st.integers(min_value=0, max_value=7)))
-    else:
+    elif family == "sparse":
         cols = data.draw(st.integers(min_value=1, max_value=10))
         rows = data.draw(st.lists(sparse_row(cols), max_size=8))
+    else:
+        cols = data.draw(st.integers(min_value=1, max_value=12))
+        count = data.draw(st.integers(min_value=0, max_value=12))
+        rows = data.draw(st.lists(dense_row(cols), min_size=count, max_size=count))
     rank, reduced = rref(QQ, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
     expected, pivots = sympy_matrix(QQ, rows, cols).rref()
     assert rank == len(pivots)
