@@ -20,14 +20,18 @@ value, so field.parse runs once per distinct token and a row is one map
 over the table's lookup.  That pays where texts repeat, as in sparse
 matrices.  Where the last row read through the table missed on most of
 its tokens, so that the texts rarely repeat, a prime-field row of ASCII
-text with no sign and no underscore is read by one map of int and reduced
-mod p only when an entry reaches p; any other row, and one where int()
-refuses a token, goes through the table.  An invalid token is reported
-where it first occurs, by the table route.  The parsed scalars are
-canonical, so the algebra is built on them without a second coercion.
+digits and spaces is read by one call of the C JSON scanner, with each
+space made a comma, and reduced mod p only when an entry reaches p; any
+other row, and one the scanner refuses (a leading zero, two spaces in a
+row, or more digits than CPython converts) or reads to the wrong count,
+goes through the table.  An invalid token is reported where it first
+occurs, by the table route.  The parsed scalars are canonical, so the
+algebra is built on them without a second coercion.
 """
 
 from __future__ import annotations
+
+import json
 
 from .algebra import EvolutionAlgebra
 from .errors import FieldError, ParseError
@@ -72,6 +76,14 @@ def _parse_field_line(line, lineno):
     raise ParseError("expected 'field rational' or 'field prime <p>', got %r" % line, lineno)
 
 
+# on "[" + digits joined by commas + "]" the C scanner can give only a
+# list of non-negative ints; it refuses a leading zero, an empty token and
+# more digits than CPython converts
+_decode = json.JSONDecoder().raw_decode
+# translate deletes these: a line is all digits and spaces when nothing remains
+_DIGITS_AND_SPACES = str.maketrans("", "", "0123456789 ")
+
+
 class _ScalarTable(dict):
     """Token text -> field.parse(text), a pure function of the text, filled
     on a miss: the first lookup of a text parses it and stores the value.
@@ -96,16 +108,18 @@ def _row_parser(field, width, noun, numbered):
     all rows share, so field.parse runs once per distinct text, on its
     first lookup.  The table's growth over a row counts the row's new
     texts; when they are most of its tokens, the texts rarely repeat and
-    the lookups mostly miss, so over F_p the next rows take the int
-    route: a line that is ASCII and holds no sign and no underscore is
-    one map of int, which on such a text accepts exactly the runs of
-    digits and gives what field.parse gives on them once reduced mod p;
-    the row is reduced by one more map only when an entry reaches p.  The
-    line is checked as it is, not rescanned token by token.  Any other
-    row, and one where int() refuses a token (a fraction, a stray
-    character, or more digits than CPython converts), is read by the
-    table route, which reports the error and decides the route of the
-    rows after it.
+    the lookups mostly miss, so over F_p the next rows take the scanner
+    route: a line of nothing but ASCII digits and spaces, found by one
+    translate that deletes them, becomes a JSON array by making each
+    space a comma, and one call of the C JSON scanner reads it into ints
+    without making a string per token.  On such a text JSON accepts
+    exactly the digit runs without a leading zero, each as what
+    field.parse gives once reduced mod p; the row is reduced by one more
+    map only when an entry reaches p.  Any other row, and one the scanner
+    refuses (a leading zero, two spaces in a row, or more digits than
+    CPython converts) or reads to other than width entries, is read by
+    the table route, which reports any error and decides the route of
+    the rows after it.
 
     A wrong count is reported as "expected <width> <noun>", and an invalid
     scalar by its message, after "entry <k>: " when numbered, where k is
@@ -118,17 +132,18 @@ def _row_parser(field, width, noun, numbered):
 
     def parse_row(lineno, line):
         nonlocal distinct
+        if distinct and not line.translate(_DIGITS_AND_SPACES):
+            try:
+                row = _decode("[" + line.replace(" ", ",") + "]")[0]
+            except ValueError:  # a leading zero, two spaces in a row, or over CPython's digit limit
+                pass
+            else:
+                if len(row) == width:
+                    # x % p for each x, where an entry reaches p
+                    return tuple(map(p.__rmod__, row)) if max(row) >= p else tuple(row)
         tokens = line.split()
         if len(tokens) != width:
             raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
-        if distinct and line.isascii() and not ("+" in line or "-" in line or "_" in line):
-            try:
-                row = tuple(map(int, tokens))
-            except ValueError:  # a token other than digits, or over CPython's digit limit
-                pass
-            else:
-                # x % p for each x, where an entry reaches p
-                return tuple(map(p.__rmod__, row)) if max(row) >= p else row
         before = len(table)
         try:
             row = tuple(map(lookup, tokens))

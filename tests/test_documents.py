@@ -3,7 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError,
-                     ParseError, associated_graph)
+                     ParseError, associated_graph, documents)
 from evolalg.documents import (emit_document, export_dot, parse_basis_file,
                                parse_document, parse_vector)
 from support import (ALL_REFERENCE_BUILDERS, FIXED, fan_to_swap_pair,
@@ -47,6 +47,8 @@ def test_parse_prime_document_and_override():
     ("field prime 6\ndim 1\nmatrix\n1\n", "not prime"),
     ("field prime x\ndim 1\nmatrix\n1\n", "not an integer"),
     ("field rational\ndim 2\nmatrix\n1 2 3\n0 1\n", "expected 2 entries"),
+    # the first row is all new texts, so the scanner reads the second
+    ("field prime 7\ndim 2\nmatrix\n1 2\n3 4 5\n", "line 5: expected 2 entries, found 3"),
     ("field rational\ndim 2\nmatrix\n1 2\n", "unexpected end"),
     ("field rational\ndim 1\nmatrix\n1\nextra\n", "trailing"),
     ("field complex\ndim 1\nmatrix\n1\n", "field"),
@@ -306,34 +308,44 @@ def test_line_numbers_count_the_line_ends_the_utf8_error_counts():
 # field.parse refuses, '_' separators and a zero denominator
 ODD_TOKENS = ("007", "4" * 4300, "5" * 4301, "\u0663", "\uff11", "\u00b2", "+1", "-0",
               "1_0", "2/2", "1/0")
-# texts a row of repeated tokens is made of: digits alone, which the int
-# route reads, and others, which send a row back to the table route
+# texts a row of repeated tokens is made of: digits alone, which the
+# scanner route reads, and others, which send a row back to the table route
 REPEATED = ("0", "1", "-1", "+0", "1/2")
 ROUTE_FIELDS = (QQ, GF(2), GF(7), GF(10007), GF(2 ** 61 - 1))
 
 
 @st.composite
 def route_rows(draw, field, width, count):
-    """count rows of width tokens, alternately of mostly distinct texts of
-    ASCII digits (distinct through leading zeros where p is small, and
-    often at or above p) and of one repeated text, so that the parser
-    takes each route and switches both ways; odd tokens go into random
-    rows at random places."""
+    """count rows of width tokens, runs of one to four rows of mostly
+    distinct texts of ASCII digits (distinct through leading zeros where
+    p is small, often at or above p, and p - 1 or p now and then) between
+    single rows of one repeated text, so that the parser takes each route,
+    stays on the scanner route and switches both ways; odd tokens go into
+    random rows at random places, and so does a second space or a tab
+    before a token."""
     top = 3 * field.p if field.kind == "prime" else 1000
-    distinct = st.tuples(st.integers(min_value=0, max_value=2),
-                         st.integers(min_value=0, max_value=top)).map(
+    values = st.integers(min_value=0, max_value=top)
+    if field.kind == "prime":
+        values |= st.sampled_from((field.p - 1, field.p))
+    # leading zeros are rare, so that a row can be refused for another cause
+    distinct = st.tuples(st.sampled_from((0,) * 14 + (1, 2)), values).map(
         lambda zeros_value: "0" * zeros_value[0] + str(zeros_value[1]))
-    offset = draw(st.integers(min_value=0, max_value=1))
+    run = draw(st.booleans())
     rows = []
-    for r in range(count):
-        if (r + offset) % 2:
-            rows.append(draw(st.lists(distinct, min_size=width, max_size=width, unique=True)))
-        else:
-            rows.append([draw(st.sampled_from(REPEATED))] * width)
-    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+    while len(rows) < count:
+        size = draw(st.integers(min_value=1, max_value=4)) if run else 1
+        for _ in range(min(size, count - len(rows))):
+            rows.append(draw(st.lists(distinct, min_size=width, max_size=width, unique=True))
+                        if run else [draw(st.sampled_from(REPEATED))] * width)
+        run = not run
+    for _ in range(draw(st.integers(min_value=0, max_value=count))):
         row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
         row[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
             st.sampled_from(ODD_TOKENS))
+    for _ in range(draw(st.integers(min_value=0, max_value=count))):
+        row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
+        k = draw(st.integers(min_value=0, max_value=width - 1))
+        row[k] = draw(st.sampled_from((" ", "\t"))) + row[k]
     return rows
 
 
@@ -345,13 +357,15 @@ def test_both_row_routes_equal_a_per_token_parse(data):
     basis = data.draw(st.booleans())
     count = data.draw(st.integers(min_value=1, max_value=9)) if basis else width
     rows = data.draw(route_rows(field, width, count))
+    # the tokens are what split() finds in the joined rows
+    tokens = [" ".join(row).split() for row in rows]
     if basis:
         text = "".join(" ".join(row) + "\n" for row in rows)
-        expected = reference_rows(field, rows, 1, numbered=False)
+        expected = reference_rows(field, tokens, 1, numbered=False)
         read = lambda: parse_basis_file(field, text, width)  # noqa: E731
     else:
         text = document_text(field, rows)
-        expected = reference_rows(field, rows, 4, numbered=True)
+        expected = reference_rows(field, tokens, 4, numbered=True)
         read = lambda: list(parse_document(text).structure.entries)  # noqa: E731
     if isinstance(expected, ParseError):
         with pytest.raises(ParseError) as err:
@@ -368,9 +382,21 @@ def test_dense_prime_document_parses_only_its_first_row_token_by_token(monkeypat
     rng = make_rng(120120)
     rows = [[str(rng.randrange(field.p)) for _ in range(120)] for _ in range(120)]
     expected = [tuple(map(field.parse, row)) for row in rows]
+    decoded = []
+    decode = documents._decode
+    monkeypatch.setattr(documents, "_decode", lambda text: decoded.append(text) or decode(text))
     calls = counted_parses(monkeypatch, field)
     assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
     assert len(calls) <= 120
+    assert len(decoded) == 119
+    # a leading zero in row 60 and a doubled space in row 90: the scanner
+    # refuses each once, the table reads it, and the next rows are scanned
+    rows[59][7] = "0" + rows[59][7]
+    rows[89][3] = " " + rows[89][3]
+    del calls[:], decoded[:]
+    assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
+    assert len(calls) <= 3 * 120
+    assert len(decoded) == 119
 
 
 def test_sparse_prime_document_parses_each_distinct_token_once(monkeypatch):
