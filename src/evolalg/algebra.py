@@ -85,7 +85,8 @@ class EvolutionAlgebra:
     def multiply(self, a, b) -> tuple:
         """Product of two elements: sum over i of a_i*b_i times e_i^2.  Both
         operands are checked and coerced first (_vector); each coordinate
-        of the product is summed with Python's operators and coerced once."""
+        of the product is summed with Python's operators, and the sums are
+        made canonical by one call of field._canonical."""
         a, b = _vector(self.field, self.dim, a), _vector(self.field, self.dim, b)
         out = [0] * self.dim
         for x, y, square in zip(a, b, self._squares):
@@ -94,7 +95,7 @@ class EvolutionAlgebra:
                 for k, s in enumerate(square):
                     if s:
                         out[k] += c * s
-        return tuple(map(self.field.coerce, out))
+        return tuple(self.field._canonical(out))
 
 
 def _memoized(compute):

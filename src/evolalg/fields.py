@@ -14,18 +14,21 @@ So the integers that make up most documents are plain ints over both
 fields, and truth tests, ``str`` and ``numerator``/``denominator`` on
 them run in C.  A Fraction equals the int of the same value and hashes
 like it, so equality, hashing and sorting are the same for either form;
-only a result must be handed out in canonical form, and over QQ
-``coerce`` and the linalg kernels give ``x.numerator`` for an x of
-denominator 1.  A bool is an int whose text is ``True``, so ``coerce``
-takes it to 0 or 1.
+only a result must be handed out in canonical form, and over QQ it is
+``x.numerator`` for an x of denominator 1.  A bool is an int whose text
+is ``True``, so ``coerce`` takes it to 0 or 1.
 
 Everything else is plain Python on those values.  A canonical scalar is
-zero exactly when it is falsy.  Sums and products use Python's operators;
-over F_p their results are reduced by ``coerce``, the one reduction.  The
-text of a scalar is ``str``, and ``parse(str(x)) == x``; writers go
-through ``_text`` and ``_texts``, which give the same text also where an
-int part has more digits than CPython's ``str`` converts.  The field
-object also carries ``kind``, the modulus ``p`` of a prime field, and the
+zero exactly when it is falsy.  Sums and products use Python's operators,
+and two routines make their results canonical again: ``coerce`` reduces
+one value, and the private ``_canonical`` a list of sums at once (mod p
+over F_p; over QQ a Fraction of denominator 1 becomes its numerator).
+Outside the elimination kernels of linalg and the row scanner of
+documents, the package reduces through these two alone.  The text of a
+scalar is ``str``, and ``parse(str(x)) == x``; writers go through
+``_text`` and ``_texts``, which write an int part of more digits than
+CPython's ``str`` converts through ``decimal.Decimal``.  The field object
+also carries ``kind``, the modulus ``p`` of a prime field, and the
 canonical ``zero`` and ``one``; the linalg kernels read the kind and the
 modulus and eliminate on plain ints (see linalg).  No floating point is
 accepted anywhere.
@@ -51,6 +54,7 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 
 from .errors import FieldError
@@ -118,41 +122,18 @@ def _split_scalar(text: str):
     return num, den
 
 
-# A run of at most this many digits is below every limit on digits that
-# CPython lets sys.set_int_max_str_digits set (the least is 640).
-_CHUNK_DIGITS = 512
-
-
-def _decimal(n: int) -> str:
-    """The decimal text of an int of any size, with no process-wide limit
-    changed: n is split by divide and conquer over the powers
-    10^(512 2^i), and str writes each run of at most 512 digits."""
-    if n < 0:
-        return "-" + _decimal(-n)
-    powers = [10 ** _CHUNK_DIGITS]  # powers[i] is 10^(512 2^i)
-    while powers[-1] <= n:
-        powers.append(powers[-1] * powers[-1])
-
-    def runs(x, i):
-        # the digits of x < powers[i], padded with zeros to 512 2^i
-        if not i:
-            return str(x).zfill(_CHUNK_DIGITS)
-        high, low = divmod(x, powers[i - 1])
-        return runs(high, i - 1) + runs(low, i - 1)
-
-    return runs(n, len(powers) - 1).lstrip("0") or "0"
-
-
 def _text(x) -> str:
     """str(x) for a canonical scalar x, also where an int part of x has
     more digits than CPython's str converts (sys.get_int_max_str_digits):
-    every writer of scalar text goes through here or through _texts."""
+    every writer of scalar text goes through here or through _texts.  Such
+    a part is written through Decimal, whose conversion from an int is
+    exact under any context and heeds no limit on digits."""
     try:
         return str(x)
     except ValueError:
         if type(x) is int:
-            return _decimal(x)
-        return _decimal(x.numerator) + "/" + _decimal(x.denominator)
+            return str(Decimal(x))
+        return str(Decimal(x.numerator)) + "/" + str(Decimal(x.denominator))
 
 
 def _texts(row) -> list:
@@ -175,13 +156,11 @@ class Rationals(namedtuple("Rationals", "")):
     one = 1
 
     def coerce(self, value):
-        if type(value) is int:
-            return value
+        if isinstance(value, int):  # int() of an exact int is the int itself
+            return int(value)
         if isinstance(value, Fraction):
             # immutable and already reduced
             return value.numerator if value.denominator == 1 else value
-        if isinstance(value, int):  # a bool or another int subclass
-            return int(value)
         if isinstance(value, str):
             return self.parse(value)
         raise FieldError("cannot use %r as a rational scalar (floats are banned)" % (value,))
@@ -191,6 +170,12 @@ class Rationals(namedtuple("Rationals", "")):
         if den is None:
             return num
         return Fraction(num, den) if num % den else num // den
+
+    def _canonical(self, values) -> list:
+        """Sums and products of canonical rationals made canonical again: a
+        Fraction the arithmetic left with denominator 1 becomes its
+        numerator, and an int stays as it is (its numerator)."""
+        return [x.numerator if x.denominator == 1 else x for x in values]
 
     def __bool__(self):
         # a namedtuple with no fields is otherwise falsy
@@ -234,6 +219,11 @@ class PrimeField(namedtuple("PrimeField", "p")):
         if den % self.p == 0:
             raise FieldError("denominator of %r vanishes mod %d" % (text, self.p))
         return num * pow(den, -1, self.p) % self.p
+
+    def _canonical(self, values) -> list:
+        """Sums and products of residues (ints) reduced mod p."""
+        p = self.p
+        return [x % p for x in values]
 
 
 QQ = Rationals()

@@ -11,7 +11,6 @@ squares and subspace bases are canonical already, so they reach the span
 from __future__ import annotations
 
 from collections import namedtuple
-from operator import neg
 
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
@@ -184,10 +183,9 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     # the columns of P are written from the reduced rows, with no residue:
     # P e_c is the unit vector of the place of c among the chosen, and the
     # residue of e_l is e_l - w, so P e_l is -w on the chosen positions
-    minus = neg if f.kind == "rational" else (lambda x: -x % f.p)
     reduced = {n - col: row for col, row in zip(pivots, rows)}
     units = iter(_unit_rows(f.zero, f.one, len(chosen), range(1, len(chosen) + 1)))
-    columns = [[minus(reduced[i][q]) for q in keep] if i in reduced else next(units)
+    columns = [f._canonical([-reduced[i][q] for q in keep]) if i in reduced else next(units)
                for i in range(1, n + 1)]
     projection = Matrix(len(chosen), n, tuple(zip(*columns)))
     squares = tuple(project(algebra.square_of_basis(i)) for i in chosen)

@@ -32,7 +32,8 @@ leaves a remainder; ints in [0, p) over F_p) only where a reduced basis
 or a determinant is handed out.  A canonical basis needs no elimination
 at all: Subspace.contains subtracts from v its coordinate at each pivot
 times that pivot's row (_residue) and asks whether anything is left; the
-pivot columns are found once per subspace.
+pivot columns are found once per subspace.  _residue and mat_vec make
+their sums canonical by one call of field._canonical.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
 from one template (_unit_rows).
@@ -44,7 +45,8 @@ to the cores, _span and Subspace._holds.
 det and rref take a matrix of anything coerce takes: a row is used as it
 is when the kernel's own first step accepts it (the struct pack over F_p,
 the denominators over QQ), and is coerced only when that step refuses
-it.
+it.  Over F_p a row that struct refuses (an entry below 0, too wide or
+not an int) has this one route: _echelon coerces it and packs it again.
 """
 
 from __future__ import annotations
@@ -83,14 +85,14 @@ def _slots(p, count, width):
     is nbytes - size pad bytes and the smallest struct code of size bytes
     that holds p - 1, and column 0 is the most significant slot.  It does
     not look at the entries first: the library hands it canonical
-    residues, and struct itself refuses an entry below 0 or of more than
-    size bytes, which is then packed as its residue, so raw ints pack as
-    their residues or as ints below 2^(8 size) of the same residues.
-    Where no code holds p - 1 (p > 2^64), int.to_bytes is mapped over the
-    row instead, after an explicit check, and every slot starts below p.
-    On either route a row with an entry that is not an int raises
-    struct.error or TypeError; _echelon then packs the coerced row.
-    unpack is the inverse on a reduced row, one struct call again.
+    residues, and struct itself refuses an entry below 0, of more than
+    size bytes or not an int, so a raw int packs as itself, with the
+    residue it stands for, or is refused.  Where no code holds p - 1
+    (p > 2^64), int.to_bytes is mapped over the row instead, after an
+    explicit check, and every slot starts below p.  A row that either
+    route refuses raises struct.error or TypeError, and _echelon packs it
+    once more after field.coerce, its one route to residues.  unpack is
+    the inverse on a reduced row, one struct call again.
 
     A slot is nbytes bytes and bits = 8 nbytes, enough for p s + count p^2
     with s = 2^(8 size), or s = p on the to_bytes route (where that is
@@ -117,10 +119,7 @@ def _slots(p, count, width):
         read = layout.unpack
 
         def write(row):
-            try:
-                return layout.pack(*row)
-            except struct_error:  # an entry below 0 or of more than size bytes
-                return layout.pack(*map(p.__rmod__, row))  # x % p for each x
+            return layout.pack(*row)
     else:
         layout = Struct(">" + "%ds" % nbytes * width)
 
@@ -208,7 +207,7 @@ def _echelon(field, rows, width):
         for i, row in enumerate(rows):
             try:
                 rows[i] = pack(row)
-            except (struct_error, TypeError):  # an entry that is not an int
+            except (struct_error, TypeError):  # not an int, below 0 or too wide
                 rows[i] = pack([*map(field.coerce, row)])
         pivots = []
         sign = value = 1
@@ -249,8 +248,7 @@ def _echelon(field, rows, width):
         except AttributeError:  # an entry that is not an int or a Fraction
             row = [*map(field.coerce, row)]
             scale = lcm(*[x.denominator for x in row])
-        rows[i] = ([x.numerator for x in row] if scale == 1
-                   else [x.numerator * (scale // x.denominator) for x in row])
+        rows[i] = [x.numerator * (scale // x.denominator) for x in row]
         scales.append(scale)
     divisors = [1] * len(rows)
     pivots = []
@@ -402,39 +400,27 @@ def det(field, m: Matrix):
     return value if len(pivots) == m.rows else field.zero
 
 
-def _integral(values) -> list:
-    """Sums and products of canonical rationals made canonical again: a
-    Fraction that the arithmetic left with denominator 1 becomes its
-    numerator, and an int stays as it is (its denominator is 1 too)."""
-    return [x.numerator if x.denominator == 1 else x for x in values]
-
-
 def _residue(field, basis, pivots, v) -> list:
     """v minus v[p] b over the rows b of a canonical basis, p the pivot
     column of b (pivots lists them in row order), which is zero exactly
     when v lies in their span: each row is 1 at its own pivot and 0 at
     every other, so v[p] is its coefficient.  Zero entries are skipped,
-    and over F_p each coordinate is reduced once."""
+    and the coordinates are made canonical once, by field._canonical."""
     out = list(v)
     for col, row in zip(pivots, basis):
         c = v[col]
         if c:
             out = [x - c * y if y else x for x, y in zip(out, row)]
-    if field.kind != "rational":
-        p = field.p
-        return [x % p for x in out]
-    return _integral(out)
+    return field._canonical(out)
 
 
 def mat_vec(field, m: Matrix, v) -> tuple:
     """m times the column vector v, which is checked and coerced first
     (_vector): each coordinate is one sum of the products whose factors
-    are both nonzero, reduced once mod p over F_p."""
+    are both nonzero, made canonical once by field._canonical."""
     v = _vector(field, m.cols, v)
-    sums = [sum([x * y for x, y in zip(row, v) if x and y], field.zero) for row in m.entries]
-    if field.kind == "rational":
-        return tuple(_integral(sums))
-    return tuple(s % field.p for s in sums)
+    return tuple(field._canonical([sum([x * y for x, y in zip(row, v) if x and y], field.zero)
+                                   for row in m.entries]))
 
 
 class Subspace(namedtuple("Subspace", "field ambient_dim basis")):

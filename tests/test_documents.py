@@ -399,6 +399,60 @@ def test_dense_prime_document_parses_only_its_first_row_token_by_token(monkeypat
     assert len(decoded) == 119
 
 
+# each kind of row the scanner route refuses, written from its 8 tokens,
+# and whether _decode sees it: a tab or a non-ASCII digit is left by the
+# translate check, so the row never reaches _decode
+SCANNER_REFUSALS = {
+    "leading zero": (lambda t: " ".join(t[:3] + ["0" + t[3]] + t[4:]), True),
+    "doubled space": (lambda t: " ".join(t[:3]) + "  " + " ".join(t[3:]), True),
+    "tab": (lambda t: " ".join(t[:3]) + "\t" + " ".join(t[3:]), False),
+    "over the digit limit": (lambda t: " ".join(t[:3] + ["1" * 4301] + t[4:]), True),
+    "non-ASCII digit": (lambda t: " ".join(t[:3] + ["\u0663"] + t[4:]), False),
+}
+
+
+@pytest.mark.parametrize("kind", SCANNER_REFUSALS)
+def test_a_row_the_scanner_refuses_is_read_by_the_table_and_the_next_is_scanned(
+        monkeypatch, kind):
+    line_of, decoded_once = SCANNER_REFUSALS[kind]
+    field, width = GF(10007), 8
+    texts = iter(map(str, make_rng(808).sample(range(1, field.p), 3 * width)))
+    first, odd, last = ([next(texts) for _ in range(width)] for _ in range(3))
+    line = line_of(odd)
+    # a per-token parse of each row, or the error of its first bad token
+    expected = [reference_rows(field, [row], lineno, numbered=True)
+                for lineno, row in ((4, first), (5, line.split()), (6, last))]
+    outcomes = []
+    decode = documents._decode
+
+    def logged_decode(text):
+        try:
+            value = decode(text)
+        except ValueError:
+            outcomes.append("refused")
+            raise
+        outcomes.append("read")
+        return value
+
+    monkeypatch.setattr(documents, "_decode", logged_decode)
+    calls = counted_parses(monkeypatch, field)
+    parse_row = documents._row_parser(field, width, "entries", numbered=True)
+    # a row of new texts through the table sends the next rows to the scanner
+    assert [parse_row(4, " ".join(first))] == expected[0]
+    assert outcomes == []
+    if isinstance(expected[1], ParseError):
+        with pytest.raises(ParseError) as err:
+            parse_row(5, line)
+        assert (err.value.line, str(err.value)) == (expected[1].line, str(expected[1]))
+    else:
+        assert [parse_row(5, line)] == expected[1]
+    refusals = ["refused"] if decoded_once else []
+    assert outcomes == refusals
+    del calls[:]
+    assert [parse_row(6, " ".join(last))] == expected[2]
+    assert outcomes == refusals + ["read"] and calls == []
+
+
 def test_sparse_prime_document_parses_each_distinct_token_once(monkeypatch):
     field = GF(10007)
     rng = make_rng(144144)

@@ -80,7 +80,7 @@ def unlimited_int_text():
 
 def huge_int(digits, offset, seed):
     """A signed int of about `digits` digits: 10^digits + offset (where
-    the runs of _decimal meet) when seed is 0, else one drawn below
+    the digit count steps up) when seed is 0, else one drawn below
     10^digits by a Random(seed)."""
     rng = random.Random(seed)
     value = 10 ** digits + offset if not seed else rng.randrange(10 ** digits)
