@@ -218,12 +218,13 @@ def emit_document(algebra: EvolutionAlgebra) -> str:
 
 def export_dot(graph: AssociatedGraph) -> str:
     """DOT text with vertices v1..vn and one edge statement per arrow,
-    both in ascending order; byte-stable across runs."""
+    both in ascending order, the order of the graph's out-lists;
+    byte-stable across runs."""
     out = ["digraph evolution {"]
     for i in range(1, graph.n + 1):
         out.append("  v%d;" % i)
-    for i in range(1, graph.n + 1):
-        for j in sorted(graph.out_edges(i)):
+    for i, targets in enumerate(graph._out, start=1):
+        for j in targets:
             out.append("  v%d -> v%d;" % (i, j))
     out.append("}")
     return "\n".join(out) + "\n"

@@ -27,11 +27,11 @@ Outside the elimination kernels of linalg and the row scanner of
 documents, the package reduces through these two alone.  The text of a
 scalar is ``str``, and ``parse(str(x)) == x``; writers go through
 ``_text`` and ``_texts``, which write an int part of more digits than
-CPython's ``str`` converts through ``decimal.Decimal``.  The field object
-also carries ``kind``, the modulus ``p`` of a prime field, and the
-canonical ``zero`` and ``one``; the linalg kernels read the kind and the
-modulus and eliminate on plain ints (see linalg).  No floating point is
-accepted anywhere.
+CPython's ``str`` converts by splitting it at powers of ten.  The field
+object also carries ``kind``, the modulus ``p`` of a prime field, and
+the canonical ``zero`` and ``one``; the linalg kernels read the kind and
+the modulus and eliminate on plain ints (see linalg).  No floating point
+is accepted anywhere.
 
 Both fields are namedtuples, as the package's other records are:
 immutable, equal and hashed as the tuple of their fields, and pickled by
@@ -54,7 +54,6 @@ from __future__ import annotations
 
 import re
 from collections import namedtuple
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import FieldError
@@ -122,18 +121,29 @@ def _split_scalar(text: str):
     return num, den
 
 
+def _digits(n: int) -> str:
+    """str(n) for an int n >= 0 of any size, by int arithmetic alone: n is
+    split by divmod with 10^half into two parts of about half its digits
+    each, until a part is below 10^600, which str writes under any digit
+    limit (sys.set_int_max_str_digits accepts none below 640)."""
+    if n < 10 ** 600:
+        return str(n)
+    half = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10 ** half)
+    return _digits(high) + _digits(low).zfill(half)
+
+
 def _text(x) -> str:
     """str(x) for a canonical scalar x, also where an int part of x has
     more digits than CPython's str converts (sys.get_int_max_str_digits):
     every writer of scalar text goes through here or through _texts.  Such
-    a part is written through Decimal, whose conversion from an int is
-    exact under any context and heeds no limit on digits."""
+    a part is written by _digits."""
     try:
         return str(x)
     except ValueError:
         if type(x) is int:
-            return str(Decimal(x))
-        return str(Decimal(x.numerator)) + "/" + str(Decimal(x.denominator))
+            return "-" + _digits(-x) if x < 0 else _digits(x)
+        return _text(x.numerator) + "/" + _digits(x.denominator)
 
 
 def _texts(row) -> list:

@@ -31,21 +31,30 @@ def _closure(edges, seeds) -> frozenset:
 
 
 class AssociatedGraph:
-    """Immutable digraph on {1..n}.  The strongly connected components are
+    """Immutable digraph on {1..n}, holding the targets of each vertex as
+    a strictly ascending tuple.  The strongly connected components are
     computed once on first use and cached; every cycle fact is read off
     them.  Reachability questions are answered by one search each."""
 
     def __init__(self, out_edges):
         """out_edges[i - 1] holds the targets of vertex i, each in 1..n for
-        n = len(out_edges).  A frozenset is kept as it is, not copied; all
-        targets are range-checked at once, and a refusal names the lowest
-        target below 1, or else the highest above n."""
-        out = self._out = tuple(map(frozenset, out_edges))
+        n = len(out_edges), in any iterable; each is stored sorted with
+        duplicates dropped.  A refusal names the lowest target below 1, or
+        else the highest above n."""
+        out = self._out = tuple(tuple(sorted(set(t))) for t in out_edges)
         n = self.n = len(out)
-        targets = frozenset().union(*out)
-        if targets and not 1 <= min(targets) <= max(targets) <= n:
-            bad = min(targets) if min(targets) < 1 else max(targets)
-            raise IndexError("edge target %d outside 1..%d" % (bad, n))
+        low = min((t[0] for t in out if t), default=1)
+        high = max((t[-1] for t in out if t), default=n)
+        if low < 1 or high > n:
+            raise IndexError("edge target %d outside 1..%d" % (low if low < 1 else high, n))
+
+    @classmethod
+    def _trusted(cls, out) -> "AssociatedGraph":
+        """A graph on the given out-lists as they are, with no check: out is
+        a sequence of strictly ascending tuples of targets in 1..len(out)."""
+        graph = cls.__new__(cls)
+        graph._out, graph.n = tuple(out), len(out)
+        return graph
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AssociatedGraph":
@@ -71,7 +80,7 @@ class AssociatedGraph:
 
     def out_edges(self, i: int) -> frozenset:
         self._check_index(i)
-        return self._out[i - 1]
+        return frozenset(self._out[i - 1])
 
     def descendents(self, i: int) -> frozenset:
         """All vertices reachable from i by a path of length >= 1."""
@@ -87,7 +96,7 @@ class AssociatedGraph:
         for _ in range(m - 1):
             nxt = set()
             for v in current:
-                nxt |= self._out[v - 1]
+                nxt.update(self._out[v - 1])
             current = frozenset(nxt)
         return frozenset(current)
 
@@ -118,10 +127,13 @@ class AssociatedGraph:
         by least element, the vertices from which no path reaches a
         cycle), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
         Comput. 1(2)) on lists indexed by vertex and one walk over its
-        components.  index[v] is 0 until v is visited and number[v] is 0
-        until its component is complete, so w is still on the stack iff
-        it is visited and has no number yet; a finished component is cut
-        off the stack at the position where its root was pushed.
+        components.  The search visits the targets of each vertex in
+        ascending order, the order of its out-list, so the numbering is
+        fixed by the edges alone.  index[v] is 0 until v is visited and
+        number[v] is 0 until its component is complete, so w is still on
+        the stack iff it is visited and has no number yet; a finished
+        component is cut off the stack at the position where its root was
+        pushed.
 
         The exit sets are collected during the same edge scan.  An edge
         v -> w leaves the component of v exactly when w is in a completed
@@ -267,10 +279,10 @@ def associated_graph(algebra: EvolutionAlgebra) -> AssociatedGraph:
     """Edge i -> j present exactly when entry j of e_i^2 is nonzero; built
     once per algebra object.  The entries are canonical (every constructor
     of EvolutionAlgebra makes them so), so nonzero iff truthy, and compress
-    picks the targets of each square out of 1..n as frozensets, which the
-    one constructor keeps as they are."""
+    picks the targets of each square out of 1..n, ascending and in range,
+    as out-lists that the trusted constructor stores with no check."""
     vertices = range(1, algebra.dim + 1)
-    return AssociatedGraph([frozenset(compress(vertices, col)) for col in algebra._squares])
+    return AssociatedGraph._trusted([tuple(compress(vertices, col)) for col in algebra._squares])
 
 
 def witness_path(algebra: EvolutionAlgebra, i: int, j: int):
@@ -287,7 +299,7 @@ def witness_path(algebra: EvolutionAlgebra, i: int, j: int):
     while frontier and j not in parent:
         nxt = []
         for u in frontier:
-            for v in sorted(graph.out_edges(u)):
+            for v in graph._out[u - 1]:
                 if v not in parent:
                     parent[v] = u
                     nxt.append(v)

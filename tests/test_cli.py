@@ -350,6 +350,23 @@ def test_det_over_the_digit_limit_is_written_in_full(tmp_path, capsys):
                                               ["0", "1", "1/" + "9" * 4300]]
 
 
+def test_det_over_the_digit_limit_needs_no_c_decimal(tmp_path):
+    # the text of an int past the digit limit comes from int arithmetic
+    # alone, so an interpreter whose decimal is the pure-Python fallback
+    # writes the 4302-digit det as well
+    doc = tmp_path / "huge-det.alg"
+    doc.write_text("field rational\ndim 2\nmatrix\n%s 1\n1 12\n" % ("9" * 4300))
+    blocked = ('import sys; sys.modules["_decimal"] = None; '
+               'from evolalg.cli import main; sys.exit(main())')
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    procs = [subprocess.run([sys.executable, *prefix, "analyze", "--json", "--input", str(doc)],
+                            capture_output=True, text=True, env=env)
+             for prefix in (["-c", blocked], ["-m", "evolalg"])]
+    assert [(p.returncode, p.stderr) for p in procs] == [(0, ""), (0, "")]
+    assert procs[0].stdout == procs[1].stdout
+    assert '"det": "11' + "9" * 4298 + '87"' in procs[0].stdout
+
+
 def test_integer_rational_documents_call_no_fraction_method(tmp_path, capsys, monkeypatch):
     # over QQ an integer is an int, so zero tests and text run in C: on a
     # document of integers the pure-Python Fraction's truth test and text

@@ -97,6 +97,15 @@ def test_export_dot_golden():
     assert export_dot(g) == expected
     assert export_dot(g) == export_dot(g)  # byte-stable
 
+    # a frozenset of {9, 2} iterates 9 first; the edges still print ascending,
+    # on the checked constructor and on the graph read off an algebra alike
+    nine = AssociatedGraph([{9, 2}] + [set()] * 8)
+    square = tuple(int(j in (2, 9)) for j in range(1, 10))
+    a = EvolutionAlgebra.from_squares(GF(7), [square] + [(0,) * 9] * 8)
+    for graph in (nine, associated_graph(a)):
+        assert graph == nine
+        assert export_dot(graph).endswith("  v9;\n  v1 -> v2;\n  v1 -> v9;\n}\n")
+
 
 def test_parser_survives_random_garbage():
     # any byte salad must come back as a ParseError, never something else

@@ -120,6 +120,18 @@ def test_scalar_text_golden_over_the_digit_limit():
     assert fields._text(-10 ** 4400) == "-1" + "0" * 4400
     assert fields._text(Fraction(1, 10 ** 5000 + 1)) == "1/1" + "0" * 4999 + "1"
     assert_text_is_str(Fraction(10 ** 4300 + 1, 3 * 10 ** 4400 - 1))
+    assert fields._text(-12 * 10 ** 4300 + 13) == "-11" + "9" * 4298 + "87"
+    assert fields._text(Fraction(-10 ** 4400 - 1, 3)) == "-1" + "0" * 4399 + "1/3"
+    # under the lowest limit CPython accepts, every part is split further
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert fields._text(-10 ** 700 + 1) == "-" + "9" * 700
+        assert fields._text(Fraction(7, 10 ** 641)) == "7/1" + "0" * 641
+        assert_text_is_str(Fraction(-(10 ** 1900 + 3), 7 * 10 ** 2000 + 1))
+        assert_text_is_str(12 * 10 ** 4300 - 13)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 97])
