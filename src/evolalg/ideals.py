@@ -15,7 +15,7 @@ from collections import namedtuple
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _residue, _rref_rows, _span, _unit_rows,
+from .linalg import (Matrix, Subspace, _residue, _span, _unit_rows,
                      coordinate_subspace, mat_vec, subspace_from_vectors)
 
 
@@ -167,10 +167,11 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     n = algebra.dim
     # greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
     # when i is not the last nonzero position l of a vector of I: the pivots
-    # of I's basis with its columns reversed, whose reduced row w for l is 1
-    # at l and 0 at every other l
-    rows = [v[::-1] for v in ideal.vectors()]
-    _, pivots = _rref_rows(f, rows, n)
+    # of the span of I's basis with its columns reversed, whose reduced row
+    # w for l is 1 at l and 0 at every other l; _span eliminates on the
+    # support of I alone
+    reversed_span = _span(f, n, [v[::-1] for v in ideal.vectors()])
+    rows, pivots = reversed_span.basis.entries, reversed_span._pivots
     chosen = sorted(set(range(1, n + 1)).difference(n - col for col in pivots))
     keep = [n - c for c in chosen]  # the chosen positions, reversed
 

@@ -36,7 +36,13 @@ pivot columns are found once per subspace.  _residue and mat_vec make
 their sums canonical by one call of field._canonical.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
-from one template (_unit_rows).
+from one template (_unit_rows).  Every other span the package reduces
+goes through _span, which eliminates only on the columns its rows touch,
+the first step of structured Gaussian elimination (LaMacchia and
+Odlyzko 1990, CRYPTO): the rows of a generated ideal touch the forward
+closure of its seeds alone.  The reduced rows are spread back to full
+width, and the pivot columns found are kept as the subspace's; rows on
+one column or none need no elimination.
 A vector a caller hands in is checked and coerced by _vector, the one
 check of its length, in subspace_from_vectors, Subspace.contains, mat_vec
 (so QuotientPresentation.project) and the vector routines of algebra and
@@ -56,6 +62,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain, repeat
 from math import lcm, prod
+from operator import itemgetter
 from struct import Struct, error as struct_error
 
 from .errors import DimensionError, FieldError
@@ -426,7 +433,7 @@ def mat_vec(field, m: Matrix, v) -> tuple:
 class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
     """A linear subspace held by its canonical (RREF, no zero rows) basis.
     The class has no __slots__: its instances keep their pivot columns,
-    found on first use, in their __dict__."""
+    left by _span or found on first use, in their __dict__."""
 
     @property
     def dim(self) -> int:
@@ -465,11 +472,28 @@ def subspace_from_vectors(field, ambient_dim: int, vectors) -> Subspace:
 
 def _span(field, ambient_dim: int, rows) -> Subspace:
     """subspace_from_vectors for a list of rows of ambient_dim canonical
-    scalars (tuples or lists), which are neither checked nor coerced; the
-    list itself is reduced in place."""
-    rank, _ = _rref_rows(field, rows, ambient_dim)
-    basis = Matrix(rank, ambient_dim, tuple(tuple(r) for r in rows[:rank]))
-    return Subspace(field, ambient_dim, basis)
+    scalars (tuples or lists), which are neither checked nor coerced.
+
+    Only the columns that some row touches are eliminated (zero is falsy
+    in both fields): the rows are sliced to them by one itemgetter into a
+    new list, so the caller's list is left as it is, and each of the rank
+    reduced rows is spread back to ambient_dim entries by another, over
+    the row and one zero.  Rows on no column span 0 and rows on one
+    column c span e_c, so no elimination runs for them.  The pivots,
+    mapped through the used columns, are left as the subspace's
+    _pivots."""
+    used = [col for col, column in enumerate(zip(*rows)) if any(column)]
+    if len(used) < 2:
+        return coordinate_subspace(field, ambient_dim, [col + 1 for col in used])
+    width = len(used)
+    rows = [*map(itemgetter(*used), rows)]
+    rank, pivots = _rref_rows(field, rows, width)
+    where = dict(zip(used, range(width)))
+    spread = itemgetter(*[where.get(col, width) for col in range(ambient_dim)])
+    basis = tuple(spread((*row, field.zero)) for row in rows[:rank])
+    space = Subspace(field, ambient_dim, Matrix(rank, ambient_dim, basis))
+    vars(space)["_pivots"] = [used[col] for col in pivots]
+    return space
 
 
 def _unit_rows(zero, one, n: int, indices) -> list:
@@ -525,11 +549,11 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     f = s1.field
     n = s1.ambient_dim
     zeros = [f.zero] * n
-    stacked = [list(r) + list(r) for r in s1.basis.entries]
-    stacked += [list(r) + zeros for r in s2.basis.entries]
-    _rref_rows(f, stacked, 2 * n)
-    carriers = tuple(tuple(row[n:]) for row in stacked
-                     if not any(row[:n]) and any(row[n:]))
+    stacked = _span(f, 2 * n, [*([*r, *r] for r in s1.basis.entries),
+                               *([*r, *zeros] for r in s2.basis.entries)])
+    # a reduced row whose pivot lies in the right half is zero on the left
+    carriers = tuple(row[n:] for row, col in zip(stacked.basis.entries, stacked._pivots)
+                     if col >= n)
     return Subspace(f, n, Matrix(len(carriers), n, carriers))
 
 

@@ -9,10 +9,13 @@ documents produce identical output bytes.  Those bytes are the ones
 json.dumps(report, indent=2) gives, written by a small recursive writer
 of this module: CPython's C encoder runs only when indent is None, and
 with an indent json falls back to its pure-Python encoder, one generator
-step per value.  The writer hands each list of strings, or of ints, to
-one str.join over the C-level string escaper or int.__repr__, and defers
-to json itself for anything that is not a plain string, int, bool, None,
-list, tuple or dict with string keys.
+step per value.  A list of strings that the escaper leaves as they are
+(their concatenation is printable ASCII with no quote and no backslash,
+as the scalar texts of a report are) is quoted in one str.join; any
+other list of strings, or of ints, is one str.join over the C-level
+string escaper or int.__repr__.  The writer defers to json itself for
+anything that is not a plain string, int, bool, None, list, tuple or
+dict with string keys.
 
 The annihilator and the radical are spanned by basis vectors (the sinks,
 and the vertices that reach no cycle), so linalg._unit_rows builds their
@@ -114,13 +117,20 @@ def _json(value, pad):
         if not value:
             return "[]"
         inner = pad + "  "
-        items = set(map(type, value))
-        if items == {str}:
-            body = map(_encode_str, value)
-        elif items == {int}:
-            body = map(int.__repr__, value)
+        try:
+            text = "".join(value) if type(value[0]) is str else None
+        except TypeError:  # a str first, and a later item that is not one
+            text = None
+        if text is None:
+            if set(map(type, value)) == {int}:
+                body = map(int.__repr__, value)
+            else:
+                body = [_json(item, inner) for item in value]
+        elif text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+            # texts that the escaper leaves as they are, quoted in one join
+            return "[\n" + inner + '"' + ('",\n' + inner + '"').join(value) + '"\n' + pad + "]"
         else:
-            body = [_json(item, inner) for item in value]
+            body = map(_encode_str, value)
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     if kind is dict and set(map(type, value)) <= {str}:
         if not value:

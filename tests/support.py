@@ -165,6 +165,17 @@ def matrix(rows):
     return Matrix(len(rows), len(rows[0]), rows)
 
 
+def interleaved_blocks():
+    """Edges on 1..24 of 4 weak components of 6 indices on interleaved
+    positions (block b holds b, b + 4, ..., b + 20): in each, two chain
+    starts feed a 2-cycle that feeds a path into a sink."""
+    edges = []
+    for b in range(1, 5):
+        s1, s2, c1, c2, m, t = range(b, 25, 4)
+        edges += [(s1, c1), (s2, c1), (s2, m), (c1, c2), (c2, c1), (c2, m), (m, t)]
+    return edges
+
+
 def out_edge_sets(graph):
     """The out-set of each vertex of graph, in vertex order."""
     return tuple(map(graph.out_edges, range(1, graph.n + 1)))

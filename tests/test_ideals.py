@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
-                     FieldError, PreconditionError, absorption_preimage, annihilator,
-                     associated_graph, has_absorption_property, ideal_closure,
+from evolalg import (GF, QQ, AssociatedGraph, DimensionError, EvolutionAlgebra,
+                     FieldError, PreconditionError, absorption_preimage, algebra_from_graph,
+                     annihilator, associated_graph, has_absorption_property, ideal_closure,
                      ideal_generated_by, ideal_generated_by_square, is_ideal,
                      is_nondegenerate, lambda_x, mu_n, quotient, radical,
                      subspace_equal, subspace_from_vectors, subspace_sum,
@@ -14,7 +14,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra,
 from evolalg import linalg
 from evolalg.linalg import coordinate_subspace
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
-                     double_loop, fixpoint_reaches_no_cycle, is_canonical,
+                     double_loop, fixpoint_reaches_no_cycle, interleaved_blocks, is_canonical,
                      loop_feeder, make_rng, pair_cycle_mixing,
                      random_algebra, random_element, raw_scalars, scalars,
                      swap_pair_plus_loop, two_loops_two_sinks,
@@ -404,6 +404,39 @@ def test_membership_and_quotients_do_not_eliminate(monkeypatch):
     assert calls == {"_echelon": 0, "multiply": 0}
     assert quotient(a, ideal).chosen == (1,)
     assert calls == {"_echelon": 1, "multiply": 0}
+
+
+@pytest.mark.parametrize("field", [QQ, GF(10007)])
+def test_generated_and_quotient_ideals_eliminate_on_their_support(field, monkeypatch):
+    # the span of <e_i> touches the columns of the forward closure of i
+    # alone, and a quotient reduces the reversed basis of I on the support
+    # of I: neither elimination runs at the full n = 24, and a support of
+    # one column (a sink's closure) spans e_c with no elimination at all
+    widths = []
+    rref_rows = linalg._rref_rows
+
+    def recorded(f, rows, width):
+        widths.append(width)
+        return rref_rows(f, rows, width)
+
+    monkeypatch.setattr(linalg, "_rref_rows", recorded)
+    n = 24
+    a = algebra_from_graph(field, AssociatedGraph.from_edges(n, interleaved_blocks()))
+    graph = associated_graph(a)
+    for i in range(1, n + 1):
+        ideal = ideal_generated_by(a, a.basis_element(i))
+        support = {j for v in ideal.vectors() for j, x in enumerate(v, 1) if x}
+        assert len(support) == len(graph.forward_closure([i]))
+        eliminated = [len(support)] if len(support) > 1 else []
+        assert widths == eliminated
+        widths.clear()
+        quotient(a, ideal)
+        assert widths == eliminated
+        widths.clear()
+    for b in range(1, 5):
+        quotient(a, coordinate_subspace(field, n, range(b, n + 1, 4)))
+        assert widths == [6]
+        widths.clear()
 
 
 def test_is_ideal_refuses_a_subspace_over_another_field():

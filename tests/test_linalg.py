@@ -13,8 +13,10 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
-from evolalg.linalg import _slots, coordinate_subspace, mat_vec
-from support import FIXED, is_canonical, make_rng, matrix, raw_scalars, scalars
+from evolalg.linalg import (_residue, _rref_rows, _slots, _span, _unit_rows, coordinate_subspace,
+                            mat_vec)
+from support import (FIXED, is_canonical, make_rng, matrix, nonzero_scalars, raw_scalars,
+                     scalars, weighted_digraph_algebras)
 
 
 def mat(rows):
@@ -621,3 +623,105 @@ def test_mat_vec_matches_the_field_arithmetic_loop(field, data):
     assert mat_vec(field, m, v) == tuple(expected)
     with pytest.raises(DimensionError):
         mat_vec(field, m, v + [field.zero])
+
+
+# _span eliminates on the columns its rows touch; the routes below are the
+# ones _span, quotient and subspace_intersection took before, eliminating
+# at full width, kept here as the reference.  GF(2^64 + 13) packs its rows
+# by int.to_bytes, as no struct code holds its residues.
+SPAN_FIELDS = [QQ, GF(2), GF(10007), GF(2 ** 61 - 1), GF(2 ** 64 + 13)]
+
+
+def full_width_span(field, n, rows):
+    """(basis rows, pivots): _rref_rows on the rows as given, at width n,
+    then the first rank rows."""
+    rows = list(rows)
+    rank, pivots = _rref_rows(field, rows, n)
+    return tuple(map(tuple, rows[:rank])), pivots
+
+
+def full_width_quotient(algebra, ideal):
+    """(chosen, projection rows, quotient squares) read off the reversed
+    basis of the ideal reduced at full width."""
+    f, n = algebra.field, algebra.dim
+    rows, pivots = full_width_span(f, n, [v[::-1] for v in ideal.vectors()])
+    chosen = sorted(set(range(1, n + 1)).difference(n - col for col in pivots))
+    keep = [n - c for c in chosen]
+    reduced = {n - col: row for col, row in zip(pivots, rows)}
+    units = iter(_unit_rows(f.zero, f.one, len(chosen), range(1, len(chosen) + 1)))
+    columns = [f._canonical([-reduced[i][q] for q in keep]) if i in reduced else next(units)
+               for i in range(1, n + 1)]
+    squares = [_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1]) for i in chosen]
+    return (tuple(chosen), tuple(zip(*columns)),
+            tuple(tuple(square[q] for q in keep) for square in squares))
+
+
+def full_width_intersection(s1, s2):
+    """The right halves of the reduced [B1|B1; B2|0] whose left half is zero."""
+    f, n = s1.field, s1.ambient_dim
+    stacked = [list(r) + list(r) for r in s1.basis.entries]
+    stacked += [list(r) + [f.zero] * n for r in s2.basis.entries]
+    _rref_rows(f, stacked, 2 * n)
+    return tuple(tuple(row[n:]) for row in stacked if not any(row[:n]) and any(row[n:]))
+
+
+def assert_span_is_full_width(field, n, rows):
+    span = _span(field, n, list(rows))
+    basis, pivots = full_width_span(field, n, rows)
+    assert span.basis == Matrix(len(basis), n, basis)
+    assert span._pivots == pivots
+    assert all(is_canonical(field, x) for row in span.basis.entries for x in row)
+
+
+@st.composite
+def rows_with_unused_columns(draw, field):
+    """(n, rows): the rows of vector_lists at the width of a drawn set of
+    columns, spread over them, so every other column is zero."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    used = sorted(draw(st.sets(st.integers(min_value=0, max_value=n - 1))))
+    rows = []
+    for short in vector_lists(draw, field, len(used)):
+        row = [field.zero] * n
+        for col, x in zip(used, short):
+            row[col] = x
+        rows.append(tuple(row))
+    return n, rows
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=field_ids)
+@settings(FIXED, max_examples=60)
+@given(data=st.data())
+def test_span_on_the_used_columns_is_the_full_width_span(field, data):
+    assert_span_is_full_width(field, *data.draw(rows_with_unused_columns(field)))
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=field_ids)
+def test_span_edge_cases_are_the_full_width_span(field):
+    zero, one, minus = field.zero, field.one, field.coerce(-1)
+    for n, rows in [(3, []), (0, []), (0, [(), ()]), (3, [(zero,) * 3] * 2),
+                    (4, [(zero, one, zero, zero), (zero, minus, zero, zero)]),
+                    (4, [(zero,) * 4, (zero, zero, zero, minus)]),
+                    (1, []), (1, [(zero,)]), (1, [(minus,), (one,)])]:
+        assert_span_is_full_width(field, n, rows)
+
+
+@pytest.mark.parametrize("field", SPAN_FIELDS, ids=field_ids)
+@settings(FIXED, max_examples=20)
+@given(data=st.data())
+def test_quotient_and_intersection_are_their_full_width_routes(field, data):
+    # ideals generated by at most two basis directions of a sparse algebra
+    # mostly leave some columns unused
+    a = data.draw(weighted_digraph_algebras(field))
+    index = st.integers(min_value=1, max_value=a.dim)
+    ideals = []
+    for _ in range(2):
+        x = [field.zero] * a.dim
+        for i in data.draw(st.sets(index, max_size=2)):
+            x[i - 1] = data.draw(nonzero_scalars(field))
+        ideals.append(ideal_generated_by(a, x))
+    for ideal in ideals:
+        q = quotient(a, ideal)
+        squares = tuple(map(q.quotient.square_of_basis, range(1, q.quotient.dim + 1)))
+        assert (q.chosen, q.projection.entries, squares) == full_width_quotient(a, ideal)
+    meet = subspace_intersection(*ideals)
+    assert meet.basis.entries == full_width_intersection(*ideals)

@@ -2,7 +2,7 @@ import json
 import sys
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evolalg.cli
@@ -14,7 +14,7 @@ from evolalg.cli import main
 from evolalg.documents import emit_document, parse_document
 from evolalg.ideals import annihilator, radical
 from evolalg.report import ANALYZE_KEYS, SECTION_KEYS, build_report, render_json
-from support import (FIXED, algebras, make_rng, random_algebra,
+from support import (FIXED, algebras, interleaved_blocks, make_rng, random_algebra,
                      weighted_digraph_algebras)
 
 
@@ -154,13 +154,7 @@ def test_analyze_runs_no_vertex_level_closure(monkeypatch):
     # one strongly connected component: a Hamiltonian cycle with chords
     strong = [(i, i % n + 1) for i in range(1, n + 1)] + [(i, (i + 6) % n + 1)
                                                            for i in range(1, n + 1, 3)]
-    # 4 weak components of 6 indices on interleaved positions: in each,
-    # two chain starts feed a 2-cycle that feeds a path into a sink
-    blocks = []
-    for b in range(1, 5):
-        s1, s2, c1, c2, m, t = range(b, n + 1, 4)
-        blocks += [(s1, c1), (s2, c1), (s2, m), (c1, c2), (c2, c1), (c2, m), (m, t)]
-    for edges, parts, weak in ((strong, 1, 1), (blocks, 8, 4)):
+    for edges, parts, weak in ((strong, 1, 1), (interleaved_blocks(), 8, 4)):
         a = algebra_from_graph(GF(10007), AssociatedGraph.from_edges(n, edges))
         report = build_report(a, "analyze")
         assert len(evolalg.decompose.canonical_decomposition(a)) == parts
@@ -178,20 +172,57 @@ def _strings():
     return st.one_of(st.text(), st.text(alphabet='"\\/\n\t\x00\x1f\x7f\u00e9\u4e2d\U0001f600 ab'))
 
 
+class _Text(str):
+    """A str subclass, which json writes as the str it holds."""
+
+
+def _text_lists():
+    """Lists and tuples of the texts a report prints, which the writer
+    quotes and joins as they are, and lists that leave that route: a str
+    subclass among them, an int or None after a leading str, which makes
+    the join raise partway through, or one text that json escapes."""
+    texts = st.one_of(st.builds(str, st.integers()), st.builds(str, st.fractions()),
+                      st.just(""))
+    mixed = st.one_of(texts, st.builds(_Text, st.one_of(texts, _strings())))
+    escaped = st.sampled_from(['"', "\\", "\x1f", "\x7f", "\u00e9", "\u2028"])
+    return st.one_of(
+        st.lists(texts, min_size=1), st.lists(texts, min_size=1).map(tuple),
+        st.lists(mixed, min_size=1),
+        st.builds(lambda first, rest, other, tail: [first, *rest, other, *tail],
+                  texts, st.lists(texts), st.one_of(st.integers(), st.none()), st.lists(mixed)),
+        st.builds(lambda head, text, tail: [*head, text, *tail],
+                  st.lists(texts), st.builds("{}{}{}".format, texts, escaped, texts),
+                  st.lists(texts)))
+
+
 def _json_values():
     """Nested JSON values; floats and dicts with int keys take the route
-    through json itself."""
+    through json itself.  The others are shaped like reports: a dict of
+    rows of texts (_text_lists) beside the rows themselves."""
     ints = st.one_of(st.integers(), st.integers(min_value=-10 ** 60, max_value=10 ** 60))
     leaves = st.one_of(st.none(), st.booleans(), ints, _strings(), st.floats(),
                        st.lists(_strings()), st.lists(ints), st.lists(st.booleans()))
-    return st.recursive(leaves, lambda children: st.one_of(
+    rows = st.lists(_text_lists(), min_size=1, max_size=3)
+    return st.one_of(st.recursive(leaves, lambda children: st.one_of(
         st.lists(children), st.dictionaries(_strings(), children),
         st.dictionaries(st.one_of(_strings(), st.integers()), children, max_size=3)),
-        max_leaves=30)
+        max_leaves=30), st.dictionaries(_strings(), st.one_of(rows, _text_lists()), min_size=1,
+                                        max_size=3))
 
 
-@FIXED
+# twice the default count, so the nested values keep the draws they had
+# before the report-shaped arm joined them
+@settings(FIXED, max_examples=200)
 @given(_json_values())
+# each text that json escapes, alone in a list of scalar texts
+@example(["-12", '3/5"', ""])
+@example(["-12", "3/5\\", ""])
+@example(["-12", "3/5\x1f", ""])
+@example(["-12", "3/5\x7f", ""])
+@example(["-12", "3/5\u00e9", ""])
+@example(["-12", "3/5\u2028", ""])
+@example({"rows": [("0", "-12", "3/5", ""), [_Text("1"), "0"], ["0", _Text('"')]]})
+@example({"rows": [["0", "1", 2], ["0", None], ["", True]]})
 def test_render_json_is_json_dumps_with_indent_2(value):
     assert render_json(value) == json.dumps(value, indent=2) + "\n"
 
