@@ -24,7 +24,7 @@ from .errors import (BudgetExceededError, DimensionError, FieldError,
                      InternalConsistencyError, ParseError, PreconditionError)
 from .fields import GF, QQ, _texts, parse_integer
 from .graph import associated_graph
-from .ideals import ideal_generated_by, quotient, radical
+from .ideals import _generated, _quotient, radical
 from .linalg import _span, subspace_equal
 from .oracle import (MAX_VECTORS, ClassicalChecks, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
@@ -161,7 +161,7 @@ def _cmd_report(args, algebra):
 
 def _cmd_ideal(args, algebra):
     vector = parse_vector(algebra.field, args.vector, algebra.dim)
-    span = ideal_generated_by(algebra, vector)
+    span = _generated(algebra, vector)  # parse_vector gives canonical coordinates
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,
@@ -186,19 +186,20 @@ def _cmd_graph(args, algebra):
 def _cmd_quotient(args, algebra):
     # parse_basis_file checks each row's width and returns canonical rows
     vectors = parse_basis_file(algebra.field, _read_text(args.ideal_basis), algebra.dim)
-    ideal = _span(algebra.field, algebra.dim, vectors)
-    presentation = quotient(algebra, ideal)
+    # spanned once, with its columns reversed as the quotient reads them
+    reversed_span = _span(algebra.field, algebra.dim, [v[::-1] for v in vectors])
+    presentation = _quotient(algebra, reversed_span)
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,
-        "ideal_dim": ideal.dim,
+        "ideal_dim": reversed_span.dim,
         "chosen": list(presentation.chosen),
         "quotient_dim": presentation.quotient.dim,
         "quotient_structure": _matrix_rows(presentation.quotient.structure),
         "projection": _matrix_rows(presentation.projection),
     }
     _emit(args, payload, lambda: render_table(
-        [("ideal dim", str(ideal.dim)),
+        [("ideal dim", str(reversed_span.dim)),
          ("quotient dim", str(presentation.quotient.dim)),
          ("chosen", _braces(presentation.chosen))]
         + [("structure", _brackets(row)) for row in payload["quotient_structure"]]

@@ -13,20 +13,22 @@ at row k, column i is the coefficient of e_k in e_i^2, i.e. column i
 spells out e_i^2.  Emission is canonical, so parse and emit are mutually
 inverse byte for byte.
 
-A row of a document or basis file is read by one of two routes, both in
-C-level builtins.  By default each token is looked up in one table from
-text to scalar, a dict that calls field.parse on a miss and keeps the
-value, so field.parse runs once per distinct token and a row is one map
-over the table's lookup.  That pays where texts repeat, as in sparse
-matrices.  Where the last row read through the table missed on most of
-its tokens, so that the texts rarely repeat, a prime-field row of ASCII
-digits and spaces is read by one call of the C JSON scanner, with each
-space made a comma, and reduced mod p only when an entry reaches p; any
-other row, and one the scanner refuses (a leading zero, two spaces in a
-row, or more digits than CPython converts) or reads to the wrong count,
-goes through the table.  An invalid token is reported where it first
-occurs, by the table route.  The parsed scalars are canonical, so the
-algebra is built on them without a second coercion.
+A chain-start index is a zero row of M_B, read by one string compare
+when spelt "0 0 ... 0".  Any other row of a document or basis file is
+read by one of two routes, both in C-level builtins.  By default each
+token is looked up in one table from text to scalar, a dict that calls
+field.parse on a miss and keeps the value, so field.parse runs once per
+distinct token and a row is one map over the table's lookup.  That pays
+where texts repeat, as in sparse matrices.  Where the last row read
+through the table missed on most of its tokens, so that the texts rarely
+repeat, a prime-field row of ASCII digits and spaces is read by one call
+of the C JSON scanner, with each space made a comma, and reduced mod p
+only when an entry reaches p; any other row, and one the scanner refuses
+(a leading zero, two spaces in a row, or more digits than CPython
+converts) or reads to the wrong count, goes through the table.  An
+invalid token is reported where it first occurs, by the table route.  The
+parsed scalars are canonical, so the algebra is built on them without a
+second coercion.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ def _significant_lines(text):
     # not splitlines(): it also ends a line at U+2028, \v, \f and others
     lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = raw.split("#", 1)[0].strip()
+        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
             yield lineno, line
 
@@ -103,23 +105,24 @@ class _ScalarTable(dict):
 def _row_parser(field, width, noun, numbered):
     """A function from (lineno, line) to the line's row of width scalars.
 
-    A row goes by one of two routes, chosen by what the rows before it
-    showed.  The table route looks each token up in one _ScalarTable that
-    all rows share, so field.parse runs once per distinct text, on its
-    first lookup.  The table's growth over a row counts the row's new
-    texts; when they are most of its tokens, the texts rarely repeat and
-    the lookups mostly miss, so over F_p the next rows take the scanner
-    route: a line of nothing but ASCII digits and spaces, found by one
-    translate that deletes them, becomes a JSON array by making each
-    space a comma, and one call of the C JSON scanner reads it into ints
-    without making a string per token.  On such a text JSON accepts
-    exactly the digit runs without a leading zero, each as what
+    A zero row " ".join(["0"] * width), a chain-start index, is one
+    compare and one shared tuple.  Any other row goes by one of two routes,
+    chosen by what the rows before it showed.  The table route looks each
+    token up in one _ScalarTable that all rows share, so field.parse runs
+    once per distinct text, on its first lookup.  The table's growth over a
+    row counts the row's new texts; when they are most of its tokens, the
+    texts rarely repeat and the lookups mostly miss, so over F_p the next
+    rows take the scanner route: a line of nothing but ASCII digits and
+    spaces, found by one translate that deletes them, becomes a JSON array
+    by making each space a comma, and one call of the C JSON scanner reads
+    it into ints without making a string per token.  On such a text JSON
+    accepts exactly the digit runs without a leading zero, each as what
     field.parse gives once reduced mod p; the row is reduced by one more
     map only when an entry reaches p.  Any other row, and one the scanner
     refuses (a leading zero, two spaces in a row, or more digits than
-    CPython converts) or reads to other than width entries, is read by
-    the table route, which reports any error and decides the route of
-    the rows after it.
+    CPython converts) or reads to other than width entries, is read by the
+    table route, which reports any error and decides the route of the rows
+    after it.
 
     A wrong count is reported as "expected <width> <noun>", and an invalid
     scalar by its message, after "entry <k>: " when numbered, where k is
@@ -129,9 +132,20 @@ def _row_parser(field, width, noun, numbered):
     lookup = table.__getitem__
     p = field.p if field.kind == "prime" else None
     distinct = False  # the last row read through the table missed on most tokens
+    # made once a line is as long as the zero row, so a width that no line
+    # reaches costs nothing
+    zero_line = zero_row = None
 
     def parse_row(lineno, line):
-        nonlocal distinct
+        nonlocal distinct, zero_line, zero_row
+        if len(line) == 2 * width - 1:
+            if zero_line is None:
+                zero_line, zero_row = " ".join(["0"] * width), (field.zero,) * width
+            if line == zero_line:
+                # as the table route would set it for one new text, "0":
+                # no row of width 1 but this one holds it
+                distinct = p is not None and width == 1
+                return zero_row
         if distinct and not line.translate(_DIGITS_AND_SPACES):
             try:
                 row = _decode("[" + line.replace(" ", ",") + "]")[0]
@@ -167,23 +181,18 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     lines = list(_significant_lines(text))
     if not lines:
         raise ParseError("empty document")
-    cursor = 0
 
-    def take(what):
-        nonlocal cursor
-        if cursor >= len(lines):
-            raise ParseError("unexpected end of document, expected %s" % what,
-                             lines[-1][0] if lines else None)
-        item = lines[cursor]
-        cursor += 1
-        return item
+    def line_at(k, what):
+        if k >= len(lines):
+            raise ParseError("unexpected end of document, expected %s" % what, lines[-1][0])
+        return lines[k]
 
-    lineno, line = take("a field line")
+    lineno, line = line_at(0, "a field line")
     field = _parse_field_line(line, lineno)
     if field_override is not None:
         field = field_override
 
-    lineno, line = take("a dim line")
+    lineno, line = line_at(1, "a dim line")
     tokens = line.split()
     if len(tokens) != 2 or tokens[0] != "dim":
         raise ParseError("expected 'dim <n>', got %r" % line, lineno)
@@ -194,15 +203,16 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     if dim < 1:
         raise ParseError("dimension must be at least 1, got %d" % dim, lineno)
 
-    lineno, line = take("the matrix header")
+    lineno, line = line_at(2, "the matrix header")
     if line != "matrix":
         raise ParseError("expected 'matrix', got %r" % line, lineno)
 
     parse_row = _row_parser(field, dim, "entries", numbered=True)
-    rows = [parse_row(*take("a matrix row")) for _ in range(dim)]
-
-    if cursor != len(lines):
-        raise ParseError("unexpected trailing content %r" % lines[cursor][1], lines[cursor][0])
+    rows = [parse_row(lineno, line) for lineno, line in lines[3:3 + dim]]
+    if len(rows) < dim:  # reported after an error in a row that is present
+        line_at(len(lines), "a matrix row")
+    if len(lines) > 3 + dim:
+        raise ParseError("unexpected trailing content %r" % lines[3 + dim][1], lines[3 + dim][0])
     return EvolutionAlgebra._from_canonical(field, tuple(zip(*rows)))
 
 

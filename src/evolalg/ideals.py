@@ -2,8 +2,7 @@
 radical, ideals generated by one element, quotient algebras.
 
 Ideals are carried as plain linalg.Subspace values; operations that only
-make sense on an ideal validate their input with is_ideal first.  A
-coordinate vector handed in is coerced once, where it enters; basis
+make sense on an ideal validate their input first.  A coordinate vector handed in is coerced once, where it enters; basis
 squares and subspace bases are canonical already, so they reach the span
 (linalg._span) and membership (Subspace._holds) cores as they are.
 """
@@ -30,29 +29,29 @@ def is_nondegenerate(algebra: EvolutionAlgebra) -> bool:
     return not associated_graph(algebra).sinks()
 
 
-def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
-    """The defining test, e_i * v in I for every basis index i and basis
-    vector v, read through e_i * v = v_i e_i^2: e_i^2 in I for every i
-    where a basis vector of I is nonzero."""
+def _same_space(algebra, subspace):
     if subspace.ambient_dim != algebra.dim:
         raise DimensionError("subspace ambient dim %d does not match algebra dim %d"
                              % (subspace.ambient_dim, algebra.dim))
     if subspace.field != algebra.field:
         raise FieldError("subspace over %r in an algebra over %r"
                          % (subspace.field, algebra.field))
+
+
+def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
+    """The defining test, e_i * v in I for every basis index i and basis
+    vector v, read through e_i * v = v_i e_i^2: e_i^2 in I for every i
+    where a basis vector of I is nonzero."""
+    _same_space(algebra, subspace)
     support = {i for v in subspace.vectors() for i, x in enumerate(v, 1) if x}
     return all(subspace._holds(algebra.square_of_basis(i)) for i in support)
-
-
-def _require_ideal(algebra, subspace):
-    if not is_ideal(algebra, subspace):
-        raise PreconditionError("subspace is not an ideal of the algebra")
 
 
 def absorption_preimage(algebra: EvolutionAlgebra, ideal: Subspace) -> Subspace:
     """The set {x : xA inside I}.  Since x*e_i = x_i * e_i^2 the condition
     is coordinate-wise, so this is the span of the e_i with e_i^2 in I."""
-    _require_ideal(algebra, ideal)
+    if not is_ideal(algebra, ideal):
+        raise PreconditionError("subspace is not an ideal of the algebra")
     return coordinate_subspace(algebra.field, algebra.dim,
                                [i for i in range(1, algebra.dim + 1)
                                 if ideal._holds(algebra.square_of_basis(i))])
@@ -162,16 +161,23 @@ class QuotientPresentation(namedtuple("QuotientPresentation", "chosen quotient p
 def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation:
     """Quotient algebra by an ideal, on the natural basis of surviving
     images chosen greedily by ascending index."""
-    _require_ideal(algebra, ideal)
-    f = algebra.field
-    n = algebra.dim
-    # greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
-    # when i is not the last nonzero position l of a vector of I: the pivots
-    # of the span of I's basis with its columns reversed, whose reduced row
-    # w for l is 1 at l and 0 at every other l; _span eliminates on the
-    # support of I alone
-    reversed_span = _span(f, n, [v[::-1] for v in ideal.vectors()])
+    _same_space(algebra, ideal)
+    return _quotient(algebra, _span(algebra.field, algebra.dim,
+                                    [v[::-1] for v in ideal.vectors()]))
+
+
+def _quotient(algebra, reversed_span) -> QuotientPresentation:
+    """quotient by the span I of reversed_span's rows read backwards."""
+    f, n = algebra.field, algebra.dim
     rows, pivots = reversed_span.basis.entries, reversed_span._pivots
+    # I is an ideal when it holds e_i^2 for each i in its support.
+    # Greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
+    # when i is not the last nonzero position l of a vector of I: the pivots
+    # of reversed_span, whose reduced row w for l is 1 at l and 0 at every
+    # other l
+    support = {n - col for row in rows for col, x in enumerate(row) if x}
+    if any(any(_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1])) for i in support):
+        raise PreconditionError("subspace is not an ideal of the algebra")
     chosen = sorted(set(range(1, n + 1)).difference(n - col for col in pivots))
     keep = [n - c for c in chosen]  # the chosen positions, reversed
 

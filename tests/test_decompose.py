@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
                      algebra_from_graph, annihilator, associated_graph,
-                     canonical_decomposition, is_fragmentable, is_ideal,
-                     is_irreducible, is_nondegenerate, is_simple,
-                     optimal_decomposition, optimal_fragmentation, radical,
-                     subspace_from_vectors)
+                     canonical_decomposition, ideal_generated_by, is_fragmentable,
+                     is_ideal, is_irreducible, is_nondegenerate, is_simple,
+                     optimal_decomposition, optimal_fragmentation, quotient, radical,
+                     subspace_equal, subspace_from_vectors)
 from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
                                _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
@@ -18,7 +18,7 @@ from support import (FIXED, algebras, digraphs, double_loop,
                      entangled_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng, nonzero_scalars,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
-                     shared_loop_target, simplicity_checked,
+                     scalars, shared_loop_target, simplicity_checked,
                      squares_span_deficient, strong_components,
                      swap_pair_plus_loop, two_loops_two_sinks,
                      weighted_digraph_algebras)
@@ -440,7 +440,9 @@ def test_natural_basis_changes_move_the_invariants_with_the_basis(field, data):
     # of the annihilator and the radical stay; the radical's indices and
     # the blocks move by sigma, and the restricted structure matrix of a
     # block B is conjugated by a permutation and scaled to c_i^2 / c_j in
-    # entry (j, i), so its det is multiplied by the product of c_i over B
+    # entry (j, i), so its det is multiplied by the product of c_i over B.
+    # x = sum x_k e_k has the coordinates y_j = x_sigma(j) / c_j in the f_j,
+    # so <y> in b is <x> in a written in the f_j, and so are the quotients
     a = data.draw(st.one_of(weighted_digraph_algebras(field).filter(lambda a: a.dim <= 12),
                             algebras(field)))
     n = a.dim
@@ -462,6 +464,16 @@ def test_natural_basis_changes_move_the_invariants_with_the_basis(field, data):
         for block in optimal_decomposition(a).blocks}
     assert {block.indices: (block.nondegenerate, block.simple, block.det)
             for block in optimal_decomposition(b).blocks} == expected
+
+    def written_in_f(v):
+        return [field.coerce(Fraction(v[sigma[j] - 1], c[j])) for j in range(n)]
+
+    x = data.draw(st.lists(scalars(field), min_size=n, max_size=n))
+    generated = ideal_generated_by(a, x)
+    moved_ideal = ideal_generated_by(b, written_in_f(x))
+    assert subspace_equal(moved_ideal, subspace_from_vectors(
+        field, n, [written_in_f(v) for v in generated.vectors()]))
+    assert quotient(b, moved_ideal).quotient.dim == quotient(a, generated).quotient.dim
 
 
 def test_is_simple_golden():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError,
@@ -50,6 +50,12 @@ def test_parse_prime_document_and_override():
     # the first row is all new texts, so the scanner reads the second
     ("field prime 7\ndim 2\nmatrix\n1 2\n3 4 5\n", "line 5: expected 2 entries, found 3"),
     ("field rational\ndim 2\nmatrix\n1 2\n", "unexpected end"),
+    # every row present is read before a missing one is reported
+    ("field rational\ndim 3\nmatrix\n1 0 0\n0 x 0\n", "line 5: entry 2: invalid scalar 'x'"),
+    ("field prime 7\ndim 3\nmatrix\n1 2 3\n0 0 0\n",
+     "line 5: unexpected end of document, expected a matrix row"),
+    # a width far past any line builds no zero row of that width
+    ("field rational\ndim %d\nmatrix\n0 0\n" % 10 ** 30, "line 4: expected %d entries" % 10 ** 30),
     ("field rational\ndim 1\nmatrix\n1\nextra\n", "trailing"),
     ("field complex\ndim 1\nmatrix\n1\n", "field"),
     ("dim 1\nmatrix\n1\n", "field"),
@@ -190,7 +196,19 @@ def test_signs_and_leading_zeros_stay_valid_in_headers():
 SPELLINGS = ("0", "-0", "+0", "00", "0/3", "1", "+1", "01", "2/2", "-1",
              "-01", "2", "+2", "4/2", "1/2", "2/4", "-3/6", "7", "10", "1/7")
 INVALID = ("x", "1/0", "0.5", "--1", "1_0", "\u0663", "\uff11")
-FIELDS = (QQ, GF(2), GF(3), GF(7))
+FIELDS = (QQ, GF(2), GF(3), GF(7), GF(10007))
+# the canonical zero row of width n >= 2 spelt otherwise: each is read by
+# split() and the token table, as any other row
+ZERO_NEAR_MISSES = {
+    "00": lambda n: " ".join(["00"] + ["0"] * (n - 1)),
+    "-0": lambda n: " ".join(["0"] * (n - 1) + ["-0"]),
+    "0/3": lambda n: " ".join(["0/3"] + ["0"] * (n - 1)),
+    "two spaces": lambda n: "0  " + " ".join(["0"] * (n - 1)),
+    "tab": lambda n: "0\t" + " ".join(["0"] * (n - 1)),
+    "one short": lambda n: " ".join(["0"] * (n - 1)),
+    "one long": lambda n: " ".join(["0"] * (n + 1)),
+    "comment": lambda n: " ".join(["0"] * n) + " # comment",
+}
 
 
 @st.composite
@@ -204,10 +222,35 @@ def token_rows(draw):
     return [[draw(st.sampled_from(pool)) for _ in range(n)] for _ in range(n)]
 
 
+@st.composite
+def document_lines(draw):
+    """The lines of token_rows, some of them made the canonical zero row:
+    the first now and then, and one right after a row of new texts, digit
+    strings no row holds, so that over GF(10007) the scanner would read
+    the next row; and, where n >= 2, some made a near miss of it."""
+    rows = draw(token_rows())
+    n = len(rows)
+    lines = [" ".join(row) for row in rows]
+    zero = " ".join(["0"] * n)
+    if draw(st.booleans()):
+        lines[0] = zero
+    if n == 1:
+        return lines
+    for k in draw(st.sets(st.integers(min_value=0, max_value=n - 2), max_size=2)):
+        lines[k] = " ".join(str(1000 + n * k + j) for j in range(n))
+        lines[k + 1] = zero
+    for k in draw(st.sets(st.integers(min_value=0, max_value=n - 1), max_size=2)):
+        lines[k] = ZERO_NEAR_MISSES[draw(st.sampled_from(sorted(ZERO_NEAR_MISSES)))](n)
+    return lines
+
+
 def document_text(field, rows):
+    return document_of_lines(field, [" ".join(row) for row in rows])
+
+
+def document_of_lines(field, lines):
     header = "field rational" if field.kind == "rational" else "field prime %d" % field.p
-    return "\n".join([header, "dim %d" % len(rows), "matrix"]
-                     + [" ".join(row) for row in rows]) + "\n"
+    return "\n".join([header, "dim %d" % len(lines), "matrix"] + lines) + "\n"
 
 
 def reference_rows(field, rows, first_line, numbered):
@@ -239,12 +282,26 @@ def counted_parses(monkeypatch, field):
 
 
 @FIXED
-@given(field=st.sampled_from(FIELDS), rows=token_rows())
-def test_parse_document_equals_a_per_token_parse(field, rows):
+@given(field=st.sampled_from(FIELDS), lines=document_lines())
+@example(field=QQ, lines=[ZERO_NEAR_MISSES["00"](3), "0 0 0", "1 0 0"])
+@example(field=GF(2), lines=["0 0 0", ZERO_NEAR_MISSES["-0"](3), "1 0 1"])
+@example(field=GF(7), lines=["1 2 3", ZERO_NEAR_MISSES["0/3"](3), "0 0 0"])
+@example(field=GF(10007), lines=["11 12 13", ZERO_NEAR_MISSES["two spaces"](3), "0 0 0"])
+@example(field=GF(10007), lines=["0 0 0", ZERO_NEAR_MISSES["tab"](3), "4 5 6"])
+@example(field=QQ, lines=["0 0 0", "1 1 1", ZERO_NEAR_MISSES["one short"](3)])
+@example(field=GF(7), lines=["11 12 13", ZERO_NEAR_MISSES["one long"](3), "0 0 0"])
+@example(field=GF(10007), lines=["11 12 13", ZERO_NEAR_MISSES["comment"](3), "1 2 3"])
+def test_parse_document_equals_a_per_token_parse(field, lines):
     # reference: field.parse on every entry, in document order; the first
-    # token that it refuses names the line and the entry of the error
-    expected = reference_rows(field, rows, 4, numbered=True)
-    text = document_text(field, rows)
+    # row of the wrong count, or the first token that field.parse refuses,
+    # names the line (and the entry) of the error
+    rows = [line.split("#", 1)[0].split() for line in lines]
+    n = len(rows)
+    short = next((r for r, row in enumerate(rows) if len(row) != n), None)
+    expected = reference_rows(field, rows[:short], 4, numbered=True)
+    if short is not None and not isinstance(expected, ParseError):
+        expected = ParseError("expected %d entries, found %d" % (n, len(rows[short])), 4 + short)
+    text = document_of_lines(field, lines)
     if isinstance(expected, ParseError):
         with pytest.raises(ParseError) as err:
             parse_document(text)
@@ -264,6 +321,22 @@ def test_field_parse_runs_once_per_distinct_matrix_token(monkeypatch, field):
     a = parse_document(document_text(field, rows))
     assert sorted(calls) == sorted({t for row in rows for t in row})
     assert a.structure.entries[1][2] == field.one  # "+1" and "1" agree
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(10007)])
+def test_canonical_zero_rows_are_read_with_no_field_parse(monkeypatch, field):
+    # a chain-start index is a zero row of M_B, written "0 0 ... 0": that
+    # text comes back as one shared row of zeros, with no split and no
+    # field.parse, in a document and in a basis file
+    calls = counted_parses(monkeypatch, field)
+    a = parse_document(document_text(field, [["0"] * 4] * 4))
+    assert a.structure.entries == ((field.zero,) * 4,) * 4 and calls == []
+    assert all(is_canonical(field, x) for row in a.structure.entries for x in row)
+    assert parse_basis_file(field, "0 0 0\n# none\n0 0 0\n", 3) == [(field.zero,) * 3] * 2
+    assert calls == []
+    # another spelling of it is read by the table, which parses each text once
+    assert parse_basis_file(field, "00 0 0\n0  0 0\n", 3) == [(field.zero,) * 3] * 2
+    assert sorted(calls) == ["0", "00"]
 
 
 @pytest.mark.parametrize("field", [QQ, GF(7)])
