@@ -11,7 +11,9 @@ Lines end at \\n, \\r\\n or \\r alone.  '#' starts a comment, blank lines
 are skipped.  Numbers are spelt with ASCII digits only.  The matrix entry
 at row k, column i is the coefficient of e_k in e_i^2, i.e. column i
 spells out e_i^2.  Emission is canonical, so parse and emit are mutually
-inverse byte for byte.
+inverse byte for byte, up to CPython's limit on digits in an int
+conversion (4,300 by default): emit writes an entry of any size, and parse
+refuses one with a longer numerator or denominator.
 
 A chain-start index is a zero row of M_B, read by one string compare
 when spelt "0 0 ... 0".  Any other row of a document or basis file is
@@ -217,7 +219,11 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
 
 
 def emit_document(algebra: EvolutionAlgebra) -> str:
-    """Canonical text for an algebra; parse(emit(A)) == A byte-exactly."""
+    """Canonical text for an algebra; parse(emit(A)) == A byte-exactly
+    while no entry has a numerator or denominator of more digits than
+    CPython converts (4,300 by default).  Such an entry is written in full,
+    and parse_document refuses it ("scalar of N characters exceeds the
+    digit limit")."""
     f = algebra.field
     header = "field rational" if f.kind == "rational" else "field prime %d" % f.p
     out = [header, "dim %d" % algebra.dim, "matrix"]
@@ -241,12 +247,14 @@ def export_dot(graph: AssociatedGraph) -> str:
 
 
 def parse_vector(field, text, dim: int) -> tuple:
-    """Comma-separated scalar list, e.g. '1,0,-2/3'."""
+    """Comma-separated scalar list, e.g. '1,0,-2/3', read through one
+    _ScalarTable as the rows of documents and basis files are: field.parse
+    runs once per distinct token."""
     tokens = [t.strip() for t in text.split(",")]
     if len(tokens) != dim:
         raise ParseError("expected %d coordinates, found %d" % (dim, len(tokens)))
     try:
-        return tuple(field.parse(t) for t in tokens)
+        return tuple(map(_ScalarTable(field.parse).__getitem__, tokens))
     except FieldError as exc:
         raise ParseError(str(exc)) from None
 

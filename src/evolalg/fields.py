@@ -22,12 +22,16 @@ Everything else is plain Python on those values.  A canonical scalar is
 zero exactly when it is falsy.  Sums and products use Python's operators,
 and two routines make their results canonical again: ``coerce`` reduces
 one value, and the private ``_canonical`` a list of sums at once (mod p
-over F_p; over QQ a Fraction of denominator 1 becomes its numerator).
+over F_p; over QQ a Fraction of denominator 1 becomes its numerator, and
+a list of ints alone, found by one C-level pass over the types, is handed
+back as it is).
 Outside the elimination kernels of linalg and the row scanner of
 documents, the package reduces through these two alone.  The text of a
 scalar is ``str``, and ``parse(str(x)) == x``; writers go through
 ``_text`` and ``_texts``, which write an int part of more digits than
-CPython's ``str`` converts by splitting it at powers of ten.  The field
+CPython's ``str`` converts by splitting it at powers of ten.  ``_texts``
+writes a row at a cost per nonzero entry: a zero is the text "0" in both
+fields, so it is written without a call of ``str``.  The field
 object also carries ``kind``, the modulus ``p`` of a prime field, and
 the canonical ``zero`` and ``one``; the linalg kernels read the kind and
 the modulus and eliminate on plain ints (see linalg).  No floating point
@@ -55,6 +59,7 @@ from __future__ import annotations
 import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import compress
 
 from .errors import FieldError
 
@@ -147,12 +152,17 @@ def _text(x) -> str:
 
 
 def _texts(row) -> list:
-    """[_text(x) for x in row], for a sequence row: one map of str, which
-    runs in C on ints, unless an entry is over the digit limit."""
+    """[_text(x) for x in row], for a sequence row of canonical scalars,
+    at a cost per nonzero entry: the list starts as "0" everywhere, the
+    text of zero in both fields, and str writes only the entries that
+    compress finds nonzero, or _text where one is over the digit limit."""
+    texts = ["0"] * len(row)
     try:
-        return [*map(str, row)]
+        for k in compress(range(len(row)), row):
+            texts[k] = str(row[k])
     except ValueError:
         return [*map(_text, row)]
+    return texts
 
 
 class Rationals(namedtuple("Rationals", "")):
@@ -184,7 +194,11 @@ class Rationals(namedtuple("Rationals", "")):
     def _canonical(self, values) -> list:
         """Sums and products of canonical rationals made canonical again: a
         Fraction the arithmetic left with denominator 1 becomes its
-        numerator, and an int stays as it is (its numerator)."""
+        numerator, and an int stays as it is (its numerator).  A list of
+        ints alone, found by one C-level pass over the entries' types, is
+        returned as it is."""
+        if type(values) is list and set(map(type, values)) <= {int}:
+            return values
         return [x.numerator if x.denominator == 1 else x for x in values]
 
     def __bool__(self):

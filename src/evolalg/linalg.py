@@ -26,14 +26,17 @@ every row below them down two levels, each entry a sum of products of
 two minors divided by one, the last pivot (BENCH_sylvester.json times
 it against a form that divided by a product of two); a pass whose next
 column holds no second pivot (a singular or rectangular matrix, or the
-last column of an odd count) takes one step.  Entries go back to
-canonical scalars (over QQ an int, or a Fraction where the division
-leaves a remainder; ints in [0, p) over F_p) only where a reduced basis
-or a determinant is handed out.  A canonical basis needs no elimination
-at all: Subspace.contains subtracts from v its coordinate at each pivot
-times that pivot's row (_residue) and asks whether anything is left; the
-pivot columns are found once per subspace.  _residue and mat_vec make
-their sums canonical by one call of field._canonical.
+last column of an odd count) takes one step.  The QQ back-substitution
+of _rref_rows runs on the non-pivot columns alone, writing the pivot
+columns as an identity's, so a span of full rank back-substitutes
+nothing.  Entries go back to canonical scalars (over QQ an int, or a
+Fraction where the division leaves a remainder; ints in [0, p) over
+F_p) only where a reduced basis or a determinant is handed out.  A
+canonical basis needs no elimination at all: Subspace.contains subtracts
+from v its coordinate at each pivot times that pivot's row (_residue)
+and asks whether anything is left; the pivot columns are found once per
+subspace.  _residue and mat_vec make their sums canonical by one call of
+field._canonical.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
 from one template (_unit_rows).  Every other span the package reduces
@@ -60,7 +63,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from math import lcm, prod
 from operator import itemgetter
 from struct import Struct, error as struct_error
@@ -334,6 +337,15 @@ def _rref_rows(field, rows, width):
     """Reduce a list of rows (lists or tuples) in place to lists of
     canonical field scalars; return (rank, pivot columns).
 
+    Over QQ, with d the last Bareiss pivot, the determinant of the scaled
+    pivot block, d times a reduced row is integral by Cramer's rule, and
+    it is d at the row's own pivot and 0 at the other pivots.  So the
+    back-substitution, bottom row first and with exact divisions, runs on
+    the free (non-pivot) columns alone, and each row is written as 0
+    everywhere, 1 at its pivot and x / d at each nonzero free entry x (a
+    Fraction only where d does not divide x).  The rows below the rank
+    stay the zero rows _echelon leaves.
+
     Over F_p the back-substitution runs on the packed rows _echelon leaves:
     from the last pivot up, its row is reduced, scaled by the inverse of
     its lead and reduced again, and each row above gets one multiply-add
@@ -356,24 +368,22 @@ def _rref_rows(field, rows, width):
             rows[:top] = [above + -(above >> shift & slot) % p * row for above in rows[:top]]
         rows[:] = map(unpack, rows)
         return rank, pivots
-    # integer back-substitution: with d the last pivot, the determinant of
-    # the scaled pivot block, each row becomes d times its reduced row,
-    # which is integral by Cramer's rule, so every division is exact; an
-    # entry x of it is the canonical x // d where d divides x
     d = rows[rank - 1][pivots[-1]] if rank else 1
+    free = sorted(set(range(width)).difference(pivots))
+    tails = [[row[col] for col in free] for row in rows[:rank]]
     for top in reversed(range(rank)):
-        col = pivots[top]
-        row = rows[top]
-        below = [(row[pivots[j]], rows[j]) for j in range(top + 1, rank) if row[pivots[j]]]
-        pk = row[col]
-        if pk == d and not below:
-            continue
-        acc = [d * x for x in row[col:]]
-        for a, other in below:
-            acc = [x - a * y for x, y in zip(acc, other[col:])]
-        row[col:] = [x // pk for x in acc]
-    for i, row in enumerate(rows):
-        rows[i] = [Fraction(x, d) if x % d else x // d for x in row]
+        row, tail = rows[top], tails[top]
+        below = [(row[pivots[j]], tails[j]) for j in range(top + 1, rank) if row[pivots[j]]]
+        pk = row[pivots[top]]
+        if pk != d or below:
+            acc = [d * x for x in tail]
+            for a, other in below:
+                acc = [x - a * y for x, y in zip(acc, other)]
+            tail = tails[top] = [x // pk for x in acc]
+        row = rows[top] = [0] * width
+        row[pivots[top]] = 1
+        for col, x in compress(zip(free, tail), tail):
+            row[col] = Fraction(x, d) if x % d else x // d
     return rank, pivots
 
 

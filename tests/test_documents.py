@@ -1,3 +1,7 @@
+from collections import Counter
+from fractions import Fraction
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -38,6 +42,36 @@ def test_parse_prime_document_and_override():
     b = parse_document(GOLDEN_DOC, field_override=GF(3))
     assert b.field == GF(3)
     assert b.square_of_basis(3) == b.element((0, 0, 0, 1))  # -2 = 1 mod 3
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007)])
+@FIXED
+@given(tokens=st.lists(st.sampled_from(["0", "0", "1", "-2", "3/4", " 5", "5 ", "-0", "10007"]),
+                       min_size=1, max_size=12))
+def test_parse_vector_parses_each_distinct_token_once(field, tokens):
+    calls = Counter()
+
+    def parse(text):
+        calls[text] += 1
+        return field.parse(text)
+
+    got = parse_vector(SimpleNamespace(parse=parse), ",".join(tokens), len(tokens))
+    assert got == tuple(field.parse(t) for t in tokens)
+    assert calls == Counter(set(t.strip() for t in tokens))
+
+
+@pytest.mark.parametrize("field,text,dim,message", [
+    (QQ, "1,x,3", 3, "invalid scalar 'x'"),
+    (QQ, "1/0,1", 2, "zero denominator in '1/0'"),
+    (GF(7), "1, 2/7", 2, "denominator of '2/7' vanishes mod 7"),
+    (GF(7), "2/7,2/7", 2, "denominator of '2/7' vanishes mod 7"),
+    (QQ, "1,2", 3, "expected 3 coordinates, found 2"),
+    (GF(7), "1,2,3", 2, "expected 2 coordinates, found 3"),
+])
+def test_parse_vector_error_texts(field, text, dim, message):
+    with pytest.raises(ParseError) as err:
+        parse_vector(field, text, dim)
+    assert str(err.value) == message and err.value.line is None
 
 
 @pytest.mark.parametrize("text,fragment", [
@@ -89,6 +123,21 @@ def test_round_trip_on_random_algebras(field):
     for _ in range(40):
         a = random_algebra(rng, field, rng.randrange(1, 7))
         assert parse_document(emit_document(a)) == a
+
+
+def test_round_trip_holds_up_to_the_digit_limit():
+    # emission writes an entry of any size in full, and parsing refuses one
+    # with more digits than CPython converts (4,300 by default), so the
+    # round trip holds up to that limit and no further
+    at_limit = EvolutionAlgebra.from_squares(QQ, [[-(10 ** 4300 - 1), 0],
+                                                  [Fraction(1, 10 ** 4300 - 1), 1]])
+    text = emit_document(at_limit)
+    assert parse_document(text) == at_limit and emit_document(parse_document(text)) == text
+    past = emit_document(EvolutionAlgebra.from_squares(QQ, [[10 ** 5000]]))
+    assert past == "field rational\ndim 1\nmatrix\n1" + "0" * 5000 + "\n"
+    with pytest.raises(ParseError, match="^line 4: entry 1: scalar of 5001 characters "
+                                         "exceeds the digit limit$"):
+        parse_document(past)
 
 
 def test_export_dot_golden():

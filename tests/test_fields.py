@@ -315,3 +315,38 @@ def test_canonical_scalars_are_falsy_at_zero_alone_and_parse_their_text(field, d
         assert is_canonical(field, x)
         assert (not x) == (x == field.zero)
         assert field.parse(str(x)) == x
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(10007), GF(2 ** 61 - 1)])
+@FIXED
+@given(data=st.data(), huge=st.lists(st.tuples(HUGE_INTS, st.none() | HUGE_INTS), max_size=3))
+def test_texts_is_text_per_entry(field, data, huge):
+    # _texts writes only the nonzero entries; the rows hold zeros,
+    # negatives and Fractions, and over QQ ints and Fraction parts past
+    # the digit limit, built from drawn parameters as above
+    row = [*map(field.coerce, data.draw(st.lists(st.just(0) | raw_values(field), max_size=12)))]
+    if field.kind == "rational":
+        row += [huge_int(*num) if den is None else QQ.coerce(Fraction(huge_int(*num),
+                                                                      huge_int(*den) or 1))
+                for num, den in huge]
+    row = [row[k] for k in data.draw(st.permutations(range(len(row))))]
+    expected = [fields._text(x) for x in row]
+    assert fields._texts(row) == fields._texts(tuple(row)) == expected
+
+
+@FIXED
+@given(values=st.lists(st.integers()) | st.lists(st.one_of(
+           st.integers(), st.builds(Fraction, st.integers()),
+           st.builds(Fraction, st.integers(), st.integers(min_value=1, max_value=10 ** 6)))),
+       as_tuple=st.booleans())
+def test_rational_canonical_is_the_per_entry_rule(values, as_tuple):
+    # a list of ints alone is handed back as it is; any other input takes
+    # the per-entry rule, a Fraction of denominator 1 becoming its numerator
+    expected = [x.numerator if x.denominator == 1 else x for x in values]
+    given_values = tuple(values) if as_tuple else values
+    got = QQ._canonical(given_values)
+    assert type(got) is list and got == expected
+    assert [*map(type, got)] == [*map(type, expected)]
+    assert all(is_canonical(QQ, x) for x in got)
+    if not as_tuple and all(type(x) is int for x in values):
+        assert got is values

@@ -486,7 +486,9 @@ WIDE_RATIONALS = st.one_of(
 
 
 def wide_combination(draw, rows, width):
-    return [sum((draw(WIDE_RATIONALS) * row[c] for row in rows), QQ.zero)
+    """A combination of rows, one wide rational coefficient per row."""
+    coefficients = [draw(WIDE_RATIONALS) for _ in rows]
+    return [sum((a * row[c] for a, row in zip(coefficients, rows)), QQ.zero)
             for c in range(width)]
 
 
@@ -526,6 +528,43 @@ def dense_row(width):
                     min_size=width, max_size=width)
 
 
+FREE_SHAPES = ("from0", "from1", "drawn", "none", "all")
+
+
+def free_rows(draw, width, count, shape):
+    """count rows spanning the rows of a reduced basis, whose pivot columns,
+    at most count of them, are by shape every other column from column 0
+    (free columns between and after them) or from column 1 (before and
+    between), a drawn set, none (all-zero rows) or all (full rank where
+    count reaches width).  Each basis row is 1 at its pivot, 0 at the
+    others and a wide rational or zero at each free column right of it.
+    Row k is basis row k plus a combination of the rows after it (so the
+    rank is that of the basis), scaled by a nonzero; any further rows are
+    combinations; then the rows are permuted."""
+    if shape in ("from0", "from1"):
+        pivots = [*range(int(shape[-1]), width, 2)][:count]
+    elif shape == "drawn":
+        marks = draw(st.lists(st.booleans(), min_size=width, max_size=width))
+        pivots = [col for col, mark in enumerate(marks) if mark][:count]
+    else:
+        pivots = [*range(min(width, count))] if shape == "all" else []
+    basis = []
+    for col in pivots:
+        row = [QQ.zero] * width
+        row[col] = QQ.one
+        for c in range(col + 1, width):
+            if c not in pivots:
+                row[c] = draw(WIDE_RATIONALS)
+        basis.append(row)
+    rows = []
+    for k, row in enumerate(basis):
+        mixed = [x + y for x, y in zip(row, wide_combination(draw, basis[k + 1:], width))]
+        scale = draw(WIDE_RATIONALS) or QQ.one
+        rows.append([scale * x for x in mixed])
+    rows += [wide_combination(draw, basis, width) for _ in range(count - len(basis))]
+    return draw(st.permutations([[QQ.coerce(x) for x in row] for row in rows]))
+
+
 RATIONAL_FAMILIES = st.sampled_from(("wide", "sparse", "dense"))
 
 
@@ -560,11 +599,26 @@ def test_wide_rational_rref_matches_sympy(data):
         cols = data.draw(st.integers(min_value=1, max_value=12))
         count = data.draw(st.integers(min_value=0, max_value=12))
         rows = data.draw(st.lists(dense_row(cols), min_size=count, max_size=count))
+    assert_rational_rref_matches_sympy(rows, cols)
+
+
+def assert_rational_rref_matches_sympy(rows, cols):
     rank, reduced = rref(QQ, Matrix(len(rows), cols, tuple(tuple(r) for r in rows)))
     expected, pivots = sympy_matrix(QQ, rows, cols).rref()
     assert rank == len(pivots)
     assert reduced.entries == tuple(tuple(from_sympy(QQ, x) for x in r)
                                     for r in expected.to_list())
+
+
+@pytest.mark.parametrize("shape", FREE_SHAPES)
+@settings(FIXED, max_examples=20)
+@given(data=st.data())
+def test_rational_rref_on_free_columns_matches_sympy(shape, data):
+    # the back-substitution computes the free (non-pivot) columns alone and
+    # writes the pivot columns as those of an identity
+    cols = data.draw(st.integers(min_value=2, max_value=8))
+    count = data.draw(st.integers(min_value=1, max_value=8))
+    assert_rational_rref_matches_sympy(free_rows(data.draw, cols, count, shape), cols)
 
 
 @FIXED
