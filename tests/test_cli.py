@@ -17,8 +17,9 @@ from evolalg.cli import _COMMANDS, _build_parser, main
 from evolalg.documents import emit_document
 from evolalg.errors import FieldError, InternalConsistencyError
 from evolalg.fields import PrimeField, Rationals
-from support import (FIXED, double_loop, entangled_squares, pair_cycle_mixing,
-                     swap_pair_plus_loop, two_loops_two_sinks)
+from support import (FIXED, FUZZ_ARGS, FUZZ_DIMS, FUZZ_MODULI, FUZZ_TOKENS, double_loop,
+                     entangled_squares, pair_cycle_mixing, swap_pair_plus_loop,
+                     two_loops_two_sinks)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -647,18 +648,6 @@ def test_canonical_values_cross_the_library_uncoerced(tmp_path, capsys, monkeypa
                          "--ideal-basis", str(tmp_path / "ideal.txt"))
     assert (code, err) == (0, "") and json.loads(out)["quotient_dim"] == 2
     assert seen == []
-
-
-# the CLI fuzz grammar, each list valid choices first: header forms, dim
-# tokens, entries and line endings that the parsers must accept or refuse
-# in one line
-FUZZ_MODULI = (["2", "3", "7"], ["0", "4", "-3", str(2 ** 61 - 1), "1" + "0" * 29])
-FUZZ_DIMS = (["1", "2", "3"], ["0", "-1", "x", "1_0", "١", "2 2"])
-FUZZ_TOKENS = (["0", "0", "1", "-1", "2", "1/2", "-2/3"],
-               ["1/0", "0.5", "١", "１", "9" * 4301, "1_0"])
-FUZZ_ARGS = ([[], [], ["--p", "3"], ["--field", "prime", "--p", "7"], ["--field", "rational"]],
-             [["--field", "prime"], ["--field", "rational", "--p", "2"], ["--p", "4"],
-              ["--p", "-3"], ["--p", "0"], ["--p", str(2 ** 61 - 1)]])
 
 
 @st.composite

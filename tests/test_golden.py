@@ -1,13 +1,94 @@
 """CLI bytes pinned by the committed golden manifest: golden.py makes the
 seeded corpus again, runs every invocation in-process and gives each its
-manifest line, which must equal the committed one."""
+manifest line, which must equal the committed one.  The same runs are
+held to the exit-code contract, to the groups of runs that must print
+equal or different bytes, and to the reference checks of reference.py."""
+
+import json
+import shlex
+
+import pytest
 
 import golden
+import reference
 
 
-def test_cli_bytes_match_the_golden_manifest(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # the argv paths are relative to the corpus
-    expected = golden.MANIFEST.read_text().splitlines()
-    lines = golden.manifest_lines(tmp_path)
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    where = tmp_path_factory.mktemp("golden")
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(where)  # the argv paths are relative to the corpus
+        return golden.results(where)
+
+
+def test_cli_bytes_match_the_golden_manifest(corpus):
+    expected = golden.MANIFEST.read_text(encoding="utf-8").splitlines()
+    lines = [golden.manifest_line(*result) for result in corpus[1]]
     moved = [(want, got) for want, got in zip(expected, lines) if want != got]
     assert (len(lines), moved) == (len(expected), [])
+
+
+def test_every_golden_run_ends_in_exit_0_or_one_error_line(corpus):
+    # exit 2 only comes from a cross-check that caught the library
+    # disagreeing with itself, so no document reaches it
+    odd = [(shlex.join(argv), code, err) for argv, code, _, err in corpus[1]
+           if not ((code, err) == (0, "")
+                   or (code == 1 and err.count("\n") == 1 and err.endswith("\n")))]
+    assert odd == []
+
+
+def test_equal_inputs_print_equal_bytes(corpus):
+    out = {shlex.join(argv): (code, stdout) for argv, code, stdout, _ in corpus[1]}
+    for group in golden.SAME:
+        printed = {out[shlex.join(argv)] for argv in group}
+        assert len(printed) == 1 and next(iter(printed))[0] == 0, group
+    for one, other in golden.APART:
+        assert out[shlex.join(one)] != out[shlex.join(other)]
+
+
+def _file(files, argv, flag):
+    return files[argv[argv.index(flag) + 1]]
+
+
+def test_block_dets_and_projections_match_the_reference(corpus):
+    files, ran = corpus
+    problems, checked = [], {"analyze": 0, "quotient": 0}
+    for argv, code, out, _ in ran:
+        if code or "--json" not in argv or argv[0] not in checked:
+            continue
+        report = json.loads(out)
+        document = _file(files, argv, "--input")
+        if argv[0] == "analyze":
+            found = reference.analyze_problems(document, report)
+        else:
+            found = reference.quotient_problems(document, _file(files, argv, "--ideal-basis"),
+                                                report)
+        problems += [(shlex.join(argv)[:80], problem) for problem in found]
+        checked[argv[0]] += 1
+    assert problems == []
+    assert checked == {"analyze": 106, "quotient": 70}  # every one that exits 0
+
+
+def _altered(det, p):
+    """The texts of det plus and minus 1 and of -det that differ from det."""
+    value = reference.scalar(det, p)
+    values = {value + 1, value - 1, -value} - {value}
+    return sorted(str(x if p is None else x % p) for x in values)
+
+
+@pytest.mark.parametrize("name", ["denseqq32", "lazyqq", "doc04", "doc08", "chainqq-canon",
+                                  "gf40-none", "doc30", "doc38", "chaingf-canon"])
+def test_the_reference_refuses_each_altered_det(corpus, name):
+    # over QQ and over GF(10007): dets of 1 to 40 rows, fractions among
+    # them, and documents of several blocks, some of det 0
+    files, ran = corpus
+    argv = ["analyze", "--json", "--input", name + ".alg"]
+    (out,) = [out for run, code, out, _ in ran if run == argv and code == 0]
+    report, document = json.loads(out), files[name + ".alg"]
+    assert reference.analyze_problems(document, report) == []
+    for block in report["blocks"]:
+        det = block["det"]
+        for wrong in _altered(det, report["field"].get("p")):
+            block["det"] = wrong
+            assert len(reference.analyze_problems(document, report)) == 1, (name, wrong)
+        block["det"] = det
