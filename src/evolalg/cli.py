@@ -20,12 +20,11 @@ import sys
 from .decompose import is_simple
 from .documents import (export_dot, parse_basis_file, parse_document,
                         parse_vector)
-from .errors import (BudgetExceededError, DimensionError, FieldError,
-                     InternalConsistencyError, ParseError, PreconditionError)
+from .errors import EvolAlgError, FieldError, InternalConsistencyError
 from .fields import GF, QQ, _texts, parse_integer
 from .graph import associated_graph
 from .ideals import _generated, _quotient, radical
-from .linalg import _span, subspace_equal
+from .linalg import subspace_equal
 from .oracle import (MAX_VECTORS, ClassicalChecks, classical_checks,
                      enumerate_ideals, radical_oracle, simple_oracle)
 from .report import (_braces, _brackets, _yesno, build_report, field_json,
@@ -185,21 +184,20 @@ def _cmd_graph(args, algebra):
 
 def _cmd_quotient(args, algebra):
     # parse_basis_file checks each row's width and returns canonical rows
-    vectors = parse_basis_file(algebra.field, _read_text(args.ideal_basis), algebra.dim)
-    # spanned once, with its columns reversed as the quotient reads them
-    reversed_span = _span(algebra.field, algebra.dim, [v[::-1] for v in vectors])
-    presentation = _quotient(algebra, reversed_span)
+    presentation = _quotient(algebra, parse_basis_file(
+        algebra.field, _read_text(args.ideal_basis), algebra.dim))
+    ideal_dim = algebra.dim - presentation.quotient.dim
     payload = {
         "field": field_json(algebra.field),
         "dim": algebra.dim,
-        "ideal_dim": reversed_span.dim,
+        "ideal_dim": ideal_dim,
         "chosen": list(presentation.chosen),
         "quotient_dim": presentation.quotient.dim,
         "quotient_structure": _matrix_rows(presentation.quotient.structure),
         "projection": _matrix_rows(presentation.projection),
     }
     _emit(args, payload, lambda: render_table(
-        [("ideal dim", str(reversed_span.dim)),
+        [("ideal dim", str(ideal_dim)),
          ("quotient dim", str(presentation.quotient.dim)),
          ("chosen", _braces(presentation.chosen))]
         + [("structure", _brackets(row)) for row in payload["quotient_structure"]]
@@ -250,18 +248,17 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(_join_vector_values(argv))
+        field = _field_override(args)
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
     try:
-        algebra = parse_document(_read_text(args.input),
-                                 field_override=_field_override(args))
+        algebra = parse_document(_read_text(args.input), field_override=field)
         _COMMANDS[args.command][1](args, algebra)
     except InternalConsistencyError as exc:
         print("internal consistency failure: %s" % exc, file=sys.stderr)
         return 2
-    except (ParseError, FieldError, DimensionError, PreconditionError,
-            BudgetExceededError, _UsageError, OSError) as exc:
+    except (EvolAlgError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     return 0

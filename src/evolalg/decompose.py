@@ -145,8 +145,6 @@ def optimal_decomposition(algebra: EvolutionAlgebra) -> DecompositionReport:
     block dets (M_B is block diagonal up to relabelling).
     """
     f = algebra.field
-    if algebra.dim == 0:
-        return DecompositionReport((), True)
     graph = associated_graph(algebra)
     sinks = graph.sinks()  # the indices whose square vanishes
     blocks = []

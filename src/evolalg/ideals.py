@@ -162,13 +162,15 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
     """Quotient algebra by an ideal, on the natural basis of surviving
     images chosen greedily by ascending index."""
     _same_space(algebra, ideal)
-    return _quotient(algebra, _span(algebra.field, algebra.dim,
-                                    [v[::-1] for v in ideal.vectors()]))
+    return _quotient(algebra, ideal.vectors())
 
 
-def _quotient(algebra, reversed_span) -> QuotientPresentation:
-    """quotient by the span I of reversed_span's rows read backwards."""
+def _quotient(algebra, vectors) -> QuotientPresentation:
+    """quotient by the span I of vectors, canonical rows of A's length
+    that are neither checked nor coerced.  I is spanned once, with its
+    columns reversed, and the quotient is read off that span alone."""
     f, n = algebra.field, algebra.dim
+    reversed_span = _span(f, n, [v[::-1] for v in vectors])
     rows, pivots = reversed_span.basis.entries, reversed_span._pivots
     # I is an ideal when it holds e_i^2 for each i in its support.
     # Greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.

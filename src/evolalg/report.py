@@ -11,11 +11,11 @@ of this module: CPython's C encoder runs only when indent is None, and
 with an indent json falls back to its pure-Python encoder, one generator
 step per value.  A list of strings that the escaper leaves as they are
 (their concatenation is printable ASCII with no quote and no backslash,
-as the scalar texts of a report are) is quoted in one str.join; any
-other list of strings, or of ints, is one str.join over the C-level
-string escaper or int.__repr__.  The writer defers to json itself for
-anything that is not a plain string, int, bool, None, list, tuple or
-dict with string keys.
+as the scalar texts of a report are) is quoted in one str.join, and a
+list of ints is one str.join over int.__repr__; any other list, strings
+that need escaping among them, is written item by item.  The writer
+defers to json itself for anything that is not a plain string, int,
+bool, None, list, tuple or dict with string keys.
 
 The annihilator and the radical are spanned by basis vectors (the sinks,
 and the vertices that reach no cycle), so linalg._unit_rows builds their
@@ -121,16 +121,14 @@ def _json(value, pad):
             text = "".join(value) if type(value[0]) is str else None
         except TypeError:  # a str first, and a later item that is not one
             text = None
-        if text is None:
-            if set(map(type, value)) == {int}:
-                body = map(int.__repr__, value)
-            else:
-                body = [_json(item, inner) for item in value]
-        elif text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        if (text is not None and text.isascii() and text.isprintable()
+                and '"' not in text and "\\" not in text):
             # texts that the escaper leaves as they are, quoted in one join
             return "[\n" + inner + '"' + ('",\n' + inner + '"').join(value) + '"\n' + pad + "]"
+        if set(map(type, value)) == {int}:
+            body = map(int.__repr__, value)
         else:
-            body = map(_encode_str, value)
+            body = [_json(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     if kind is dict and set(map(type, value)) <= {str}:
         if not value:

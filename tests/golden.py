@@ -25,7 +25,10 @@ F_p^n has at most 4,096 vectors.  Then come documents built for one point
 each: spellings of one value that the row parser reads by different
 routes (SAME and APART name the runs whose stdout must be equal or must
 differ), dense QQ and GF(10007) dets, quotients, --field and --p
-overrides, and the odd tokens of the CLI fuzz grammar (support.py).
+overrides, and the odd tokens of the CLI fuzz grammar (support.py).  Last
+come seeded QQ and GF(10007) documents whose blocks have no zero row or
+column, so that most block dets the reference checks are nonzero; they
+run through the same invocations as the first seeded documents.
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ SEED = 11
 # the documents after the first slice draw from their own generator, so
 # that the first slice's manifest lines stay as they were
 WIDER_SEED = 12
+NONSINGULAR_SEED = 13
 P61 = 2 ** 61 - 1
 P64 = 2 ** 64 + 13  # a prime
 # a scalar of 2,501 digits: parsed under the limit, its square is past it
@@ -128,6 +132,12 @@ def _random_case(rng, p, n, density, zero_rows, ideal=True):
     tokens = [[_token(rng, p, density) for _ in range(n)] for _ in range(n)]
     for k in rng.sample(range(n), zero_rows):
         tokens[k] = ["0"] * n
+    return _case(rng, p, tokens, ideal)
+
+
+def _case(rng, p, tokens, ideal=True):
+    """_random_case for the matrix of tokens, a list of n rows of n."""
+    n = len(tokens)
     # column i of the matrix spells e_i^2
     squares = [[scalar(tokens[k][i], p) for k in range(n)] for i in range(n)]
     field_line = "field rational" if p is None else "field prime %d" % p
@@ -139,6 +149,33 @@ def _random_case(rng, p, n, density, zero_rows, ideal=True):
     rows = _basis_rows(rng, p, squares, vector, ideal)
     basis = "".join(" ".join(map(str, row)) + "\n" for row in rows).encode("utf-8")
     return doc, ",".join(vector_tokens), basis
+
+
+def _nonzero_token(rng, p):
+    token = _token(rng, p, 1)
+    while not scalar(token, p):  # a residue drawn as 0
+        token = _token(rng, p, 1)
+    return token
+
+
+def _nonsingular_tokens(rng, p, n):
+    """An n x n token matrix whose blocks (weak components) are runs of 1
+    to 5 shuffled indices, each on a Hamiltonian cycle of nonzero tokens,
+    with more nonzero tokens inside it at density 0.6 to 1: no block has a
+    zero row or column, and its det is zero only by chance."""
+    tokens = [["0"] * n for _ in range(n)]
+    order = list(range(n))
+    rng.shuffle(order)
+    while order:
+        size = rng.randrange(1, 6)
+        block, order = order[:size], order[size:]
+        cycle = set(zip(block, block[1:] + block[:1]))
+        density = rng.choice((0.6, 0.8, 1))
+        for i in block:
+            for k in block:
+                if (i, k) in cycle or rng.random() < density:
+                    tokens[k][i] = _nonzero_token(rng, p)  # an edge i -> k
+    return tokens
 
 
 def _planned(rng, plan, prefix):
@@ -187,6 +224,15 @@ def cases():
     plan = ([(2, n) for n in (1, 2, 3, 4, 5, 6, 8)] + [(3, n) for n in (1, 2, 3, 4, 5, 7)]
             + [(P64, n) for n in (1, 2, 3, 5, 8)])
     return out + _planned(random.Random(WIDER_SEED), plan, "more%02d")
+
+
+def nonsingular_cases():
+    """cases() for the documents of _nonsingular_tokens, over QQ and
+    GF(10007), from their own generator."""
+    rng = random.Random(NONSINGULAR_SEED)
+    sizes = (3, 4, 5, 6, 7, 8, 9, 10, 12, 14, 16, 20)
+    return [("nonsing%02d" % k, p, n, *_case(rng, p, _nonsingular_tokens(rng, p, n)))
+            for k, (p, n) in enumerate([(None, n) for n in sizes] + [(10007, n) for n in sizes])]
 
 
 def invocations(name, vector):
@@ -281,9 +327,7 @@ def corpus():
     in it, in manifest order."""
     files, runs = {}, []
     seeded = cases()
-    for name, _, _, doc, vector, basis in seeded:
-        files[name + ".alg"], files[name + ".basis"] = doc, basis
-        runs += invocations(name, vector)
+    _add_seeded(files, runs, seeded)
     for v in GF40:
         files["gf40-%s.alg" % v] = _dense_gf(v)
         runs += [_analyze("gf40-" + v), _graph("gf40-" + v)]
@@ -348,7 +392,14 @@ def corpus():
     runs += [["oracle", "--json", "--input", name + ".alg"]
              for name, p, n, *_ in seeded if p and p ** n <= 4096]
     runs.append(["oracle", "--json", "--input", "gf2pair.alg"])
+    _add_seeded(files, runs, nonsingular_cases())
     return files, runs
+
+
+def _add_seeded(files, runs, seeded):
+    for name, _, _, doc, vector, basis in seeded:
+        files[name + ".alg"], files[name + ".basis"] = doc, basis
+        runs += invocations(name, vector)
 
 
 def _digest(text):

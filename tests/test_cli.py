@@ -136,6 +136,9 @@ def test_missing_vector_value_is_still_a_usage_error(tmp_path, capsys):
         code, out, err = run(capsys, "ideal", "--input", doc, *argv)
         assert (code, out) == (1, "")
         assert err == "usage error: argument --vector: expected one argument\n"
+    # after "--" every token is positional, so no value is joined to --vector
+    assert run(capsys, "ideal", "--input", doc, "--", "--vector", "-1,0") == (
+        1, "", "usage error: the following arguments are required: --vector\n")
 
 
 def test_graph_subcommand_writes_dot(tmp_path, capsys):
@@ -471,7 +474,7 @@ def test_oversized_modulus_is_refused_before_the_primality_test(tmp_path, capsys
     for argv, prefix in (
             (["analyze", "--input", str(doc)], "error: line 1: "),
             (["analyze", "--input", small, "--field", "prime", "--p", str(huge)],
-             "error: ")):
+             "usage error: ")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         # the digit count, not the modulus, keeps the line short

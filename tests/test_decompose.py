@@ -497,6 +497,11 @@ def test_is_simple_golden():
     assert is_simple(EvolutionAlgebra.from_squares(QQ, [(2,)]))
     assert not is_simple(EvolutionAlgebra.from_squares(QQ, [(0,)]))
 
+    # the zero algebra is not simple, and decomposes into no blocks
+    zero = EvolutionAlgebra.from_squares(QQ, [])
+    assert is_simple(zero) == (False, ("zero algebra",))
+    assert optimal_decomposition(zero) == ((), True)
+
 
 def test_is_irreducible_golden():
     verdict = is_irreducible(shared_loop_target())

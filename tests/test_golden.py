@@ -52,7 +52,7 @@ def _file(files, argv, flag):
 
 def test_block_dets_and_projections_match_the_reference(corpus):
     files, ran = corpus
-    problems, checked = [], {"analyze": 0, "quotient": 0}
+    problems, checked, dets = [], {"analyze": 0, "quotient": 0}, []
     for argv, code, out, _ in ran:
         if code or "--json" not in argv or argv[0] not in checked:
             continue
@@ -60,13 +60,16 @@ def test_block_dets_and_projections_match_the_reference(corpus):
         document = _file(files, argv, "--input")
         if argv[0] == "analyze":
             found = reference.analyze_problems(document, report)
+            dets += [block["det"] for block in report["blocks"]]
         else:
             found = reference.quotient_problems(document, _file(files, argv, "--ideal-basis"),
                                                 report)
         problems += [(shlex.join(argv)[:80], problem) for problem in found]
         checked[argv[0]] += 1
     assert problems == []
-    assert checked == {"analyze": 106, "quotient": 70}  # every one that exits 0
+    assert checked == {"analyze": 130, "quotient": 94}  # every one that exits 0
+    # most det checks compare a nonzero det, not 0 with 0: 137 of 243
+    assert (len(dets), len(dets) - dets.count("0")) == (243, 137)
 
 
 def _altered(det, p):
@@ -77,10 +80,12 @@ def _altered(det, p):
 
 
 @pytest.mark.parametrize("name", ["denseqq32", "lazyqq", "doc04", "doc08", "chainqq-canon",
-                                  "gf40-none", "doc30", "doc38", "chaingf-canon"])
+                                  "nonsing07", "gf40-none", "doc30", "doc38", "chaingf-canon",
+                                  "nonsing19"])
 def test_the_reference_refuses_each_altered_det(corpus, name):
     # over QQ and over GF(10007): dets of 1 to 40 rows, fractions among
-    # them, and documents of several blocks, some of det 0
+    # them, and documents of several blocks, some of det 0 and some with
+    # a nonzero det on every block
     files, ran = corpus
     argv = ["analyze", "--json", "--input", name + ".alg"]
     (out,) = [out for run, code, out, _ in ran if run == argv and code == 0]

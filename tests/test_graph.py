@@ -137,6 +137,7 @@ def test_constructor_normalises_any_iterable_of_targets():
                   AssociatedGraph.from_edges(3, edges),
                   AssociatedGraph.from_edges(3, edges[::-1] + edges)):
         assert other == g and hash(other) == hash(g)
+    assert repr(g) == "AssociatedGraph(n=3, edges=5)"
 
 
 def test_empty_graph_is_accepted():

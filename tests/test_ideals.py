@@ -170,6 +170,8 @@ def test_mu_n_golden_and_identities():
     x = a.element((1, 0, 2))
     zero_power = mu_n(a, x, 0)
     assert zero_power.dim == 1 and zero_power.contains(x)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        mu_n(a, x, -1)
 
     sinks_only = two_sinks_and_pair()
     dead = sinks_only.basis_element(1)  # e1^2 = 0, so no multiplications survive

@@ -128,6 +128,8 @@ def test_subspace_sum_and_intersection_golden():
     assert subspace_equal(subspace_sum(a, a), a)
 
     x_axis = subspace_from_vectors(QQ, 2, [(1, 0)])
+    with pytest.raises(DimensionError, match="different ambient dimensions"):
+        subspace_sum(a, x_axis)
     y_axis = subspace_from_vectors(QQ, 2, [(0, 1)])
     assert subspace_intersection(x_axis, y_axis).dim == 0
 
