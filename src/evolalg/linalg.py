@@ -44,8 +44,8 @@ goes through _span, which eliminates only on the columns its rows touch,
 the first step of structured Gaussian elimination (LaMacchia and
 Odlyzko 1990, CRYPTO): the rows of a generated ideal touch the forward
 closure of its seeds alone.  The reduced rows are spread back to full
-width, and the pivot columns found are kept as the subspace's; rows on
-one column or none need no elimination.
+width, and the subspace finds its pivot columns on first use, as every
+Subspace does; rows on one column or none need no elimination.
 A vector a caller hands in is checked and coerced by _vector, the one
 check of its length, in subspace_from_vectors, Subspace.contains, mat_vec
 (so QuotientPresentation.project) and the vector routines of algebra and
@@ -375,11 +375,10 @@ def _rref_rows(field, rows, width):
         row, tail = rows[top], tails[top]
         below = [(row[pivots[j]], tails[j]) for j in range(top + 1, rank) if row[pivots[j]]]
         pk = row[pivots[top]]
-        if pk != d or below:
-            acc = [d * x for x in tail]
-            for a, other in below:
-                acc = [x - a * y for x, y in zip(acc, other)]
-            tail = tails[top] = [x // pk for x in acc]
+        acc = [d * x for x in tail]
+        for a, other in below:
+            acc = [x - a * y for x, y in zip(acc, other)]
+        tail = tails[top] = [x // pk for x in acc]
         row = rows[top] = [0] * width
         row[pivots[top]] = 1
         for col, x in compress(zip(free, tail), tail):
@@ -443,7 +442,7 @@ def mat_vec(field, m: Matrix, v) -> tuple:
 class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
     """A linear subspace held by its canonical (RREF, no zero rows) basis.
     The class has no __slots__: its instances keep their pivot columns,
-    left by _span or found on first use, in their __dict__."""
+    found on first use, in their __dict__."""
 
     @property
     def dim(self) -> int:
@@ -489,21 +488,17 @@ def _span(field, ambient_dim: int, rows) -> Subspace:
     new list, so the caller's list is left as it is, and each of the rank
     reduced rows is spread back to ambient_dim entries by another, over
     the row and one zero.  Rows on no column span 0 and rows on one
-    column c span e_c, so no elimination runs for them.  The pivots,
-    mapped through the used columns, are left as the subspace's
-    _pivots."""
+    column c span e_c, so no elimination runs for them."""
     used = [col for col, column in enumerate(zip(*rows)) if any(column)]
     if len(used) < 2:
         return coordinate_subspace(field, ambient_dim, [col + 1 for col in used])
     width = len(used)
     rows = [*map(itemgetter(*used), rows)]
-    rank, pivots = _rref_rows(field, rows, width)
+    rank, _ = _rref_rows(field, rows, width)
     where = dict(zip(used, range(width)))
     spread = itemgetter(*[where.get(col, width) for col in range(ambient_dim)])
     basis = tuple(spread((*row, field.zero)) for row in rows[:rank])
-    space = Subspace(field, ambient_dim, Matrix(rank, ambient_dim, basis))
-    vars(space)["_pivots"] = [used[col] for col in pivots]
-    return space
+    return Subspace(field, ambient_dim, Matrix(rank, ambient_dim, basis))
 
 
 def _unit_rows(zero, one, n: int, indices) -> list:

@@ -1,8 +1,10 @@
 """Structured analysis report: one dict with a fixed key order, rendered
 as JSON for machines or as an aligned table for people (render_table,
-which also writes the tables of the other subcommands).  Each key has its
-own producer, and a section (analyze, decompose, simple, radical) runs the
-producers of its keys alone.
+which also writes the tables of the other subcommands).  One table,
+_KEYS, decides each key: its place in the printed order, the producer of
+its value, and the text render_text prints for that value.  A section
+(analyze, decompose, simple, radical) runs the producers of its keys
+alone.
 
 The JSON layout is pinned by docs/report.schema.json; identical input
 documents produce identical output bytes.  Those bytes are the ones
@@ -55,32 +57,68 @@ def _blocks(algebra):
     ]
 
 
-# Each key of the analyze report, in its printed order, mapped to the
-# routine that produces its value from the algebra.  The routines name the
-# library functions at call time, so a function rebound on this module
-# (a tracer, a test) is the one that runs.  Work shared between keys is
-# done once: the invariants they read are memoised per algebra object.
-_PRODUCERS = {
-    "field": lambda a: field_json(a.field),
-    "dim": lambda a: a.dim,
-    "annihilator": lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).sinks()),
-    "radical": lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).reaches_no_cycle()),
-    "nondegenerate": lambda a: is_nondegenerate(a),
-    "chain_start_indices": lambda a: [min(p.seed) for p in canonical_decomposition(a)
-                                      if p.kind == CHAIN_START],
-    "principal_cycles": lambda a: [sorted(p.seed) for p in canonical_decomposition(a)
-                                   if p.kind == PRINCIPAL_CYCLE],
-    "canonical_parts": lambda a: [
+def _braces(indices) -> str:
+    """{1, 2}: a set of indices as the text tables print it."""
+    return "{" + ", ".join(map(str, indices)) + "}"
+
+
+def _brackets(texts) -> str:
+    """[a b c]: a row of scalar texts as the text tables print it."""
+    return "[" + " ".join(texts) + "]"
+
+
+def _yesno(flag):
+    return "yes" if flag else "no"
+
+
+def _rows_text(rows):
+    return "; ".join(map(_brackets, rows)) or "0"
+
+
+def _parts_text(parts):
+    return "; ".join("%s %s -> %s" % (part["kind"].replace("_", "-"), _braces(part["seed"]),
+                                      _braces(part["derived"]))
+                     for part in parts)
+
+
+def _blocks_text(blocks):
+    return "; ".join("%s nondegenerate=%s simple=%s det=%s"
+                     % (_braces(block["indices"]), _yesno(block["nondegenerate"]),
+                        _yesno(block["simple"]), block["det"])
+                     for block in blocks)
+
+
+# Each key of the analyze report, in its printed order, mapped to a pair:
+# the routine that produces its value from the algebra, and the routine
+# that writes that value as render_text prints it.  The producers name the
+# library functions at call time, so a function rebound on this module (a
+# tracer, a test) is the one that runs.  Work shared between keys is done
+# once: the invariants they read are memoised per algebra object.
+_KEYS = {
+    "field": (lambda a: field_json(a.field),
+              lambda f: f["kind"] if f["kind"] == "rational" else "prime %d" % f["p"]),
+    "dim": (lambda a: a.dim, str),
+    "annihilator": (lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).sinks()),
+                    _rows_text),
+    "radical": (lambda a: _unit_rows("0", "1", a.dim, associated_graph(a).reaches_no_cycle()),
+                _rows_text),
+    "nondegenerate": (lambda a: is_nondegenerate(a), _yesno),
+    "chain_start_indices": (lambda a: [min(p.seed) for p in canonical_decomposition(a)
+                                       if p.kind == CHAIN_START], _braces),
+    "principal_cycles": (lambda a: [sorted(p.seed) for p in canonical_decomposition(a)
+                                    if p.kind == PRINCIPAL_CYCLE],
+                         lambda cycles: "; ".join(map(_braces, cycles)) or "(none)"),
+    "canonical_parts": (lambda a: [
         {"kind": part.kind, "seed": sorted(part.seed), "derived": sorted(part.derived)}
-        for part in canonical_decomposition(a)
-    ],
-    "blocks": _blocks,
-    "simple": lambda a: is_simple(a).simple,
-    "simple_reasons": lambda a: list(is_simple(a).reasons),
-    "optimal_certified": lambda a: optimal_decomposition(a).optimal_certified,
+        for part in canonical_decomposition(a)], _parts_text),
+    "blocks": (_blocks, _blocks_text),
+    "simple": (lambda a: is_simple(a).simple, _yesno),
+    "simple_reasons": (lambda a: list(is_simple(a).reasons),
+                       lambda reasons: "; ".join(reasons) or "(none)"),
+    "optimal_certified": (lambda a: optimal_decomposition(a).optimal_certified, _yesno),
 }
 
-ANALYZE_KEYS = tuple(_PRODUCERS)
+ANALYZE_KEYS = tuple(_KEYS)
 
 SECTION_KEYS = {
     "analyze": ANALYZE_KEYS,
@@ -96,7 +134,7 @@ def build_report(algebra: EvolutionAlgebra, name: str = "analyze") -> dict:
     """The report section name (a key of SECTION_KEYS), computing only the
     keys it holds: the radical section, for one, runs no det and no
     canonical decomposition."""
-    return {key: _PRODUCERS[key](algebra) for key in SECTION_KEYS[name]}
+    return {key: _KEYS[key][0](algebra) for key in SECTION_KEYS[name]}
 
 
 def _json(value, pad):
@@ -144,45 +182,6 @@ def render_json(report: dict) -> str:
     return _json(report, "") + "\n"
 
 
-def _braces(indices) -> str:
-    """{1, 2}: a set of indices as the text tables print it."""
-    return "{" + ", ".join(map(str, indices)) + "}"
-
-
-def _brackets(texts) -> str:
-    """[a b c]: a row of scalar texts as the text tables print it."""
-    return "[" + " ".join(texts) + "]"
-
-
-def _fmt_value(key, value):
-    if key == "field":
-        return value["kind"] if value["kind"] == "rational" else "prime %d" % value["p"]
-    if key in ("annihilator", "radical"):
-        return "; ".join(map(_brackets, value)) or "0"
-    if key == "chain_start_indices":
-        return _braces(value)
-    if key == "principal_cycles":
-        return "; ".join(map(_braces, value)) or "(none)"
-    if key == "canonical_parts":
-        return "; ".join("%s %s -> %s" % (part["kind"].replace("_", "-"),
-                                          _braces(part["seed"]), _braces(part["derived"]))
-                         for part in value)
-    if key == "blocks":
-        return "; ".join("%s nondegenerate=%s simple=%s det=%s"
-                         % (_braces(block["indices"]), _yesno(block["nondegenerate"]),
-                            _yesno(block["simple"]), block["det"])
-                         for block in value)
-    if key == "simple_reasons":
-        return "; ".join(value) or "(none)"
-    if isinstance(value, bool):
-        return _yesno(value)
-    return str(value)
-
-
-def _yesno(flag):
-    return "yes" if flag else "no"
-
-
 def render_table(rows, width: int) -> str:
     """One line per (label, value) pair of texts: the label padded to
     width, two spaces, the value."""
@@ -190,6 +189,5 @@ def render_table(rows, width: int) -> str:
 
 
 def render_text(report: dict) -> str:
-    rows = [(key.replace("_", " "), _fmt_value(key, report[key]))
-            for key in ANALYZE_KEYS if key in report]
+    rows = [(key.replace("_", " "), _KEYS[key][1](value)) for key, value in report.items()]
     return render_table(rows, max(len(label) for label, _ in rows))

@@ -1,8 +1,8 @@
-"""Reference checks of CLI reports, by elimination written out here: this
-module imports nothing from evolalg, so a fault in the library's kernels
-or parsers cannot hide one in the check.
+"""Reference checks of CLI reports, by elimination and breadth-first search
+written out here: this module imports nothing from evolalg, so a fault in
+the library's kernels, parsers or graph code cannot hide one in the check.
 
-    analyze_problems(document, report)         # analyze --json (or decompose --json)
+    analyze_problems(document, report)         # analyze, decompose, radical, simple --json
     quotient_problems(document, basis, report)  # quotient --json
 
 Each takes the input bytes the run read and the parsed JSON it printed,
@@ -14,6 +14,13 @@ optional sign, ASCII digits and optionally '/' and more digits, taken
 over F_p through the inverse of its denominator.  Texts of any length are
 read, also those past CPython's 4,300-digit limit on int conversion, which
 a report may print.
+
+The graph facts of a report (annihilator, radical, chain starts, principal
+cycles, canonical parts, blocks, simplicity) are read off plain
+reachability: one breadth-first search from each index over the entries
+of the document that are nonzero in the report's field, with an edge
+i -> k when row k, column i is nonzero.  No condensation is built, so the
+algorithm is not the library's.
 """
 
 from fractions import Fraction
@@ -86,18 +93,94 @@ def _field(report):
     return report["field"].get("p")
 
 
+def _reach(out):
+    """For each index, the set of indices a path of length >= 1 reaches
+    from it along out (out[i] lists the targets of i), by one
+    breadth-first search each."""
+    reach = {}
+    for i in out:
+        seen, frontier = set(), list(out[i])
+        while frontier:
+            seen.update(frontier)
+            frontier = [k for j in frontier for k in out[j] if k not in seen]
+        reach[i] = seen
+    return reach
+
+
+def _units(indices, n):
+    """The rows e_i over the indices, as the texts a report prints."""
+    return [["1" if k == i else "0" for k in range(1, n + 1)] for i in sorted(indices)]
+
+
+def _expected(m, det):
+    """Every key of an analyze report but the field and the block dets,
+    for the matrix m of field scalars, with det(indices) the det of M_B
+    restricted to them.  det M_B is the product of the block dets, since
+    M_B is block diagonal once the blocks' indices are put together."""
+    n = len(m)
+    out = {i: [k for k in range(1, n + 1) if m[k - 1][i - 1]] for i in range(1, n + 1)}
+    reach = _reach(out)
+    linked = _reach({i: set(out[i]) | {k for k in out if i in out[k]} for i in out})
+    sinks = {i for i in out if not out[i]}
+    cyclic = {i for i in out if i in reach[i]}
+    starts = sorted(set(out).difference(*out.values()))
+    # the cycle through a cyclic index i is principal when every index
+    # that reaches i is reached from i
+    cycles = sorted({frozenset(k for k in reach[i] if i in reach[k]) for i in cyclic
+                     if all(k in reach[i] for k in out if i in reach[k])}, key=min)
+    parts = sorted([("chain_start", [i]) for i in starts]
+                   + [("principal_cycle", sorted(c)) for c in cycles], key=lambda part: part[1])
+    weak = sorted({frozenset(linked[i] | {i}) for i in out}, key=min)
+    reasons = ["det(M_B) == 0"] if any(det(b) == 0 for b in weak) else []
+    short = next((i for i in out if len(reach[i]) < n), None)
+    if short is not None:
+        reasons.append("D(%d) != Lambda" % short)
+    return {"dim": n,
+            "annihilator": _units(sinks, n),
+            "radical": _units({i for i in out if not reach[i] & cyclic}, n),
+            "nondegenerate": not sinks,
+            "chain_start_indices": starts,
+            "principal_cycles": [sorted(c) for c in cycles],
+            "canonical_parts": [{"kind": kind, "seed": seed,
+                                 "derived": sorted(set(seed).union(*(reach[i] for i in seed)))}
+                                for kind, seed in parts],
+            "blocks": [{"indices": sorted(b), "nondegenerate": not b & sinks,
+                        "simple": det(b) != 0 and all(reach[i] == b for i in b)} for b in weak],
+            "simple": not reasons,
+            "simple_reasons": reasons,
+            "optimal_certified": not sinks}
+
+
 def analyze_problems(document, report):
-    """The blocks of report whose det is not the det of M_B restricted to
-    the block's indices, as read from the document."""
+    """What is wrong with an analyze report: each key whose value is not
+    the reference's, and each block whose det is not the det of M_B
+    restricted to the block's indices, as read from the document.  A key
+    that the report does not hold is not checked, so the decompose,
+    radical and simple sections are checked on their own keys."""
     p = _field(report)
     m = [[scalar(t, p) for t in row] for row in matrix(document)]
+    dets = {}
+
+    def det(indices):
+        at = tuple(sorted(indices))
+        if at not in dets:
+            dets[at] = _echelon([[m[k - 1][i - 1] for i in at] for k in at], p)[1]
+        return dets[at]
+
     problems = []
-    for block in report["blocks"]:
-        at = [i - 1 for i in block["indices"]]
-        _, det = _echelon([[m[k][i] for i in at] for k in at], p)
-        if det != scalar(block["det"], p):
-            problems.append("block %s: det %s is not the reference det"
-                            % (block["indices"], block["det"][:40]))
+    for key, value in _expected(m, det).items():
+        if key not in report:
+            continue
+        got = report[key]
+        if key == "blocks":
+            got = [{k: b[k] for k in ("indices", "nondegenerate", "simple")} for b in got]
+        if got != value:
+            problems.append("%s: %s is not the reference %s" % (key, str(got)[:60],
+                                                                str(value)[:60]))
+    for block in report.get("blocks", []):
+        if det(block["indices"]) != scalar(block["det"], p):
+            problems.append("blocks: det %s of %s is not the reference det"
+                            % (block["det"][:40], block["indices"]))
     return problems
 
 

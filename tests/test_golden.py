@@ -52,22 +52,23 @@ def _file(files, argv, flag):
 
 def test_block_dets_and_projections_match_the_reference(corpus):
     files, ran = corpus
-    problems, checked, dets = [], {"analyze": 0, "quotient": 0}, []
+    problems, checked, dets = [], {"analyze": 0, "radical": 0, "simple": 0, "quotient": 0}, []
     for argv, code, out, _ in ran:
         if code or "--json" not in argv or argv[0] not in checked:
             continue
         report = json.loads(out)
         document = _file(files, argv, "--input")
-        if argv[0] == "analyze":
-            found = reference.analyze_problems(document, report)
-            dets += [block["det"] for block in report["blocks"]]
-        else:
+        if argv[0] == "quotient":
             found = reference.quotient_problems(document, _file(files, argv, "--ideal-basis"),
                                                 report)
+        else:  # the radical and simple sections are checked on the keys they hold
+            found = reference.analyze_problems(document, report)
+            dets += [block["det"] for block in report.get("blocks", [])]
         problems += [(shlex.join(argv)[:80], problem) for problem in found]
         checked[argv[0]] += 1
     assert problems == []
-    assert checked == {"analyze": 130, "quotient": 94}  # every one that exits 0
+    # every one that exits 0
+    assert checked == {"analyze": 130, "radical": 100, "simple": 100, "quotient": 94}
     # most det checks compare a nonzero det, not 0 with 0: 137 of 243
     assert (len(dets), len(dets) - dets.count("0")) == (243, 137)
 
@@ -97,3 +98,39 @@ def test_the_reference_refuses_each_altered_det(corpus, name):
             block["det"] = wrong
             assert len(reference.analyze_problems(document, report)) == 1, (name, wrong)
         block["det"] = det
+
+
+def _split_block(report):
+    block = next(b for b in report["blocks"] if len(b["indices"]) > 1)
+    at = report["blocks"].index(block)
+    report["blocks"][at:at + 1] = [dict(block, indices=block["indices"][:1]),
+                                   dict(block, indices=block["indices"][1:])]
+
+
+def _cycle_as_start(report):
+    cycle = report["principal_cycles"].pop(0)
+    report["chain_start_indices"] = sorted(report["chain_start_indices"] + cycle[:1])
+
+
+ALTERATIONS = {
+    "radical": lambda report: report["radical"].pop(),
+    "blocks": _split_block,
+    "chain_start_indices": lambda report: report["chain_start_indices"].pop(0),
+    "chain_start_indices principal_cycles": _cycle_as_start,
+}
+
+
+@pytest.mark.parametrize("name", ["doc04", "doc25", "more16", "sparse0"])
+@pytest.mark.parametrize("keys", ALTERATIONS)
+def test_the_reference_refuses_each_altered_report(corpus, name, keys):
+    # a radical missing one index, a block split in two, a dropped chain
+    # start, and a principal cycle listed as a chain start, over QQ and
+    # over prime fields: the reference names the keys altered and no other
+    files, ran = corpus
+    argv = ["analyze", "--json", "--input", name + ".alg"]
+    (out,) = [out for run, code, out, _ in ran if run == argv and code == 0]
+    report, document = json.loads(out), files[name + ".alg"]
+    assert reference.analyze_problems(document, report) == []
+    ALTERATIONS[keys](report)
+    found = reference.analyze_problems(document, report)
+    assert {problem.split(":")[0] for problem in found} == set(keys.split()), found
