@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 
 from .errors import DimensionError
-from .linalg import Matrix, _unit_rows, _vector
+from .linalg import Matrix, _combine, _unit_rows, _vector
 
 
 class EvolutionAlgebra:
@@ -84,18 +84,12 @@ class EvolutionAlgebra:
 
     def multiply(self, a, b) -> tuple:
         """Product of two elements: sum over i of a_i*b_i times e_i^2.  Both
-        operands are checked and coerced first (_vector); each coordinate
-        of the product is summed with Python's operators, and the sums are
-        made canonical by one call of field._canonical."""
+        operands are checked and coerced first (_vector); the sum runs over
+        the nonzero a_i*b_i and the nonzero entries of their squares
+        (linalg._combine)."""
         a, b = _vector(self.field, self.dim, a), _vector(self.field, self.dim, b)
-        out = [0] * self.dim
-        for x, y, square in zip(a, b, self._squares):
-            c = x * y
-            if c:
-                for k, s in enumerate(square):
-                    if s:
-                        out[k] += c * s
-        return tuple(self.field._canonical(out))
+        return tuple(_combine(self.field, [0] * self.dim, [x * y for x, y in zip(a, b)],
+                              self._squares))
 
 
 def _memoized(compute):

@@ -249,6 +249,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(_join_vector_values(argv))
         field = _field_override(args)
+        if getattr(args, "ideal_basis", None) == args.input == "-":
+            raise _UsageError("--input and --ideal-basis cannot both read stdin")
     except _UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

@@ -14,8 +14,8 @@ from collections import namedtuple
 from .algebra import EvolutionAlgebra
 from .errors import DimensionError, FieldError, PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _residue, _span, _unit_rows,
-                     coordinate_subspace, mat_vec, subspace_from_vectors)
+from .linalg import (Matrix, Subspace, _combine, _span, _unit_rows, _vector,
+                     coordinate_subspace, subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
@@ -153,9 +153,11 @@ class QuotientPresentation(namedtuple("QuotientPresentation", "chosen quotient p
     __slots__ = ()
 
     def project(self, v) -> tuple:
-        """The quotient coordinates of v, a vector of A that mat_vec checks
-        and coerces first."""
-        return mat_vec(self.quotient.field, self.projection, v)
+        """The quotient coordinates of v, a vector of A that is checked and
+        coerced first (_vector): P v, the sum of v_i times column i of P
+        (linalg._combine)."""
+        f, P = self.quotient.field, self.projection
+        return tuple(_combine(f, [f.zero] * P.rows, _vector(f, P.cols, v), zip(*P.entries)))
 
 
 def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation:
@@ -168,34 +170,32 @@ def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation
 def _quotient(algebra, vectors) -> QuotientPresentation:
     """quotient by the span I of vectors, canonical rows of A's length
     that are neither checked nor coerced.  I is spanned once, with its
-    columns reversed, and the quotient is read off that span alone."""
+    columns reversed, and the projection P is read off that span alone;
+    P has kernel I, so P v is zero exactly when v lies in I, and both the
+    ideal check and the quotient's squares are P v (linalg._combine)."""
     f, n = algebra.field, algebra.dim
     reversed_span = _span(f, n, [v[::-1] for v in vectors])
     rows, pivots = reversed_span.basis.entries, reversed_span._pivots
-    # I is an ideal when it holds e_i^2 for each i in its support.
     # Greedily, i survives when e_i is not in I + span{e_1..e_(i-1)}, i.e.
     # when i is not the last nonzero position l of a vector of I: the pivots
     # of reversed_span, whose reduced row w for l is 1 at l and 0 at every
     # other l
-    support = {n - col for row in rows for col, x in enumerate(row) if x}
-    if any(any(_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1])) for i in support):
-        raise PreconditionError("subspace is not an ideal of the algebra")
     chosen = sorted(set(range(1, n + 1)).difference(n - col for col in pivots))
     keep = [n - c for c in chosen]  # the chosen positions, reversed
-
-    def project(v):
-        # P has kernel I and takes each e_c to a unit vector: P v is the
-        # residue of v modulo the rows w, on the chosen positions
-        residue = _residue(f, rows, pivots, v[::-1])
-        return tuple(map(residue.__getitem__, keep))
-
-    # the columns of P are written from the reduced rows, with no residue:
-    # P e_c is the unit vector of the place of c among the chosen, and the
-    # residue of e_l is e_l - w, so P e_l is -w on the chosen positions
+    # P e_c is the unit vector of the place of c among the chosen, and
+    # e_l - w lies in I, so P e_l is P w, -w on the chosen positions
     reduced = {n - col: row for col, row in zip(pivots, rows)}
     units = iter(_unit_rows(f.zero, f.one, len(chosen), range(1, len(chosen) + 1)))
     columns = [f._canonical([-reduced[i][q] for q in keep]) if i in reduced else next(units)
                for i in range(1, n + 1)]
+
+    def project(v):
+        return tuple(_combine(f, [f.zero] * len(chosen), v, columns))
+
+    # I is an ideal when it holds e_i^2 for each i in its support
+    support = {n - col for row in rows for col, x in enumerate(row) if x}
+    if any(any(project(algebra.square_of_basis(i))) for i in support):
+        raise PreconditionError("subspace is not an ideal of the algebra")
     projection = Matrix(len(chosen), n, tuple(zip(*columns)))
     squares = tuple(project(algebra.square_of_basis(i)) for i in chosen)
     return QuotientPresentation(tuple(chosen), EvolutionAlgebra._from_canonical(f, squares),

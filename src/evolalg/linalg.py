@@ -35,8 +35,10 @@ F_p) only where a reduced basis or a determinant is handed out.  A
 canonical basis needs no elimination at all: Subspace.contains subtracts
 from v its coordinate at each pivot times that pivot's row (_residue)
 and asks whether anything is left; the pivot columns are found once per
-subspace.  _residue and mat_vec make their sums canonical by one call of
-field._canonical.
+subspace.  A sum of scaled rows, the product of two elements of an
+algebra or a quotient projection P v, goes through _combine, which adds
+each nonzero coefficient times the nonzero entries of its row.  _residue
+and _combine make their sums canonical by one call of field._canonical.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
 from one template (_unit_rows).  Every other span the package reduces
@@ -47,8 +49,8 @@ closure of its seeds alone.  The reduced rows are spread back to full
 width, and the subspace finds its pivot columns on first use, as every
 Subspace does; rows on one column or none need no elimination.
 A vector a caller hands in is checked and coerced by _vector, the one
-check of its length, in subspace_from_vectors, Subspace.contains, mat_vec
-(so QuotientPresentation.project) and the vector routines of algebra and
+check of its length, in subspace_from_vectors, Subspace.contains,
+QuotientPresentation.project and the vector routines of algebra and
 ideals; the package's own calls, whose rows are canonical, go straight
 to the cores, _span and Subspace._holds.
 det and rref take a matrix of anything coerce takes: a row is used as it
@@ -430,13 +432,17 @@ def _residue(field, basis, pivots, v) -> list:
     return field._canonical(out)
 
 
-def mat_vec(field, m: Matrix, v) -> tuple:
-    """m times the column vector v, which is checked and coerced first
-    (_vector): each coordinate is one sum of the products whose factors
-    are both nonzero, made canonical once by field._canonical."""
-    v = _vector(field, m.cols, v)
-    return tuple(field._canonical([sum([x * y for x, y in zip(row, v) if x and y], field.zero)
-                                   for row in m.entries]))
+def _combine(field, out, coeffs, rows) -> list:
+    """The fresh list out plus the sum of c row over the coefficients c
+    (a list or tuple, read twice) and the rows, made canonical once by
+    field._canonical.  compress picks the nonzero coefficients, and the
+    places of each row's nonzero entries from one range, so no zero is
+    multiplied."""
+    places = range(len(out))
+    for c, row in compress(zip(coeffs, rows), coeffs):
+        for k in compress(places, row):
+            out[k] += c * row[k]
+    return field._canonical(out)
 
 
 class Subspace(namedtuple("Subspace", "field ambient_dim basis")):

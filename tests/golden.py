@@ -28,7 +28,9 @@ differ), dense QQ and GF(10007) dets, quotients, --field and --p
 overrides, and the odd tokens of the CLI fuzz grammar (support.py).  Last
 come seeded QQ and GF(10007) documents whose blocks have no zero row or
 column, so that most block dets the reference checks are nonzero; they
-run through the same invocations as the first seeded documents.
+run through the same invocations as the first seeded documents.  The last
+run is a quotient whose document and basis file would both be read from
+stdin, which is refused.
 """
 
 from __future__ import annotations
@@ -393,6 +395,8 @@ def corpus():
              for name, p, n, *_ in seeded if p and p ** n <= 4096]
     runs.append(["oracle", "--json", "--input", "gf2pair.alg"])
     _add_seeded(files, runs, nonsingular_cases())
+    # the document and the basis file both on stdin: refused unread
+    runs.append(["quotient", "--ideal-basis", "-"])
     return files, runs
 
 

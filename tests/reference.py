@@ -4,11 +4,14 @@ the library's kernels, parsers or graph code cannot hide one in the check.
 
     analyze_problems(document, report)         # analyze, decompose, radical, simple --json
     quotient_problems(document, basis, report)  # quotient --json
+    ideal_problems(document, vector, report)    # ideal --json, vector the --vector text
+    graph_problems(document, dot, p)            # graph, p = modulus(document, argv)
 
-Each takes the input bytes the run read and the parsed JSON it printed,
-and returns a list of what is wrong, empty when nothing is.  The field is
-the one the report names, so a run with --field or --p is checked over the
-field it used.  A document is read as FORMAT.md describes it: a line ends
+Each takes the input bytes the run read and what it printed (parsed, for
+JSON), and returns a list of what is wrong, empty when nothing is.  The
+field is the one the run used: the one a JSON report names, and for DOT,
+which names none, the one modulus reads off the run's --field and --p or
+the document.  A document is read as FORMAT.md describes it: a line ends
 at \\n, \\r\\n or a lone \\r, '#' starts a comment, and a scalar is an
 optional sign, ASCII digits and optionally '/' and more digits, taken
 over F_p through the inverse of its denominator.  Texts of any length are
@@ -20,7 +23,10 @@ cycles, canonical parts, blocks, simplicity) are read off plain
 reachability: one breadth-first search from each index over the entries
 of the document that are nonzero in the report's field, with an edge
 i -> k when row k, column i is nonzero.  No condensation is built, so the
-algorithm is not the library's.
+algorithm is not the library's.  The DOT edges are read off the same
+entries.  A generated ideal is grown by products until its rank stops
+rising, with no graph at all, and a quotient's greedy choice is found by
+appending unit vectors to its basis rows one at a time.
 """
 
 from fractions import Fraction
@@ -64,9 +70,9 @@ def matrix(document):
 
 
 def _echelon(rows, p):
-    """(rank, det) of the rows, by Gaussian elimination with the first
-    nonzero pivot of each column; det is of a square matrix, 0 when the
-    rows are dependent."""
+    """(rank, det, echelon rows) of the rows, by Gaussian elimination with
+    the first nonzero pivot of each column; det is of a square matrix, 0
+    when the rows are dependent, and the rank echelon rows span the rows."""
     rows = [list(row) for row in rows]
     rank, det = 0, 1
     for c in range(len(rows[0]) if rows else 0):
@@ -86,7 +92,7 @@ def _echelon(rows, p):
                 if p is not None:
                     row[:] = [x % p for x in row]
         rank += 1
-    return rank, det if p is None else det % p
+    return rank, det if p is None else det % p, rows[:rank]
 
 
 def _field(report):
@@ -185,23 +191,111 @@ def analyze_problems(document, report):
 
 
 def quotient_problems(document, basis, report):
-    """What is wrong with a quotient report's projection P: it must be the
+    """What is wrong with a quotient report.  Its projection P must be the
     identity on the chosen columns, send every row of the basis file to 0,
-    and have as many rows as the document's dim less the basis's rank."""
+    and have as many rows as the document's dim less the basis's rank.
+    Its structure matrix must be P times the columns of M_B at the chosen
+    indices, and chosen must be the greedy choice: the indices i at which
+    e_i, appended to the basis rows and e_1..e_(i-1), raises the rank."""
     p = _field(report)
-    n = len(matrix(document))
+    m = [[scalar(t, p) for t in row] for row in matrix(document)]
+    n = len(m)
     vectors = [[scalar(t, p) for t in row] for row in lines(basis)]
-    rank, _ = _echelon(vectors, p)
+    rank, _, rows = _echelon(vectors, p)
     P = [[scalar(t, p) for t in row] for row in report["projection"]]
+    chosen = report["chosen"]
     problems = []
     if not len(P) == report["quotient_dim"] == n - rank or report["ideal_dim"] != rank:
         problems.append("%d projection rows, quotient dim %d, ideal dim %d; dim %d, rank %d"
                         % (len(P), report["quotient_dim"], report["ideal_dim"], n, rank))
-    if [[row[c - 1] for c in report["chosen"]] for row in P] != [
+    if [[row[c - 1] for c in chosen] for row in P] != [
             [int(i == j) for j in range(len(P))] for i in range(len(P))]:
-        problems.append("the projection is not the identity on chosen %s" % report["chosen"])
+        problems.append("the projection is not the identity on chosen %s" % chosen)
     for k, v in enumerate(vectors, start=1):
         image = [sum(a * b for a, b in zip(row, v)) for row in P]
         if any(x if p is None else x % p for x in image):
             problems.append("the projection does not send basis row %d to 0" % k)
+    image = [[sum(a * m[k][c - 1] for k, a in enumerate(row)) for c in chosen] for row in P]
+    if p is not None:
+        image = [[x % p for x in row] for row in image]
+    if image != [[scalar(t, p) for t in row] for row in report["quotient_structure"]]:
+        problems.append("quotient_structure: not P times the columns of M_B at chosen")
+    greedy = []
+    for i in range(1, n + 1):
+        # the echelon rows of the basis and e_1..e_(i-1) stand for them
+        grown, _, rows = _echelon(rows + [[int(k == i) for k in range(1, n + 1)]], p)
+        if grown > rank:
+            greedy.append(i)
+            rank = grown
+    if greedy != chosen:
+        problems.append("chosen: %s is not the greedy choice %s" % (chosen, greedy))
     return problems
+
+
+def ideal_problems(document, vector, report):
+    """What is wrong with an ideal --json report for the --vector text
+    vector.  Its vector must be the one the text spells, and ideal_dim the
+    rank of the closure of span{x} under products, grown by the products
+    v e_i = v_i e_i^2 of its vectors v until the rank stops rising; its
+    ideal_basis must be in reduced row-echelon form and span the closure."""
+    p = _field(report)
+    m = [[scalar(t, p) for t in row] for row in matrix(document)]
+    n = len(m)
+    x = [scalar(t.strip(), p) for t in vector.split(",")]
+    span = _echelon([x], p)[2]
+    while True:
+        # the products v e_i of one i are proportional, so one of each
+        # spans them all
+        products = {i: [v[i] * row[i] for row in m] for v in span for i in range(n) if v[i]}
+        if p is not None:
+            products = {i: [y % p for y in w] for i, w in products.items()}
+        rank, _, grown = _echelon(span + list(products.values()), p)
+        if rank == len(span):
+            break
+        span = grown
+    basis = [[scalar(t, p) for t in row] for row in report["ideal_basis"]]
+    problems = []
+    if [scalar(t, p) for t in report["vector"]] != x:
+        problems.append("vector: %s is not the --vector %s" % (report["vector"], vector[:40]))
+    if not report["ideal_dim"] == len(basis) == len(span):
+        problems.append("ideal_dim: %d, with %d basis rows, is not the closure's rank %d"
+                        % (report["ideal_dim"], len(basis), len(span)))
+    # each row leads with a 1 at its pivot, in ascending columns, and is 0
+    # at the other rows' pivots; a zero row has pivot n
+    pivots = [next((c for c, y in enumerate(row) if y), n) for row in basis]
+    if (pivots != sorted(set(pivots)) or n in pivots
+            or any(row[c] != int(j == k) for k, row in enumerate(basis)
+                   for j, c in enumerate(pivots))):
+        problems.append("ideal_basis: not in reduced row-echelon form")
+    elif _echelon(basis + span, p)[0] != len(basis):
+        problems.append("ideal_basis: does not span the closure")
+    return problems
+
+
+def modulus(document, argv):
+    """The modulus of the field a run over document used, None over QQ:
+    the one its --field and --p flags name, else the document's."""
+    flags = dict(zip(argv, argv[1:]))
+    if flags.get("--field") == "rational":
+        return None
+    if "--p" in flags:
+        return _integer(flags["--p"])
+    words = lines(document)[0]
+    return _integer(words[2]) if words[1:2] == ["prime"] else None
+
+
+def graph_problems(document, dot, p):
+    """What is wrong with the DOT text of a graph run over the field of
+    modulus p (None over QQ): it must list v1..vn and exactly the edges
+    vi -> vk whose entry (k, i) is nonzero, in FORMAT.md's order."""
+    m = [[scalar(t, p) for t in row] for row in matrix(document)]
+    n = len(m)
+    want = ["digraph evolution {", *("  v%d;" % i for i in range(1, n + 1)),
+            *("  v%d -> v%d;" % (i, k) for i in range(1, n + 1) for k in range(1, n + 1)
+              if m[k - 1][i - 1]),
+            "}", ""]
+    got = dot.split("\n")
+    if got == want:
+        return []
+    return ["graph: missing %s, extra %s, or out of order" % (sorted(set(want) - set(got))[:4],
+                                                              sorted(set(got) - set(want))[:4])]

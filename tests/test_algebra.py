@@ -8,8 +8,9 @@ from evolalg import (GF, QQ, AssociatedGraph, DimensionError,
                      EvolutionAlgebra, FieldError, Matrix, algebra_from_graph,
                      associated_graph)
 from evolalg.documents import emit_document, parse_document
-from support import (FIXED, fan_to_swap_pair, make_rng, matrix, random_algebra,
-                     random_element, swap_pair_plus_loop, two_sinks_and_pair)
+from support import (FIXED, algebras, fan_to_swap_pair, is_canonical, make_rng, matrix,
+                     random_algebra, random_element, raw_scalars, swap_pair_plus_loop,
+                     two_sinks_and_pair)
 
 
 def loose_scalars(field):
@@ -96,6 +97,28 @@ def test_product_expands_bilinearly():
     a = swap_pair_plus_loop()
     u = a.element((1, 1, 0))  # e1 + e2
     assert a.multiply(u, u) == u  # e1^2 + e2^2 = e2 + e1
+
+
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(10007), GF(2 ** 64 + 13)],
+                         ids=["QQ", "GF2", "GF10007", "GF2^64+13"])
+@FIXED
+@given(data=st.data())
+def test_multiply_sums_the_coerced_coordinates_times_the_squares(field, data):
+    # raw coordinates (texts, bools, Fractions, ints of any size) are
+    # coerced once; entry k of x y is the sum over i of x_i y_i omega_ki,
+    # summed here term by term
+    a = data.draw(algebras(field, max_dim=8))
+    raw = st.lists(raw_scalars(field), min_size=a.dim, max_size=a.dim)
+    x, y = data.draw(raw), data.draw(raw)
+    expected = []
+    for row in a.structure.entries:
+        acc = field.zero
+        for xi, yi, omega in zip(x, y, row):
+            acc = field.coerce(acc + field.coerce(xi) * field.coerce(yi) * omega)
+        expected.append(acc)
+    product = a.multiply(x, y)
+    assert product == tuple(expected)
+    assert all(is_canonical(field, c) for c in product)
 
 
 def vec_add(field, u, v):

@@ -295,6 +295,24 @@ def test_reads_stdin_by_default(capsys, monkeypatch):
     assert json.loads(out)["simple"] is False
 
 
+def test_quotient_refuses_to_read_stdin_twice(tmp_path, capsys, monkeypatch):
+    # the document and the basis file would both be read from stdin, the
+    # second read empty: refused before either is read, --input - spelt
+    # out or left as the default
+    data = b"field rational\ndim 2\nmatrix\n0 1\n1 1\n"
+    refusal = (1, "", "usage error: --input and --ideal-basis cannot both read stdin\n")
+    for argv in (["--ideal-basis", "-"], ["--input", "-", "--ideal-basis", "-", "--json"]):
+        feed_stdin(monkeypatch, data)
+        assert run(capsys, "quotient", *argv) == refusal
+        assert sys.stdin.buffer.read() == data
+    # one of them on stdin is read as before
+    doc = tmp_path / "pair.alg"
+    doc.write_bytes(data)
+    feed_stdin(monkeypatch, b"1 1\n0 1\n")
+    code, out, err = run(capsys, "quotient", "--json", "--input", str(doc), "--ideal-basis", "-")
+    assert (code, err, json.loads(out)["ideal_dim"]) == (0, "", 2)
+
+
 def test_exit_code_1_on_bad_input(tmp_path, capsys):
     bad = tmp_path / "bad.alg"
     bad.write_text("field rational\ndim 2\nmatrix\n1 2\n")

@@ -73,6 +73,25 @@ def test_block_dets_and_projections_match_the_reference(corpus):
     assert (len(dets), len(dets) - dets.count("0")) == (243, 137)
 
 
+def test_dot_edges_and_ideals_match_the_reference(corpus):
+    files, ran = corpus
+    problems, checked = [], {"graph": 0, "ideal": 0}
+    for argv, code, out, _ in ran:
+        if code or argv[0] not in checked or argv[0] == "ideal" and "--json" not in argv:
+            continue
+        document = _file(files, argv, "--input")
+        if argv[0] == "graph":
+            found = reference.graph_problems(document, out, reference.modulus(document, argv))
+        else:
+            found = reference.ideal_problems(document, argv[argv.index("--vector") + 1],
+                                             json.loads(out))
+        problems += [(shlex.join(argv)[:80], problem) for problem in found]
+        checked[argv[0]] += 1
+    assert problems == []
+    # every one that exits 0
+    assert checked == {"graph": 114, "ideal": 99}
+
+
 def _altered(det, p):
     """The texts of det plus and minus 1 and of -det that differ from det."""
     value = reference.scalar(det, p)
@@ -134,3 +153,56 @@ def test_the_reference_refuses_each_altered_report(corpus, name, keys):
     ALTERATIONS[keys](report)
     found = reference.analyze_problems(document, report)
     assert {problem.split(":")[0] for problem in found} == set(keys.split()), found
+
+
+def _structure_plus_one(report):
+    row, p = report["quotient_structure"][0], report["field"].get("p")
+    value = reference.scalar(row[0], p) + 1
+    row[0] = str(value if p is None else value % p)
+
+
+def _chosen_replaced(report):
+    chosen = report["chosen"]
+    chosen[0] = min(set(range(1, report["dim"] + 1)).difference(chosen))
+
+
+QUOTIENT_ALTERATIONS = {"quotient_structure": _structure_plus_one, "chosen": _chosen_replaced}
+
+
+@pytest.mark.parametrize("name", ["doc10", "quotqq", "sparse0", "doc36", "quotgf", "nonsing19"])
+@pytest.mark.parametrize("key", QUOTIENT_ALTERATIONS)
+def test_the_reference_refuses_each_altered_quotient(corpus, name, key):
+    # over QQ and over GF(10007): one structure entry plus 1 is refused as
+    # that alone, and a chosen index replaced by one that is not chosen as
+    # not the greedy choice (the projection then fails its identity check
+    # on the chosen columns too)
+    files, ran = corpus
+    argv = ["quotient", "--json", "--input", name + ".alg", "--ideal-basis", name + ".basis"]
+    (out,) = [out for run, code, out, _ in ran if run == argv and code == 0]
+    report, document, basis = json.loads(out), files[name + ".alg"], files[name + ".basis"]
+    assert reference.quotient_problems(document, basis, report) == []
+    QUOTIENT_ALTERATIONS[key](report)
+    found = [problem.split(":")[0] for problem in reference.quotient_problems(document, basis,
+                                                                              report)]
+    assert found == [key] if key == "quotient_structure" else key in found, found
+
+
+@pytest.mark.parametrize("name", ["doc05", "sparse0", "doc36", "nonsing19"])
+def test_the_reference_refuses_an_ideal_missing_a_row_and_a_graph_missing_an_edge(corpus, name):
+    files, ran = corpus
+    document = files[name + ".alg"]
+    (argv, out), = [(run, out) for run, code, out, _ in ran
+                    if run[:3] == ["ideal", "--json", "--input"] and run[3] == name + ".alg"]
+    report, vector = json.loads(out), argv[argv.index("--vector") + 1]
+    assert reference.ideal_problems(document, vector, report) == []
+    # one basis row dropped, and the dim with it: the rows are still
+    # reduced, but neither the dim nor the span is the closure's
+    report["ideal_basis"].pop()
+    report["ideal_dim"] -= 1
+    assert [problem.split(":")[0] for problem in reference.ideal_problems(
+        document, vector, report)] == ["ideal_dim", "ideal_basis"]
+    (dot,) = [out for run, code, out, _ in ran if run == ["graph", "--input", name + ".alg"]]
+    p = reference.modulus(document, [])
+    assert reference.graph_problems(document, dot, p) == []
+    edge = next(line for line in dot.splitlines() if "->" in line)
+    assert len(reference.graph_problems(document, dot.replace(edge + "\n", ""), p)) == 1

@@ -13,8 +13,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
-from evolalg.linalg import (_residue, _rref_rows, _slots, _span, _unit_rows, coordinate_subspace,
-                            mat_vec)
+from evolalg.linalg import _residue, _rref_rows, _slots, _span, _unit_rows, coordinate_subspace
 from support import (FIXED, is_canonical, make_rng, matrix, nonzero_scalars, raw_scalars,
                      scalars, weighted_digraph_algebras)
 
@@ -650,9 +649,9 @@ def test_results_are_canonical_field_scalars(field, data):
     m = Matrix(n, n, tuple(tuple(r) for r in square))
     value = det(field, m)
     entries = [value] + [x for r in rref(field, m)[1].entries for x in r]
-    entries += mat_vec(field, m, square[0])
     algebra = EvolutionAlgebra(field, m)
     pres = quotient(algebra, ideal_generated_by(algebra, square[0]))
+    entries += pres.project(square[-1]) + algebra.multiply(square[0], square[-1])
     for matrix in (pres.projection, pres.quotient.structure):
         entries += [x for r in matrix.entries for x in r]
     s1 = subspace_from_vectors(field, n, rows)
@@ -666,19 +665,21 @@ def test_results_are_canonical_field_scalars(field, data):
 @FIXED
 @given(data=st.data())
 def test_mat_vec_matches_the_field_arithmetic_loop(field, data):
-    rows = data.draw(st.integers(min_value=0, max_value=5))
-    cols = data.draw(st.integers(min_value=0, max_value=5))
-    m = Matrix(rows, cols, tuple(tuple(data.draw(vectors(field, cols))) for _ in range(rows)))
-    v = data.draw(vectors(field, cols))
+    # QuotientPresentation.project is the matrix-vector product P v of a
+    # quotient's projection, on a drawn algebra and ideal <x>
+    algebra = data.draw(weighted_digraph_algebras(field))
+    n = algebra.dim
+    pres = quotient(algebra, ideal_generated_by(algebra, data.draw(vectors(field, n))))
+    v = data.draw(vectors(field, n))
     expected = []
-    for row in m.entries:
+    for row in pres.projection.entries:
         acc = field.zero
         for x, y in zip(row, v):
             acc = field.coerce(acc + x * y)
         expected.append(acc)
-    assert mat_vec(field, m, v) == tuple(expected)
+    assert pres.project(v) == tuple(expected)
     with pytest.raises(DimensionError):
-        mat_vec(field, m, v + [field.zero])
+        pres.project(v + [field.zero])
 
 
 # _span eliminates on the columns its rows touch; the routes below are the
