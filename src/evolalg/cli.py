@@ -84,7 +84,7 @@ def _build_parser() -> _Parser:
                            help="coordinates of the generating element")
         if name == "graph":
             p.add_argument("--dot", metavar="FILE",
-                           help="write DOT here instead of stdout")
+                           help="write DOT here instead of stdout ('-' for stdout)")
         if name == "quotient":
             p.add_argument("--ideal-basis", required=True, metavar="FILE",
                            help="file with one spanning vector per line")
@@ -175,7 +175,7 @@ def _cmd_ideal(args, algebra):
 
 def _cmd_graph(args, algebra):
     text = export_dot(associated_graph(algebra))
-    if args.dot:
+    if args.dot and args.dot != "-":  # '-' is stdout, as it is stdin for --input
         with open(args.dot, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:

@@ -108,8 +108,10 @@ def _row_parser(field, width, noun, numbered):
     """A function from (lineno, line) to the line's row of width scalars.
 
     A zero row " ".join(["0"] * width), a chain-start index, is one
-    compare and one shared tuple.  Any other row goes by one of two routes,
-    chosen by what the rows before it showed.  The table route looks each
+    compare and one shared tuple, and leaves the choice of route as it
+    was.  Any other row goes by one of two routes, chosen by what the rows
+    read through the table before it showed; both give the same rows, so
+    the choice is one of speed alone.  The table route looks each
     token up in one _ScalarTable that all rows share, so field.parse runs
     once per distinct text, on its first lookup.  The table's growth over a
     row counts the row's new texts; when they are most of its tokens, the
@@ -144,9 +146,6 @@ def _row_parser(field, width, noun, numbered):
             if zero_line is None:
                 zero_line, zero_row = " ".join(["0"] * width), (field.zero,) * width
             if line == zero_line:
-                # as the table route would set it for one new text, "0":
-                # no row of width 1 but this one holds it
-                distinct = p is not None and width == 1
                 return zero_row
         if distinct and not line.translate(_DIGITS_AND_SPACES):
             try:

@@ -88,17 +88,21 @@ class AssociatedGraph:
         return _closure(self._out, self._out[i - 1])
 
     def descendents_m(self, i: int, m: int) -> frozenset:
-        """Vertices reachable from i by a path of length exactly m (m >= 1)."""
+        """Vertices reachable from i by a path of length exactly m (m >= 1):
+        the level m - 1 steps on from the out-neighbours of i (_level)."""
         self._check_index(i)
         if m < 1:
             raise ValueError("path length must be >= 1, got %d" % m)
-        current = self._out[i - 1]
-        for _ in range(m - 1):
-            nxt = set()
-            for v in current:
-                nxt.update(self._out[v - 1])
-            current = frozenset(nxt)
-        return frozenset(current)
+        return self._level(self._out[i - 1], m - 1)
+
+    def _level(self, seeds, steps: int) -> frozenset:
+        """The ends of the paths of exactly steps edges that start in
+        seeds, vertices in 1..n that are not checked: one union of
+        out-lists per step, and the seeds themselves at steps = 0."""
+        level = frozenset(seeds)
+        for _ in range(steps):
+            level = frozenset().union(*(self._out[v - 1] for v in level))
+        return level
 
     def ascendents(self, i: int) -> frozenset:
         """All j with i in descendents(j): one search on the reversed edges."""

@@ -90,24 +90,16 @@ def lambda_x(algebra: EvolutionAlgebra, x) -> frozenset:
 def mu_n(algebra: EvolutionAlgebra, x, n: int) -> Subspace:
     """Span of the n-fold left multiplications applied to x.
 
-    n = 0 gives span{x}; n = 1 the span of the squares indexed by
-    lambda_x; n >= 2 the span of e_j^2 over the (n-1)-step descendents of
-    those indices.
+    n = 0 gives span{x}; n >= 1 the span of e_j^2 over the ends j of the
+    paths of exactly n - 1 edges from lambda_x (AssociatedGraph._level),
+    which at n = 1 are the indices of lambda_x themselves.
     """
     if n < 0:
         raise ValueError("multiplication depth must be >= 0")
-    f = algebra.field
     if n == 0:
-        return _span(f, algebra.dim, [algebra.element(x)])
-    lam = lambda_x(algebra, x)
-    if n == 1:
-        indices = set(lam)
-    else:
-        graph = associated_graph(algebra)
-        indices = set()
-        for i in lam:
-            indices |= graph.descendents_m(i, n - 1)
-    return _span(f, algebra.dim, [algebra.square_of_basis(j) for j in sorted(indices)])
+        return _span(algebra.field, algebra.dim, [algebra.element(x)])
+    indices = associated_graph(algebra)._level(lambda_x(algebra, x), n - 1)
+    return _span(algebra.field, algebra.dim, [*map(algebra.square_of_basis, sorted(indices))])
 
 
 def ideal_generated_by(algebra: EvolutionAlgebra, x) -> Subspace:

@@ -15,9 +15,11 @@ step per value.  A list of strings that the escaper leaves as they are
 (their concatenation is printable ASCII with no quote and no backslash,
 as the scalar texts of a report are) is quoted in one str.join, and a
 list of ints is one str.join over int.__repr__; any other list, strings
-that need escaping among them, is written item by item.  The writer
-defers to json itself for anything that is not a plain string, int,
-bool, None, list, tuple or dict with string keys.
+that need escaping among them, is written item by item, and an empty
+list is "[]".  The writer defers to json itself for None, for an empty
+dict, and for anything that is not a plain string, int, bool, list,
+tuple or dict with string keys: no report or CLI payload holds None or
+an empty dict, so their texts, null and {}, cost no branch here.
 
 The annihilator and the radical are spanned by basis vectors (the sinks,
 and the vertices that reach no cycle), so linalg._unit_rows builds their
@@ -140,8 +142,9 @@ def build_report(algebra: EvolutionAlgebra, name: str = "analyze") -> dict:
 def _json(value, pad):
     """json.dumps(value, indent=2) for a value nested at the indentation
     pad.  Exact types take the fast routes (a bool is not an int here);
-    any other value, and a dict with a key that is not a str, is written
-    by json itself, with every line after its first indented by pad."""
+    any other value, None, an empty dict and a dict with a key that is not
+    a str among them, is written by json itself, with every line after its
+    first indented by pad."""
     kind = type(value)
     if kind is str:
         return _encode_str(value)
@@ -149,10 +152,8 @@ def _json(value, pad):
         return int.__repr__(value)
     if kind is bool:
         return "true" if value else "false"
-    if value is None:
-        return "null"
     if kind is list or kind is tuple:
-        if not value:
+        if not value:  # json writes it too, but reports hold many, and json is slow
             return "[]"
         inner = pad + "  "
         try:
@@ -168,9 +169,7 @@ def _json(value, pad):
         else:
             body = [_json(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
-    if kind is dict and set(map(type, value)) <= {str}:
-        if not value:
-            return "{}"
+    if kind is dict and set(map(type, value)) == {str}:
         inner = pad + "  "
         body = [_encode_str(key) + ": " + _json(item, inner) for key, item in value.items()]
         return "{\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "}"

@@ -312,9 +312,11 @@ SPELLINGS = ("canon", "odd", "two", "short")
 # Groups of runs whose stdout must be equal, and pairs whose stdout must
 # differ: the spellings of one value that the scanner and the token table
 # read, an entry p that is an entry 0 and so drops the edge that the
-# canonical entry gives, and a zero row spelt three ways.
+# canonical entry gives, a zero row spelt three ways, and DOT written to
+# stdout by default and by --dot -.
 SAME = ([[_analyze("gf40-" + v) for v in ("none", "lead", "plus-p", "two", "tab")],
-         [_analyze("gf40-p"), _analyze("gf40-zero")], [_graph("gf40-p"), _graph("gf40-zero")]]
+         [_analyze("gf40-p"), _analyze("gf40-zero")], [_graph("gf40-p"), _graph("gf40-zero")],
+         [_graph("gf2pair"), [*_graph("gf2pair"), "--dot", "-"]]]
         + [[kind(name + "-" + s) for s in ("canon", "odd", "two")]
            for name in CHAINS for kind in (_analyze, _graph)])
 APART = [(_graph("gf40-none"), _graph("gf40-zero"))]
@@ -397,6 +399,8 @@ def corpus():
     _add_seeded(files, runs, nonsingular_cases())
     # the document and the basis file both on stdin: refused unread
     runs.append(["quotient", "--ideal-basis", "-"])
+    # --dot - is stdout, as - is stdin for --input
+    runs.append([*_graph("gf2pair"), "--dot", "-"])
     return files, runs
 
 

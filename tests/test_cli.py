@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import reference
 from evolalg import GF, EvolutionAlgebra, linalg
 from evolalg.cli import _COMMANDS, _build_parser, main
 from evolalg.documents import emit_document
@@ -141,17 +142,21 @@ def test_missing_vector_value_is_still_a_usage_error(tmp_path, capsys):
         1, "", "usage error: the following arguments are required: --vector\n")
 
 
-def test_graph_subcommand_writes_dot(tmp_path, capsys):
+def test_graph_subcommand_writes_dot(tmp_path, capsys, monkeypatch):
     doc = write_doc(tmp_path, swap_pair_plus_loop())
-    code, out, _ = run(capsys, "graph", "--input", doc)
-    assert code == 0
-    assert out == ("digraph evolution {\n  v1;\n  v2;\n  v3;\n"
-                   "  v1 -> v2;\n  v2 -> v1;\n  v3 -> v3;\n}\n")
+    dot = ("digraph evolution {\n  v1;\n  v2;\n  v3;\n"
+           "  v1 -> v2;\n  v2 -> v1;\n  v3 -> v3;\n}\n")
+    assert run(capsys, "graph", "--input", doc) == (0, dot, "")
 
     target = tmp_path / "out.dot"
     code, out, _ = run(capsys, "graph", "--input", doc, "--dot", str(target))
     assert code == 0 and out == ""
     assert target.read_text().startswith("digraph evolution {")
+
+    # '-' is stdout, as it is stdin for --input: no file named '-' is made
+    monkeypatch.chdir(tmp_path)
+    assert run(capsys, "graph", "--input", doc, "--dot", "-") == (0, dot, "")
+    assert not (tmp_path / "-").exists()
 
 
 def test_graph_refuses_json(tmp_path, capsys):
@@ -699,11 +704,32 @@ def fuzz_bytes(draw, lines, clean) -> bytes:
     return data
 
 
+def reference_problems(argv, out, document, basis):
+    """What tests/reference.py finds wrong with the stdout out of an exit-0
+    run of argv on the bytes of a document and a basis file; the runs it
+    has no check for, tables among them, give none."""
+    command = argv[0]
+    if command == "graph":
+        return [] if "--dot" in argv else reference.graph_problems(
+            document, out, reference.modulus(document, argv))
+    if "--json" not in argv:
+        return []
+    report = json.loads(out)
+    if command in ("analyze", "decompose", "radical", "simple"):
+        return reference.analyze_problems(document, report)
+    if command == "quotient":
+        return reference.quotient_problems(document, basis, report)
+    if command == "ideal":
+        return reference.ideal_problems(document, argv[argv.index("--vector") + 1], report)
+    return []
+
+
 @settings(FIXED, max_examples=60)  # eight runs per example; about 1.5 s
 @given(data=st.data())
 def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     # exit 2 only comes from a cross-check that caught the library
-    # disagreeing with itself, so no input reaches it
+    # disagreeing with itself, so no input reaches it; what an exit-0 run
+    # prints is held to the reference checks
     draw = data.draw
     clean = draw(st.booleans())
     where = tmp_path_factory.mktemp("fuzz")
@@ -713,9 +739,10 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     dim = draw(fuzz_choice(FUZZ_DIMS, clean))
     n = int(dim) if dim in FUZZ_DIMS[0] else 2
     rows = draw(fuzz_lines(n, n, clean))
-    (where / "a.alg").write_bytes(fuzz_bytes(draw, [header, "dim " + dim, "matrix", *rows], clean))
-    basis = draw(fuzz_lines(n, 2, clean or draw(st.booleans())))
-    (where / "basis.txt").write_bytes(fuzz_bytes(draw, basis, clean))
+    document = fuzz_bytes(draw, [header, "dim " + dim, "matrix", *rows], clean)
+    (where / "a.alg").write_bytes(document)
+    basis = fuzz_bytes(draw, draw(fuzz_lines(n, 2, clean or draw(st.booleans()))), clean)
+    (where / "basis.txt").write_bytes(basis)
     for command in _COMMANDS:
         argv = [command, "--input", str(where / "a.alg"), *draw(fuzz_choice(FUZZ_ARGS, clean))]
         if draw(st.booleans()):
@@ -738,3 +765,5 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
         err = err.getvalue()
         assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
                                           and err.endswith("\n")), (argv, code, err)
+        if code == 0:
+            assert reference_problems(argv, out.getvalue(), document, basis) == [], argv

@@ -92,6 +92,7 @@ def test_parse_vector_error_texts(field, text, dim, message):
     ("field rational\ndim %d\nmatrix\n0 0\n" % 10 ** 30, "line 4: expected %d entries" % 10 ** 30),
     ("field rational\ndim 1\nmatrix\n1\nextra\n", "trailing"),
     ("field rational\ndim 1\nmatrx\n1\n", "line 3: expected 'matrix', got 'matrx'"),
+    ("field rational\ndim 2 2\nmatrix\n1\n", "line 2: expected 'dim <n>', got 'dim 2 2'"),
     ("field complex\ndim 1\nmatrix\n1\n", "field"),
     ("dim 1\nmatrix\n1\n", "field"),
     ("field rational\ndim 1\nmatrix\n0.5\n", "invalid scalar"),

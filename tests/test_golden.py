@@ -89,7 +89,7 @@ def test_dot_edges_and_ideals_match_the_reference(corpus):
         checked[argv[0]] += 1
     assert problems == []
     # every one that exits 0
-    assert checked == {"graph": 114, "ideal": 99}
+    assert checked == {"graph": 115, "ideal": 99}
 
 
 def _altered(det, p):

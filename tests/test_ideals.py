@@ -190,6 +190,23 @@ def test_mu_n_golden_and_identities():
                 assert subspace_equal(mu_n(b, b.square_of_basis(k), n), expected)
 
 
+@pytest.mark.parametrize("field", [QQ, GF(2), GF(7)])
+@settings(FIXED, max_examples=100)
+@given(data=st.data())
+def test_mu_n_spans_the_literal_products(field, data):
+    # mu_n(x) against the span of e_(i_n)(...(e_(i_1) x)) over every index
+    # sequence, multiplied out with no graph call: the check above builds
+    # its span from descendents_m, the walk mu_n itself reads
+    a = data.draw(algebras(field, max_dim=5))
+    x = a.element(data.draw(st.lists(scalars(field), min_size=a.dim, max_size=a.dim)))
+    basis = [a.basis_element(i) for i in range(1, a.dim + 1)]
+    products = [x]  # the n-fold products, span{x} at n = 0
+    for n in range(4):
+        assert subspace_equal(mu_n(a, x, n), subspace_from_vectors(field, a.dim, products))
+        # a zero product stays zero and adds nothing to the spans after it
+        products = [w for v in products for e in basis if any(w := a.multiply(e, v))]
+
+
 def test_ideal_generated_by_golden():
     a = double_loop()
     line = ideal_generated_by(a, a.basis_element(1))
