@@ -1,10 +1,13 @@
 """Ideal-theoretic computations: annihilator, absorption property and
 radical, ideals generated by one element, quotient algebras.
 
-Ideals are carried as plain linalg.Subspace values; operations that only
-make sense on an ideal validate their input first.  A coordinate vector handed in is coerced once, where it enters; basis
-squares and subspace bases are canonical already, so they reach the span
-(linalg._span) and membership (Subspace._holds) cores as they are.
+Ideals are carried as plain linalg.Subspace values; a subspace handed in
+must live in the algebra's space (linalg._same_ambient, the check the
+subspace operations make), and operations that only make sense on an
+ideal validate their input first.  A coordinate vector handed in is
+coerced once, where it enters; basis squares and subspace bases are
+canonical already, so they reach the span (linalg._span) and membership
+(Subspace._holds) cores as they are.
 """
 
 from __future__ import annotations
@@ -12,10 +15,10 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .algebra import EvolutionAlgebra
-from .errors import DimensionError, FieldError, PreconditionError
+from .errors import PreconditionError
 from .graph import associated_graph
-from .linalg import (Matrix, Subspace, _combine, _span, _unit_rows, _vector,
-                     coordinate_subspace, subspace_from_vectors)
+from .linalg import (Matrix, Subspace, _combine, _same_ambient, _span, _unit_rows,
+                     _vector, coordinate_subspace, subspace_from_vectors)
 
 
 def annihilator(algebra: EvolutionAlgebra) -> Subspace:
@@ -29,20 +32,11 @@ def is_nondegenerate(algebra: EvolutionAlgebra) -> bool:
     return not associated_graph(algebra).sinks()
 
 
-def _same_space(algebra, subspace):
-    if subspace.ambient_dim != algebra.dim:
-        raise DimensionError("subspace ambient dim %d does not match algebra dim %d"
-                             % (subspace.ambient_dim, algebra.dim))
-    if subspace.field != algebra.field:
-        raise FieldError("subspace over %r in an algebra over %r"
-                         % (subspace.field, algebra.field))
-
-
 def is_ideal(algebra: EvolutionAlgebra, subspace: Subspace) -> bool:
     """The defining test, e_i * v in I for every basis index i and basis
     vector v, read through e_i * v = v_i e_i^2: e_i^2 in I for every i
     where a basis vector of I is nonzero."""
-    _same_space(algebra, subspace)
+    _same_ambient(algebra.field, algebra.dim, subspace)
     support = {i for v in subspace.vectors() for i, x in enumerate(v, 1) if x}
     return all(subspace._holds(algebra.square_of_basis(i)) for i in support)
 
@@ -155,7 +149,7 @@ class QuotientPresentation(namedtuple("QuotientPresentation", "chosen quotient p
 def quotient(algebra: EvolutionAlgebra, ideal: Subspace) -> QuotientPresentation:
     """Quotient algebra by an ideal, on the natural basis of surviving
     images chosen greedily by ascending index."""
-    _same_space(algebra, ideal)
+    _same_ambient(algebra.field, algebra.dim, ideal)
     return _quotient(algebra, ideal.vectors())
 
 

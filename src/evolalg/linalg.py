@@ -31,14 +31,14 @@ of _rref_rows runs on the non-pivot columns alone, writing the pivot
 columns as an identity's, so a span of full rank back-substitutes
 nothing.  Entries go back to canonical scalars (over QQ an int, or a
 Fraction where the division leaves a remainder; ints in [0, p) over
-F_p) only where a reduced basis or a determinant is handed out.  A
-canonical basis needs no elimination at all: Subspace.contains subtracts
-from v its coordinate at each pivot times that pivot's row (_residue)
-and asks whether anything is left; the pivot columns are found once per
-subspace.  A sum of scaled rows, the product of two elements of an
-algebra or a quotient projection P v, goes through _combine, which adds
-each nonzero coefficient times the nonzero entries of its row.  _residue
-and _combine make their sums canonical by one call of field._canonical.
+F_p) only where a reduced basis or a determinant is handed out.  Every
+sum of scaled rows goes through _combine, which adds each nonzero
+coefficient times the nonzero entries of its row and makes the sum
+canonical by one call of field._canonical: the product of two elements
+of an algebra, a quotient projection P v, and membership.  A canonical
+basis needs no elimination at all: Subspace.contains subtracts from v
+its coordinate at each pivot times that pivot's row and asks whether
+anything is left; the pivot columns are found once per subspace.
 Subspaces spanned by natural-basis vectors skip the kernel altogether:
 coordinate_subspace writes their canonical basis down, each row copied
 from one template (_unit_rows).  Every other span the package reduces
@@ -418,20 +418,6 @@ def det(field, m: Matrix):
     return value if len(pivots) == m.rows else field.zero
 
 
-def _residue(field, basis, pivots, v) -> list:
-    """v minus v[p] b over the rows b of a canonical basis, p the pivot
-    column of b (pivots lists them in row order), which is zero exactly
-    when v lies in their span: each row is 1 at its own pivot and 0 at
-    every other, so v[p] is its coefficient.  Zero entries are skipped,
-    and the coordinates are made canonical once, by field._canonical."""
-    out = list(v)
-    for col, row in zip(pivots, basis):
-        c = v[col]
-        if c:
-            out = [x - c * y if y else x for x, y in zip(out, row)]
-    return field._canonical(out)
-
-
 def _combine(field, out, coeffs, rows) -> list:
     """The fresh list out plus the sum of c row over the coefficients c
     (a list or tuple, read twice) and the rows, made canonical once by
@@ -459,8 +445,11 @@ class Subspace(namedtuple("Subspace", "field ambient_dim basis")):
 
     def _holds(self, v) -> bool:
         """contains for a canonical v of the ambient length, which is
-        neither checked nor coerced: the residue of v is zero."""
-        return not any(_residue(self.field, self.basis.entries, self._pivots, v))
+        neither checked nor coerced: v minus v[p] b over the basis rows b,
+        p the pivot of b, is zero (_combine).  Each row is 1 at its own
+        pivot and 0 at every other, so v[p] is its coefficient."""
+        return not any(_combine(self.field, list(v), [-v[c] for c in self._pivots],
+                                self.basis.entries))
 
     @cached_property
     def _pivots(self) -> list:
@@ -540,15 +529,19 @@ def full_subspace(field, ambient_dim: int) -> Subspace:
     return coordinate_subspace(field, ambient_dim, range(1, ambient_dim + 1))
 
 
-def _same_ambient(s1: Subspace, s2: Subspace):
-    if s1.ambient_dim != s2.ambient_dim:
-        raise DimensionError("subspaces live in different ambient dimensions")
-    if s1.field != s2.field:
-        raise FieldError("subspaces over different fields, %r and %r" % (s1.field, s2.field))
+def _same_ambient(field, n: int, subspace: Subspace):
+    """Refuse a subspace that does not live in the space of n coordinates
+    over field: a subspace operation passes its first subspace's, an
+    ideal routine its algebra's."""
+    if subspace.ambient_dim != n:
+        raise DimensionError("different ambient dimensions, %d and %d"
+                             % (n, subspace.ambient_dim))
+    if subspace.field != field:
+        raise FieldError("different fields, %r and %r" % (field, subspace.field))
 
 
 def subspace_sum(s1: Subspace, s2: Subspace) -> Subspace:
-    _same_ambient(s1, s2)
+    _same_ambient(s1.field, s1.ambient_dim, s2)
     return _span(s1.field, s1.ambient_dim, [*s1.basis.entries, *s2.basis.entries])
 
 
@@ -556,7 +549,7 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
     """Zassenhaus: reduce [B1|B1; B2|0]; rows with zero left half carry the
     intersection in their right half, and those halves already are in
     reduced echelon form."""
-    _same_ambient(s1, s2)
+    _same_ambient(s1.field, s1.ambient_dim, s2)
     f = s1.field
     n = s1.ambient_dim
     zeros = [f.zero] * n
@@ -569,5 +562,5 @@ def subspace_intersection(s1: Subspace, s2: Subspace) -> Subspace:
 
 
 def subspace_equal(s1: Subspace, s2: Subspace) -> bool:
-    _same_ambient(s1, s2)
+    _same_ambient(s1.field, s1.ambient_dim, s2)
     return s1.basis == s2.basis

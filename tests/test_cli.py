@@ -724,7 +724,7 @@ def reference_problems(argv, out, document, basis):
     return []
 
 
-@settings(FIXED, max_examples=60)  # eight runs per example; about 1.5 s
+@settings(FIXED, max_examples=60)  # eight to sixteen runs per example; about 1.5 s
 @given(data=st.data())
 def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     # exit 2 only comes from a cross-check that caught the library
@@ -741,6 +741,18 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     rows = draw(fuzz_lines(n, n, clean))
     document = fuzz_bytes(draw, [header, "dim " + dim, "matrix", *rows], clean)
     (where / "a.alg").write_bytes(document)
+
+    def run(argv, basis):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
+                                          and err.endswith("\n")), (argv, code, err)
+        if code == 0:
+            assert reference_problems(argv, out.getvalue(), document, basis) == [], argv
+        return code, out.getvalue()
+
     basis = fuzz_bytes(draw, draw(fuzz_lines(n, 2, clean or draw(st.booleans()))), clean)
     (where / "basis.txt").write_bytes(basis)
     for command in _COMMANDS:
@@ -759,11 +771,16 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
             # a budget of at most 64 vectors: larger instances are refused
             argv += draw(st.sampled_from([[], ["--p", "2"], ["--p", "3"]]))
             argv += ["--max-vectors", draw(fuzz_choice((["64"], ["0", "1"]), clean))]
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        err = err.getvalue()
-        assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
-                                          and err.endswith("\n")), (argv, code, err)
+        run(argv, basis)
+    if not clean:
+        return
+    # on a valid document, the ideal <x> at x = 0 and at each e_i, and the
+    # quotient by it, read from the basis the ideal run prints
+    args = [*draw(fuzz_choice(FUZZ_ARGS, clean)), "--json", "--input", str(where / "a.alg")]
+    for i in range(n + 1):
+        x = ",".join("1" if k == i else "0" for k in range(1, n + 1))
+        code, out = run(["ideal", *args, "--vector", x], b"")
         if code == 0:
-            assert reference_problems(argv, out.getvalue(), document, basis) == [], argv
+            ideal = "".join(" ".join(row) + "\n" for row in json.loads(out)["ideal_basis"])
+            (where / "ideal.txt").write_text(ideal)
+            run(["quotient", *args, "--ideal-basis", str(where / "ideal.txt")], ideal.encode())

@@ -459,13 +459,17 @@ def test_generated_and_quotient_ideals_eliminate_on_their_support(field, monkeyp
 
 
 def test_is_ideal_refuses_a_subspace_over_another_field():
-    # over QQ, e1 * e1 = 2 e2 lies outside span{e1}; over GF(2) it is 0
+    # over QQ, e1 * e1 = 2 e2 lies outside span{e1}; over GF(2) it is 0.
+    # Each routine that takes a subspace of a also refuses one of QQ^1 or
+    # QQ^3, through the check the subspace operations make
     a = EvolutionAlgebra.from_squares(QQ, [(0, 2), (0, 0)])
     assert not is_ideal(a, coordinate_subspace(QQ, 2, [1]))
-    s = coordinate_subspace(GF(2), 2, [1])
     for refused in (is_ideal, quotient, has_absorption_property, absorption_preimage):
-        with pytest.raises(FieldError):
-            refused(a, s)
+        with pytest.raises(FieldError, match="^different fields"):
+            refused(a, coordinate_subspace(GF(2), 2, [1]))
+        for s in (zero_subspace(QQ, 3), coordinate_subspace(QQ, 1, [1])):
+            with pytest.raises(DimensionError, match="^different ambient dimensions, 2 and "):
+                refused(a, s)
 
 
 def raw_forms(field, x):

@@ -13,7 +13,7 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
-from evolalg.linalg import _residue, _rref_rows, _slots, _span, _unit_rows, coordinate_subspace
+from evolalg.linalg import _rref_rows, _slots, _span, _unit_rows, coordinate_subspace
 from support import (FIXED, is_canonical, make_rng, matrix, nonzero_scalars, raw_scalars,
                      scalars, weighted_digraph_algebras)
 
@@ -664,7 +664,7 @@ def test_results_are_canonical_field_scalars(field, data):
 @field_param
 @FIXED
 @given(data=st.data())
-def test_mat_vec_matches_the_field_arithmetic_loop(field, data):
+def test_project_matches_the_field_arithmetic_loop(field, data):
     # QuotientPresentation.project is the matrix-vector product P v of a
     # quotient's projection, on a drawn algebra and ideal <x>
     algebra = data.draw(weighted_digraph_algebras(field))
@@ -697,6 +697,16 @@ def full_width_span(field, n, rows):
     return tuple(map(tuple, rows[:rank])), pivots
 
 
+def coerced_residue(field, rows, pivots, v):
+    """v minus v[p] b over the reduced rows b, p the pivot of b, each
+    entry through field.coerce."""
+    out = list(v)
+    for col, row in zip(pivots, rows):
+        c = v[col]
+        out = [field.coerce(x - c * y) for x, y in zip(out, row)]
+    return out
+
+
 def full_width_quotient(algebra, ideal):
     """(chosen, projection rows, quotient squares) read off the reversed
     basis of the ideal reduced at full width."""
@@ -708,7 +718,8 @@ def full_width_quotient(algebra, ideal):
     units = iter(_unit_rows(f.zero, f.one, len(chosen), range(1, len(chosen) + 1)))
     columns = [f._canonical([-reduced[i][q] for q in keep]) if i in reduced else next(units)
                for i in range(1, n + 1)]
-    squares = [_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1]) for i in chosen]
+    squares = [coerced_residue(f, rows, pivots, algebra.square_of_basis(i)[::-1])
+               for i in chosen]
     return (tuple(chosen), tuple(zip(*columns)),
             tuple(tuple(square[q] for q in keep) for square in squares))
 
