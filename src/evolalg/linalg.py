@@ -21,12 +21,12 @@ end.  Over QQ a row of plain ints is taken as it is, any other row is
 scaled by the lcm of its denominators, and the rows are reduced with
 Bareiss fraction-free elimination (Bareiss 1968, Math. Comp. 22), whose
 every division is exact, in its two-step form from Sylvester's
-identity: each pass takes two pivots, in adjacent columns, and brings
-every row below them down two levels, each entry a sum of products of
-two minors divided by one, the last pivot (BENCH_sylvester.json times
-it against a form that divided by a product of two); a pass whose next
-column holds no second pivot (a singular or rectangular matrix, or the
-last column of an odd count) takes one step.  The QQ back-substitution
+identity: each pass takes two pivots, the second from the first column
+right of the first that holds one, and brings every row below them down
+two levels, each entry a sum of products of two minors divided by one,
+the last pivot (BENCH_sylvester.json times it against a form that
+divided by a product of two); where no column holds a second pivot,
+every row below is left zero.  The QQ back-substitution
 of _rref_rows runs on the non-pivot columns alone, writing the pivot
 columns as an identity's, so a span of full rank back-substitutes
 nothing.  Entries go back to canonical scalars (over QQ an int, or a
@@ -193,26 +193,29 @@ def _echelon(field, rows, width):
     step that last updated it.  A row whose leading entries are zero is
     left alone and keeps its divisor d; before it is next updated, or
     serves as a pivot row, it is multiplied by the last pivot and divided
-    by d, which is what the skipped updates would have done to it (the
-    one-step update below divides by d instead, which comes to the same).
+    by d, which is what the skipped updates would have done to it.
 
     Each pass takes two pivots, in Bareiss's two-step form from
     Sylvester's identity.  Let p be the last pivot and y the first pivot
-    row, with a00, a01 in the pivot column and the next.  The second
-    pivot row z is the first row below whose x0, x1 there give
-    a00 x1 - a01 x0 != 0; it is swapped up, with the sign, and brought up
-    to date, and a10, a11 are its entries there.  The new pivot is
-    c0 = (a00 a11 - a01 a10) / p.  Every row below with x0 or x1 nonzero
-    is brought up to date and takes both steps at once: with
-    c1 = (a00 x1 - a01 x0) / p and c2 = (a10 x1 - a11 x0) / p, each entry
-    x right of the two columns becomes (c0 x - c1 z + c2 y) / p, with y
-    and z the pivot rows' entries in its column, its entries in the two
-    columns are set to zero, and its divisor becomes c0.  c0, c1, c2 and
-    the new entries are minors, so every division, by the one minor p, is
-    exact.  Then z takes its one step, (a00 x - a10 y) / p, which leaves
-    zero in the pivot column and c0 in the next, as the back-substitution
-    of _rref_rows needs.  Where no row gives a second pivot, the pass
-    takes one step in its column alone, (a00 x - x0 y) / d."""
+    row, with a00 in the pivot column col.  The second pivot lies in the
+    first column nxt right of col where some row below, with x0, x1 in
+    col and nxt and a01 the entry of y in nxt, gives a00 x1 - a01 x0 != 0;
+    in each column j between, every row below has a00 xj = a0j x0, so one
+    step would leave it zero there.  The first such row z is swapped up,
+    with the sign, and brought up to date, and a10, a11 are its entries
+    in col and nxt.  The new pivot is c0 = (a00 a11 - a01 a10) / p.  Every
+    row below with x0 or x1 nonzero is brought up to date and takes both
+    steps at once: with c1 = (a00 x1 - a01 x0) / p and
+    c2 = (a10 x1 - a11 x0) / p, each entry x right of nxt becomes
+    (c0 x - c1 z + c2 y) / p, with y and z the pivot rows' entries in its
+    column, its entries in col..nxt are set to zero, and its divisor
+    becomes c0.  c0, c1, c2 and the new entries are minors, so every
+    division, by the one minor p, is exact.  Then z takes its one step,
+    (a00 x - a10 y) / p, which leaves zero from col up to nxt and c0 in
+    nxt, as the back-substitution of _rref_rows needs.  Where no column gives a
+    second pivot, every row below is a multiple of y from col on: the
+    rows below are written as zero rows, the last pivot is a00, and
+    elimination ends."""
     if field.kind != "rational":
         p = field.p
         bits, pack, _, reduce = _slots(p, len(rows), width)
@@ -283,26 +286,19 @@ def _echelon(field, rows, width):
             pivot_row[col:] = [x * value // divisors[top] for x in pivot_row[col:]]
         a00 = pivot_row[col]
         pivots.append(col)
-        # the second pivot: the first row below whose entry in the next
-        # column after one step, (a00 x1 - x0 a01) / divisor, is nonzero
-        nxt = col + 1
-        hit = None
-        if nxt < width:
+        # the second pivot: the first row below, in the first column nxt
+        # right of col where one has it, whose entry there after one step,
+        # (a00 x1 - x0 a01) / divisor, is nonzero
+        for nxt in range(col + 1, width):
             a01 = pivot_row[nxt]
             hit = next((r for r in range(top + 1, len(rows))
                         if a00 * rows[r][nxt] - rows[r][col] * a01), None)
-        if hit is None:
+            if hit is not None:
+                break
+        else:  # every row below is a multiple of the pivot row from col on
             value = a00
-            tail = pivot_row[col:]
-            for r in range(top + 1, len(rows)):
-                row = rows[r]
-                a = row[col]
-                if a:
-                    d = divisors[r]
-                    row[col:] = [(value * x - a * y) // d for x, y in zip(row[col:], tail)]
-                    divisors[r] = value
-            col += 1
-            continue
+            rows[top + 1:] = [[0] * width for _ in rows[top + 1:]]
+            break
         top += 1
         if hit != top:
             rows[top], rows[hit] = rows[hit], rows[top]
@@ -314,7 +310,7 @@ def _echelon(field, rows, width):
             second[col:] = [x * p // divisors[top] for x in second[col:]]
         a10, a11 = second[col], second[nxt]
         value = (a00 * a11 - a01 * a10) // p
-        tail0, tail1 = pivot_row[col + 2:], second[col + 2:]
+        gap, tail0, tail1 = [0] * (nxt + 1 - col), pivot_row[nxt + 1:], second[nxt + 1:]
         for r in range(top + 1, len(rows)):
             row = rows[r]
             x0, x1 = row[col], row[nxt]
@@ -324,13 +320,12 @@ def _echelon(field, rows, width):
                     row[col:] = [x * p // d for x in row[col:]]
                     x0, x1 = row[col], row[nxt]
                 c1, c2 = (a00 * x1 - a01 * x0) // p, (a10 * x1 - a11 * x0) // p
-                row[col + 2:] = [(value * x - c1 * z + c2 * y) // p
-                                 for x, y, z in zip(row[col + 2:], tail0, tail1)]
-                row[col] = row[nxt] = 0
+                row[col:] = gap + [(value * x - c1 * z + c2 * y) // p
+                                   for x, y, z in zip(row[nxt + 1:], tail0, tail1)]
                 divisors[r] = value
         second[col:] = [(a00 * x - a10 * y) // p for x, y in zip(second[col:], pivot_row[col:])]
         pivots.append(nxt)
-        col += 2
+        col = nxt + 1
     value, scale = sign * value, prod(scales)
     return pivots, Fraction(value, scale) if value % scale else value // scale
 

@@ -724,7 +724,7 @@ def reference_problems(argv, out, document, basis):
     return []
 
 
-@settings(FIXED, max_examples=60)  # eight to sixteen runs per example; about 1.5 s
+@settings(FIXED, max_examples=60)  # eight to twenty-two runs per example; about 1 s
 @given(data=st.data())
 def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     # exit 2 only comes from a cross-check that caught the library
@@ -736,9 +736,16 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     header = draw(st.sampled_from(["field rational", "field prime"]))
     if header == "field prime":
         header += " " + draw(fuzz_choice(FUZZ_MODULI, clean))
-    dim = draw(fuzz_choice(FUZZ_DIMS, clean))
+    # a clean document is mostly of dim 2 or 3, where its quotients and
+    # the order of their squares show
+    dim = draw(st.sampled_from(["3", "2", "3"]) if clean else fuzz_choice(FUZZ_DIMS, clean))
     n = int(dim) if dim in FUZZ_DIMS[0] else 2
     rows = draw(fuzz_lines(n, n, clean))
+    if clean and draw(st.booleans()):
+        # upper triangular: e_i^2 lies in span{e_1, ..., e_i}, so each such
+        # span is an ideal, and the ideals generated below are often proper
+        rows = [" ".join("0" if i < k else x for i, x in enumerate(row.split()))
+                for k, row in enumerate(rows)]
     document = fuzz_bytes(draw, [header, "dim " + dim, "matrix", *rows], clean)
     (where / "a.alg").write_bytes(document)
 
@@ -774,13 +781,18 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
         run(argv, basis)
     if not clean:
         return
-    # on a valid document, the ideal <x> at x = 0 and at each e_i, and the
-    # quotient by it, read from the basis the ideal run prints
+    # on a valid document, the ideal <x> at x = 0, at each e_i and at each
+    # square e_i^2 (column i of the matrix), and the quotient by it, read
+    # from the basis the ideal run prints, where that quotient has two
+    # squares or more, whose order can show
     args = [*draw(fuzz_choice(FUZZ_ARGS, clean)), "--json", "--input", str(where / "a.alg")]
-    for i in range(n + 1):
-        x = ",".join("1" if k == i else "0" for k in range(1, n + 1))
-        code, out = run(["ideal", *args, "--vector", x], b"")
-        if code == 0:
-            ideal = "".join(" ".join(row) + "\n" for row in json.loads(out)["ideal_basis"])
+    units = [["1" if k == i else "0" for k in range(n)] for i in range(-1, n)]  # 0, each e_i
+    for x in [*units, *zip(*(row.split() for row in rows))]:
+        code, out = run(["ideal", *args, "--vector", ",".join(x)], b"")
+        if code:
+            continue
+        printed = json.loads(out)["ideal_basis"]
+        if len(printed) <= n - 2:
+            ideal = "".join(" ".join(row) + "\n" for row in printed)
             (where / "ideal.txt").write_text(ideal)
             run(["quotient", *args, "--ideal-basis", str(where / "ideal.txt")], ideal.encode())

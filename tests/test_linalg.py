@@ -34,8 +34,15 @@ def test_rref_proportional_rows_collapse():
     assert rank == 1
     assert reduced.entries == ((Fraction(1), Fraction(1)), (Fraction(0), Fraction(0)))
     # the leading pairs are proportional: column 2 has no pivot, so the
-    # pass at column 1 finds no second pivot and takes one step
+    # pass at column 1 takes its second pivot from column 3
     assert rref(QQ, mat([[1, 2, 3], [2, 4, 5]])) == (2, mat([[1, 2, 0], [0, 0, 1]]))
+    # the same pass over three rows: the third row, 3 row 1 in columns 1
+    # and 2, comes back zero from the one update that clears columns 1 to 3
+    assert rref(QQ, mat([[1, 2, 3], [2, 4, 5], [3, 6, 1]])) == (
+        2, mat([[1, 2, 0], [0, 0, 1], [0, 0, 0]]))
+    # row 2 is 2 row 1 in columns 1 to 3: the second pivot lies two
+    # columns past the next one
+    assert rref(QQ, mat([[1, 2, 3, 4], [2, 4, 6, 5]])) == (2, mat([[1, 2, 3, 0], [0, 0, 0, 1]]))
 
 
 def test_rref_of_entangled_square_span_has_rank_two():
@@ -52,7 +59,8 @@ def test_det_golden_values():
     assert det(QQ, mat([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
     assert det(QQ, mat([[Fraction(1, 2), 0], [0, Fraction(2, 3)]])) == Fraction(1, 3)
     # row 2 is 2 row 1 in columns 1 and 2, so the second pivot of the
-    # first pass is row 3, swapped up; column 3 is a one-step pass
+    # first pass is row 3, swapped up; column 3 holds the last pivot, with
+    # no row below it to update
     assert det(QQ, mat([[1, 2, 3], [2, 4, 5], [3, 7, 1]])) == 1
 
 
@@ -514,8 +522,8 @@ def wide_rows(draw, width, count):
 def sparse_row(width):
     """A row of small ints, each 0 with probability 3/5, else one of
     +-1..3: rows whose two leading entries of a pass are both zero, second
-    pivots found below the next row, columns with no second pivot and odd
-    pivot counts are all common."""
+    pivots found below the next row or right of the next column, passes
+    that find no second pivot and odd pivot counts are all common."""
     return st.lists(st.sampled_from([0] * 9 + [-3, -2, -1, 1, 2, 3]),
                     min_size=width, max_size=width)
 

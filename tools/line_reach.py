@@ -6,11 +6,9 @@ library alone (no coverage package):
 Runs the tier-1 suite in this process under sys.settrace, recording the
 lines executed in the files of src/evolalg, and lists every line inside a
 function (a def, lambda or comprehension body) that no test reaches.
-Exits 1 when a tier-1 test fails, when an unreached line is not on
-ALLOWED, or when an entry of ALLOWED names no unreached line (a line that
-now has a test, or is gone); else 0.  The tracer makes the suite about
-2.4 times slower (89 s against 37 s on a 2-vCPU VM), so this is a
-separate CI step, not a tier-1 test.
+Exits 1 when a tier-1 test fails or a line is unreached; else 0.  The
+tracer makes the suite about 2.4 times slower (89 s against 37 s on a
+2-vCPU VM), so this is a separate CI step, not a tier-1 test.
 """
 
 from __future__ import annotations
@@ -24,13 +22,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "evolalg"
-
-# Unreached lines that may stay, each as (file name under src/evolalg, the
-# line's text with its indentation stripped), with a comment saying why
-# no test reaches it.  A line on it needs a test, a reason to stay, or
-# deletion.
-ALLOWED: set[tuple[str, str]] = set()
-
 
 def function_lines(path: Path) -> set[int]:
     """The lines of path that hold bytecode of a function body: every code
@@ -87,16 +78,9 @@ def main() -> int:
                       for lineno in lines - reached[name]}
     print("line_reach: %d of %d lines inside functions reached"
           % (total - len(unreached), total))
-    bad = 0
     for file, lineno, line in sorted(unreached):
-        allowed = (file, line) in ALLOWED
-        bad += not allowed
-        print("%s src/evolalg/%s:%d: %s" % ("allowed" if allowed else "UNREACHED",
-                                            file, lineno, line))
-    stale = ALLOWED - {(file, line) for file, _, line in unreached}
-    for file, line in sorted(stale):
-        print("STALE allow-list entry src/evolalg/%s: %s" % (file, line))
-    return 1 if bad or stale else 0
+        print("UNREACHED src/evolalg/%s:%d: %s" % (file, lineno, line))
+    return 1 if unreached else 0
 
 
 if __name__ == "__main__":
