@@ -6,6 +6,9 @@ On the algebra's own cover, fragmenting the canonical parts gives the weak
 components of the associated graph (every derived set is forward-closed
 and weakly connected), so the blocks are read off the graph; the
 fragmentation stays public as the paper's process on arbitrary covers.
+Both are one merge of groups that touch: graph._merged joins each
+component of the condensation to the components it exits to, and each
+covering set to the first set that holds each of its elements.
 
 Every graph fact read here comes from the one Tarjan condensation of the
 associated graph, whose edge scan also records the components each
@@ -27,7 +30,7 @@ from collections import namedtuple
 from operator import itemgetter
 
 from .algebra import EvolutionAlgebra, _memoized
-from .graph import AssociatedGraph, associated_graph
+from .graph import _merged, associated_graph
 from .ideals import is_nondegenerate
 from .linalg import Matrix, det
 
@@ -77,31 +80,20 @@ def canonical_decomposition(algebra: EvolutionAlgebra) -> tuple:
         for seed in graph.source_components())
 
 
-def _overlap_graph(parts) -> AssociatedGraph:
-    """The graph on the positions 1..m of the covering sets with one edge
-    from each set to the first set that holds each of its elements: two
-    sets share a weak component iff a chain of overlapping sets joins
-    them, and the graph has sum |parts| edges, not m^2 intersections."""
-    first = {}
-    edges = []
-    for k, part in enumerate(parts, start=1):
-        for x in part:
-            edges.append((k, first.setdefault(x, k)))
-    return AssociatedGraph.from_edges(len(parts), edges)
-
-
 def optimal_fragmentation(parts) -> tuple:
-    """Merge the covering sets along the weak components of their overlap
-    graph: the blocks are pairwise disjoint, sorted by least element, and
-    no block splits any further."""
+    """Merge the covering sets that overlap, directly or through a chain
+    of overlapping sets: each set joins the first set that holds each of
+    its elements, in one pass over their elements (graph._merged), not
+    m^2 intersections.  The blocks are pairwise disjoint, sorted by least
+    element, and no block splits any further."""
     parts = [frozenset(p) for p in parts]
     if not parts:
         raise ValueError("no covering sets given")
     if any(not p for p in parts):
         raise ValueError("covering sets must be non-empty")
-    blocks = (frozenset().union(*(parts[k - 1] for k in component))
-              for component in _overlap_graph(parts).weak_components())
-    return tuple(sorted(blocks, key=min))
+    first = {}
+    return _merged(parts, ({first.setdefault(x, k) for x in part}
+                           for k, part in enumerate(parts, start=1)))
 
 
 def is_fragmentable(parts) -> bool:

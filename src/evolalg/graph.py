@@ -30,6 +30,29 @@ def _closure(edges, seeds) -> frozenset:
     return frozenset(seen)
 
 
+def _merged(sets, links) -> tuple:
+    """The unions of the groups of sets that links join, sorted by least
+    element: set k (numbered from 1) joins the sets whose numbers
+    links[k - 1] holds, each at most k, in one pass in which the group
+    with fewer sets is relabelled into the other, so no set is
+    relabelled more than log2 of their count times."""
+    group_of = []
+    for k, linked in enumerate(links, start=1):
+        group = [k]
+        group_of.append(group)
+        for h in linked:
+            other = group_of[h - 1]
+            if other is not group:
+                if len(other) > len(group):
+                    group, other = other, group
+                group += other
+                for c in other:
+                    group_of[c - 1] = group
+    groups = {id(group): group for group in group_of}.values()
+    return tuple(sorted((frozenset().union(*(sets[c - 1] for c in group)) for group in groups),
+                        key=min))
+
+
 class AssociatedGraph:
     """Immutable digraph on {1..n}, holding the targets of each vertex as
     a strictly ascending tuple.  The strongly connected components are
@@ -58,6 +81,8 @@ class AssociatedGraph:
 
     @classmethod
     def from_edges(cls, n: int, edges) -> "AssociatedGraph":
+        if n < 0:
+            raise ValueError("vertex count %d is negative" % n)
         out = [set() for _ in range(n)]
         for i, j in edges:
             if not 1 <= i <= n:
@@ -129,15 +154,19 @@ class AssociatedGraph:
         other components its edges enter), the components no edge enters
         from outside sorted by least element, the weak components sorted
         by least element, the vertices from which no path reaches a
-        cycle), from one iterative Tarjan pass (Tarjan 1972, SIAM J.
-        Comput. 1(2)) on lists indexed by vertex and one walk over its
-        components.  The search visits the targets of each vertex in
-        ascending order, the order of its out-list, so the numbering is
-        fixed by the edges alone.  index[v] is 0 until v is visited and
-        number[v] is 0 until its component is complete, so w is still on
-        the stack iff it is visited and has no number yet; a finished
-        component is cut off the stack at the position where its root was
-        pushed.
+        cycle), from one iterative Tarjan search (Tarjan 1972, SIAM J.
+        Comput. 1(2)) on lists indexed by vertex.  The search starts at a
+        virtual vertex 0 with an edge to every vertex, so one loop reaches
+        every root.  Slot 0 of the lists is free for it: vertex 0 is its
+        own parent on the work stack, is never pushed on the component
+        stack, and has low[0] = 0 below index[0] = 1, so it never
+        completes as a component.  The search visits the targets of each
+        vertex in ascending order, the order of its out-list, so the
+        numbering is fixed by the edges alone.  index[v] is 0 until v is
+        visited and number[v] is 0 until its component is complete, so w
+        is still on the stack iff it is visited and has no number yet; a
+        finished component is cut off the stack at the position where its
+        root was pushed.
 
         The exit sets are collected during the same edge scan.  An edge
         v -> w leaves the component of v exactly when w is in a completed
@@ -147,76 +176,57 @@ class AssociatedGraph:
         one list of hits; the hits made while a component is open are the
         ones after the point where its root was pushed, less those of the
         components completed since, which took theirs when they completed.
+        The hits of vertex 0 are never read.
 
         Tarjan completes a component only after every component it
-        reaches, so the walk, in completion order, meets each component
-        after the components it exits to.  The component joins their
-        weak groups (the group with fewer components is relabelled into
-        the other), and it reaches a cycle iff it is cyclic (more than one
-        vertex, or a self-loop) or one of them reaches a cycle."""
+        reaches, so each component is settled when it completes, from the
+        exit set it has then: it reaches a cycle iff it is cyclic (more
+        than one vertex, or a self-loop) or one of the components it exits
+        to reaches a cycle.  The sources are the components that no exit
+        set names.  The exit sets name only components numbered below
+        their own, so one merge over them in completion order (_merged)
+        gives the weak components."""
         n, out = self.n, self._out
         index, low, number = [0] * (n + 1), [0] * (n + 1), [0] * (n + 1)
         at, hit_at = [0] * (n + 1), [0] * (n + 1)
-        stack, hits, components, exits = [], [], [], []
-        count = 0
-        for root in range(1, n + 1):
-            if index[root]:
-                continue
-            count += 1
-            index[root] = low[root] = count
-            at[root], hit_at[root] = len(stack), len(hits)
-            stack.append(root)
-            work = [(root, iter(out[root - 1]))]
-            while work:
-                v, it = work[-1]
-                for w in it:
-                    if not index[w]:
-                        count += 1
-                        index[w] = low[w] = count
-                        at[w], hit_at[w] = len(stack), len(hits)
-                        stack.append(w)
-                        work.append((w, iter(out[w - 1])))
-                        break
-                    if number[w]:
-                        hits.append(number[w])
-                    elif index[w] < low[v]:
-                        low[v] = index[w]
-                else:
-                    work.pop()
-                    if low[v] == index[v]:
-                        comp = frozenset(stack[at[v]:])
-                        del stack[at[v]:]
-                        exits.append(set(hits[hit_at[v]:]))
-                        del hits[hit_at[v]:]
-                        components.append(comp)
-                        k = len(components)
-                        for w in comp:
-                            number[w] = k
-                        if work:  # the tree edge into v leaves its parent's component
-                            hits.append(k)
-                    elif low[v] < low[work[-1][0]]:
-                        low[work[-1][0]] = low[v]
-        entered, group_of, reaching = set(), [], []
-        for k, (comp, hit) in enumerate(zip(components, exits), start=1):
-            entered |= hit
-            reaching.append(len(comp) > 1 or not comp.isdisjoint(out[min(comp) - 1])
-                            or any(reaching[h - 1] for h in hit))
-            group = [k]
-            group_of.append(group)
-            for h in hit:
-                other = group_of[h - 1]
-                if other is not group:
-                    if len(other) > len(group):
-                        group, other = other, group
-                    group += other
-                    for c in other:
-                        group_of[c - 1] = group
-        groups = {id(group): group for group in group_of}.values()
+        stack, hits, components, exits, reaching = [], [], [], [], []
+        count = index[0] = 1
+        work = [(0, iter(range(1, n + 1)), 0)]
+        while work:
+            v, it, parent = work[-1]
+            for w in it:
+                if not index[w]:
+                    count += 1
+                    index[w] = low[w] = count
+                    at[w], hit_at[w] = len(stack), len(hits)
+                    stack.append(w)
+                    work.append((w, iter(out[w - 1]), v))
+                    break
+                if number[w]:
+                    hits.append(number[w])
+                elif index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                work.pop()
+                if low[v] == index[v]:
+                    comp = frozenset(stack[at[v]:])
+                    del stack[at[v]:]
+                    exits.append(set(hits[hit_at[v]:]))
+                    del hits[hit_at[v]:]
+                    reaching.append(len(comp) > 1 or v in out[v - 1]
+                                    or any(reaching[h - 1] for h in exits[-1]))
+                    components.append(comp)
+                    k = len(components)
+                    for w in comp:
+                        number[w] = k
+                    hits.append(k)  # the tree edge into v leaves the component of its parent
+                elif low[v] < low[parent]:
+                    low[parent] = low[v]
+        entered = set().union(*exits)
         return (components, number, exits,
                 tuple(sorted((c for k, c in enumerate(components, start=1) if k not in entered),
                              key=min)),
-                tuple(sorted((frozenset().union(*(components[c - 1] for c in g)) for g in groups),
-                             key=min)),
+                _merged(components, exits),
                 frozenset().union(*(c for c, r in zip(components, reaching) if not r)))
 
     def is_cyclic_index(self, i: int) -> bool:

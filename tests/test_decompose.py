@@ -162,6 +162,17 @@ def test_fragmentation_merges_overlapping_sets_until_disjoint(parts):
     assert is_fragmentable(parts) == (len(blocks) > 1)
 
 
+def test_fragmentation_of_a_long_chain_and_of_many_singletons():
+    # each pair of the chain joins the group of all the pairs before it;
+    # the smaller group is relabelled into the larger, so this stays
+    # near-linear in the number of sets
+    n = 50000
+    assert optimal_fragmentation([(i, i + 1) for i in range(1, n + 1)]) == (
+        frozenset(range(1, n + 2)),)
+    assert optimal_fragmentation([(i,) for i in range(n, 0, -1)]) == tuple(
+        frozenset({i}) for i in range(1, n + 1))
+
+
 def test_optimal_decomposition_golden():
     a = swap_pair_plus_loop()
     report = optimal_decomposition(a)
@@ -313,7 +324,7 @@ def test_report_does_only_block_dets(monkeypatch):
     from evolalg.report import build_report
 
     calls = {"det": 0, "_echelon": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
-             "ascendents": 0, "_rref_rows": 0, "_overlap_graph": 0}
+             "ascendents": 0, "_rref_rows": 0, "optimal_fragmentation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -338,8 +349,8 @@ def test_report_does_only_block_dets(monkeypatch):
                             counted(name, getattr(AssociatedGraph, name)))
     # the blocks are the weak components, read off the same pass; the
     # canonical parts are not fragmented
-    monkeypatch.setattr(evolalg.decompose, "_overlap_graph",
-                        counted("_overlap_graph", evolalg.decompose._overlap_graph))
+    monkeypatch.setattr(evolalg.decompose, "optimal_fragmentation",
+                        counted("optimal_fragmentation", evolalg.decompose.optimal_fragmentation))
 
     # the elimination det runs when its matrix has no zero row or column
     monkeypatch.setattr(evolalg.linalg, "_echelon",
@@ -369,7 +380,7 @@ def test_report_does_only_block_dets(monkeypatch):
         eliminated += expected
         assert calls == {"det": len(blocks), "_echelon": expected, "is_ideal": 0,
                          "multiply": 0, "descendents": 0, "ascendents": 0,
-                         "_rref_rows": 0, "_overlap_graph": 0}
+                         "_rref_rows": 0, "optimal_fragmentation": 0}
     # the corpus holds both kinds of block
     assert skipped and eliminated
 

@@ -10,6 +10,8 @@ from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, Matrix,
                      PreconditionError, algebra_from_graph, associated_graph,
                      canonical_decomposition, optimal_fragmentation,
                      witness_path)
+from evolalg.decompose import PRINCIPAL_CYCLE
+from planted import planted
 from support import (FIXED, digraphs, fan_to_swap_pair,
                      fixpoint_reaches_no_cycle, graph_core_loop_tail,
                      graph_core_triple, graph_core_with_side_loop,
@@ -140,10 +142,17 @@ def test_constructor_normalises_any_iterable_of_targets():
     assert repr(g) == "AssociatedGraph(n=3, edges=5)"
 
 
+def test_a_negative_vertex_count_is_refused_by_name():
+    with pytest.raises(ValueError, match="^vertex count -3 is negative$"):
+        AssociatedGraph.from_edges(-3, [])
+
+
 def test_empty_graph_is_accepted():
     for empty in (AssociatedGraph([]), AssociatedGraph.from_edges(0, [])):
         assert empty.n == 0 and empty == AssociatedGraph(())
         assert empty.weak_components() == () and empty.sinks() == frozenset()
+        check_condensation(empty)
+        assert empty._condensation == ([], [0], [], (), (), frozenset())
 
 
 def test_cyclic_indices_golden():
@@ -232,6 +241,31 @@ def test_cycle_facts_match_pairwise_reachability(g):
 def test_cycle_facts_match_pairwise_reachability_on_larger_graphs(g):
     # longer paths, so the depth-first search backtracks through deep stacks
     check_cycle_facts(g)
+
+
+def check_condensation(g):
+    # each value of the condensation against the edges, read off the
+    # public out-lists
+    components, number, exits, sources = g._condensation[:4]
+    vertices = range(1, g.n + 1)
+    assert sorted(v for c in components for v in c) == list(vertices)
+    assert all(v in components[number[v] - 1] for v in vertices)
+    named = set()
+    for k, (comp, exit_set) in enumerate(zip(components, exits), start=1):
+        assert exit_set == {number[w] for v in comp for w in g.out_edges(v)} - {k}
+        assert all(h < k for h in exit_set)
+        named |= exit_set
+    assert sources == tuple(sorted((c for k, c in enumerate(components, start=1)
+                                    if k not in named), key=min))
+
+
+@FIXED
+@given(digraphs(max_n=40))
+def test_condensation_partitions_the_vertices_and_exits_only_downward(g):
+    # the components partition 1..n, number[v] names the component of v,
+    # each exit set is the other components its edges enter, all numbered
+    # below it, and the sources are the components no exit set names
+    check_condensation(g)
 
 
 def test_components_of_a_long_path_and_a_long_cycle():
@@ -342,6 +376,40 @@ def test_weak_components_are_the_fragmented_canonical_parts(g):
 @given(digraphs(max_n=40))
 def test_reaches_no_cycle_is_the_fixpoint(g):
     assert g.reaches_no_cycle() == fixpoint_reaches_no_cycle(g)
+
+
+def check_planted(g, plan, parts):
+    # the generator forces every shape on every draw
+    assert plan.principal_cycles and plan.chain_starts and plan.sinks
+    assert len(plan.weak_components) >= 2
+    assert strong_components(g) == plan.components
+    assert g.sinks() == plan.sinks
+    assert g.chain_start_indices() == plan.chain_starts
+    assert g.principal_cycles() == plan.principal_cycles
+    assert g.reaches_no_cycle() == plan.reaches_no_cycle
+    assert g.weak_components() == plan.weak_components
+    assert tuple(parts) == plan.canonical
+
+
+@FIXED
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n=st.integers(min_value=3, max_value=200), field=st.sampled_from([QQ, GF(7)]))
+def test_planted_condensation_is_found(seed, n, field):
+    plan = planted(make_rng(seed), n)
+    a = algebra_from_graph(field, AssociatedGraph.from_edges(n, plan.edges))
+    check_planted(associated_graph(a), plan,
+                  ((part.kind == PRINCIPAL_CYCLE, part.seed, part.derived)
+                   for part in canonical_decomposition(a)))
+
+
+def test_planted_condensation_is_found_at_n_5000():
+    # the graph alone: a dense structure matrix of this size does not fit
+    # a test, and the canonical parts are these closures of the sources
+    plan = planted(make_rng(5000), 5000)
+    g = AssociatedGraph.from_edges(5000, plan.edges)
+    check_condensation(g)
+    check_planted(g, plan, ((g.is_cyclic_index(min(seed)), seed, g._component_closure(seed))
+                            for seed in g.source_components()))
 
 
 def test_witness_path_golden():
