@@ -16,21 +16,20 @@ conversion (4,300 by default): emit writes an entry of any size, and parse
 refuses one with a longer numerator or denominator.
 
 A chain-start index is a zero row of M_B, read by one string compare
-when spelt "0 0 ... 0".  Any other row of a document or basis file is
+when spelt "0 0 ... 0".  The other rows of a document or basis file are
 read by one of two routes, both in C-level builtins.  By default each
 token is looked up in one table from text to scalar, a dict that calls
 field.parse on a miss and keeps the value, so field.parse runs once per
 distinct token and a row is one map over the table's lookup.  That pays
-where texts repeat, as in sparse matrices.  Where the last row read
-through the table missed on most of its tokens, so that the texts rarely
-repeat, a prime-field row of ASCII digits and spaces is read by one call
-of the C JSON scanner, with each space made a comma, and reduced mod p
-only when an entry reaches p; any other row, and one the scanner refuses
-(a leading zero, two spaces in a row, or more digits than CPython
-converts) or reads to the wrong count, goes through the table.  An
-invalid token is reported where it first occurs, by the table route.  The
-parsed scalars are canonical, so the algebra is built on them without a
-second coercion.
+where texts repeat, as in sparse matrices.  Over a prime field, where the
+first row that is not the zero row holds more than width/2 distinct texts,
+so that the texts rarely repeat, all rows are joined and read by one call
+of the C JSON scanner, and reduced mod p only where an entry reaches p.
+A block that holds anything but ASCII digits and single spaces, a leading
+zero, more digits than CPython converts, or a row of the wrong count goes
+whole through the table, which reports an invalid token where it first
+occurs.  The parsed scalars are canonical, so the algebra is built on them
+without a second coercion.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ def _significant_lines(text):
             ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
             raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start], ends + 1) from None
     # not splitlines(): it also ends a line at U+2028, \v, \f and others
-    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     for lineno, raw in enumerate(lines, start=1):
         line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
         if line:
@@ -80,12 +79,39 @@ def _parse_field_line(line, lineno):
     raise ParseError("expected 'field rational' or 'field prime <p>', got %r" % line, lineno)
 
 
-# on "[" + digits joined by commas + "]" the C scanner can give only a
-# list of non-negative ints; it refuses a leading zero, an empty token and
-# more digits than CPython converts
+# on "[[" + rows of digits joined by commas, joined by "],[" + "]]" the C
+# scanner can give only a list of lists of non-negative ints; it refuses a
+# leading zero, an empty token and more digits than CPython converts
 _decode = json.JSONDecoder().raw_decode
-# translate deletes these: a line is all digits and spaces when nothing remains
-_DIGITS_AND_SPACES = str.maketrans("", "", "0123456789 ")
+
+
+def _scanned(texts, width, p):
+    """The rows of the lines texts, read by one call of the C JSON scanner
+    as tuples of ints in [0, p), or None where the scanner does not read
+    them.
+
+    Lines made of nothing but ASCII digits and spaces, found by one
+    isascii and one bytes.translate that deletes them from the lines
+    joined by spaces, become a JSON array of arrays when joined by "],["
+    with each space made a comma, and one scanner call reads it into lists
+    of ints without making a string per token.  On such a text JSON
+    accepts exactly the digit runs without a leading zero, each as what
+    field.parse gives once reduced mod p; a row is reduced by one more map
+    only when an entry reaches p.  The check runs on the lines before the
+    separators go in, so a comma or a bracket in a line is refused, and no
+    line can end a row or the array early.  The scanner refuses a leading
+    zero, two spaces in a row and more digits than CPython converts, and a
+    row read to other than width entries is refused after it."""
+    block = " ".join(texts)
+    if not block.isascii() or block.encode().translate(None, b"0123456789 "):
+        return None
+    try:
+        rows = _decode("[[" + "],[".join(texts).replace(" ", ",") + "]]")[0]
+    except ValueError:  # a leading zero, two spaces in a row, or over CPython's digit limit
+        rows = ()
+    # x % p for each x, where an entry reaches p
+    return ([tuple(map(p.__rmod__, row)) if max(row) >= p else tuple(row) for row in rows]
+            if set(map(len, rows)) == {width} else None)
 
 
 class _ScalarTable(dict):
@@ -105,72 +131,56 @@ class _ScalarTable(dict):
 
 
 def _row_parser(field, width, noun, numbered):
-    """A function from (lineno, line) to the line's row of width scalars.
+    """A function from a list of (lineno, line) pairs to their rows, each a
+    tuple of width scalars.
 
     A zero row " ".join(["0"] * width), a chain-start index, is one
-    compare and one shared tuple, and leaves the choice of route as it
-    was.  Any other row goes by one of two routes, chosen by what the rows
-    read through the table before it showed; both give the same rows, so
-    the choice is one of speed alone.  The table route looks each
-    token up in one _ScalarTable that all rows share, so field.parse runs
-    once per distinct text, on its first lookup.  The table's growth over a
-    row counts the row's new texts; when they are most of its tokens, the
-    texts rarely repeat and the lookups mostly miss, so over F_p the next
-    rows take the scanner route: a line of nothing but ASCII digits and
-    spaces, found by one translate that deletes them, becomes a JSON array
-    by making each space a comma, and one call of the C JSON scanner reads
-    it into ints without making a string per token.  On such a text JSON
-    accepts exactly the digit runs without a leading zero, each as what
-    field.parse gives once reduced mod p; the row is reduced by one more
-    map only when an entry reaches p.  Any other row, and one the scanner
-    refuses (a leading zero, two spaces in a row, or more digits than
-    CPython converts) or reads to other than width entries, is read by the
-    table route, which reports any error and decides the route of the rows
-    after it.
+    compare.  Over F_p, when the first line that is not a zero row holds
+    more than width/2 distinct texts, the texts rarely repeat, and the
+    block route of _scanned reads all the lines in one scanner call.  When
+    it refuses them, and over QQ or where texts repeat, every line goes by
+    the table route, which reads every value and reports every error: a
+    zero row is one shared tuple, and any other line's tokens are looked
+    up in one _ScalarTable that all rows share, so field.parse runs once
+    per distinct text, on its first lookup.  Both routes give the same
+    rows, so the choice is one of speed alone.
 
     A wrong count is reported as "expected <width> <noun>", and an invalid
     scalar by its message, after "entry <k>: " when numbered, where k is
     the position of the row's first token the table does not hold: the
     tokens before it were all stored, and the refused one was not."""
     table = _ScalarTable(field.parse)
-    lookup = table.__getitem__
-    p = field.p if field.kind == "prime" else None
-    distinct = False  # the last row read through the table missed on most tokens
     # made once a line is as long as the zero row, so a width that no line
     # reaches costs nothing
     zero_line = zero_row = None
 
+    def is_zero(line):
+        nonlocal zero_line, zero_row
+        if zero_line is None and len(line) == 2 * width - 1:
+            zero_line, zero_row = " ".join(["0"] * width), (field.zero,) * width
+        return line == zero_line
+
     def parse_row(lineno, line):
-        nonlocal distinct, zero_line, zero_row
-        if len(line) == 2 * width - 1:
-            if zero_line is None:
-                zero_line, zero_row = " ".join(["0"] * width), (field.zero,) * width
-            if line == zero_line:
-                return zero_row
-        if distinct and not line.translate(_DIGITS_AND_SPACES):
-            try:
-                row = _decode("[" + line.replace(" ", ",") + "]")[0]
-            except ValueError:  # a leading zero, two spaces in a row, or over CPython's digit limit
-                pass
-            else:
-                if len(row) == width:
-                    # x % p for each x, where an entry reaches p
-                    return tuple(map(p.__rmod__, row)) if max(row) >= p else tuple(row)
+        if is_zero(line):
+            return zero_row
         tokens = line.split()
         if len(tokens) != width:
             raise ParseError("expected %d %s, found %d" % (width, noun, len(tokens)), lineno)
-        before = len(table)
         try:
-            row = tuple(map(lookup, tokens))
+            return tuple(map(table.__getitem__, tokens))
         except FieldError as exc:
             if numbered:
                 k = next(k for k, token in enumerate(tokens, 1) if token not in table)
                 raise ParseError("entry %d: %s" % (k, exc), lineno) from None
             raise ParseError(str(exc), lineno) from None
-        distinct = p is not None and 2 * (len(table) - before) > width
-        return row
 
-    return parse_row
+    def parse_rows(lines):
+        first = next((line for _, line in lines if not is_zero(line)), "")
+        rows = (_scanned([line for _, line in lines], width, field.p)
+                if field.kind == "prime" and 2 * len(set(first.split())) > width else None)
+        return rows or [parse_row(lineno, line) for lineno, line in lines]
+
+    return parse_rows
 
 
 def parse_document(text, field_override=None) -> EvolutionAlgebra:
@@ -208,8 +218,7 @@ def parse_document(text, field_override=None) -> EvolutionAlgebra:
     if line != "matrix":
         raise ParseError("expected 'matrix', got %r" % line, lineno)
 
-    parse_row = _row_parser(field, dim, "entries", numbered=True)
-    rows = [parse_row(lineno, line) for lineno, line in lines[3:3 + dim]]
+    rows = _row_parser(field, dim, "entries", numbered=True)(lines[3:3 + dim])
     if len(rows) < dim:  # reported after an error in a row that is present
         line_at(len(lines), "a matrix row")
     if len(lines) > 3 + dim:
@@ -261,5 +270,4 @@ def parse_vector(field, text, dim: int) -> tuple:
 def parse_basis_file(field, text, dim: int):
     """One vector per significant line, whitespace-separated scalars, read
     through the same self-filling token table as the matrix of a document."""
-    parse_row = _row_parser(field, dim, "coordinates", numbered=False)
-    return [parse_row(lineno, line) for lineno, line in _significant_lines(text)]
+    return _row_parser(field, dim, "coordinates", numbered=False)(list(_significant_lines(text)))

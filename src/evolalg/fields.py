@@ -25,7 +25,7 @@ one value, and the private ``_canonical`` a list of sums at once (mod p
 over F_p; over QQ a Fraction of denominator 1 becomes its numerator, and
 a list of ints alone, found by one C-level pass over the types, is handed
 back as it is).
-Outside the elimination kernels of linalg and the row scanner of
+Outside the elimination kernels of linalg and the block scanner of
 documents, the package reduces through these two alone.  The text of a
 scalar is ``str``, and ``parse(str(x)) == x``; writers go through
 ``_text`` and ``_texts``, which write an int part of more digits than

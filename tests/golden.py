@@ -263,7 +263,8 @@ def _graph(name):
 
 def _dense_gf(variant):
     """A seeded dense 40 x 40 GF(10007) document of distinct tokens, its
-    det nonzero: its rows after the first are read by the JSON scanner.
+    det nonzero: one JSON scanner call reads its rows, unless a variant
+    makes the scanner refuse them, and the token table reads them all.
     Entry 5 of row 30 (line 33) is spelt as variant says: 'lead' with two
     leading zeros, 'plus-p' as its value plus p, 'two' and 'tab' after two
     spaces or a tab, 'wide' and 'long' as a fullwidth digit and a token of

@@ -461,6 +461,30 @@ def test_p_alone_means_field_prime(tmp_path, capsys, command):
     assert code == 0 and err == "" and "prime 3" in out
 
 
+@pytest.mark.parametrize("p", [5, 7, 10007])
+def test_a_prime_override_changes_only_the_field_and_the_dets(tmp_path, capsys, p):
+    # reduction mod p, for a p that divides no entry, keeps the graph, and
+    # each block det becomes its residue; no residue here is 0, so the
+    # simple verdicts stay too.  Blocks {1, 2, 3} (det 12282634752) and
+    # {4, 5} (det -143)
+    doc = tmp_path / "coprime.alg"
+    doc.write_text("field rational\ndim 5\nmatrix\n12 346 6789 0 0\n1011 16 1314 0 0\n"
+                   "1516 1718 19 0 0\n0 0 0 0 13\n0 0 0 11 0\n")
+    code, out, err = run(capsys, "analyze", "--json", "--input", str(doc))
+    assert code == 0 and err == ""
+    rational = json.loads(out)
+    code, out, err = run(capsys, "analyze", "--json", "--input", str(doc),
+                         "--field", "prime", "--p", str(p))
+    assert code == 0 and err == ""
+    prime = json.loads(out)
+    assert rational.pop("field") == {"kind": "rational"}
+    assert prime.pop("field") == {"kind": "prime", "p": p}
+    dets = [int(block.pop("det")) for block in rational["blocks"]]
+    assert dets == [12282634752, -143]
+    assert [block.pop("det") for block in prime["blocks"]] == [str(d % p) for d in dets]
+    assert prime == rational
+
+
 def test_modulus_above_the_bound_is_refused(tmp_path, capsys):
     too_large = "3317044064679887385962123"  # the least prime above the bound
     doc = tmp_path / "huge.alg"

@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import prod
 
@@ -171,6 +172,23 @@ def test_fragmentation_of_a_long_chain_and_of_many_singletons():
         frozenset(range(1, n + 2)),)
     assert optimal_fragmentation([(i,) for i in range(n, 0, -1)]) == tuple(
         frozenset({i}) for i in range(1, n + 1))
+
+
+def test_fragmentation_of_a_chain_takes_near_linear_time():
+    # ten times the pairs take about 10 to 13 times as long when the
+    # smaller group is relabelled into the larger, and about 100 times
+    # when the larger is relabelled into the smaller
+    def best_of_3(n):
+        chain = [(i, i + 1) for i in range(1, n + 1)]
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            optimal_fragmentation(chain)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    small, large = best_of_3(2000), best_of_3(20000)
+    assert large / small < 30
 
 
 def test_optimal_decomposition_golden():

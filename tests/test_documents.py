@@ -81,7 +81,8 @@ def test_parse_vector_error_texts(field, text, dim, message):
     ("field prime 6\ndim 1\nmatrix\n1\n", "not prime"),
     ("field prime x\ndim 1\nmatrix\n1\n", "not an integer"),
     ("field rational\ndim 2\nmatrix\n1 2 3\n0 1\n", "expected 2 entries"),
-    # the first row is all new texts, so the scanner reads the second
+    # the first row is all new texts, so the scanner reads the block, and
+    # the table reports the count of the second row
     ("field prime 7\ndim 2\nmatrix\n1 2\n3 4 5\n", "line 5: expected 2 entries, found 3"),
     ("field rational\ndim 2\nmatrix\n1 2\n", "unexpected end"),
     # every row present is read before a missing one is reported
@@ -277,8 +278,9 @@ def token_rows(draw):
 def document_lines(draw):
     """The lines of token_rows, some of them made the canonical zero row:
     the first now and then, and one right after a row of new texts, digit
-    strings no row holds, so that over GF(10007) the scanner would read
-    the next row; and, where n >= 2, some made a near miss of it."""
+    strings no row holds, so that over GF(10007) that row picks the block
+    route when it is the first that is not the zero row; and, where
+    n >= 2, some made a near miss of it."""
     rows = draw(token_rows())
     n = len(rows)
     lines = [" ".join(row) for row in rows]
@@ -438,11 +440,12 @@ def test_line_numbers_count_the_line_ends_the_utf8_error_counts():
 # tokens each route must read as field.parse does, or refuse with its
 # message: leading zeros, signs, fractions, digit strings at and over
 # CPython's 4300-digit limit, Unicode digits that int() takes and
-# field.parse refuses, '_' separators and a zero denominator
+# field.parse refuses, '_' separators, a zero denominator, and the comma
+# and brackets that the block route puts between entries and rows
 ODD_TOKENS = ("007", "4" * 4300, "5" * 4301, "\u0663", "\uff11", "\u00b2", "+1", "-0",
-              "1_0", "2/2", "1/0")
-# texts a row of repeated tokens is made of: digits alone, which the
-# scanner route reads, and others, which send a row back to the table route
+              "1_0", "2/2", "1/0", "1,2", "[3", "4]")
+# texts a row of repeated tokens is made of: digits alone, first, which the
+# block route reads, and others, which send the block to the table route
 REPEATED = ("0", "1", "-1", "+0", "1/2")
 ROUTE_FIELDS = (QQ, GF(2), GF(7), GF(10007), GF(2 ** 61 - 1))
 
@@ -450,32 +453,38 @@ ROUTE_FIELDS = (QQ, GF(2), GF(7), GF(10007), GF(2 ** 61 - 1))
 @st.composite
 def route_rows(draw, field, width, count):
     """count rows of width tokens, runs of one to four rows of mostly
-    distinct texts of ASCII digits (distinct through leading zeros where
-    p is small, often at or above p, and p - 1 or p now and then) between
-    single rows of one repeated text, so that the parser takes each route,
-    stays on the scanner route and switches both ways; odd tokens go into
-    random rows at random places, and so does a second space or a tab
-    before a token."""
-    top = 3 * field.p if field.kind == "prime" else 1000
+    distinct texts of ASCII digits (often at or above p, and p - 1 or p
+    now and then) between single rows of one repeated text, so that the
+    first row that is not the zero row picks either route.  Half the blocks are
+    clean: no token has a leading zero and the repeated texts are digits,
+    so that over F_p the block route reads the block when it picks it.  In
+    the others, leading zeros make texts distinct where p is small, odd
+    tokens go into random rows at random places, and so does a second
+    space or a tab before a token."""
+    clean = draw(st.booleans())
+    top = (3 * field.p if field.kind == "prime" else 1000) + width
     values = st.integers(min_value=0, max_value=top)
     if field.kind == "prime":
         values |= st.sampled_from((field.p - 1, field.p))
     # leading zeros are rare, so that a row can be refused for another cause
-    distinct = st.tuples(st.sampled_from((0,) * 14 + (1, 2)), values).map(
+    zeros = st.just(0) if clean else st.sampled_from((0,) * 14 + (1, 2))
+    distinct = st.tuples(zeros, values).map(
         lambda zeros_value: "0" * zeros_value[0] + str(zeros_value[1]))
+    repeated = st.sampled_from(REPEATED[:2] if clean else REPEATED)
     run = draw(st.booleans())
     rows = []
     while len(rows) < count:
         size = draw(st.integers(min_value=1, max_value=4)) if run else 1
         for _ in range(min(size, count - len(rows))):
             rows.append(draw(st.lists(distinct, min_size=width, max_size=width, unique=True))
-                        if run else [draw(st.sampled_from(REPEATED))] * width)
+                        if run else [draw(repeated)] * width)
         run = not run
-    for _ in range(draw(st.integers(min_value=0, max_value=count))):
+    odd = 0 if clean else count
+    for _ in range(draw(st.integers(min_value=0, max_value=odd))):
         row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
         row[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
             st.sampled_from(ODD_TOKENS))
-    for _ in range(draw(st.integers(min_value=0, max_value=count))):
+    for _ in range(draw(st.integers(min_value=0, max_value=odd))):
         row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
         k = draw(st.integers(min_value=0, max_value=width - 1))
         row[k] = draw(st.sampled_from((" ", "\t"))) + row[k]
@@ -510,51 +519,77 @@ def test_both_row_routes_equal_a_per_token_parse(data):
     assert all(is_canonical(field, x) for row in got for x in row)
 
 
-def test_dense_prime_document_parses_only_its_first_row_token_by_token(monkeypatch):
+def test_dense_prime_document_is_read_by_one_scanner_call(monkeypatch):
     field = GF(10007)
     rng = make_rng(120120)
     rows = [[str(rng.randrange(field.p)) for _ in range(120)] for _ in range(120)]
+    # digits at and past p, which the block route reduces
+    rows[3][5], rows[70][0] = str(field.p), str(3 * field.p + 5)
     expected = [tuple(map(field.parse, row)) for row in rows]
     decoded = []
     decode = documents._decode
     monkeypatch.setattr(documents, "_decode", lambda text: decoded.append(text) or decode(text))
     calls = counted_parses(monkeypatch, field)
     assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
-    assert len(calls) <= 120
-    assert len(decoded) == 119
-    # a leading zero in row 60 and a doubled space in row 90: the scanner
-    # refuses each once, the table reads it, and the next rows are scanned
+    assert calls == [] and len(decoded) == 1
+    # a basis file of the same rows takes the same route, and its rows are tuples
+    basis = "".join(" ".join(row) + "\n" for row in rows)
+    assert parse_basis_file(field, basis, 120) == expected
+    assert calls == [] and len(decoded) == 2
+    # a leading zero in row 60: the scanner refuses the block once, and
+    # the table reads every row, parsing each distinct text once
     rows[59][7] = "0" + rows[59][7]
-    rows[89][3] = " " + rows[89][3]
-    del calls[:], decoded[:]
+    del decoded[:]
     assert parse_document(document_text(field, rows)).structure.entries == tuple(expected)
-    assert len(calls) <= 3 * 120
-    assert len(decoded) == 119
+    assert len(decoded) == 1
+    assert sorted(calls) == sorted({t for row in rows for t in row})
 
 
-# each kind of row the scanner route refuses, written from its 8 tokens,
-# and whether _decode sees it: a tab or a non-ASCII digit is left by the
-# translate check, so the row never reaches _decode
-SCANNER_REFUSALS = {
-    "leading zero": (lambda t: " ".join(t[:3] + ["0" + t[3]] + t[4:]), True),
-    "doubled space": (lambda t: " ".join(t[:3]) + "  " + " ".join(t[3:]), True),
-    "tab": (lambda t: " ".join(t[:3]) + "\t" + " ".join(t[3:]), False),
-    "over the digit limit": (lambda t: " ".join(t[:3] + ["1" * 4301] + t[4:]), True),
-    "non-ASCII digit": (lambda t: " ".join(t[:3] + ["\u0663"] + t[4:]), False),
+def reference_block(field, lines, first_line, width):
+    """reference_rows of the lines' tokens, or the wrong count of the first
+    line that holds other than width tokens, when no token before it is
+    refused."""
+    rows = [line.split() for line in lines]
+    short = next((r for r, row in enumerate(rows) if len(row) != width), None)
+    expected = reference_rows(field, rows[:short], first_line, numbered=True)
+    if short is not None and not isinstance(expected, ParseError):
+        return ParseError("expected %d entries, found %d" % (width, len(rows[short])),
+                          first_line + short)
+    return expected
+
+
+# each kind of line that makes the block route refuse a block, written
+# from its 8 tokens, and what _decode does with the block: a tab, a
+# non-ASCII digit, a comma or a bracket is found by the translate check,
+# so the block never reaches _decode, and a short row is read to the
+# wrong count.  Checked after the "],[" separators
+# went in, the comma line would be read as 8 entries, the bracket pair as
+# 8 entries one of them a list, and the closing bracket would end the
+# block after that line
+BLOCK_REFUSALS = {
+    "leading zero": (lambda t: " ".join(t[:3] + ["0" + t[3]] + t[4:]), ["refused"]),
+    "doubled space": (lambda t: " ".join(t[:3]) + "  " + " ".join(t[3:]), ["refused"]),
+    "tab": (lambda t: " ".join(t[:3]) + "\t" + " ".join(t[3:]), []),
+    "over the digit limit": (lambda t: " ".join(t[:3] + ["1" * 4301] + t[4:]), ["refused"]),
+    "non-ASCII digit": (lambda t: " ".join(t[:3] + ["\u0663"] + t[4:]), []),
+    "comma": (lambda t: " ".join(t[:2] + [t[2] + "," + t[3]] + t[4:]), []),
+    "bracket pair": (lambda t: " ".join(t[:3] + ["[" + t[3], t[4] + "]"] + t[4:]), []),
+    "opening bracket": (lambda t: " ".join(["[" + t[0]] + t[1:]), []),
+    "closing bracket": (lambda t: " ".join(t[:7] + [t[7] + "]"]), []),
+    "one entry short": (lambda t: " ".join(t[:7]), ["read"]),
 }
 
 
-@pytest.mark.parametrize("kind", SCANNER_REFUSALS)
-def test_a_row_the_scanner_refuses_is_read_by_the_table_and_the_next_is_scanned(
-        monkeypatch, kind):
-    line_of, decoded_once = SCANNER_REFUSALS[kind]
+@pytest.mark.parametrize("kind", BLOCK_REFUSALS)
+def test_a_block_the_scanner_refuses_is_read_whole_by_the_table(monkeypatch, kind):
+    line_of, scans = BLOCK_REFUSALS[kind]
     field, width = GF(10007), 8
     texts = iter(map(str, make_rng(808).sample(range(1, field.p), 3 * width)))
     first, odd, last = ([next(texts) for _ in range(width)] for _ in range(3))
-    line = line_of(odd)
-    # a per-token parse of each row, or the error of its first bad token
-    expected = [reference_rows(field, [row], lineno, numbered=True)
-                for lineno, row in ((4, first), (5, line.split()), (6, last))]
+    lines = [" ".join(first), line_of(odd), " ".join(last)]
+    # a per-token parse of each line, or the error of its first bad token
+    # or wrong count
+    expected = reference_block(field, lines, 4, width)
     outcomes = []
     decode = documents._decode
 
@@ -569,21 +604,16 @@ def test_a_row_the_scanner_refuses_is_read_by_the_table_and_the_next_is_scanned(
 
     monkeypatch.setattr(documents, "_decode", logged_decode)
     calls = counted_parses(monkeypatch, field)
-    parse_row = documents._row_parser(field, width, "entries", numbered=True)
-    # a row of new texts through the table sends the next rows to the scanner
-    assert [parse_row(4, " ".join(first))] == expected[0]
-    assert outcomes == []
-    if isinstance(expected[1], ParseError):
+    parse_rows = documents._row_parser(field, width, "entries", numbered=True)
+    if isinstance(expected, ParseError):
         with pytest.raises(ParseError) as err:
-            parse_row(5, line)
-        assert (err.value.line, str(err.value)) == (expected[1].line, str(expected[1]))
+            parse_rows(list(enumerate(lines, 4)))
+        assert (err.value.line, str(err.value)) == (expected.line, str(expected))
     else:
-        assert [parse_row(5, line)] == expected[1]
-    refusals = ["refused"] if decoded_once else []
-    assert outcomes == refusals
-    del calls[:]
-    assert [parse_row(6, " ".join(last))] == expected[2]
-    assert outcomes == refusals + ["read"] and calls == []
+        assert parse_rows(list(enumerate(lines, 4))) == expected
+    assert outcomes == scans
+    # the table read the first row, each text once
+    assert set(first) <= set(calls) and len(calls) == len(set(calls))
 
 
 def test_sparse_prime_document_parses_each_distinct_token_once(monkeypatch):

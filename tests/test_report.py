@@ -9,7 +9,7 @@ import evolalg.cli
 import evolalg.decompose
 import evolalg.linalg
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, algebra_from_graph,
-                     ideal_generated_by)
+                     ideal_generated_by, optimal_decomposition)
 from evolalg.cli import main
 from evolalg.documents import emit_document, parse_document
 from evolalg.ideals import annihilator, radical
@@ -234,3 +234,59 @@ def test_annihilator_and_radical_rows_format_the_subspaces(a):
     report = build_report(a, "radical")
     for key, subspace in (("annihilator", annihilator(a)), ("radical", radical(a))):
         assert report[key] == [list(map(str, row)) for row in subspace.vectors()]
+
+
+# the primes of the reduction property; none divides a nonzero entry or a
+# denominator of its documents
+REDUCTION_PRIMES = (5, 7, 10007)
+COPRIME = st.integers(min_value=10, max_value=10 ** 6).filter(
+    lambda x: all(x % p for p in REDUCTION_PRIMES))
+
+
+@st.composite
+def coprime_documents(draw):
+    """The text of a QQ document of dim 1..8 whose entries are 0 or
+    multi-digit ints that no prime of REDUCTION_PRIMES divides, nonzero at
+    a drawn density, so that read over GF(p) the dense ones take the block
+    route.  In one document of four, some entries are fractions of two
+    such ints: the QQ det of integral rows divides by no row scale."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    density = draw(st.integers(min_value=1, max_value=4))  # in quarters
+    fractions = draw(st.integers(min_value=0, max_value=3)) == 0
+
+    def entry():
+        if draw(st.integers(min_value=0, max_value=3)) >= density:
+            return "0"
+        text = str(draw(COPRIME))
+        return text + "/" + str(draw(COPRIME)) if fractions and draw(st.booleans()) else text
+
+    rows = [" ".join(entry() for _ in range(n)) for _ in range(n)]
+    return "field rational\ndim %d\nmatrix\n" % n + "\n".join(rows) + "\n"
+
+
+def _without(report, keys, block_keys):
+    """report less keys, and its blocks less block_keys."""
+    out = {key: value for key, value in report.items() if key not in keys}
+    out["blocks"] = [{key: value for key, value in block.items() if key not in block_keys}
+                     for block in report["blocks"]]
+    return out
+
+
+@FIXED
+@given(text=coprime_documents())
+def test_reduction_mod_p_maps_the_qq_report_to_the_gf_report(text):
+    # reduction mod p is a ring map that keeps every nonzero entry nonzero,
+    # so the graph, and all that is read off it, stays; each block det
+    # reduces to the GF(p) block det, and where none of those is 0 the
+    # simple verdicts agree
+    a = parse_document(text)
+    report = build_report(a)
+    for p in REDUCTION_PRIMES:
+        field = GF(p)
+        b = parse_document(text, field_override=field)
+        dets = [block.det for block in optimal_decomposition(b).blocks]
+        assert dets == [field.coerce(block.det) for block in optimal_decomposition(a).blocks]
+        keys, block_keys = {"field"}, {"det"}
+        if not all(dets):
+            keys, block_keys = keys | {"simple", "simple_reasons"}, block_keys | {"simple"}
+        assert _without(build_report(b), keys, block_keys) == _without(report, keys, block_keys)
