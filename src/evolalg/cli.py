@@ -8,6 +8,10 @@ main parses the flags, loads the algebra and calls the subcommand's
 handler from _COMMANDS; each handler writes its output through _emit (the
 graph's DOT aside).  Every exit 2 leaves through one route: a handler, or
 the library below it, raises InternalConsistencyError and main prints it.
+
+An option's value may begin with '-' when a digit, or '.' and a digit,
+follows (--vector -1,0, --input -1.alg); any other argument that begins
+with '-' is an option.
 """
 
 from __future__ import annotations
@@ -75,6 +79,10 @@ def _build_parser() -> _Parser:
 
     for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
+        # an argument that starts with '-' and a digit, or '-.' and a
+        # digit, is a value, as in --vector -1,0 or --input -1.alg, where
+        # argparse's own pattern takes only a whole negative number
+        p._negative_number_matcher = re.compile(r"-\.?\d")
         common(p)
         if name != "graph":  # DOT is the graph's one output form
             p.add_argument("--json", action="store_true",
@@ -92,32 +100,6 @@ def _build_parser() -> _Parser:
             p.add_argument("--max-vectors", type=_positive_int, default=MAX_VECTORS,
                            help="enumeration budget on |F_p|^n (default %d)" % MAX_VECTORS)
     return parser
-
-
-_NEGATIVE_VALUE = re.compile(r"-[0-9]")
-
-
-def _join_vector_values(argv):
-    """argv with each `--vector V` whose V starts with '-' and a digit
-    joined into `--vector=V`.  argparse reads a token that starts with '-'
-    as an option unless it is a plain negative number, so `--vector -1,0`
-    would lose its value; the joined form is read as the value.  Only the
-    ideal subcommand has --vector; argparse also takes the abbreviations
-    --v ... --vecto, which no other option of ideal starts with."""
-    if next((t for t in argv if not t.startswith("-")), None) != "ideal":
-        return argv
-    joined, k = [], 0
-    while k < len(argv):
-        token = argv[k]
-        if token == "--":  # everything after it is positional
-            return joined + argv[k:]
-        if (token.startswith("--v") and "--vector".startswith(token)
-                and k + 1 < len(argv) and _NEGATIVE_VALUE.match(argv[k + 1])):
-            k += 1
-            token += "=" + argv[k]
-        joined.append(token)
-        k += 1
-    return joined
 
 
 def _read_text(path: str) -> bytes:
@@ -245,9 +227,8 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     parser = _build_parser()
-    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(_join_vector_values(argv))
+        args = parser.parse_args(argv)
         field = _field_override(args)
         if getattr(args, "ideal_basis", None) == args.input == "-":
             raise _UsageError("--input and --ideal-basis cannot both read stdin")

@@ -29,8 +29,9 @@ overrides, and the odd tokens of the CLI fuzz grammar (support.py).  Last
 come seeded QQ and GF(10007) documents whose blocks have no zero row or
 column, so that most block dets the reference checks are nonzero; they
 run through the same invocations as the first seeded documents.  The last
-run is a quotient whose document and basis file would both be read from
-stdin, which is refused.
+runs are a quotient whose document and basis file would both be read
+from stdin, which is refused, and files whose names start with '-' and a
+digit, which every option reads as its value.
 """
 
 from __future__ import annotations
@@ -313,14 +314,23 @@ SPELLINGS = ("canon", "odd", "two", "short")
 # Groups of runs whose stdout must be equal, and pairs whose stdout must
 # differ: the spellings of one value that the scanner and the token table
 # read, an entry p that is an entry 0 and so drops the edge that the
-# canonical entry gives, a zero row spelt three ways, and DOT written to
-# stdout by default and by --dot -.
+# canonical entry gives, a zero row spelt three ways, DOT written to
+# stdout by default and by --dot -, and a document and a basis file read
+# under names that start with '-' and a digit.
 SAME = ([[_analyze("gf40-" + v) for v in ("none", "lead", "plus-p", "two", "tab")],
          [_analyze("gf40-p"), _analyze("gf40-zero")], [_graph("gf40-p"), _graph("gf40-zero")],
          [_graph("gf2pair"), [*_graph("gf2pair"), "--dot", "-"]]]
         + [[kind(name + "-" + s) for s in ("canon", "odd", "two")]
            for name in CHAINS for kind in (_analyze, _graph)])
 APART = [(_graph("gf40-none"), _graph("gf40-zero"))]
+# a file named -1.alg, given three ways, and -1.basis and -1.dot
+NEGATIVE_NAMES = [_analyze("-1"), ["analyze", "--json", "--input=-1.alg"],
+                  ["analyze", "--json", "--input", "./-1.alg"],
+                  ["quotient", "--json", "--input", "-1.alg", "--ideal-basis", "-1.basis"],
+                  ["graph", "--input", "-1.alg", "--dot", "-1.dot"]]
+SAME += [[_analyze("unitrows"), *NEGATIVE_NAMES[:3]],
+         [["quotient", "--json", "--input", "unitrows.alg", "--ideal-basis", "unitrows.basis"],
+          NEGATIVE_NAMES[3]]]
 
 # e1^2 = 5 e1 + e3, e2^2 = e1 - 2/3 e2, e3^2 = e2 + 10 e3: --p 5 sends
 # two entries to 0, and --p 3 finds a denominator that vanishes
@@ -402,6 +412,11 @@ def corpus():
     runs.append(["quotient", "--ideal-basis", "-"])
     # --dot - is stdout, as - is stdin for --input
     runs.append([*_graph("gf2pair"), "--dot", "-"])
+    # every option reads a value that starts with '-' and a digit, or '-.'
+    # and a digit: -1.alg and -1.basis are unitrows.alg and unitrows.basis,
+    # and -1.dot is written; '-.5' is read as a coordinate and refused
+    files["-1.alg"], files["-1.basis"] = files["unitrows.alg"], files["unitrows.basis"]
+    runs += [*NEGATIVE_NAMES, ["ideal", "--input", "gf2pair.alg", "--vector", "-.5,0"]]
     return files, runs
 
 

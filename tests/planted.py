@@ -14,8 +14,23 @@ group, so no edge closes a cycle across components.  Each shape is forced,
 not left to the draw: the first component is cyclic and the second is a
 vertex with no loop, both in groups of their own so far, so each is a
 source and they lie in different weak components; the last component is a
-vertex with no loop, which no edge leaves.  So every plan has a principal
-cycle, a chain start, a sink and at least two weak components.
+vertex with no loop, which no edge leaves; the first group holds cyclic
+components alone.  So every plan has a principal cycle, a chain start, a
+sink, at least two weak components, and a weak component whose det is
+not zero.
+
+Every edge i -> j has a nonzero integer weight w, the coordinate of e_j in
+e_i^2, which neither 7 nor 10007 divides, so that every weight and every
+det that is not 0 stays nonzero over GF(7) and GF(10007).  A cyclic
+component on the vertices v_0, ..., v_{k-1} of the plan's order has the
+matrix C = P_s U, C[a][b] the weight of v_a -> v_b: s is the k-cycle
+a -> a + 1 mod k, so row a of C is row a + 1 of U, an upper triangular
+matrix whose diagonal d gives the Hamiltonian cycle v_a -> v_{a+1} and
+whose entries above it give the extra inner edges.  So det C =
+(-1)^(k-1) prod d; a vertex with a loop is the case k = 1.  Ordered along
+the DAG, the matrix of a weak component is block triangular, so its det
+is the product of the dets of its components, 0 where one is a vertex
+with no loop.
 
 Last, the vertices are relabelled onto 1..n by a random permutation.  The
 expected facts are read off the component DAG, not computed by evolalg.
@@ -24,15 +39,21 @@ expected facts are read off the component DAG, not computed by evolalg.
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
 
-# edges: (i, j) pairs on 1..n.  components, principal_cycles and
-# weak_components are tuples of frozensets sorted by least element; sinks,
-# chain_starts and reaches_no_cycle are frozensets; canonical holds one
-# (cyclic, seed, derived) triple per source component, sorted by least
+# edges: {(i, j): weight} on 1..n, in a random order.  components,
+# principal_cycles and weak_components are tuples of frozensets sorted by
+# least element, and dets holds the det of each weak component, an int;
+# sinks, chain_starts and reaches_no_cycle are frozensets; canonical holds
+# one (cyclic, seed, derived) triple per source component, sorted by least
 # element of the seed, where derived is the union of the components the
 # seed reaches, the seed among them
 Plan = namedtuple("Plan", "n edges components sinks chain_starts principal_cycles "
-                          "reaches_no_cycle weak_components canonical")
+                          "reaches_no_cycle weak_components dets canonical")
+
+# |w| for a weight w: neither 7 nor 10007 divides one, and the dets of QQ
+# grow past a machine word
+_WEIGHTS = (1, 1, 1, 2, 3, 5, 101, 103, 2 ** 61 - 1)
 
 
 def _sizes(rng, n):
@@ -68,17 +89,30 @@ def planted(rng, n) -> Plan:
         start += size
     count = len(comps)
     cyclic = [is_cyclic for _, is_cyclic in shapes]
-    edges = []
+
+    def weight():
+        return rng.choice((1, -1)) * rng.choice(_WEIGHTS)
+
+    edges, comp_dets = [], []
     for vs, is_cyclic in zip(comps, cyclic):
-        if is_cyclic:
-            size = len(vs)
-            edges += [(vs[k], vs[(k + 1) % size]) for k in range(size)]
-            edges += [(rng.choice(vs), rng.choice(vs)) for _ in range(rng.randrange(size + 1))]
+        if not is_cyclic:
+            comp_dets.append(0)
+            continue
+        size = len(vs)
+        # U[r][c] is the weight of v_{r-1} -> v_c, so U[r][r] is that of
+        # the cycle edge v_{r-1} -> v_r
+        diagonal = [weight() for _ in range(size)]
+        edges += [((vs[r - 1], vs[r]), d) for r, d in enumerate(diagonal)]
+        above = [(r, c) for r in range(size) for c in range(r + 1, size)]
+        edges += [((vs[r - 1], vs[c]), weight())
+                  for r, c in rng.sample(above, min(len(above), rng.randrange(size + 1)))]
+        comp_dets.append((-1) ** (size - 1) * prod(diagonal))
 
     # the component DAG: each component takes up to three edges from
-    # earlier components of its group, of which the first two have none
+    # earlier components of its group, of which the first two have none;
+    # the first group takes cyclic components alone
     groups = rng.randint(2, 4)
-    group = [0, 1] + [rng.randrange(groups) for _ in range(count - 2)]
+    group = [0, 1] + [rng.randrange(0 if cyclic[j] else 1, groups) for j in range(2, count)]
     members = [[] for _ in range(groups)]
     succ = [set() for _ in range(count)]
     pred = [set() for _ in range(count)]
@@ -88,7 +122,7 @@ def planted(rng, n) -> Plan:
             i = rng.choice(earlier)
             succ[i].add(j)
             pred[j].add(i)
-            edges.append((rng.choice(comps[i]), rng.choice(comps[j])))
+            edges.append(((rng.choice(comps[i]), rng.choice(comps[j])), weight()))
         earlier.append(j)
     rng.shuffle(edges)
 
@@ -113,7 +147,8 @@ def planted(rng, n) -> Plan:
                         seen.add(d)
                         found.append(d)
                         frontier.append(d)
-            weak.append(vertices(found))
+            weak.append((vertices(found), prod(comp_dets[c] for c in found)))
+    weak.sort(key=lambda part: min(part[0]))
     canonical = []
     for s in (i for i in range(count) if not pred[i]):
         reached, frontier = {s}, [s]
@@ -124,10 +159,10 @@ def planted(rng, n) -> Plan:
         canonical.append((cyclic[s], frozenset(comps[s]), vertices(reached)))
     lone = [i for i in range(count) if not cyclic[i]]
     return Plan(
-        n, edges, by_least(frozenset(c) for c in comps),
+        n, dict(edges), by_least(frozenset(c) for c in comps),
         frozenset(comps[i][0] for i in lone if not succ[i]),
         frozenset(comps[i][0] for i in lone if not pred[i]),
         by_least(frozenset(comps[i]) for i in range(count) if cyclic[i] and not pred[i]),
         vertices(i for i in range(count) if not reaches[i]),
-        by_least(weak),
+        tuple(part for part, _ in weak), tuple(det for _, det in weak),
         tuple(sorted(canonical, key=lambda part: min(part[1]))))

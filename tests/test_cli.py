@@ -122,7 +122,8 @@ def test_ideal_subcommand(tmp_path, capsys):
 @pytest.mark.parametrize("as_json", [False, True])
 def test_vector_with_a_negative_first_coordinate_is_its_value(tmp_path, capsys,
                                                               vector, as_json):
-    # argparse takes a separate "-1,0,0" for an option unless it is joined
+    # every subcommand reads an argument that starts with '-' and a digit
+    # as a value, so a separate "-1,0,0" is the value, as the joined form is
     doc = write_doc(tmp_path, entangled_squares())
     flags = ("--json",) if as_json else ()
     joined = run(capsys, "ideal", "--input", doc, "--vector=" + vector, *flags)
@@ -140,6 +141,49 @@ def test_missing_vector_value_is_still_a_usage_error(tmp_path, capsys):
     # after "--" every token is positional, so no value is joined to --vector
     assert run(capsys, "ideal", "--input", doc, "--", "--vector", "-1,0") == (
         1, "", "usage error: the following arguments are required: --vector\n")
+
+
+@pytest.mark.parametrize("argv,expected", [
+    (("analyze", "--input", "-1,0"), "error: [Errno 2] No such file or directory: '-1,0'\n"),
+    (("analyze", "--field", "-1,0"), "usage error: argument --field: invalid choice: '-1,0'"),
+    (("analyze", "--p", "-.5,0"), "usage error: argument --p: invalid int value: '-.5,0'\n"),
+    (("ideal", "--input", "{doc}", "--vector", "-.5,0,0"), "error: invalid scalar '-.5'\n"),
+    (("ideal", "--input", "{doc}", "--vector", "-\u0663,0,0"), "error: invalid scalar '-\u0663'\n"),
+    (("graph", "--input", "{doc}", "--dot", "-1/x"), "error: [Errno 2] No such file or "
+                                                    "directory: '-1/x'\n"),
+    (("quotient", "--input", "{doc}", "--ideal-basis", "-1.basis"),
+     "error: [Errno 2] No such file or directory: '-1.basis'\n"),
+    (("oracle", "--input", "{doc}", "--max-vectors", "-1e3"),
+     "usage error: argument --max-vectors: invalid int value: '-1e3'\n"),
+], ids=["input", "field", "p", "vector", "vector-unicode-digit", "dot", "ideal-basis",
+        "max-vectors"])
+def test_every_option_reads_a_value_that_starts_with_minus_and_a_digit(tmp_path, capsys,
+                                                                     monkeypatch, argv,
+                                                                     expected):
+    # each of these argv was refused with "expected one argument" while
+    # only a whole negative number counted as a value; the error now
+    # names the value, read as the option's value
+    doc = write_doc(tmp_path, entangled_squares())
+    monkeypatch.chdir(tmp_path)  # so that no relative path names a file
+    code, out, err = run(capsys, *(token.format(doc=doc) for token in argv))
+    assert (code, out) == (1, "") and err.startswith(expected)
+
+
+def test_an_argument_that_starts_with_minus_and_no_digit_is_still_an_option(tmp_path, capsys):
+    doc = write_doc(tmp_path, entangled_squares())
+    for value in ("-x,0", "-.x", "-e3"):
+        assert run(capsys, "ideal", "--input", doc, "--vector", value) == (
+            1, "", "usage error: argument --vector: expected one argument\n")
+    # a whole negative number of Unicode digits was a value by argparse's
+    # own rule, and stays one
+    assert run(capsys, "ideal", "--input", doc, "--vector", "-\u0663") == (
+        1, "", "error: expected 3 coordinates, found 1\n")
+    # before the subcommand argparse's own rule holds, which takes only a
+    # whole negative number for an argument
+    assert run(capsys, "-1,0", "analyze", "--input", doc) == (
+        1, "", "usage error: unrecognized arguments: -1,0\n")
+    assert run(capsys, "-1,0") == (
+        1, "", "usage error: the following arguments are required: command\n")
 
 
 def test_graph_subcommand_writes_dot(tmp_path, capsys, monkeypatch):
@@ -606,11 +650,12 @@ def test_one_parser_serves_successive_calls_like_fresh_processes(tmp_path, capsy
     calls = [("analyze", "--input", doc, "--json"),
              ("analyze", "--input", doc, "--no-such-flag"),
              ("ideal", "--input", doc, "--vector", "1,0,1,0,0"),
+             ("ideal", "--input", doc, "--vector", "-1,0,1,0,0"),
              ("radical", "--input", doc, "--max-vectors", "4"),
              ("radical", "--input", doc)]
     in_process = [run(capsys, *argv) for argv in calls]
     assert _build_parser() is _build_parser()
-    assert [code for code, _, _ in in_process] == [0, 1, 0, 1, 0]
+    assert [code for code, _, _ in in_process] == [0, 1, 0, 0, 1, 0]
     assert in_process == [run_fresh(*argv) for argv in calls]
 
 

@@ -15,8 +15,9 @@ from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
 from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
                                _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
+from planted import planted
 from support import (FIXED, algebras, digraphs, double_loop,
-                     entangled_squares, graph_core_with_side_loop,
+                     entangled_squares, from_squares, graph_core_with_side_loop,
                      inverse_permutation, loop_with_tail, make_rng, nonzero_scalars,
                      pair_cycle_mixing, random_algebra, random_permutation, relabel,
                      scalars, shared_loop_target, simplicity_checked,
@@ -322,6 +323,24 @@ def test_block_dets_are_the_products_of_their_component_dets(a):
             if c <= block.indices:
                 product *= det(f, _restricted_structure(a, c))
         assert block.det == f.coerce(product)
+
+
+@FIXED
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       n=st.integers(min_value=3, max_value=200),
+       field=st.sampled_from([QQ, GF(7), GF(10007)]))
+def test_block_dets_are_the_planted_dets(seed, n, field):
+    # each cyclic component is P_s U with a known det, and a block's det is
+    # the product of its components' dets (tests/planted.py); no det here
+    # comes from evolalg
+    plan = planted(make_rng(seed), n)
+    squares = [[0] * n for _ in range(n)]
+    for (i, j), weight in plan.edges.items():
+        squares[i - 1][j - 1] = weight
+    blocks = optimal_decomposition(from_squares(field, squares)).blocks
+    assert tuple(block.indices for block in blocks) == plan.weak_components
+    assert [block.det for block in blocks] == [field.coerce(d) for d in plan.dets]
+    assert any(plan.dets)  # forced on every draw, so a nonzero det is checked
 
 
 def test_graph_and_decomposition_are_computed_once_per_algebra():

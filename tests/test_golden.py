@@ -5,6 +5,7 @@ held to the exit-code contract, to the groups of runs that must print
 equal or different bytes, and to the reference checks of reference.py."""
 
 import json
+import os
 import shlex
 
 import pytest
@@ -14,8 +15,12 @@ import reference
 
 
 @pytest.fixture(scope="module")
-def corpus(tmp_path_factory):
-    where = tmp_path_factory.mktemp("golden")
+def where(tmp_path_factory):
+    return tmp_path_factory.mktemp("golden")
+
+
+@pytest.fixture(scope="module")
+def corpus(where):
     with pytest.MonkeyPatch.context() as patch:
         patch.chdir(where)  # the argv paths are relative to the corpus
         return golden.results(where)
@@ -47,7 +52,12 @@ def test_equal_inputs_print_equal_bytes(corpus):
 
 
 def _file(files, argv, flag):
-    return files[argv[argv.index(flag) + 1]]
+    """The bytes of the corpus file that argv names by flag, given as
+    `flag NAME` or `flag=NAME`, NAME relative to the corpus."""
+    name = next(argv[k + 1] if token == flag else token[len(flag) + 1:]
+                for k, token in enumerate(argv)
+                if token == flag or token.startswith(flag + "="))
+    return files[os.path.normpath(name)]
 
 
 def test_block_dets_and_projections_match_the_reference(corpus):
@@ -68,12 +78,12 @@ def test_block_dets_and_projections_match_the_reference(corpus):
         checked[argv[0]] += 1
     assert problems == []
     # every one that exits 0
-    assert checked == {"analyze": 130, "radical": 100, "simple": 100, "quotient": 94}
-    # most det checks compare a nonzero det, not 0 with 0: 137 of 243
-    assert (len(dets), len(dets) - dets.count("0")) == (243, 137)
+    assert checked == {"analyze": 133, "radical": 100, "simple": 100, "quotient": 95}
+    # most det checks compare a nonzero det, not 0 with 0: 137 of 246
+    assert (len(dets), len(dets) - dets.count("0")) == (246, 137)
 
 
-def test_dot_edges_and_ideals_match_the_reference(corpus):
+def test_dot_edges_and_ideals_match_the_reference(corpus, where):
     files, ran = corpus
     problems, checked = [], {"graph": 0, "ideal": 0}
     for argv, code, out, _ in ran:
@@ -81,6 +91,8 @@ def test_dot_edges_and_ideals_match_the_reference(corpus):
             continue
         document = _file(files, argv, "--input")
         if argv[0] == "graph":
+            if "--dot" in argv and argv[-1] != "-":  # the DOT went to the file
+                out = (where / argv[-1]).read_text(encoding="utf-8")
             found = reference.graph_problems(document, out, reference.modulus(document, argv))
         else:
             found = reference.ideal_problems(document, argv[argv.index("--vector") + 1],
@@ -89,7 +101,7 @@ def test_dot_edges_and_ideals_match_the_reference(corpus):
         checked[argv[0]] += 1
     assert problems == []
     # every one that exits 0
-    assert checked == {"graph": 115, "ideal": 99}
+    assert checked == {"graph": 116, "ideal": 99}
 
 
 def _altered(det, p):
