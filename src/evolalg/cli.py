@@ -40,6 +40,13 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # an argument that starts with '-' and a digit, or '-.' and a digit, is
+    # a value, as in --vector -1,0 or --input -1.alg; set on every parser,
+    # the top-level one too, so that no Python's own default decides
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # exit 2 is reserved for a cross-check that caught the library
     # disagreeing with itself, so usage errors must leave through code 1
     # instead of argparse's default 2
@@ -79,10 +86,6 @@ def _build_parser() -> _Parser:
 
     for name, (blurb, _) in _COMMANDS.items():
         p = sub.add_parser(name, help=blurb)
-        # an argument that starts with '-' and a digit, or '-.' and a
-        # digit, is a value, as in --vector -1,0 or --input -1.alg, where
-        # argparse's own pattern takes only a whole negative number
-        p._negative_number_matcher = re.compile(r"-\.?\d")
         common(p)
         if name != "graph":  # DOT is the graph's one output form
             p.add_argument("--json", action="store_true",

@@ -39,7 +39,7 @@ expected facts are read off the component DAG, not computed by evolalg.
 from __future__ import annotations
 
 from collections import namedtuple
-from math import prod
+from math import isqrt, prod
 
 # edges: {(i, j): weight} on 1..n, in a random order.  components,
 # principal_cycles and weak_components are tuples of frozensets sorted by
@@ -75,6 +75,18 @@ def _sizes(rng, n):
     return shapes + [(1, False)]
 
 
+def _above_diagonal(size):
+    """The map from t to the t-th entry (r, c), r < c, above the diagonal
+    of a size x size matrix, row by row, without listing the entries: the
+    entry that is u-th from the end lies in row size - 2 - q, where q is
+    the largest with q(q + 1)/2 <= u."""
+    def entry(t):
+        u = size * (size - 1) // 2 - 1 - t
+        q = (isqrt(8 * u + 1) - 1) // 2
+        return size - 2 - q, size - 1 - (u - q * (q + 1) // 2)
+    return entry
+
+
 def planted(rng, n) -> Plan:
     """A digraph on 1..n with a planted condensation, drawn with rng (a
     random.Random), and its expected facts."""
@@ -103,9 +115,10 @@ def planted(rng, n) -> Plan:
         # the cycle edge v_{r-1} -> v_r
         diagonal = [weight() for _ in range(size)]
         edges += [((vs[r - 1], vs[r]), d) for r, d in enumerate(diagonal)]
-        above = [(r, c) for r in range(size) for c in range(r + 1, size)]
+        above = size * (size - 1) // 2
         edges += [((vs[r - 1], vs[c]), weight())
-                  for r, c in rng.sample(above, min(len(above), rng.randrange(size + 1)))]
+                  for r, c in map(_above_diagonal(size),
+                                  rng.sample(range(above), min(above, rng.randrange(size + 1))))]
         comp_dets.append((-1) ** (size - 1) * prod(diagonal))
 
     # the component DAG: each component takes up to three edges from

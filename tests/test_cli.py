@@ -147,16 +147,12 @@ def test_missing_vector_value_is_still_a_usage_error(tmp_path, capsys):
     (("analyze", "--input", "-1,0"), "error: [Errno 2] No such file or directory: '-1,0'\n"),
     (("analyze", "--field", "-1,0"), "usage error: argument --field: invalid choice: '-1,0'"),
     (("analyze", "--p", "-.5,0"), "usage error: argument --p: invalid int value: '-.5,0'\n"),
-    (("ideal", "--input", "{doc}", "--vector", "-.5,0,0"), "error: invalid scalar '-.5'\n"),
     (("ideal", "--input", "{doc}", "--vector", "-\u0663,0,0"), "error: invalid scalar '-\u0663'\n"),
     (("graph", "--input", "{doc}", "--dot", "-1/x"), "error: [Errno 2] No such file or "
                                                     "directory: '-1/x'\n"),
-    (("quotient", "--input", "{doc}", "--ideal-basis", "-1.basis"),
-     "error: [Errno 2] No such file or directory: '-1.basis'\n"),
     (("oracle", "--input", "{doc}", "--max-vectors", "-1e3"),
      "usage error: argument --max-vectors: invalid int value: '-1e3'\n"),
-], ids=["input", "field", "p", "vector", "vector-unicode-digit", "dot", "ideal-basis",
-        "max-vectors"])
+], ids=["input", "field", "p", "vector-unicode-digit", "dot", "max-vectors"])
 def test_every_option_reads_a_value_that_starts_with_minus_and_a_digit(tmp_path, capsys,
                                                                      monkeypatch, argv,
                                                                      expected):
@@ -178,12 +174,13 @@ def test_an_argument_that_starts_with_minus_and_no_digit_is_still_an_option(tmp_
     # own rule, and stays one
     assert run(capsys, "ideal", "--input", doc, "--vector", "-\u0663") == (
         1, "", "error: expected 3 coordinates, found 1\n")
-    # before the subcommand argparse's own rule holds, which takes only a
-    # whole negative number for an argument
-    assert run(capsys, "-1,0", "analyze", "--input", doc) == (
-        1, "", "usage error: unrecognized arguments: -1,0\n")
-    assert run(capsys, "-1,0") == (
-        1, "", "usage error: the following arguments are required: command\n")
+    # before the subcommand the same rule holds: "-1,0" is read as the
+    # subcommand's name, and "-x" as an option
+    code, out, err = run(capsys, "-1,0", "analyze", "--input", doc)
+    assert (code, out) == (1, "") and err.startswith(
+        "usage error: argument command: invalid choice: '-1,0' (choose from ")
+    assert run(capsys, "-x", "analyze", "--input", doc) == (
+        1, "", "usage error: unrecognized arguments: -x\n")
 
 
 def test_graph_subcommand_writes_dot(tmp_path, capsys, monkeypatch):

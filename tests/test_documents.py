@@ -438,14 +438,15 @@ def test_line_numbers_count_the_line_ends_the_utf8_error_counts():
 
 
 # tokens each route must read as field.parse does, or refuse with its
-# message: the brackets and comma that the block route puts between rows
-# and entries, leading zeros, digit strings at and over CPython's
-# 4300-digit limit, Unicode digits that int() takes and field.parse
-# refuses, signs, '_' separators, fractions and a zero denominator.  The
-# first are drawn most often: a block check made on the text with the
-# separators in lets a closing bracket through, and reads a wrong block
-ODD_TOKENS = ("4]", "[3", "1,2", "007", "4" * 4300, "5" * 4301, "\u0663", "\uff11", "\u00b2",
-              "+1", "-0", "1_0", "2/2", "1/0")
+# message: leading zeros, signs, fractions, digit strings at and over
+# CPython's 4300-digit limit, Unicode digits that int() takes and
+# field.parse refuses, '_' separators, a zero denominator, and the comma
+# and brackets that the block route puts between entries and rows
+ODD_TOKENS = ("007", "4" * 4300, "5" * 4301, "\u0663", "\uff11", "\u00b2", "+1", "-0",
+              "1_0", "2/2", "1/0", "1,2", "[3", "4]")
+# those last three: a block check made on the text with the separators in
+# lets a closing bracket through, and reads a wrong block
+SEPARATORS = ODD_TOKENS[-3:]
 # texts a row of repeated tokens is made of: digits alone, first, which the
 # block route reads, and others, which send the block to the table route
 REPEATED = ("0", "1", "-1", "+0", "1/2")
@@ -460,13 +461,13 @@ def route_rows(draw, field, width, count):
     first row that is not the zero row picks either route.  Half the
     blocks are clean: no token has a leading zero and the repeated texts
     are digits, so that over F_p the block route reads the block when it
-    picks it.  Half the others are clean but for one token of ODD_TOKENS
+    picks it.  Half the others are clean but for one token of SEPARATORS
     at a random place, and start with a run, so that over F_p the block
-    route picks them and each odd token reaches the scanner with nothing
+    route picks them and the separator reaches the scanner with nothing
     else odd beside it.  In the rest, leading zeros make texts distinct
     where p is small, odd tokens go into random rows at random places, and
     so does a second space or a tab before a token."""
-    kind = "clean" if draw(st.booleans()) else draw(st.sampled_from(("one odd token", "odd")))
+    kind = "clean" if draw(st.booleans()) else draw(st.sampled_from(("one separator", "odd")))
     clean = kind != "odd"
     top = (3 * field.p if field.kind == "prime" else 1000) + width
     values = st.integers(min_value=0, max_value=top)
@@ -477,7 +478,7 @@ def route_rows(draw, field, width, count):
     distinct = st.tuples(zeros, values).map(
         lambda zeros_value: "0" * zeros_value[0] + str(zeros_value[1]))
     repeated = st.sampled_from(REPEATED[:2] if clean else REPEATED)
-    run = kind == "one odd token" or draw(st.booleans())
+    run = kind == "one separator" or draw(st.booleans())
     rows = []
     while len(rows) < count:
         size = draw(st.integers(min_value=1, max_value=4)) if run else 1
@@ -485,10 +486,10 @@ def route_rows(draw, field, width, count):
             rows.append(draw(st.lists(distinct, min_size=width, max_size=width, unique=True))
                         if run else [draw(repeated)] * width)
         run = not run
-    if kind == "one odd token":
+    if kind == "one separator":
         row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
         row[draw(st.integers(min_value=0, max_value=width - 1))] = draw(
-            st.sampled_from(ODD_TOKENS))
+            st.sampled_from(SEPARATORS))
     odd = 0 if clean else count
     for _ in range(draw(st.integers(min_value=0, max_value=odd))):
         row = rows[draw(st.integers(min_value=0, max_value=count - 1))]
