@@ -32,7 +32,7 @@ from operator import itemgetter
 from .algebra import EvolutionAlgebra, _memoized
 from .graph import _merged, associated_graph
 from .ideals import is_nondegenerate
-from .linalg import Matrix, det
+from .linalg import _Canonical, det
 
 PRINCIPAL_CYCLE = "principal_cycle"
 CHAIN_START = "chain_start"
@@ -106,18 +106,20 @@ def _restricted_structure(algebra, indices):
     """The transpose of M_B restricted to the rows and columns in indices, a
     non-empty subset of 1..n, which has the same det: the squares of the
     indices, each sliced to them by one itemgetter, which returns a bare
-    entry for a single index; all n indices give the squares themselves."""
+    entry for a single index; all n indices give the squares themselves.
+    Its entries are the algebra's canonical scalars, so it is a
+    linalg._Canonical, which det takes as it is."""
     squares = algebra._squares
     k = len(indices)
     if k == algebra.dim:
-        return Matrix(k, k, squares)
+        return _Canonical(k, k, squares)
     idx = sorted(indices)
     pick = itemgetter(*(c - 1 for c in idx))
     if k == 1:
         rows = ((pick(squares[idx[0] - 1]),),)
     else:
         rows = tuple(pick(squares[r - 1]) for r in idx)
-    return Matrix(k, k, rows)
+    return _Canonical(k, k, rows)
 
 
 @_memoized

@@ -44,14 +44,16 @@ validated in ``__new__``; ``Rationals`` has none, so all its instances
 are equal, and equal to ``()``, and it defines ``__bool__``, since a
 namedtuple with no fields would be falsy.
 
-A raw value becomes canonical at the public edge, once: the parsers, the
+A raw value becomes canonical where it enters, once: the parsers, the
 EvolutionAlgebra constructors and ``element``, the routines that take a
 vector (``subspace_from_vectors``, ``Subspace.contains``, those of
 ideals and ``QuotientPresentation.project``, all through the one check
-``linalg._vector``), and ``det``/``rref``, which take whatever ``coerce``
-takes.  Inside the package every scalar is canonical already, so
-internal calls hand it to the span and membership cores
-(``linalg._span``, ``Subspace._holds``) without another ``coerce``.
+``linalg._vector``), and ``det``/``rref``, which coerce each entry of a
+caller's matrix.  Inside the package every scalar is canonical already,
+so internal calls hand it to the span and membership cores
+(``linalg._span``, ``Subspace._holds``) without another ``coerce``, and
+the one matrix the package hands to ``det``, a block slice, is a
+``linalg._Canonical``: a matrix the package built, taken as it is.
 """
 
 from __future__ import annotations

@@ -48,16 +48,15 @@ Odlyzko 1990, CRYPTO): the rows of a generated ideal touch the forward
 closure of its seeds alone.  The reduced rows are spread back to full
 width, and the subspace finds its pivot columns on first use, as every
 Subspace does; rows on one column or none need no elimination.
-A vector a caller hands in is checked and coerced by _vector, the one
-check of its length, in subspace_from_vectors, Subspace.contains,
-QuotientPresentation.project and the vector routines of algebra and
-ideals; the package's own calls, whose rows are canonical, go straight
-to the cores, _span and Subspace._holds.
-det and rref take a matrix of anything coerce takes: a row is used as it
-is when the kernel's own first step accepts it (the struct pack over F_p,
-the denominators over QQ), and is coerced only when that step refuses
-it.  Over F_p a row that struct refuses (an entry below 0, too wide or
-not an int) has this one route: _echelon coerces it and packs it again.
+A raw value becomes canonical where it enters, once, and the kernels
+read canonical scalars only.  A vector a caller hands in is checked and
+coerced by _vector, the one check of its length, in
+subspace_from_vectors, Subspace.contains, QuotientPresentation.project
+and the vector routines of algebra and ideals; the package's own calls,
+whose rows are canonical, go straight to the cores, _span and
+Subspace._holds.  det and rref coerce each entry of a caller's matrix
+once, where they take it; a _Canonical matrix is one the package built,
+of canonical scalars, and det takes it as it is.
 """
 
 from __future__ import annotations
@@ -65,10 +64,10 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain, compress, repeat
+from itertools import compress, repeat
 from math import lcm, prod
 from operator import itemgetter
-from struct import Struct, error as struct_error
+from struct import Struct
 
 from .errors import DimensionError, FieldError
 
@@ -89,28 +88,27 @@ class Matrix(namedtuple("Matrix", "rows cols entries")):
         return tuple.__new__(cls, (rows, cols, entries))
 
 
+class _Canonical(Matrix):
+    """A Matrix the package built, of canonical scalars, which det takes
+    as it is."""
+
+    __slots__ = ()
+
+
 def _slots(p, count, width):
     """The layout of count packed rows of width residues mod p: (bits,
     pack, unpack, reduce).
 
-    pack turns a row of ints into one int with one struct call: each slot
-    is nbytes - size pad bytes and the smallest struct code of size bytes
-    that holds p - 1, and column 0 is the most significant slot.  It does
-    not look at the entries first: the library hands it canonical
-    residues, and struct itself refuses an entry below 0, of more than
-    size bytes or not an int, so a raw int packs as itself, with the
-    residue it stands for, or is refused.  Where no code holds p - 1
-    (p > 2^64), int.to_bytes is mapped over the row instead, after an
-    explicit check, and every slot starts below p.  A row that either
-    route refuses raises struct.error or TypeError, and _echelon packs it
-    once more after field.coerce, its one route to residues.  unpack is
-    the inverse on a reduced row, one struct call again.
+    pack turns a row of residues into one int with one struct call: each
+    slot is nbytes - size pad bytes and the smallest struct code of size
+    bytes that holds p - 1, and column 0 is the most significant slot.
+    Where no code holds p - 1 (p > 2^64), int.to_bytes is mapped over the
+    row instead.  unpack is the inverse on a reduced row, one call again.
 
-    A slot is nbytes bytes and bits = 8 nbytes, enough for p s + count p^2
-    with s = 2^(8 size), or s = p on the to_bytes route (where that is
-    (count + 1) p^2): elimination (_echelon) starts a slot below s, the
-    first pivot row, which it does not reduce, adds at most (p - 1)(s - 1)
-    to it, and each of the fewer than count later ones less than p^2.
+    A slot is nbytes bytes and bits = 8 nbytes, enough for (count + 1) p^2:
+    elimination (_echelon) starts a slot below p, the first pivot row,
+    which it does not reduce, adds at most (p - 1)^2 to it, and each of the
+    fewer than count later ones less than p^2.
 
     reduce takes every slot of a packed int mod p at once (SWAR: the same
     arithmetic on all slots of one int), given that each slot holds less
@@ -123,8 +121,7 @@ def _slots(p, count, width):
     leaves its region, so no slot borrows from or carries into another."""
     size, code = next(((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
                        if p <= 1 << 8 * s), (None, None))
-    start = p if code is None else 1 << 8 * size
-    nbytes = -(-(p * start + count * p * p).bit_length() // 8)
+    nbytes = -(-((count + 1) * p * p).bit_length() // 8)
     bits = 8 * nbytes
     if code is not None:
         layout = Struct(">" + "%dx%s" % (nbytes - size, code) * width)
@@ -136,8 +133,6 @@ def _slots(p, count, width):
         layout = Struct(">" + "%ds" % nbytes * width)
 
         def write(row):
-            if row and (min(row) < 0 or max(row) >= p):
-                row = map(p.__rmod__, row)
             return b"".join(map(int.to_bytes, row, repeat(nbytes), repeat("big")))
 
         def read(raw):
@@ -171,25 +166,23 @@ def _echelon(field, rows, width):
     that is the determinant when every row is a pivot row; det reads it
     only then, and _rref_rows never).
 
-    Over F_p each row is packed once into one int of fixed-width slots
-    (_slots), after field.coerce where the pack refuses it, and stays
-    packed: the rows are left as those ints.  A slot starts below the
-    bound s of _slots, gains at most (p - 1)(s - 1) from the first pivot
-    row and less than p^2 from each later one, so it stays below
-    p s + rows p^2, the width _slots gives it, and never carries into the
-    next.  One row update is one multiply-add, masked to
-    the columns right of the pivot, so a row's entry in the next column is
-    one shift.  Every row below a pivot is updated, with factor zero where
+    The rows hold canonical scalars.  Over F_p each row is packed once
+    into one int of fixed-width slots (_slots) and stays packed: the rows
+    are left as those ints.  A slot starts below p, gains at most
+    (p - 1)^2 from the first pivot row and less than p^2 from each later
+    one, so it stays below (rows + 1) p^2, the width _slots gives it, and
+    never carries into the next.  One row update is one multiply-add,
+    masked to the columns right of the pivot, so a row's entry in the next
+    column is one shift.  Every row below a pivot is updated, with factor zero where
     its entry is zero, so each pivot row but the first has been updated:
     it is reduced mod p in all its slots at once (SWAR) before it serves.
     A nonzero multiple of p left in a column with no pivot is cleared.
     The determinant is read off the pivots alone; no row is unpacked.
 
     Over QQ a row whose entries are all plain ints enters as it is, with
-    scale 1; any other row is first scaled by the lcm of its denominators
-    (a row with an entry that has none is coerced first).  The rows are
-    left as ints: Bareiss fraction-free elimination, where every entry is
-    a minor of the scaled matrix.  A row's divisor is the pivot of the
+    scale 1; any other row is first scaled by the lcm of its denominators.
+    The rows are left as ints: Bareiss fraction-free elimination, where
+    every entry is a minor of the scaled matrix.  A row's divisor is the pivot of the
     step that last updated it.  A row whose leading entries are zero is
     left alone and keeps its divisor d; before it is next updated, or
     serves as a pivot row, it is multiplied by the last pivot and divided
@@ -219,11 +212,7 @@ def _echelon(field, rows, width):
     if field.kind != "rational":
         p = field.p
         bits, pack, _, reduce = _slots(p, len(rows), width)
-        for i, row in enumerate(rows):
-            try:
-                rows[i] = pack(row)
-            except (struct_error, TypeError):  # not an int, below 0 or too wide
-                rows[i] = pack([*map(field.coerce, row)])
+        rows[:] = map(pack, rows)
         pivots = []
         sign = value = 1
         for col in range(width):
@@ -258,11 +247,7 @@ def _echelon(field, rows, width):
         if set(map(type, row)) <= {int}:  # integral: enters with scale 1
             rows[i] = [*row]
             continue
-        try:
-            scale = lcm(*[x.denominator for x in row])
-        except AttributeError:  # an entry that is not an int or a Fraction
-            row = [*map(field.coerce, row)]
-            scale = lcm(*[x.denominator for x in row])
+        scale = lcm(*[x.denominator for x in row])
         rows[i] = [x.numerator * (scale // x.denominator) for x in row]
         scales.append(scale)
     divisors = [1] * len(rows)
@@ -331,8 +316,9 @@ def _echelon(field, rows, width):
 
 
 def _rref_rows(field, rows, width):
-    """Reduce a list of rows (lists or tuples) in place to lists of
-    canonical field scalars; return (rank, pivot columns).
+    """Reduce a list of rows (lists or tuples) of canonical scalars in
+    place to lists of canonical field scalars; return (rank, pivot
+    columns).
 
     Over QQ, with d the last Bareiss pivot, the determinant of the scaled
     pivot block, d times a reduced row is integral by Cramer's rule, and
@@ -348,7 +334,7 @@ def _rref_rows(field, rows, width):
     its lead and reduced again, and each row above gets one multiply-add
     that makes its slot in the pivot column a multiple of p, its factor
     read off that slot.  A row above gains less than p^2 per slot at each
-    pivot below it, so the slots stay below s + rows p^2 (_slots).  Each
+    pivot below it, so the slots stay below (rows + 1) p^2 (_slots).  Each
     pivot row is reduced when its turn comes and is not touched after, and
     the rows below the rank are zero, so each row is unpacked once as it
     is."""
@@ -384,11 +370,12 @@ def _rref_rows(field, rows, width):
 
 
 def rref(field, m: Matrix):
-    """Unique reduced row-echelon form of m (shape preserved).
+    """Unique reduced row-echelon form of m (shape preserved), each entry
+    coerced once.
 
     Returns (rank, reduced) where rank counts the nonzero rows.
     """
-    rows = [list(r) for r in m.entries]
+    rows = [[*map(field.coerce, r)] for r in m.entries]
     rank, _ = _rref_rows(field, rows, m.cols)
     return rank, Matrix(m.rows, m.cols, tuple(tuple(r) for r in rows))
 
@@ -398,18 +385,15 @@ def det(field, m: Matrix):
     _echelon returns, which over F_p is the signed product of its pivots
     mod p and over QQ its last Bareiss pivot, signed and divided by the
     row scales that cleared the denominators (an int where they divide
-    it).  A zero row or zero column gives zero with no elimination (a zero
-    scalar is falsy in every field), once the entries' types show that
-    coerce takes each of them; otherwise they are coerced, which refuses
-    what coerce refuses."""
+    it).  Each entry of a caller's matrix is coerced once; a _Canonical
+    one is taken as it is.  A zero row or zero column gives zero with no
+    elimination (a zero scalar is falsy in every field)."""
     if m.rows != m.cols:
         raise DimensionError("determinant of a non-square %dx%d matrix" % (m.rows, m.cols))
-    if not all(map(any, m.entries)) or not all(map(any, zip(*m.entries))):
-        if not set(map(type, chain(*m.entries))) <= ({int, Fraction} if field.kind == "rational"
-                                                     else {int}):
-            list(map(field.coerce, chain(*m.entries)))  # raises what coerce raises
+    rows = [*m.entries] if type(m) is _Canonical else [[*map(field.coerce, r)] for r in m.entries]
+    if not all(map(any, rows)) or not all(map(any, zip(*rows))):
         return field.zero
-    pivots, value = _echelon(field, list(m.entries), m.cols)
+    pivots, value = _echelon(field, rows, m.cols)
     return value if len(pivots) == m.rows else field.zero
 
 

@@ -2,6 +2,7 @@
 fixes, with the standard library alone:
 
     plan = planted(random.Random(seed), n)     # n >= 3
+    plan = planted(random.Random(seed), n, known_dets=False)
 
 The plan lays out components along a random DAG, in order:
 - cyclic components: a Hamiltonian cycle through their vertices plus a few
@@ -16,8 +17,7 @@ vertex with no loop, both in groups of their own so far, so each is a
 source and they lie in different weak components; the last component is a
 vertex with no loop, which no edge leaves; the first group holds cyclic
 components alone.  So every plan has a principal cycle, a chain start, a
-sink, at least two weak components, and a weak component whose det is
-not zero.
+sink and at least two weak components.
 
 Every edge i -> j has a nonzero integer weight w, the coordinate of e_j in
 e_i^2, which neither 7 nor 10007 divides, so that every weight and every
@@ -30,7 +30,14 @@ whose entries above it give the extra inner edges.  So det C =
 (-1)^(k-1) prod d; a vertex with a loop is the case k = 1.  Ordered along
 the DAG, the matrix of a weak component is block triangular, so its det
 is the product of the dets of its components, 0 where one is a vertex
-with no loop.
+with no loop; the first component's weak component holds cyclic
+components alone, so its det is not zero.
+
+Such inner edges leave every cycle of a component passing through
+v_{k-1}, the one vertex that can carry a loop.  With known_dets false,
+the extra inner edges are arbitrary pairs of the component's vertices
+instead, so a loop may sit on any vertex and two inner cycles may be
+disjoint; the graph facts do not depend on them, and plan.dets is None.
 
 Last, the vertices are relabelled onto 1..n by a random permutation.  The
 expected facts are read off the component DAG, not computed by evolalg.
@@ -87,9 +94,10 @@ def _above_diagonal(size):
     return entry
 
 
-def planted(rng, n) -> Plan:
+def planted(rng, n, known_dets=True) -> Plan:
     """A digraph on 1..n with a planted condensation, drawn with rng (a
-    random.Random), and its expected facts."""
+    random.Random), and its expected facts; with known_dets false, inner
+    edges are arbitrary and plan.dets is None."""
     if n < 3:
         raise ValueError("a plan needs n >= 3, got %d" % n)
     shapes = _sizes(rng, n)
@@ -115,10 +123,14 @@ def planted(rng, n) -> Plan:
         # the cycle edge v_{r-1} -> v_r
         diagonal = [weight() for _ in range(size)]
         edges += [((vs[r - 1], vs[r]), d) for r, d in enumerate(diagonal)]
-        above = size * (size - 1) // 2
-        edges += [((vs[r - 1], vs[c]), weight())
-                  for r, c in map(_above_diagonal(size),
-                                  rng.sample(range(above), min(above, rng.randrange(size + 1))))]
+        extra = rng.randrange(size + 1)
+        if known_dets:
+            above = size * (size - 1) // 2
+            edges += [((vs[r - 1], vs[c]), weight())
+                      for r, c in map(_above_diagonal(size),
+                                      rng.sample(range(above), min(above, extra)))]
+        else:
+            edges += [((rng.choice(vs), rng.choice(vs)), weight()) for _ in range(extra)]
         comp_dets.append((-1) ** (size - 1) * prod(diagonal))
 
     # the component DAG: each component takes up to three edges from
@@ -177,5 +189,5 @@ def planted(rng, n) -> Plan:
         frozenset(comps[i][0] for i in lone if not pred[i]),
         by_least(frozenset(comps[i]) for i in range(count) if cyclic[i] and not pred[i]),
         vertices(i for i in range(count) if not reaches[i]),
-        tuple(part for part, _ in weak), tuple(det for _, det in weak),
+        tuple(part for part, _ in weak), tuple(det for _, det in weak) if known_dets else None,
         tuple(sorted(canonical, key=lambda part: min(part[1]))))

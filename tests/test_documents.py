@@ -3,7 +3,7 @@ from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import example, given
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra, FieldError,
@@ -502,7 +502,9 @@ def route_rows(draw, field, width, count):
     return rows
 
 
-@FIXED
+# no shrink phase: shrinking a failure re-draws blocks that hold the
+# 4,300- and 4,301-digit tokens, for minutes
+@settings(FIXED, phases=set(Phase) - {Phase.shrink})
 @given(data=st.data())
 def test_both_row_routes_equal_a_per_token_parse(data):
     field = data.draw(st.sampled_from(ROUTE_FIELDS))

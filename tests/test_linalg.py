@@ -1,8 +1,9 @@
 from fractions import Fraction
 from itertools import chain
+from math import prod
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 from sympy import GF as SympyGF
 from sympy import QQ as SympyQQ
@@ -13,9 +14,12 @@ from evolalg import (GF, QQ, DimensionError, EvolutionAlgebra, FieldError,
                      subspace_equal, subspace_from_vectors,
                      subspace_intersection, subspace_sum, zero_subspace)
 from evolalg.fields import MODULUS_BOUND, is_prime
-from evolalg.linalg import _rref_rows, _slots, _span, _unit_rows, coordinate_subspace
-from support import (FIXED, is_canonical, make_rng, matrix, nonzero_scalars, raw_scalars,
-                     scalars, weighted_digraph_algebras)
+from evolalg.decompose import _restricted_structure, optimal_decomposition
+from evolalg.linalg import (_Canonical, _rref_rows, _slots, _span, _unit_rows,
+                            coordinate_subspace)
+from support import (FIXED, is_canonical, make_rng, matrix, nonzero_scalars,
+                     pair_cycle_mixing, raw_scalars, scalars, swap_pair_plus_loop,
+                     weighted_digraph_algebras)
 
 
 def mat(rows):
@@ -234,6 +238,46 @@ def test_packed_slots_hold_the_largest_growth(p):
     assert rref(f, a) == (n, matrix([[int(r == c) for c in range(n)] for r in range(n)]))
 
 
+# for each prime, the largest row count up to 64 at which a slot of
+# (count + 1) p^2 takes a byte less than one of p 2^(8 size) + count p^2,
+# the width with room for any int of the size-byte struct code that holds
+# p - 1
+NARROWED = [(2, 62), (3, 27), (257, 64), (10007, 41), (65537, 64), (2 ** 61 - 1, 63)]
+
+
+# no shrink phase: a smaller seed gives no simpler matrix
+@pytest.mark.parametrize("p, n", NARROWED)
+@settings(FIXED, max_examples=4, phases=set(Phase) - {Phase.shrink})
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), singular=st.booleans())
+def test_planted_dets_fill_the_narrowed_slots(p, n, seed, singular):
+    # A = L U mod p, L unit lower triangular with entries near 1 and U
+    # upper triangular with entries near p - 1: eliminating A takes the
+    # factors -L mod p, near p - 1, times U's rows, so the slots fill most;
+    # det A is the product of U's diagonal, and a nonsingular A reduces to
+    # the identity
+    rng = make_rng(seed)
+    lower = [[1 + rng.randrange(3) for _ in range(r)] for r in range(n)]
+    upper = [[0] * r + [p - 1 - rng.randrange(min(p - 1, 3))]
+             + [p - 1 - rng.randrange(min(p, 3)) for _ in range(n - 1 - r)] for r in range(n)]
+    if singular:
+        k = rng.randrange(n)
+        upper[k][k] = 0
+    rows = []
+    for r in range(n):
+        row = upper[r]
+        for c, u in zip(lower[r], upper):
+            row = [x + c * y for x, y in zip(row, u)]
+        rows.append([x % p for x in row])
+    f = GF(p)
+    a = matrix(rows)
+    assert det(f, a) == prod(upper[r][r] for r in range(n)) % p
+    rank, reduced = rref(f, a)
+    if singular:
+        assert rank == n - 1
+    else:
+        assert (rank, reduced) == (n, matrix([[int(r == c) for c in range(n)] for r in range(n)]))
+
+
 # sympy's DomainMatrix is the test-only oracle for the elimination kernel;
 # GF(2^61 - 1) and the largest modulus a prime field admits need packed
 # F_p slots wider than 64 bits
@@ -349,10 +393,10 @@ def test_raw_ints_give_the_results_of_their_residues(field, data):
 @FIXED
 @given(data=st.data())
 def test_raw_ints_up_to_the_struct_code_bound_give_the_results_of_their_residues(p, data):
-    # a row is packed as it is unless struct refuses an entry: one below 0,
-    # or one of more bytes than the code that holds p - 1, so the slots
-    # must have room for entries up to that code's bound; the largest
-    # entries of each residue class are the likeliest to overflow a slot
+    # entries below 0, up to the bound of the struct code that holds p - 1
+    # and past it: det and rref coerce each one to its residue where they
+    # take the matrix, so the slots hold residues alone and the results
+    # are those of the reduced matrix
     field = GF(p)
     top = 1 << 8 * next(size for size in (1, 2, 4, 8) if p <= 1 << 8 * size)
     edges = [top - 1 - k for k in range(p)] + [p, p - 1, 0, -1, -p, -top, top, 3 * top]
@@ -396,6 +440,35 @@ def test_det_and_rref_take_what_coerce_takes(field, data):
     for call in (det, rref):
         with pytest.raises(FieldError):
             call(field, matrix(square))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(7), GF(2 ** 64 + 13)], ids=field_ids)
+def test_a_callers_matrix_is_coerced_once_and_a_block_slice_never(field, monkeypatch):
+    # det and rref coerce each entry of a matrix the caller built, also a
+    # canonical one and one with a zero row; the block slices that
+    # decompose hands to det are _Canonical and are taken as they are
+    algebras = [swap_pair_plus_loop(field), pair_cycle_mixing(field)]
+    coerce = type(field).coerce
+    calls = []
+
+    def counted(self, value):
+        calls.append(value)
+        return coerce(self, value)
+
+    monkeypatch.setattr(type(field), "coerce", counted)
+    for rows in ([(1, 2, 0), (0, 1, 1), (1, 0, 1)], [(1, 2, 0), (0, 0, 0), (1, 0, 1)]):
+        for call in (det, rref):
+            calls.clear()
+            call(field, matrix(rows))
+            assert len(calls) == 9
+    calls.clear()
+    for algebra in algebras:
+        blocks = optimal_decomposition(algebra).blocks
+        assert [det(field, _restricted_structure(algebra, block.indices))
+                for block in blocks] == [block.det for block in blocks]
+        assert all(type(_restricted_structure(algebra, block.indices)) is _Canonical
+                   for block in blocks)
+    assert calls == []
 
 
 @pytest.mark.parametrize("field", PRIME_FIELDS, ids=field_ids)
