@@ -56,7 +56,7 @@ def _significant_lines(text):
     # not splitlines(): it also ends a line at U+2028, \v, \f and others
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     for lineno, raw in enumerate(lines, start=1):
-        line = (raw.split("#", 1)[0] if "#" in raw else raw).strip()
+        line = raw.split("#", 1)[0].strip()
         if line:
             yield lineno, line
 

@@ -22,9 +22,7 @@ Everything else is plain Python on those values.  A canonical scalar is
 zero exactly when it is falsy.  Sums and products use Python's operators,
 and two routines make their results canonical again: ``coerce`` reduces
 one value, and the private ``_canonical`` a list of sums at once (mod p
-over F_p; over QQ a Fraction of denominator 1 becomes its numerator, and
-a list of ints alone, found by one C-level pass over the types, is handed
-back as it is).
+over F_p; over QQ a Fraction of denominator 1 becomes its numerator).
 Outside the elimination kernels of linalg and the block scanner of
 documents, the package reduces through these two alone.  The text of a
 scalar is ``str``, and ``parse(str(x)) == x``; writers go through
@@ -196,11 +194,7 @@ class Rationals(namedtuple("Rationals", "")):
     def _canonical(self, values) -> list:
         """Sums and products of canonical rationals made canonical again: a
         Fraction the arithmetic left with denominator 1 becomes its
-        numerator, and an int stays as it is (its numerator).  A list of
-        ints alone, found by one C-level pass over the entries' types, is
-        returned as it is."""
-        if type(values) is list and set(map(type, values)) <= {int}:
-            return values
+        numerator, and an int stays as it is (its numerator)."""
         return [x.numerator if x.denominator == 1 else x for x in values]
 
     def __bool__(self):

@@ -106,9 +106,9 @@ def _slots(p, count, width):
     row instead.  unpack is the inverse on a reduced row, one call again.
 
     A slot is nbytes bytes and bits = 8 nbytes, enough for (count + 1) p^2:
-    elimination (_echelon) starts a slot below p, the first pivot row,
-    which it does not reduce, adds at most (p - 1)^2 to it, and each of the
-    fewer than count later ones less than p^2.
+    elimination (_echelon) starts a slot below p, and each of the fewer
+    than count pivot rows, reduced before it serves, adds at most
+    (p - 1)^2 to it.
 
     reduce takes every slot of a packed int mod p at once (SWAR: the same
     arithmetic on all slots of one int), given that each slot holds less
@@ -168,14 +168,13 @@ def _echelon(field, rows, width):
 
     The rows hold canonical scalars.  Over F_p each row is packed once
     into one int of fixed-width slots (_slots) and stays packed: the rows
-    are left as those ints.  A slot starts below p, gains at most
-    (p - 1)^2 from the first pivot row and less than p^2 from each later
-    one, so it stays below (rows + 1) p^2, the width _slots gives it, and
-    never carries into the next.  One row update is one multiply-add,
-    masked to the columns right of the pivot, so a row's entry in the next
-    column is one shift.  Every row below a pivot is updated, with factor zero where
-    its entry is zero, so each pivot row but the first has been updated:
-    it is reduced mod p in all its slots at once (SWAR) before it serves.
+    are left as those ints.  One row update is one multiply-add, masked to
+    the columns right of the pivot, so a row's entry in the next column is
+    one shift.  Every row below a pivot is updated, with factor zero where
+    its entry is zero, and each pivot row is reduced mod p in all its slots
+    at once (SWAR) before it serves.  So a slot starts below p and gains at
+    most (p - 1)^2 from each pivot row: it stays below (rows + 1) p^2, the
+    width _slots gives it, and never carries into the next.
     A nonzero multiple of p left in a column with no pivot is cleared.
     The determinant is read off the pivots alone; no row is unpacked.
 
@@ -217,24 +216,21 @@ def _echelon(field, rows, width):
         sign = value = 1
         for col in range(width):
             top = len(pivots)
-            if top == len(rows):
-                break
             shift = bits * (width - 1 - col)
             keep = (1 << shift) - 1  # the columns right of col
             hit = None
             for r in range(top, len(rows)):
                 row = rows[r]
-                if row > keep:
-                    if (row >> shift) % p:
-                        hit = r
-                        break
-                    rows[r] = row & keep
+                if (row >> shift) % p:
+                    hit = r
+                    break
+                rows[r] = row & keep
             if hit is None:
                 continue
             if hit != top:
                 rows[top], rows[hit] = rows[hit], rows[top]
                 sign = -sign
-            pivot_row = rows[top] = reduce(rows[top]) if top else rows[top]
+            pivot_row = rows[top] = reduce(rows[top])
             lead = pivot_row >> shift
             value = value * lead % p
             minus_inv = p - pow(lead, -1, p)

@@ -18,13 +18,13 @@ benchmarks/, best of 31 on a 2-vCPU VM, 2.69 against 9.14 ms on 3.10.13,
 json.dumps is the faster, 2.04 against 2.75 ms; the writer stays for the
 older Pythons.  A list of strings that the escaper leaves as they are
 (their concatenation is printable ASCII with no quote and no backslash,
-as the scalar texts of a report are) is quoted in one str.join, and a
-list of ints is one str.join over int.__repr__; any other list, strings
-that need escaping among them, is written item by item, and an empty
-list is "[]".  The writer defers to json itself for None, for an empty
-dict, and for anything that is not a plain string, int, bool, list,
-tuple or dict with string keys: no report or CLI payload holds None or
-an empty dict, so their texts, null and {}, cost no branch here.
+as the scalar texts of a report are) is quoted in one str.join; any
+other list, strings that need escaping among them, is written item by
+item, and an empty list is "[]".  The writer defers to json itself for
+None, for an empty dict, and for anything that is not a plain string,
+int, bool, list, tuple or dict with string keys: no report or CLI
+payload holds None or an empty dict, so their texts, null and {}, cost
+no branch here.
 
 The annihilator and the radical are spanned by basis vectors (the sinks,
 and the vertices that reach no cycle), so linalg._unit_rows builds their
@@ -169,10 +169,7 @@ def _json(value, pad):
                 and '"' not in text and "\\" not in text):
             # texts that the escaper leaves as they are, quoted in one join
             return "[\n" + inner + '"' + ('",\n' + inner + '"').join(value) + '"\n' + pad + "]"
-        if set(map(type, value)) == {int}:
-            body = map(int.__repr__, value)
-        else:
-            body = [_json(item, inner) for item in value]
+        body = [_json(item, inner) for item in value]
         return "[\n" + inner + (",\n" + inner).join(body) + "\n" + pad + "]"
     if kind is dict and set(map(type, value)) == {str}:
         inner = pad + "  "

@@ -25,8 +25,8 @@ F_p^n has at most 4,096 vectors.  Then come documents built for one point
 each: spellings of one value that the row parser reads by different
 routes (SAME and APART name the runs whose stdout must be equal or must
 differ), dense QQ and GF(10007) dets, quotients, --field and --p
-overrides, and the odd tokens of the CLI fuzz grammar (support.py).  Last
-come seeded QQ and GF(10007) documents whose blocks have no zero row or
+overrides, and the odd tokens of the CLI fuzz grammar (fuzz_grammar.py).
+Last come seeded QQ and GF(10007) documents whose blocks have no zero row or
 column, so that most block dets the reference checks are nonzero; they
 run through the same invocations as the first seeded documents.  The last
 runs are a quotient whose document and basis file would both be read
@@ -49,7 +49,7 @@ from pathlib import Path
 
 from evolalg.cli import main
 from reference import scalar
-from support import FUZZ_ARGS, FUZZ_TOKENS
+from fuzz_grammar import FUZZ_ARGS, FUZZ_TOKENS
 
 MANIFEST = Path(__file__).with_name("golden_manifest.txt")
 SEED = 11

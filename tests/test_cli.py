@@ -18,9 +18,9 @@ from evolalg.cli import _COMMANDS, _build_parser, main
 from evolalg.documents import emit_document
 from evolalg.errors import FieldError, InternalConsistencyError
 from evolalg.fields import PrimeField, Rationals
-from support import (FIXED, FUZZ_ARGS, FUZZ_DIMS, FUZZ_MODULI, FUZZ_TOKENS, double_loop,
-                     entangled_squares, pair_cycle_mixing, swap_pair_plus_loop,
-                     two_loops_two_sinks)
+from fuzz_grammar import FUZZ_ARGS, FUZZ_DIMS, FUZZ_MODULI, FUZZ_TOKENS
+from support import (FIXED, double_loop, entangled_squares, pair_cycle_mixing,
+                     swap_pair_plus_loop, two_loops_two_sinks)
 
 SCHEMA_PATH = Path(__file__).resolve().parent.parent / "docs" / "report.schema.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
