@@ -216,6 +216,8 @@ def _echelon(field, rows, width):
         sign = value = 1
         for col in range(width):
             top = len(pivots)
+            if top == len(rows):
+                break
             shift = bits * (width - 1 - col)
             keep = (1 << shift) - 1  # the columns right of col
             hit = None

@@ -4,30 +4,32 @@ route, with the standard library alone:
     python tools/fork_audit.py --bytes-only
     python tools/fork_audit.py --record FILE
     python tools/fork_audit.py --rounds 100 --fork ID --fork ID --record FILE
+    python tools/fork_audit.py --rounds 150 --base REV --record FILE
 
 A speed fork is a second route that the code picks from its input, where
 a general route gives the same result.  FORKS lists each one: an id, a
 file under src/evolalg, a snippet that occurs there exactly once, the
 text that replaces it to force the general route, and its layer, the
-function of the package whose time it moves.  A fork whose gain no
-workload shows names the input it serves, with its gain measured there.
-REQUIRED lists the routes that look like forks but are the only
-route for some input.
+function of the package whose time it moves.  REQUIRED lists the routes
+that look like forks but are the only route for some input.
 
 Every fork (or each one named by --fork) gets a copy of src/evolalg, in
 a fresh temporary directory, with that one snippet replaced; two plain
 copies, HEAD and the A/A control, go beside them.  Each copy is loaded
 as its own package, evolalg_tNN, so all of them run in one process.
+--base REV adds the src/evolalg of git revision REV as one more copy,
+labelled REV, and audits no fork unless --fork names one: so a change
+that deletes forks is timed against its parent as a whole.
 
 * Byte check.  Every copy must give each line of tests/golden_manifest.txt
   (tests/golden.py runs its corpus through the copy's cli.main), and the
   stdout and exit code that HEAD gives at every step of the four
   benchmark corpora at seed 1 (benchmarks/corpus.py and run.py, which
   are read and not changed).  Any difference exits 1 after the check ends.
-* Timing, unless --bytes-only.  Over the benchmark corpora at --seed (501
-  by default), for --rounds rounds, every operation (the steps of one
-  corpus item through cli.main, as benchmarks/run.py runs them) runs once
-  on every copy, in an order shuffled per operation.  The layer of every
+* Timing, unless --bytes-only.  Over the benchmark corpora at seed SEED,
+  for --rounds rounds, every operation (the steps of one corpus item
+  through cli.main, as benchmarks/run.py runs them) runs once on every
+  copy, in an order shuffled per operation.  The layer of every
   fork is wrapped by a timer in every copy alike.  For each fork and
   workload it prints the median over the operations of the copy's time
   over HEAD's, the share of operations where the copy was faster, and the
@@ -38,8 +40,11 @@ as its own package, evolalg_tNN, so all of them run in one process.
 object): each row this run timed replaces the row of the same version,
 workload and copy, and every row carries its rounds.  Then it writes
 each fork's verdict over every row recorded: "delete" when its median
-ratio is at most 1.02 on every workload under every Python, unless it
-names an input it serves, and "keep" otherwise.
+ratio is at most LIMIT on every workload under every Python, and "keep"
+otherwise.  The rule tests each fork alone and does not bound the sum:
+forks that go by it may cost more than LIMIT together, which a --base
+run of the change against its parent shows.  A fork no workload reaches
+reads "delete" by it, whatever it gains on the input it serves.
 """
 
 from __future__ import annotations
@@ -48,13 +53,16 @@ import argparse
 import gc
 import importlib
 import importlib.util
+import io
 import json
 import os
 import platform
 import random
 import shutil
 import statistics
+import subprocess
 import sys
+import tarfile
 import tempfile
 import time
 from collections import namedtuple
@@ -63,8 +71,9 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "evolalg"
 LIMIT = 1.02  # the noise of one end-to-end metric: a fork within it goes
+SEED = 501  # the corpus seed of the timing, the benchmark's
 
-Fork = namedtuple("Fork", "id file snippet general layer serves", defaults=(None,))
+Fork = namedtuple("Fork", "id file snippet general layer")
 Route = namedtuple("Route", "id file snippet why")
 
 FORKS = (
@@ -124,13 +133,15 @@ FORKS = (
     Fork("det.zero_column", "linalg.py",
          "if not all(map(any, rows)) or not all(map(any, zip(*rows))):",
          "if not all(map(any, rows)):",
-         "linalg.det",
-         "a zero column and no zero row (a chain start and no sink), which no workload "
-         "holds: 0.03 ms against 133 ms by elimination at n = 100 over QQ"),
+         "linalg.det"),
     Fork("fp.struct_slots", "linalg.py",
          '    size, code = next(((s, c) for s, c in ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))\n'
          "                       if p <= 1 << 8 * s), (None, None))",
          "    size, code = None, None",
+         "linalg._echelon"),
+    Fork("fp.full_rank_stop", "linalg.py",
+         "            if top == len(rows):\n                break\n",
+         "",
          "linalg._echelon"),
     Fork("qq.integral_rows", "linalg.py",
          "        if set(map(type, row)) <= {int}:  # integral: enters with scale 1\n"
@@ -197,15 +208,24 @@ def forced(fork, text: str) -> str:
     return text.replace(fork.snippet, fork.general)
 
 
-def write_trees(where: Path, forks) -> dict:
-    """{label: package directory}: HEAD, the A/A control and one copy per
-    fork, each a copy of src/evolalg under a name of one length."""
+def write_trees(where: Path, forks, base=None) -> dict:
+    """{label: package directory}: HEAD, the A/A control, the tree of git
+    revision base if one is given, and one copy per fork, each under a
+    name of one length."""
     labels = ["HEAD", "A/A", *(fork.id for fork in forks)]
     trees = {}
     for k, label in enumerate(labels):
         directory = where / ("t%02d" % k)
         shutil.copytree(SRC, directory, ignore=shutil.ignore_patterns("__pycache__"))
         trees[label] = directory
+    if base:
+        archive = subprocess.run(["git", "-C", str(ROOT), "archive", base, "src/evolalg"],
+                                 capture_output=True, check=True).stdout
+        with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+            tar.extractall(where / "base", filter="data")
+        directory = where / ("t%02d" % len(labels))
+        (where / "base" / "src" / "evolalg").rename(directory)
+        trees[base] = directory
     for fork in forks:
         path = trees[fork.id] / fork.file
         path.write_text(forced(fork, path.read_text(encoding="utf-8")), encoding="utf-8")
@@ -296,9 +316,9 @@ def _median_ratio(pairs):
     return round(statistics.median(ratios), 4) if ratios else None
 
 
-def timing(clis: dict, where: Path, seed: int, rounds: int) -> dict:
+def timing(clis: dict, where: Path, rounds: int) -> dict:
     """{workload: {label: {ratio, faster, layer_ratio}}} over rounds
-    rounds of the corpus at seed, every copy against HEAD."""
+    rounds of the corpus at SEED, every copy against HEAD."""
     import corpus
     from run import run_item
 
@@ -306,10 +326,10 @@ def timing(clis: dict, where: Path, seed: int, rounds: int) -> dict:
     for label, cli in clis.items():
         time_layers(cli, totals[label])
     layer_of = {fork.id: fork.layer for fork in FORKS}
-    rng = random.Random(seed)
+    rng = random.Random(SEED)
     result = {}
     for workload in corpus.FAMILIES:
-        items = corpus.build(workload, seed, where / ("seed%d" % seed) / workload)
+        items = corpus.build(workload, SEED, where / ("seed%d" % SEED) / workload)
         for cli in clis.values():
             run_item(cli, items[0])
         ops = {label: [] for label in clis}  # (op seconds, {layer: seconds})
@@ -354,8 +374,7 @@ def timing(clis: dict, where: Path, seed: int, rounds: int) -> dict:
 def verdicts(runs: dict) -> dict:
     """{fork id: {worst_ratio, where, verdict}} over every recorded row:
     the largest median ratio of any workload under any Python, and
-    "delete" where it is at most LIMIT and the fork names no input it
-    serves."""
+    "delete" where it is at most LIMIT."""
     out = {}
     for fork in FORKS:
         measured = [(rows[fork.id]["ratio"], "%s %s" % (version, workload))
@@ -365,7 +384,7 @@ def verdicts(runs: dict) -> dict:
             continue
         worst, where = max(measured)
         out[fork.id] = {"worst_ratio": worst, "where": where,
-                        "verdict": "delete" if worst <= LIMIT and not fork.serves else "keep"}
+                        "verdict": "delete" if worst <= LIMIT else "keep"}
     return out
 
 
@@ -384,9 +403,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--bytes-only", action="store_true", help="the byte check alone")
     parser.add_argument("--rounds", type=int, default=60, help="timed rounds per workload")
-    parser.add_argument("--seed", type=int, default=501, help="corpus seed of the timing")
     parser.add_argument("--fork", action="append", choices=[fork.id for fork in FORKS],
                         help="audit this fork alone (repeatable); every fork by default")
+    parser.add_argument("--base", metavar="REV",
+                        help="time the src/evolalg of git revision REV against HEAD too")
     parser.add_argument("--record", type=Path, metavar="FILE",
                         help="keep this Python's run and the verdicts in FILE")
     args = parser.parse_args(argv)
@@ -394,8 +414,10 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(SRC.parent), str(ROOT / "tests"), str(ROOT / "benchmarks")]
     with tempfile.TemporaryDirectory() as scratch:
         where = Path(scratch)
-        forks = [fork for fork in FORKS if not args.fork or fork.id in args.fork]
-        clis = {label: load(directory) for label, directory in write_trees(where, forks).items()}
+        forks = [fork for fork in FORKS
+                 if fork.id in (args.fork or ()) or not (args.fork or args.base)]
+        trees = write_trees(where, forks, args.base)
+        clis = {label: load(directory) for label, directory in trees.items()}
         bad = byte_check(clis, where)
         if bad:
             print("bytes differ: %s" % ", ".join(bad))
@@ -403,7 +425,7 @@ def main(argv=None) -> int:
         if args.bytes_only:
             print("bytes: %d copies reproduce HEAD" % len(clis))
             return 0
-        result = timing(clis, where, args.seed, args.rounds)
+        result = timing(clis, where, args.rounds)
     report(result)
     if args.record:
         record = json.loads(args.record.read_text()) if args.record.exists() else {"runs": {}}
