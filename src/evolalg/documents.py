@@ -53,6 +53,8 @@ def _significant_lines(text):
             before = text[:exc.start]
             ends = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n")
             raise ParseError("invalid UTF-8 byte 0x%02x" % text[exc.start], ends + 1) from None
+    # one leading byte-order mark, which Windows editors write, is no token
+    text = text.removeprefix("\ufeff")
     # not splitlines(): it also ends a line at U+2028, \v, \f and others
     lines = (text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text).split("\n")
     for lineno, raw in enumerate(lines, start=1):

@@ -9,18 +9,13 @@ alone.
 The JSON layout is pinned by docs/report.schema.json; identical input
 documents produce identical output bytes.  Those bytes are the ones
 json.dumps(report, indent=2) gives, written by a small recursive writer
-of this module.  Up to CPython 3.12, json with an indent falls back to
-its pure-Python encoder, one generator step per value, and the writer is
-3 to 3.4 times faster: on the five seed-501 analyze-blocks-gf reports of
-benchmarks/, best of 31 on a 2-vCPU VM, 2.69 against 9.14 ms on 3.10.13,
-2.38 against 8.09 ms on 3.11.7 (the benchmark's Python) and 2.69 against
-7.76 ms on 3.12.1.  CPython 3.13 encodes with an indent in C, and there
-json.dumps is the faster, 2.04 against 2.75 ms; the writer stays for the
-older Pythons.  A list of strings that the escaper leaves as they are
-(their concatenation is printable ASCII with no quote and no backslash,
-as the scalar texts of a report are) is quoted in one str.join; any
-other list, strings that need escaping among them, is written item by
-item, and an empty list is "[]".  The writer defers to json itself for
+of this module, because before CPython 3.13 json with an indent falls
+back to its pure-Python encoder, one generator step per value (README
+gives the timings under each Python).  A list of strings that the
+escaper leaves as they are (their concatenation is printable ASCII with
+no quote and no backslash, as the scalar texts of a report are) is
+quoted in one str.join; any other list, strings that need escaping
+among them, is written item by item, and an empty list is "[]".  The writer defers to json itself for
 None, for an empty dict, and for anything that is not a plain string,
 int, bool, list, tuple or dict with string keys: no report or CLI
 payload holds None or an empty dict, so their texts, null and {}, cost

@@ -11,7 +11,9 @@ the first 12 hex digits of the SHA-256 of stdout and of stderr, and the
 argv as shlex.join writes it.  tests/test_golden.py makes the corpus again
 and compares every line; a change that moves CLI bytes on purpose commits
 the manifest this script writes, and its diff lists the invocations that
-moved.
+moved.  run(argv) is the tests' one in-process run of the CLI, and
+counted and bindings are how a test, or tools/fork_audit.py, wraps a
+function of the package wherever the package binds it.
 
 The seeded documents: QQ with negatives and fractions, GF(2), GF(3),
 GF(7), GF(10007), GF(2^61 - 1) and GF(2^64 + 13), n from 1 to 12, with
@@ -30,8 +32,9 @@ Last come seeded QQ and GF(10007) documents whose blocks have no zero row or
 column, so that most block dets the reference checks are nonzero; they
 run through the same invocations as the first seeded documents.  The last
 runs are a quotient whose document and basis file would both be read
-from stdin, which is refused, and files whose names start with '-' and a
-digit, which every option reads as its value.
+from stdin, which is refused, files whose names start with '-' and a
+digit, which every option reads as its value, and a document and a basis
+file that start with a UTF-8 byte-order mark.
 """
 
 from __future__ import annotations
@@ -328,9 +331,13 @@ NEGATIVE_NAMES = [_analyze("-1"), ["analyze", "--json", "--input=-1.alg"],
                   ["analyze", "--json", "--input", "./-1.alg"],
                   ["quotient", "--json", "--input", "-1.alg", "--ideal-basis", "-1.basis"],
                   ["graph", "--input", "-1.alg", "--dot", "-1.dot"]]
-SAME += [[_analyze("unitrows"), *NEGATIVE_NAMES[:3]],
+# bom.alg and bom.basis are unitrows.alg and unitrows.basis after a UTF-8
+# byte-order mark
+BOM_NAMES = [_analyze("bom"),
+             ["quotient", "--json", "--input", "bom.alg", "--ideal-basis", "bom.basis"]]
+SAME += [[_analyze("unitrows"), *NEGATIVE_NAMES[:3], BOM_NAMES[0]],
          [["quotient", "--json", "--input", "unitrows.alg", "--ideal-basis", "unitrows.basis"],
-          NEGATIVE_NAMES[3]]]
+          NEGATIVE_NAMES[3], BOM_NAMES[1]]]
 
 # e1^2 = 5 e1 + e3, e2^2 = e1 - 2/3 e2, e3^2 = e2 + 10 e3: --p 5 sends
 # two entries to 0, and --p 3 finds a denominator that vanishes
@@ -417,6 +424,10 @@ def corpus():
     # and -1.dot is written; '-.5' is read as a coordinate and refused
     files["-1.alg"], files["-1.basis"] = files["unitrows.alg"], files["unitrows.basis"]
     runs += [*NEGATIVE_NAMES, ["ideal", "--input", "gf2pair.alg", "--vector", "-.5,0"]]
+    # a document and a basis file as a Windows editor writes them
+    files["bom.alg"] = b"\xef\xbb\xbf" + files["unitrows.alg"]
+    files["bom.basis"] = b"\xef\xbb\xbf" + files["unitrows.basis"]
+    runs += BOM_NAMES
     return files, runs
 
 
@@ -438,28 +449,45 @@ def run(argv):
     return code, out.getvalue(), err.getvalue()
 
 
+def counted(calls, name, function):
+    """function, wrapped to add 1 to calls[name] on each call."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return function(*args, **kwargs)
+    return wrapper
+
+
+def bindings(function, package="evolalg"):
+    """[(module, name)] of every binding of function in the modules of
+    package, the package itself among them: each place a rebinding must
+    reach for every call by name to go through it."""
+    return [(module, name) for key, module in list(sys.modules.items())
+            if key == package or key.startswith(package + ".")
+            for name, value in vars(module).items() if value is function]
+
+
 def manifest_line(argv, code, out, err) -> str:
     return "%d %s %s %s" % (code, _digest(out), _digest(err), shlex.join(argv))
 
 
 def results(where):
-    """Write the corpus into the directory where, which must be the
-    working directory, and run it: ({file name: bytes}, [(argv, exit code,
-    stdout, stderr)] in manifest order)."""
+    """Write the corpus into the directory where and run it there:
+    ({file name: bytes}, [(argv, exit code, stdout, stderr)] in manifest
+    order)."""
     files, runs = corpus()
-    for name, data in files.items():
-        (Path(where) / name).write_bytes(data)
-    return files, [(argv, *run(argv)) for argv in runs]
+    here = os.getcwd()
+    os.chdir(where)
+    try:
+        for name, data in files.items():
+            Path(name).write_bytes(data)
+        return files, [(argv, *run(argv)) for argv in runs]
+    finally:
+        os.chdir(here)
 
 
 def write_manifest():
-    here = os.getcwd()
     with tempfile.TemporaryDirectory() as where:
-        os.chdir(where)
-        try:
-            _, ran = results(where)
-        finally:
-            os.chdir(here)
+        _, ran = results(where)
     MANIFEST.write_text("".join(manifest_line(*r) + "\n" for r in ran), encoding="utf-8")
     print("%s: %d invocations" % (MANIFEST.name, len(ran)), file=sys.stderr)
 

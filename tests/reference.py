@@ -2,6 +2,7 @@
 written out here: this module imports nothing from evolalg, so a fault in
 the library's kernels, parsers or graph code cannot hide one in the check.
 
+    problems(argv, stdout, document, basis)     # picks one of these for a run
     analyze_problems(document, report)         # analyze, decompose, radical, simple --json
     quotient_problems(document, basis, report)  # quotient --json
     ideal_problems(document, vector, report)    # ideal --json, vector the --vector text
@@ -29,7 +30,9 @@ rising, with no graph at all, and a quotient's greedy choice is found by
 appending unit vectors to its basis rows one at a time.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 # digits per int() call, below CPython's limit on one conversion
 _CHUNK = 4000
@@ -57,7 +60,7 @@ def scalar(text, p=None):
 
 def lines(data):
     """The tokens of each significant line of a document or basis file."""
-    text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    text = data.decode("utf-8-sig").replace("\r\n", "\n").replace("\r", "\n")
     return [words for words in (line.split("#", 1)[0].split() for line in text.split("\n"))
             if words]
 
@@ -270,6 +273,37 @@ def ideal_problems(document, vector, report):
     elif _echelon(basis + span, p)[0] != len(basis):
         problems.append("ideal_basis: does not span the closure")
     return problems
+
+
+def value(argv, flag):
+    """The value argv gives flag, as `flag VALUE` or `flag=VALUE`; None
+    where argv has no flag."""
+    for k, token in enumerate(argv):
+        if token == flag:
+            return argv[k + 1]
+        if token.startswith(flag + "="):
+            return token[len(flag) + 1:]
+    return None
+
+
+def problems(argv, stdout, document, basis):
+    """What is wrong with an exit-0 run of argv on the bytes of a document
+    and a basis file: with the DOT it printed to stdout or wrote to its
+    --dot file, or with the JSON report it printed.  None for a run that
+    no check covers: a table, and the oracle."""
+    command, dot = argv[0], value(argv, "--dot")
+    if command == "graph":
+        if dot not in (None, "-"):
+            stdout = Path(dot).read_bytes().decode("utf-8")
+        return graph_problems(document, stdout, modulus(document, argv))
+    if "--json" not in argv or command == "oracle":
+        return None
+    report = json.loads(stdout)
+    if command == "quotient":
+        return quotient_problems(document, basis, report)
+    if command == "ideal":
+        return ideal_problems(document, value(argv, "--vector"), report)
+    return analyze_problems(document, report)  # analyze, decompose, radical, simple
 
 
 def modulus(document, argv):

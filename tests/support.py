@@ -266,6 +266,14 @@ def random_element(rng, field, dim, zero_prob=0.3):
                  for _ in range(dim))
 
 
+def vec_add(field, u, v):
+    return tuple(field.coerce(x + y) for x, y in zip(u, v))
+
+
+def vec_scale(field, c, u):
+    return tuple(field.coerce(c * x) for x in u)
+
+
 def relabel(algebra, perm):
     """Algebra on the reindexed basis f_j = e_{perm[j-1]}: the structure
     entry (m, j) becomes the old entry (perm[m-1], perm[j-1])."""

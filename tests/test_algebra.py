@@ -10,7 +10,7 @@ from evolalg import (GF, QQ, AssociatedGraph, DimensionError,
 from evolalg.documents import emit_document, parse_document
 from support import (FIXED, algebras, fan_to_swap_pair, is_canonical, make_rng, matrix,
                      random_algebra, random_element, raw_scalars, swap_pair_plus_loop,
-                     two_sinks_and_pair)
+                     two_sinks_and_pair, vec_add, vec_scale)
 
 
 def loose_scalars(field):
@@ -119,14 +119,6 @@ def test_multiply_sums_the_coerced_coordinates_times_the_squares(field, data):
     product = a.multiply(x, y)
     assert product == tuple(expected)
     assert all(is_canonical(field, c) for c in product)
-
-
-def vec_add(field, u, v):
-    return tuple(field.coerce(x + y) for x, y in zip(u, v))
-
-
-def vec_scale(field, c, u):
-    return tuple(field.coerce(c * x) for x in u)
 
 
 @pytest.mark.parametrize("field", [QQ, GF(2), GF(5)])

@@ -1,4 +1,3 @@
-import contextlib
 import io
 import json
 import os
@@ -12,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import golden
 import reference
 from evolalg import GF, EvolutionAlgebra, linalg
 from evolalg.cli import _COMMANDS, _build_parser, main
@@ -770,26 +770,6 @@ def fuzz_bytes(draw, lines, clean) -> bytes:
     return data
 
 
-def reference_problems(argv, out, document, basis):
-    """What tests/reference.py finds wrong with the stdout out of an exit-0
-    run of argv on the bytes of a document and a basis file; the runs it
-    has no check for, tables among them, give none."""
-    command = argv[0]
-    if command == "graph":
-        return [] if "--dot" in argv else reference.graph_problems(
-            document, out, reference.modulus(document, argv))
-    if "--json" not in argv:
-        return []
-    report = json.loads(out)
-    if command in ("analyze", "decompose", "radical", "simple"):
-        return reference.analyze_problems(document, report)
-    if command == "quotient":
-        return reference.quotient_problems(document, basis, report)
-    if command == "ideal":
-        return reference.ideal_problems(document, argv[argv.index("--vector") + 1], report)
-    return []
-
-
 @settings(FIXED, max_examples=60)  # eight to twenty-two runs per example; about 1 s
 @given(data=st.data())
 def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
@@ -816,15 +796,12 @@ def test_every_cli_run_ends_in_exit_0_or_one_error_line(tmp_path_factory, data):
     (where / "a.alg").write_bytes(document)
 
     def run(argv, basis):
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        err = err.getvalue()
+        code, out, err = golden.run(argv)
         assert (code, err) == (0, "") or (code == 1 and err.count("\n") == 1
                                           and err.endswith("\n")), (argv, code, err)
         if code == 0:
-            assert reference_problems(argv, out.getvalue(), document, basis) == [], argv
-        return code, out.getvalue()
+            assert not reference.problems(argv, out, document, basis), argv
+        return code, out
 
     basis = fuzz_bytes(draw, draw(fuzz_lines(n, 2, clean or draw(st.booleans()))), clean)
     (where / "basis.txt").write_bytes(basis)

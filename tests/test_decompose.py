@@ -15,6 +15,7 @@ from evolalg import (GF, QQ, AssociatedGraph, EvolutionAlgebra,
 from evolalg.decompose import (CHAIN_START, PRINCIPAL_CYCLE, CanonicalPart,
                                _restricted_structure)
 from evolalg.linalg import Matrix, coordinate_subspace, det
+from golden import bindings, counted
 from planted import planted
 from support import (FIXED, algebras, digraphs, double_loop,
                      entangled_squares, from_squares, graph_core_with_side_loop,
@@ -353,8 +354,6 @@ def test_graph_and_decomposition_are_computed_once_per_algebra():
 
 
 def test_report_does_only_block_dets(monkeypatch):
-    import sys
-
     import evolalg.decompose
     import evolalg.ideals
     import evolalg.linalg
@@ -363,35 +362,29 @@ def test_report_does_only_block_dets(monkeypatch):
     calls = {"det": 0, "_echelon": 0, "is_ideal": 0, "multiply": 0, "descendents": 0,
              "ascendents": 0, "_rref_rows": 0, "optimal_fragmentation": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     # rebind every name the package holds for the function, not just one;
     # the annihilator, radical and blocks are spanned by basis vectors, so
     # their echelon bases need no elimination
     for name, fn in (("det", evolalg.linalg.det), ("is_ideal", evolalg.ideals.is_ideal),
                      ("_rref_rows", evolalg.linalg._rref_rows)):
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("evolalg") and getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+        for module, attr in bindings(fn):
+            monkeypatch.setattr(module, attr, counted(calls, name, fn))
     monkeypatch.setattr(EvolutionAlgebra, "multiply",
-                        counted("multiply", EvolutionAlgebra.multiply))
+                        counted(calls, "multiply", EvolutionAlgebra.multiply))
     # the per-vertex closures answer queries; the analysis reads the
     # strongly connected components instead
     for name in ("descendents", "ascendents"):
         monkeypatch.setattr(AssociatedGraph, name,
-                            counted(name, getattr(AssociatedGraph, name)))
+                            counted(calls, name, getattr(AssociatedGraph, name)))
     # the blocks are the weak components, read off the same pass; the
     # canonical parts are not fragmented
     monkeypatch.setattr(evolalg.decompose, "optimal_fragmentation",
-                        counted("optimal_fragmentation", evolalg.decompose.optimal_fragmentation))
+                        counted(calls, "optimal_fragmentation",
+                                evolalg.decompose.optimal_fragmentation))
 
     # the elimination det runs when its matrix has no zero row or column
     monkeypatch.setattr(evolalg.linalg, "_echelon",
-                        counted("_echelon", evolalg.linalg._echelon))
+                        counted(calls, "_echelon", evolalg.linalg._echelon))
 
     rng = make_rng(4321)
     skipped = eliminated = 0

@@ -207,6 +207,21 @@ def test_invalid_utf8_byte_is_placed_on_the_line_the_parser_numbers(end):
         parse_basis_file(QQ, b"1 0\r\r\n\xff 1\r", 2)
 
 
+def test_one_leading_byte_order_mark_is_skipped():
+    # EF BB BF, as Windows editors start a file, in bytes and in text; an
+    # invalid byte after it is still placed on its line, and a second mark
+    # is text
+    bom = b"\xef\xbb\xbf"
+    data = GOLDEN_DOC.encode("utf-8")
+    assert parse_document(bom + data) == parse_document(bom.decode() + GOLDEN_DOC) \
+        == parse_document(data)
+    assert parse_basis_file(QQ, bom + b"1 0\n0 1\n", 2) == [(1, 0), (0, 1)]
+    with pytest.raises(ParseError, match="^line 2: invalid UTF-8 byte 0xff$"):
+        parse_document(bom + b"field rational\n\xff\n")
+    with pytest.raises(ParseError, match="^line 1: expected 'field ...'"):
+        parse_document(bom + bom + data)
+
+
 def test_parse_vector_and_basis_file():
     assert parse_vector(QQ, "1,0,-2/3", 3) == (QQ.one, QQ.zero, QQ.parse("-2/3"))
     with pytest.raises(ParseError):

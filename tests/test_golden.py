@@ -7,6 +7,7 @@ equal or different bytes, and to the reference checks of reference.py."""
 import json
 import os
 import shlex
+from collections import Counter
 
 import pytest
 
@@ -21,9 +22,7 @@ def where(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def corpus(where):
-    with pytest.MonkeyPatch.context() as patch:
-        patch.chdir(where)  # the argv paths are relative to the corpus
-        return golden.results(where)
+    return golden.results(where)
 
 
 def test_cli_bytes_match_the_golden_manifest(corpus):
@@ -52,56 +51,31 @@ def test_equal_inputs_print_equal_bytes(corpus):
 
 
 def _file(files, argv, flag):
-    """The bytes of the corpus file that argv names by flag, given as
-    `flag NAME` or `flag=NAME`, NAME relative to the corpus."""
-    name = next(argv[k + 1] if token == flag else token[len(flag) + 1:]
-                for k, token in enumerate(argv)
-                if token == flag or token.startswith(flag + "="))
-    return files[os.path.normpath(name)]
+    """The bytes of the corpus file that argv names by flag, None where it
+    names none."""
+    name = reference.value(argv, flag)
+    return name and files[os.path.normpath(name)]
 
 
-def test_block_dets_and_projections_match_the_reference(corpus):
+def test_every_exit_0_run_matches_the_reference(corpus, where, monkeypatch):
     files, ran = corpus
-    problems, checked, dets = [], {"analyze": 0, "radical": 0, "simple": 0, "quotient": 0}, []
+    monkeypatch.chdir(where)  # where graph --dot wrote its files
+    problems, checked, dets = [], Counter(), []
     for argv, code, out, _ in ran:
-        if code or "--json" not in argv or argv[0] not in checked:
+        found = None if code else reference.problems(
+            argv, out, _file(files, argv, "--input"), _file(files, argv, "--ideal-basis"))
+        if found is None:
             continue
-        report = json.loads(out)
-        document = _file(files, argv, "--input")
-        if argv[0] == "quotient":
-            found = reference.quotient_problems(document, _file(files, argv, "--ideal-basis"),
-                                                report)
-        else:  # the radical and simple sections are checked on the keys they hold
-            found = reference.analyze_problems(document, report)
-            dets += [block["det"] for block in report.get("blocks", [])]
         problems += [(shlex.join(argv)[:80], problem) for problem in found]
         checked[argv[0]] += 1
+        if argv[0] != "graph":
+            dets += [block["det"] for block in json.loads(out).get("blocks", [])]
     assert problems == []
-    # every one that exits 0
-    assert checked == {"analyze": 133, "radical": 100, "simple": 100, "quotient": 95}
-    # most det checks compare a nonzero det, not 0 with 0: 137 of 246
-    assert (len(dets), len(dets) - dets.count("0")) == (246, 137)
-
-
-def test_dot_edges_and_ideals_match_the_reference(corpus, where):
-    files, ran = corpus
-    problems, checked = [], {"graph": 0, "ideal": 0}
-    for argv, code, out, _ in ran:
-        if code or argv[0] not in checked or argv[0] == "ideal" and "--json" not in argv:
-            continue
-        document = _file(files, argv, "--input")
-        if argv[0] == "graph":
-            if "--dot" in argv and argv[-1] != "-":  # the DOT went to the file
-                out = (where / argv[-1]).read_text(encoding="utf-8")
-            found = reference.graph_problems(document, out, reference.modulus(document, argv))
-        else:
-            found = reference.ideal_problems(document, argv[argv.index("--vector") + 1],
-                                             json.loads(out))
-        problems += [(shlex.join(argv)[:80], problem) for problem in found]
-        checked[argv[0]] += 1
-    assert problems == []
-    # every one that exits 0
-    assert checked == {"graph": 116, "ideal": 99}
+    # every run that exits 0 with a JSON report or DOT
+    assert checked == {"analyze": 134, "radical": 100, "simple": 100, "quotient": 96,
+                       "graph": 116, "ideal": 99}
+    # most det checks compare a nonzero det, not 0 with 0
+    assert (len(dets), len(dets) - dets.count("0")) == (247, 137)
 
 
 def _altered(det, p):

@@ -13,6 +13,7 @@ from evolalg import (GF, QQ, AssociatedGraph, DimensionError, EvolutionAlgebra,
                      zero_subspace)
 from evolalg import linalg
 from evolalg.linalg import coordinate_subspace
+from golden import counted
 from support import (FIXED, algebras, all_chains_die, entangled_squares,
                      double_loop, fixpoint_reaches_no_cycle, interleaved_blocks, is_canonical,
                      loop_feeder, make_rng, pair_cycle_mixing,
@@ -408,15 +409,9 @@ def test_membership_and_quotients_do_not_eliminate(monkeypatch):
     sub = subspace_from_vectors(GF(3), 3, [(1, 1, 0), (0, 0, 1)])
     calls = {"_echelon": 0, "multiply": 0}
 
-    def counted(name, fn):
-        def wrapper(*args):
-            calls[name] += 1
-            return fn(*args)
-        return wrapper
-
-    monkeypatch.setattr(linalg, "_echelon", counted("_echelon", linalg._echelon))
+    monkeypatch.setattr(linalg, "_echelon", counted(calls, "_echelon", linalg._echelon))
     monkeypatch.setattr(EvolutionAlgebra, "multiply",
-                        counted("multiply", EvolutionAlgebra.multiply))
+                        counted(calls, "multiply", EvolutionAlgebra.multiply))
     assert ideal.contains((1, 2, 1)) and not ideal.contains((1, 0, 0))
     assert sub.contains((2, 2, 1)) and not sub.contains((0, 1, 0))
     assert is_ideal(a, ideal) and not is_ideal(b, sub)

@@ -1,5 +1,4 @@
 import json
-import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -14,6 +13,7 @@ from evolalg.cli import main
 from evolalg.documents import emit_document, parse_document
 from evolalg.ideals import annihilator, radical
 from evolalg.report import ANALYZE_KEYS, SECTION_KEYS, build_report, render_json
+from golden import bindings, counted
 from support import (FIXED, algebras, interleaved_blocks, make_rng, random_algebra,
                      weighted_digraph_algebras)
 
@@ -45,18 +45,11 @@ def counted_calls(monkeypatch):
     through every name the package holds for each, not just one."""
     calls = {"det": 0, "canonical_decomposition": 0, "coordinate_subspace": 0}
 
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     for name, fn in (("det", evolalg.linalg.det),
                      ("canonical_decomposition", evolalg.decompose.canonical_decomposition),
                      ("coordinate_subspace", evolalg.linalg.coordinate_subspace)):
-        for module_name, module in list(sys.modules.items()):
-            if module_name.startswith("evolalg") and getattr(module, name, None) is fn:
-                monkeypatch.setattr(module, name, counted(name, fn))
+        for module, attr in bindings(fn):
+            monkeypatch.setattr(module, attr, counted(calls, name, fn))
     return calls
 
 

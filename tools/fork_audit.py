@@ -55,7 +55,6 @@ import importlib
 import importlib.util
 import io
 import json
-import os
 import platform
 import random
 import shutil
@@ -265,15 +264,11 @@ def byte_check(clis: dict, where: Path) -> list:
     head = [outcome(clis["HEAD"], item) for item in items]
     runs = where / "golden"
     runs.mkdir()
-    here, bad = os.getcwd(), []
+    bad = []
     for label, cli in clis.items():
         start = time.perf_counter()
         golden.main = cli.main
-        os.chdir(runs)
-        try:
-            lines = [golden.manifest_line(*result) for result in golden.results(runs)[1]]
-        finally:
-            os.chdir(here)
+        lines = [golden.manifest_line(*result) for result in golden.results(runs)[1]]
         moved = sum(want != got for want, got in zip(expected, lines))
         moved += abs(len(expected) - len(lines))
         steps = sum(a != b for item, want in zip(items, head)
@@ -296,19 +291,17 @@ def _wrap(function, totals: dict, key: str):
 
 
 def time_layers(cli, totals: dict):
-    """Wrap each fork's layer, in every module of cli's package that binds
-    it, by a timer that adds to totals[layer]."""
+    """Wrap each fork's layer, everywhere cli's package binds it, by a
+    timer that adds to totals[layer]."""
+    from golden import bindings
+
     package = cli.__name__.rsplit(".", 1)[0]
-    modules = [module for name, module in list(sys.modules.items())
-               if name.startswith(package + ".")]
     for layer in sorted({fork.layer for fork in FORKS}):
         module, name = layer.split(".")
         function = getattr(sys.modules[package + "." + module], name)
         totals[layer] = 0.0
-        for each in modules:
-            for attr, value in vars(each).items():
-                if value is function:
-                    setattr(each, attr, _wrap(function, totals, layer))
+        for each, attr in bindings(function, package):
+            setattr(each, attr, _wrap(function, totals, layer))
 
 
 def _median_ratio(pairs):
@@ -428,8 +421,8 @@ def main(argv=None) -> int:
         result = timing(clis, where, args.rounds)
     report(result)
     if args.record:
-        record = json.loads(args.record.read_text()) if args.record.exists() else {"runs": {}}
-        runs = record["runs"].setdefault(platform.python_version(), {})
+        record = json.loads(args.record.read_text()) if args.record.exists() else {}
+        runs = record.setdefault("runs", {}).setdefault(platform.python_version(), {})
         for workload, rows in result.items():
             runs.setdefault(workload, {}).update(rows)
         record["verdicts"] = verdicts(record["runs"])

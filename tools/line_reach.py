@@ -7,9 +7,8 @@ Runs the tier-1 suite in this process under sys.settrace, recording the
 lines executed in the files of src/evolalg, and lists every line inside a
 function (a def, lambda or comprehension body) that no test reaches.
 Exits 1 when a tier-1 test fails or a line is unreached; else 0.  The
-tracer makes the suite about 2.3 times slower (148 s against 64 s for
-566 tests, run back to back on a 2-vCPU VM under CPython 3.11.7), so
-this is a separate CI step, not a tier-1 test.
+tracer makes the suite about 2.3 times slower, so this is a separate CI
+step, not a tier-1 test.
 """
 
 from __future__ import annotations
