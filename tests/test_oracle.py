@@ -2,13 +2,15 @@ import pytest
 
 import evolalg.oracle
 from evolalg import (GF, QQ, BudgetExceededError, EvolutionAlgebra,
-                     FieldError, classical_checks, enumerate_ideals,
-                     enumerate_subspaces, is_nondegenerate, radical,
-                     radical_oracle, simple_oracle, subspace_equal,
+                     FieldError, absorption_oracle, classical_checks,
+                     enumerate_ideals, enumerate_subspaces,
+                     has_absorption_property, is_nondegenerate, is_simple,
+                     radical, radical_oracle, simple_oracle, subspace_equal,
                      subspace_from_vectors)
 from evolalg.oracle import MAX_SUBSPACES, subspace_count
-from support import (all_chains_die, double_loop, nilpotent_line_nondegenerate,
-                     pair_cycle_mixing)
+from support import (all_chains_die, double_loop, make_rng,
+                     nilpotent_line_nondegenerate, pair_cycle_mixing,
+                     random_algebra)
 
 
 def gaussian_binomial(n, k, p):
@@ -127,3 +129,25 @@ def test_classical_checks_golden():
 
     zero_product = EvolutionAlgebra.from_squares(GF(2), [(0, 0), (0, 0)])
     assert not classical_checks(zero_product).semiprime
+
+
+def test_fast_paths_agree_with_oracles_on_random_corpus():
+    rng = make_rng(515151)
+    for field in (GF(2), GF(3)):
+        for _ in range(30):
+            a = random_algebra(rng, field, rng.randrange(1, 4))
+            ideals = enumerate_ideals(a)
+            assert subspace_equal(radical(a), radical_oracle(a))
+            assert bool(is_simple(a)) == simple_oracle(a)
+            for s in ideals:
+                absorbing = has_absorption_property(a, s)
+                assert absorbing == absorption_oracle(a, s)
+                if absorbing:
+                    # absorbing ideals are spanned by standard basis vectors
+                    for row in s.vectors():
+                        assert sum(1 for x in row if x) == 1
+            checks = classical_checks(a)
+            if checks.classically_nondegenerate:
+                assert checks.semiprime
+            if checks.semiprime:
+                assert is_nondegenerate(a)
